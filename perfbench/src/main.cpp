@@ -138,7 +138,7 @@ Metrics run_untraced(BenchWorkload& wl, const Args& args, Checks& checks) {
     last = run_engine_pass(jobs, checks);
     wall_s.push_back(last.wall_s);
     std::fprintf(stderr, "  pass %zu: %.3f s\n", wall_s.size(), last.wall_s);
-    for (std::size_t j = 0; j < last.run_s.size() && j < jobs.size(); ++j)
+    for (std::size_t j = 0; j < jobs.size(); ++j)
       run_s[j].push_back(last.run_s[j]);
     ingest.push_back(static_cast<double>(last.inputs) /
                      (last.build_ms * 1e-3));

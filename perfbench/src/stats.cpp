@@ -38,7 +38,6 @@ Dist summarize(const std::vector<double>& samples) {
   kc::Summary s;
   for (const double x : samples) s.add(x);
   d.median = s.median();
-  d.sum = s.sum();
   d.tail_q = highest_tail_quantile(d.count);
   if (d.tail_q > 0.0) d.tail = s.percentile(d.tail_q);
   return d;

@@ -21,7 +21,6 @@ inline constexpr std::size_t kTailSamples = 10;
 struct Dist {
   std::size_t count = 0;
   double median = 0.0;
-  double sum = 0.0;
   /// Highest quantile of the form 1 − 10^−m (0.9, 0.99, …) with at least
   /// kTailSamples samples beyond it; 0 when there is none (count < 100).
   double tail_q = 0.0;
@@ -38,7 +37,7 @@ struct Dist {
 /// (the convention of util/stats.hpp).  0 on an empty set.
 [[nodiscard]] double quantile(const std::vector<double>& samples, double q);
 
-/// Median, sum and highest reportable tail of `samples`.
+/// Median and highest reportable tail of `samples`.
 [[nodiscard]] Dist summarize(const std::vector<double>& samples);
 
 /// "p50", "p99.9", … for a quantile.

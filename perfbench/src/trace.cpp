@@ -12,14 +12,18 @@ std::string Span::layer() const {
   return dot == std::string::npos ? name : name.substr(0, dot);
 }
 
+std::int64_t Recorder::now_ns() const {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                              origin_)
+      .count();
+}
+
 int Recorder::begin(std::string name) {
   Span s;
   s.name = std::move(name);
   s.parent = open_.empty() ? -1 : open_.back();
   s.pass = pass_;
-  s.start_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   Clock::now() - origin_)
-                   .count();
+  s.start_ns = now_ns();
   spans_.push_back(std::move(s));
   const int id = static_cast<int>(spans_.size()) - 1;
   open_.push_back(id);
@@ -27,9 +31,7 @@ int Recorder::begin(std::string name) {
 }
 
 double Recorder::end(int id) noexcept {
-  const std::int64_t now = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               Clock::now() - origin_)
-                               .count();
+  const std::int64_t now = now_ns();
   if (open_.empty() || open_.back() != id) {
     std::fprintf(stderr, "trace: span %d closed out of order\n", id);
     std::abort();

@@ -63,10 +63,6 @@ class Recorder {
   /// otherwise: spans nest by construction); returns its duration in ms.
   double end(int id) noexcept;
 
-  [[nodiscard]] const std::vector<Span>& spans() const noexcept {
-    return spans_;
-  }
-
   /// Self and total time per layer, sorted by layer.
   [[nodiscard]] std::vector<SelfTime> self_times() const;
 
@@ -77,6 +73,9 @@ class Recorder {
   void write_self_time_table(std::ostream& os) const;
 
  private:
+  /// Nanoseconds since the recorder was created.
+  [[nodiscard]] std::int64_t now_ns() const;
+
   Clock::time_point origin_;
   std::vector<Span> spans_;
   std::vector<int> open_;
