@@ -14,7 +14,8 @@ build log goes to stderr; the last line of stdout is the result object:
 
 With --trace 0 the metrics are the end-to-end metrics of BENCHMARK.json,
 with --trace 1 its per-layer metrics (a layer the workload never reaches
-reads 0).  Exit status: 0 when every output check passed, 1 when a check
+reads 0; a missing metric of a layer it does reach is a failed check).
+Exit status: 0 when every output check passed, 1 when a check
 failed or the run broke, 2 on a usage or build error.
 """
 
@@ -33,6 +34,16 @@ NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 # A run stops after this long; the build before the first run is not
 # counted.
 RUN_TIMEOUT_S = 175
+# Name prefixes of the per-layer metrics each workload emits.  A traced
+# run must emit every declared metric that matches its workload's
+# prefixes; the others belong to layers it never reaches and read 0.
+REACHES = {
+    "batch": ("engine.", "workload.", "mpc.", "core.", "trace."),
+    "stream": ("engine.", "workload.", "dataset.", "stream.", "core.solve",
+               "core.eval", "trace."),
+    "turnstile": ("engine.", "workload.", "dynamic.", "sketch.",
+                  "core.solve", "core.eval", "trace."),
+}
 
 
 def fail(msg, code=2):
@@ -79,11 +90,12 @@ def declared(bench, trace):
     return {m["name"]: m["unit"] for m in bench[key]}
 
 
-def complete(result, bench, trace):
+def complete(result, bench, workload, trace):
     """Checks the program's metrics against the catalogue and fills in the
     per-layer metrics of layers the workload does not reach (0).  Returns
     a list of problems."""
     want = declared(bench, trace)
+    reached = REACHES[workload] if trace else ("",)
     got = result.get("metrics", {})
     problems = []
     for name, m in got.items():
@@ -97,8 +109,8 @@ def complete(result, bench, trace):
                             f"BENCHMARK.json says {want[name]!r}")
     for name, unit in want.items():
         if name not in got:
-            if not trace:
-                problems.append(f"end-to-end metric {name!r} missing")
+            if name.startswith(reached):
+                problems.append(f"metric {name!r} missing")
             got[name] = {"value": 0, "unit": unit}
     result["metrics"] = {name: got[name] for name in want}
     return problems
@@ -136,7 +148,7 @@ def main():
     except (IndexError, ValueError):
         fail(f"no result line from kc_perfbench (exit {proc.returncode})",
              code=1)
-    problems = complete(result, bench, args.trace)
+    problems = complete(result, bench, args.workload, args.trace)
     for p in problems:
         print(f"perfbench: {p}", file=sys.stderr)
     if problems:

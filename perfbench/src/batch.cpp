@@ -26,7 +26,7 @@ const char* const kPipelines[] = {"offline", "mpc-2round", "mpc-1round",
 
 class Batch final : public BenchWorkload {
  public:
-  explicit Batch(const Params& p) : params_(p) {
+  explicit Batch(const Params& p) {
     cfg_.k = 3;
     cfg_.z = 200;
     cfg_.eps = 0.5;
@@ -44,7 +44,7 @@ class Batch final : public BenchWorkload {
   void setup(Recorder* rec, Metrics& layer) override {
     ScopedSpan span(rec, "workload.make_workload");
     kc::Timer timer;
-    w_ = engine::make_workload(scaled(kPoints, params_.scale, 1000), cfg_);
+    w_ = engine::make_workload(kPoints, cfg_);
     layer.add("workload.generate_ms", timer.millis(), "ms");
   }
 
@@ -193,7 +193,6 @@ class Batch final : public BenchWorkload {
     return o;
   }
 
-  Params params_;
   engine::PipelineConfig cfg_;
   engine::Workload w_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdio>
 
 namespace perfbench {
@@ -40,11 +39,6 @@ std::unique_ptr<BenchWorkload> make_bench_workload(const std::string& name,
   if (name == "stream") return make_stream(p);
   if (name == "turnstile") return make_turnstile(p);
   return nullptr;
-}
-
-std::size_t scaled(std::size_t n, double scale, std::size_t min) {
-  return std::max(min, static_cast<std::size_t>(
-                           std::llround(static_cast<double>(n) * scale)));
 }
 
 EnginePass run_engine_pass(const std::vector<Job>& jobs, Checks& checks) {

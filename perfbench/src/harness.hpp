@@ -24,9 +24,6 @@ namespace perfbench {
 /// What every workload is built from.
 struct Params {
   std::uint64_t seed = 1;
-  /// Multiplies every input size (1 = the benchmark's sizes; the test
-  /// suite runs small ones).
-  double scale = 1.0;
   /// Directory for files the workload writes (the stream's .kcb file).
   std::string out_dir = ".";
 };
@@ -116,9 +113,6 @@ class BenchWorkload {
 /// The workload called `name`, or null.
 [[nodiscard]] std::unique_ptr<BenchWorkload> make_bench_workload(
     const std::string& name, const Params& p);
-
-/// Scales a size by `scale`, keeping at least `min`.
-[[nodiscard]] std::size_t scaled(std::size_t n, double scale, std::size_t min);
 
 /// Result of one untraced pass.
 struct EnginePass {

@@ -1,12 +1,12 @@
 // kc_perfbench — runs one benchmark workload and prints its metrics.
 //
 //   kc_perfbench --workload batch|stream|turnstile --seed N --seconds S
-//                --trace 0|1 [--out-dir DIR] [--scale F]
+//                --trace 0|1 [--out-dir DIR]
 //
-// --trace 0 (the gated run): builds the inputs several times (setup_s is
-// the median), runs one warm-up pass, then repeats untraced passes through
-// the engine seam for S seconds and reports the end-to-end metrics as
-// medians over passes.
+// --trace 0 (the gated run): builds the inputs, runs one warm-up pass, then
+// for S seconds builds the inputs again and runs an untraced pass through
+// the engine seam, in turn, and reports the end-to-end metrics as medians
+// (setup_s over set-ups, the others over passes).
 // --trace 1: alternates an untraced pass with a traced one for S seconds,
 // checks that both give the same results bit for bit, and reports the
 // per-layer metrics, a Chrome trace file and a self-time table.
@@ -33,12 +33,11 @@ namespace {
 
 using namespace perfbench;
 
-/// Set-ups per --trace 0 run: at least kMinSetups, and more (up to
-/// kMaxSetups) until they took kSetupSeconds, so a cheap set-up still gets
-/// a steady median; setup_s is that median.
-constexpr std::size_t kMinSetups = 5;
-constexpr std::size_t kMaxSetups = 50;
-constexpr double kSetupSeconds = 2.0;
+/// Before each timed pass, a --trace 0 run sets its workload up again, at
+/// least once and until kSetupSecondsPerPass have gone by; setup_s is the
+/// median of all these set-ups.  Spread over the run like the passes, the
+/// samples do not all fall into one slow stretch of the host.
+constexpr double kSetupSecondsPerPass = 0.5;
 
 struct Args {
   std::string workload;
@@ -46,15 +45,13 @@ struct Args {
   double seconds = 10.0;
   bool trace = false;
   std::string out_dir = ".";
-  double scale = 1.0;
 };
 
 [[noreturn]] void usage(const std::string& why) {
   std::fprintf(stderr,
                "kc_perfbench: %s\n"
                "usage: kc_perfbench --workload batch|stream|turnstile "
-               "--seed N --seconds S --trace 0|1 [--out-dir DIR] "
-               "[--scale F]\n",
+               "--seed N --seconds S --trace 0|1 [--out-dir DIR]\n",
                why.c_str());
   std::exit(2);
 }
@@ -88,9 +85,6 @@ Args parse_args(int argc, char** argv) {
       a.trace = v == "1";
     } else if (flag == "--out-dir") {
       a.out_dir = v;
-    } else if (flag == "--scale") {
-      a.scale = parse_number(flag, v);
-      if (a.scale <= 0.0 || a.scale > 1.0) usage("--scale must be in (0, 1]");
     } else {
       usage("unknown flag " + flag);
     }
@@ -115,26 +109,30 @@ void warm_up(const std::vector<Job>& jobs, Checks& checks) {
   std::fprintf(stderr, "  warm-up pass: %.3f s\n", pass.wall_s);
 }
 
-/// --trace 0: repeated set-ups, a warm-up pass, then untraced passes for
-/// `seconds`.
+/// --trace 0: a set-up and a warm-up pass, then set-ups and untraced passes
+/// in turn for `seconds`.
 Metrics run_untraced(BenchWorkload& wl, const Args& args, Checks& checks) {
   std::vector<double> setup_s;
   Metrics ignored;
-  kc::Timer setups;
-  while (setup_s.size() < kMinSetups ||
-         (setups.seconds() < kSetupSeconds && setup_s.size() < kMaxSetups)) {
+  const auto set_up = [&] {
     wl.clear();
     kc::Timer timer;
     wl.setup(nullptr, ignored);
     setup_s.push_back(timer.seconds());
-  }
-  const std::vector<Job> jobs = wl.jobs();
+  };
+  set_up();
+  std::vector<Job> jobs = wl.jobs();
   warm_up(jobs, checks);
   std::vector<double> wall_s, ingest;
   std::vector<std::vector<double>> run_s(jobs.size());
   EnginePass last;
   kc::Timer run;
   do {
+    kc::Timer setups;
+    do {
+      set_up();
+    } while (setups.seconds() < kSetupSecondsPerPass);
+    jobs = wl.jobs();
     last = run_engine_pass(jobs, checks);
     wall_s.push_back(last.wall_s);
     std::fprintf(stderr, "  pass %zu: %.3f s\n", wall_s.size(), last.wall_s);
@@ -144,8 +142,10 @@ Metrics run_untraced(BenchWorkload& wl, const Args& args, Checks& checks) {
                      (last.build_ms * 1e-3));
   } while (run.seconds() < args.seconds);
 
-  std::fprintf(stderr, "%s seed %llu: %zu passes\n", args.workload.c_str(),
-               static_cast<unsigned long long>(args.seed), wall_s.size());
+  std::fprintf(stderr, "%s seed %llu: %zu set-ups, %zu passes\n",
+               args.workload.c_str(),
+               static_cast<unsigned long long>(args.seed), setup_s.size(),
+               wall_s.size());
   report_timing("setup_s", setup_s, "s");
   report_timing("wall_s", wall_s, "s");
   for (std::size_t j = 0; j < jobs.size(); ++j)
@@ -268,7 +268,6 @@ int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   Params params;
   params.seed = args.seed;
-  params.scale = args.scale;
   params.out_dir = args.out_dir;
   std::unique_ptr<BenchWorkload> wl =
       make_bench_workload(args.workload, params);

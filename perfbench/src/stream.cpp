@@ -26,8 +26,7 @@ constexpr std::size_t kPoints = 1'000'000;
 class Stream final : public BenchWorkload {
  public:
   explicit Stream(const Params& p)
-      : params_(p),
-        path_((std::filesystem::path(p.out_dir) /
+      : path_((std::filesystem::path(p.out_dir) /
                ("stream-seed" + std::to_string(p.seed) + ".kcb"))
                   .string()) {
     cfg_.k = 3;
@@ -48,7 +47,7 @@ class Stream final : public BenchWorkload {
 
   void setup(Recorder* rec, Metrics& layer) override {
     kc::PlantedConfig pc;
-    pc.n = scaled(kPoints, params_.scale, 1000);
+    pc.n = kPoints;
     pc.k = cfg_.k;
     pc.z = cfg_.z;
     pc.dim = cfg_.dim;
@@ -141,8 +140,8 @@ class Stream final : public BenchWorkload {
       }
       insert_ms += rec.end(insert_id);
     }
-    const double read_mb =
-        static_cast<double>(src.size()) * cfg_.dim * 8.0 * 1e-6;
+    const double read_mb = static_cast<double>(src.size()) * cfg_.dim * 8.0 /
+                           (1024.0 * 1024.0);
     layer.add("dataset.read_ms", read_ms, "ms");
     layer.add("dataset.read_mb", read_mb, "MB");
     layer.set("dataset.read_mb_per_s", read_mb / (read_ms * 1e-3), "MB/s");
@@ -218,7 +217,6 @@ class Stream final : public BenchWorkload {
     return o;
   }
 
-  Params params_;
   std::string path_;
   engine::PipelineConfig cfg_;
   engine::Workload mem_;   ///< the drifting instance, in memory

@@ -23,7 +23,7 @@ constexpr std::size_t kChaff = 100'000;
 
 class Turnstile final : public BenchWorkload {
  public:
-  explicit Turnstile(const Params& p) : params_(p) {
+  explicit Turnstile(const Params& p) {
     cfg_.k = 3;
     cfg_.z = 50;
     cfg_.eps = 0.5;
@@ -38,7 +38,7 @@ class Turnstile final : public BenchWorkload {
     kc::Timer timer;
     {
       ScopedSpan span(rec, "workload.make_workload");
-      w_ = engine::make_workload(scaled(kPoints, params_.scale, 1000), cfg_);
+      w_ = engine::make_workload(kPoints, cfg_);
     }
     {
       ScopedSpan span(rec, "workload.discretize");
@@ -46,9 +46,8 @@ class Turnstile final : public BenchWorkload {
     }
     {
       ScopedSpan span(rec, "workload.make_dynamic_script");
-      w_.script = kc::make_dynamic_script(
-          w_.grid, scaled(kChaff, params_.scale, 100), cfg_.delta, cfg_.dim,
-          cfg_.seed + 2);
+      w_.script = kc::make_dynamic_script(w_.grid, kChaff, cfg_.delta,
+                                          cfg_.dim, cfg_.seed + 2);
     }
     layer.add("workload.generate_ms", timer.millis(), "ms");
 
@@ -134,7 +133,6 @@ class Turnstile final : public BenchWorkload {
   }
 
  private:
-  Params params_;
   engine::PipelineConfig cfg_;
   engine::Workload w_;
   double opt_grid_ = 0.0;  ///< certified optimum bound in grid units

@@ -3,8 +3,9 @@
     python3 -m unittest discover -s perfbench/tests -v
 
 Builds the package like run.py does, runs the statistics helper's tests,
-and runs every workload at a small size to check that each metric the
-program emits is well named and declared in BENCHMARK.json.
+and runs every workload (one pass each, at the benchmark's sizes, about
+two minutes in all) to check that each metric the program emits is well
+named and declared in BENCHMARK.json.
 """
 
 import json
@@ -19,9 +20,6 @@ sys.path.insert(0, os.path.dirname(HERE))
 
 import run  # noqa: E402  (perfbench/run.py)
 
-# Small inputs: every per-call latency set still has ≥ 10000 samples, so
-# the p99.9 metrics are reported.
-SCALE = "0.05"
 UNIT_RE = re.compile(r"^[A-Za-z0-9_/%.-]{1,16}$")
 
 
@@ -58,6 +56,17 @@ class CatalogueTest(unittest.TestCase):
         self.assertIn("setup_s", bounds)
         self.assertEqual(bounds["setup_s"], max(bounds.values()))
 
+    def test_every_workload_names_its_layers(self):
+        self.assertEqual(set(run.REACHES),
+                         {w["name"] for w in self.bench["workloads"]})
+
+    def test_missing_metric_of_a_reached_layer_fails(self):
+        result = {"metrics": {}}
+        problems = run.complete(result, self.bench, "turnstile", 1)
+        self.assertIn("metric 'dynamic.update_us_p999' missing", problems)
+        self.assertNotIn("metric 'mpc.map_ms' missing", problems)
+        self.assertEqual(result["metrics"]["mpc.map_ms"]["value"], 0)
+
 
 class ProgramTest(unittest.TestCase):
     @classmethod
@@ -76,7 +85,7 @@ class ProgramTest(unittest.TestCase):
         proc = subprocess.run(
             [os.path.join(self.bdir, "kc_perfbench"), "--workload", workload,
              "--seed", "7", "--seconds", "0", "--trace", str(trace),
-             "--scale", SCALE, "--out-dir", self.out_dir],
+             "--out-dir", self.out_dir],
             capture_output=True, text=True, timeout=300)
         self.assertEqual(proc.returncode, 0, proc.stderr)
         return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -96,8 +105,8 @@ class ProgramTest(unittest.TestCase):
                         self.assertEqual(m["unit"], want[name], name)
                     if not trace:
                         self.assertEqual(set(result["metrics"]), set(want))
-                    self.assertEqual(run.complete(result, self.bench, trace),
-                                     [])
+                    self.assertEqual(
+                        run.complete(result, self.bench, w, trace), [])
                     self.assertEqual(list(result["metrics"]), list(want))
 
     def test_traced_run_writes_chrome_trace(self):
