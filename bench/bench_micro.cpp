@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/charikar.hpp"
 #include "core/gonzalez.hpp"
 #include "core/mbc.hpp"
@@ -76,6 +78,30 @@ void BM_SparseUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SparseUpdate)->Arg(64)->Arg(512);
+
+// The hot path Algorithm 5 drives: the caller has embedded the key and
+// powered the shared evaluation point, so this is the four lockstep row
+// hashes, the bucket reductions and the four cell updates.  Capacities are
+// the F0 levels' s₀ = 64 and the turnstile benchmark's s = 434; keys are
+// cell ids of [256]^2.
+void BM_SparseRecoveryUpdate(benchmark::State& state) {
+  kc::sketch::SparseRecovery sk(static_cast<std::size_t>(state.range(0)), 1);
+  constexpr std::size_t kKeys = 4096;
+  std::vector<std::uint64_t> xs(kKeys), rxs(kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    xs[i] = kc::sketch::embed_key(kc::splitmix64(i) % 65536);
+    rxs[i] = kc::sketch::pow_mod(sk.point(), xs[i]);
+  }
+  const std::uint64_t d = kc::sketch::signed_mod(+1);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    sk.add(xs[i], +1, d, rxs[i]);
+    benchmark::ClobberMemory();
+    i = (i + 1) % kKeys;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SparseRecoveryUpdate)->Arg(64)->Arg(434);
 
 void BM_SparseDecode(benchmark::State& state) {
   kc::sketch::SparseRecovery sk(static_cast<std::size_t>(state.range(0)), 1);

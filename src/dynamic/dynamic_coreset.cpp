@@ -24,18 +24,23 @@ DynamicCoreset::DynamicCoreset(const DynamicCoresetOptions& opt)
   KC_EXPECTS(opt.z >= 0);
   KC_EXPECTS(opt.eps > 0.0 && opt.eps <= 1.0);
   Rng rng(opt.seed);
+  // One fingerprint point per grid level, shared by S(G_l) and F(G_l).  It
+  // comes from a stream of its own, so the sketch seeds drawn from `rng`,
+  // and with them every row and level hash, do not depend on it.
+  Rng point_rng(splitmix64(opt.seed));
   for (int l = 0; l < grids_.levels(); ++l) {
+    const std::uint64_t point = sketch::draw_point(point_rng);
     if (opt.deterministic_recovery) {
       det_recovery_.emplace_back(static_cast<std::size_t>(s_));
     } else {
-      recovery_.emplace_back(static_cast<std::size_t>(s_), rng(), /*rows=*/4);
+      recovery_.emplace_back(static_cast<std::size_t>(s_), rng(), point);
     }
     // The level-sampling ladder of F(G_l) only needs to span the number of
     // cells in G_l (≤ log2 of its universe size), not a generic 2^40 range.
     int f0_levels = 1;
     while ((std::uint64_t{1} << f0_levels) < grids_.universe_size(l))
       ++f0_levels;
-    f0_.emplace_back(opt.f0_eps, rng(), f0_levels + 1);
+    f0_.emplace_back(opt.f0_eps, rng(), f0_levels + 1, point);
   }
 }
 
@@ -44,13 +49,19 @@ void DynamicCoreset::update(const GridPoint& p, int sign) {
   KC_EXPECTS(p.dim == opt_.dim);
   live_ += sign;
   KC_EXPECTS(live_ >= 0);  // strict turnstile
+  // The field work of one update is done once per grid level: the embedded
+  // cell id x and r_l^x feed S(G_l) and every level of F(G_l).
+  const std::uint64_t d = sketch::signed_mod(sign);
   for (int l = 0; l < grids_.levels(); ++l) {
+    const auto i = static_cast<std::size_t>(l);
     const std::uint64_t cell = grids_.cell_id(p, l);
+    const std::uint64_t x = sketch::embed_key(cell);
+    const std::uint64_t rx = sketch::pow_mod(f0_[i].point(), x);
     if (opt_.deterministic_recovery)
-      det_recovery_[static_cast<std::size_t>(l)].update(cell, sign);
+      det_recovery_[i].update(cell, sign);
     else
-      recovery_[static_cast<std::size_t>(l)].update(cell, sign);
-    f0_[static_cast<std::size_t>(l)].update(cell, sign);
+      recovery_[i].add(x, sign, d, rx);
+    f0_[i].add(x, sign, d, rx);
   }
 }
 

@@ -13,6 +13,16 @@
 // 2^j ≤ (ε/√d)·opt < 2^{j+1} then G_j has ≤ s non-empty cells and its cell
 // centers displace points by ≤ (√d/2)·2^j ≤ ε·opt/… within the ε budget).
 //
+// Update cost: one update touches every grid level and does the field
+// work once per level — the embedded cell id x and r_l^x, where r_l is the
+// fingerprint point that S(G_l) and all levels of F(G_l) share
+// (sparse_recovery.hpp explains why sharing keeps the Schwartz–Zippel
+// bound).  r_l comes from a stream of its own, so the sketch seeds, and
+// with them every row and level hash, do not depend on it.  Each sketch
+// then hashes x in its 4 rows and updates one 3-word cell per row.
+// words() counts 3 words per cell, 8 per row or level hash and 4 header
+// words per sketch.
+//
 // The `deterministic_recovery` option swaps the randomized peeling sketch
 // for the power-sum (Vandermonde) sketch of power_sum.hpp — the paper's §1
 // determinisation remark — at the cost of a universe scan during decoding

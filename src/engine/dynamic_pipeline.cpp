@@ -47,13 +47,17 @@ class DynamicPipeline final : public Pipeline {
 
     if (w.from_dataset()) return run_from_source(*w.source, cfg, opt);
 
-    const std::vector<GridPoint> grid =
-        w.grid.empty() ? discretize(w.planted.points, cfg.delta) : w.grid;
-    DynamicScript script = w.script;
-    if (script.empty()) {
-      script.reserve(grid.size());
-      for (const auto& g : grid) script.push_back({g, +1});
+    // The workload's grid and script are used in place; only a missing one
+    // is built (and owned) here.
+    std::vector<GridPoint> own_grid;
+    if (w.grid.empty()) own_grid = discretize(w.planted.points, cfg.delta);
+    const std::vector<GridPoint>& grid = w.grid.empty() ? own_grid : w.grid;
+    DynamicScript own_script;
+    if (w.script.empty()) {
+      own_script.reserve(grid.size());
+      for (const auto& g : grid) own_script.push_back({g, +1});
     }
+    const DynamicScript& script = w.script.empty() ? own_script : w.script;
 
     PipelineResult res;
     dynamic::DynamicCoreset dc(opt);

@@ -8,23 +8,20 @@
 namespace kc::sketch {
 
 F0Estimator::F0Estimator(double eps, std::uint64_t seed, int max_level)
+    : F0Estimator(eps, seed, max_level, draw_point(seed)) {}
+
+F0Estimator::F0Estimator(double eps, std::uint64_t seed, int max_level,
+                         std::uint64_t point)
     : s0_(static_cast<std::size_t>(
           std::max(16.0, std::ceil(16.0 / (eps * eps))))),
+      point_(point),
       level_hash_(/*independence=*/7, splitmix64(seed)) {
   KC_EXPECTS(eps > 0.0 && eps <= 1.0);
   KC_EXPECTS(max_level >= 1);
   Rng rng(splitmix64(seed ^ 0x9e3779b97f4a7c15ULL));
   levels_.reserve(static_cast<std::size_t>(max_level) + 1);
   for (int l = 0; l <= max_level; ++l)
-    levels_.emplace_back(s0_, rng(), /*rows=*/4);
-}
-
-void F0Estimator::update(std::uint64_t key, std::int64_t delta) noexcept {
-  const int lvl =
-      level_hash_.level(key, static_cast<int>(levels_.size()) - 1);
-  // Nested levels: a key surviving to level ℓ is present in 0..ℓ.
-  for (int l = 0; l <= lvl; ++l)
-    levels_[static_cast<std::size_t>(l)].update(key, delta);
+    levels_.emplace_back(s0_, rng(), point_);
 }
 
 double F0Estimator::estimate() const {

@@ -53,6 +53,15 @@ inline constexpr std::uint64_t kPrime = (std::uint64_t{1} << 61) - 1;
   return result;
 }
 
+/// ξ mod p for a signed ξ.  The negation runs in uint64_t, where it is
+/// defined for INT64_MIN too (−INT64_MIN does not fit in int64_t).
+[[nodiscard]] constexpr std::uint64_t signed_mod(std::int64_t v) noexcept {
+  if (v >= 0) return static_cast<std::uint64_t>(v) % kPrime;
+  const std::uint64_t a =
+      (std::uint64_t{0} - static_cast<std::uint64_t>(v)) % kPrime;
+  return a == 0 ? 0 : kPrime - a;
+}
+
 /// Multiplicative inverse (a must be non-zero mod p).
 [[nodiscard]] constexpr std::uint64_t inv_mod(std::uint64_t a) noexcept {
   return pow_mod(a, kPrime - 2);

@@ -14,8 +14,7 @@ PolyHash::PolyHash(int independence, std::uint64_t seed) {
   if (coeffs_.size() > 1 && coeffs_.front() == 0) coeffs_.front() = 1;
 }
 
-std::uint64_t PolyHash::operator()(std::uint64_t key) const noexcept {
-  const std::uint64_t x = embed_key(key);
+std::uint64_t PolyHash::eval(std::uint64_t x) const noexcept {
   std::uint64_t acc = 0;
   for (const std::uint64_t c : coeffs_) {
     acc = mul_mod(acc, x);
@@ -24,8 +23,8 @@ std::uint64_t PolyHash::operator()(std::uint64_t key) const noexcept {
   return acc;
 }
 
-int PolyHash::level(std::uint64_t key, int max_level) const noexcept {
-  const std::uint64_t h = (*this)(key);
+int PolyHash::level_at(std::uint64_t x, int max_level) const noexcept {
+  const std::uint64_t h = eval(x);
   // unit(key) < 2^{-ℓ}  ⇔  h < p / 2^ℓ.
   int lvl = 0;
   std::uint64_t threshold = kPrime >> 1;

@@ -2,25 +2,8 @@
 
 namespace kc::sketch {
 
-namespace {
-// ξ mod p for possibly-negative ξ.
-std::uint64_t signed_mod(std::int64_t v) noexcept {
-  if (v >= 0) return static_cast<std::uint64_t>(v) % kPrime;
-  const std::uint64_t a = static_cast<std::uint64_t>(-v) % kPrime;
-  return a == 0 ? 0 : kPrime - a;
-}
-}  // namespace
-
-void OneSparseCell::update(std::uint64_t key, std::int64_t delta) noexcept {
-  const std::uint64_t x = embed_key(key);
-  const std::uint64_t d = signed_mod(delta);
-  count_ += delta;
-  keysum_ = add_mod(keysum_, mul_mod(d, x));
-  fingerprint_ = add_mod(fingerprint_, mul_mod(d, pow_mod(r_, x)));
-}
-
-std::optional<OneSparseCell::Recovered> OneSparseCell::recover()
-    const noexcept {
+std::optional<OneSparseCell::Recovered> OneSparseCell::recover(
+    std::uint64_t r) const noexcept {
   if (count_ <= 0) return std::nullopt;
   const std::uint64_t c = static_cast<std::uint64_t>(count_) % kPrime;
   if (c == 0) return std::nullopt;
@@ -28,7 +11,7 @@ std::optional<OneSparseCell::Recovered> OneSparseCell::recover()
   const std::uint64_t x = mul_mod(keysum_, inv_mod(c));
   if (x == 0) return std::nullopt;
   // Verify against the fingerprint.
-  if (fingerprint_ != mul_mod(c, pow_mod(r_, x))) return std::nullopt;
+  if (fingerprint_ != mul_mod(c, pow_mod(r, x))) return std::nullopt;
   return Recovered{x - 1, count_};  // embed_key(key) = key + 1 for key < p−1
 }
 

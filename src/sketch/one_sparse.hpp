@@ -7,6 +7,11 @@
 // Σ c_a · r^{embed(a)} (random r, Schwartz–Zippel) makes false positives
 // vanishingly unlikely; buckets of the s-sparse recovery structure are made
 // of these cells.
+//
+// The cell stores exactly its three words.  The evaluation point r is not
+// part of it: every cell of a sketch (and, in Algorithm 5, every sketch of
+// one grid level) shares r, so the owner keeps r, computes x = embed(a),
+// ξ mod p and r^x once per update, and hands them to add().
 
 #pragma once
 
@@ -19,15 +24,13 @@ namespace kc::sketch {
 
 class OneSparseCell {
  public:
-  OneSparseCell() = default;
-  /// r = fingerprint evaluation point (shared across cells of a sketch).
-  explicit OneSparseCell(std::uint64_t r) : r_(r) {}
-
-  void update(std::uint64_t key, std::int64_t delta) noexcept;
-
-  /// Merge-subtract: remove `count` copies of `key` (used by peeling).
-  void remove(std::uint64_t key, std::int64_t count) noexcept {
-    update(key, -count);
+  /// Adds ξ = `delta` copies of the key with x = embed_key(key),
+  /// d = signed_mod(delta) and rx = r^x mod p.
+  void add(std::uint64_t x, std::int64_t delta, std::uint64_t d,
+           std::uint64_t rx) noexcept {
+    count_ += delta;
+    keysum_ = add_mod(keysum_, mul_mod(d, x));
+    fingerprint_ = add_mod(fingerprint_, mul_mod(d, rx));
   }
 
   [[nodiscard]] bool empty() const noexcept {
@@ -40,18 +43,22 @@ class OneSparseCell {
   };
 
   /// If the cell currently holds exactly one distinct key with positive
-  /// count, returns it; otherwise nullopt.  Sound for strict-turnstile
-  /// vectors up to fingerprint collisions (probability < 2n/p per test).
-  [[nodiscard]] std::optional<Recovered> recover() const noexcept;
+  /// count, returns it; otherwise nullopt.  `r` is the evaluation point the
+  /// fingerprint was built with.  Sound for strict-turnstile vectors up to
+  /// fingerprint collisions (probability < 2n/p per test).
+  [[nodiscard]] std::optional<Recovered> recover(
+      std::uint64_t r) const noexcept;
 
   /// Words of storage (count + keysum + fingerprint).
   [[nodiscard]] static constexpr std::size_t words() noexcept { return 3; }
 
  private:
-  std::uint64_t r_ = 3;            // evaluation point
   std::int64_t count_ = 0;         // Σ ξ
   std::uint64_t keysum_ = 0;       // Σ ξ·embed(key)  (mod p)
   std::uint64_t fingerprint_ = 0;  // Σ ξ·r^{embed(key)}  (mod p)
 };
+
+static_assert(sizeof(OneSparseCell) ==
+              OneSparseCell::words() * sizeof(std::uint64_t));
 
 }  // namespace kc::sketch

@@ -8,12 +8,6 @@ namespace kc::sketch {
 
 namespace {
 
-std::uint64_t signed_mod(std::int64_t v) noexcept {
-  if (v >= 0) return static_cast<std::uint64_t>(v) % kPrime;
-  const std::uint64_t a = static_cast<std::uint64_t>(-v) % kPrime;
-  return a == 0 ? 0 : kPrime - a;
-}
-
 // Horner evaluation of a polynomial given by coefficients c[0..deg]
 // (c[i] multiplies x^i).
 std::uint64_t eval_poly(const std::vector<std::uint64_t>& c,

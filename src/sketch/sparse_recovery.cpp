@@ -2,31 +2,25 @@
 
 #include <algorithm>
 
-#include "util/check.hpp"
-
 namespace kc::sketch {
 
+SparseRecovery::SparseRecovery(std::size_t capacity, std::uint64_t seed)
+    : SparseRecovery(capacity, seed, draw_point(seed)) {}
+
 SparseRecovery::SparseRecovery(std::size_t capacity, std::uint64_t seed,
-                               int rows)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {
-  KC_EXPECTS(rows >= 2);
-  buckets_ = std::max<std::size_t>(2 * capacity_, 8);
+                               std::uint64_t point)
+    : capacity_(std::max<std::size_t>(capacity, 1)),
+      buckets_(std::max<std::size_t>(2 * capacity_, 8)),
+      bucket_(buckets_),
+      point_(point) {
   Rng rng(seed);
-  const std::uint64_t fp_point = 2 + rng() % (kPrime - 3);
-  for (int r = 0; r < rows; ++r)
-    hashes_.emplace_back(/*independence=*/7, rng());
-  cells_.assign(static_cast<std::size_t>(rows) * buckets_,
-                OneSparseCell(fp_point));
-}
-
-std::size_t SparseRecovery::cell_index(std::size_t row,
-                                       std::uint64_t key) const noexcept {
-  return row * buckets_ + hashes_[row].bucket(key, buckets_);
-}
-
-void SparseRecovery::update(std::uint64_t key, std::int64_t delta) noexcept {
-  for (std::size_t r = 0; r < hashes_.size(); ++r)
-    cells_[cell_index(r, key)].update(key, delta);
+  (void)draw_point(rng);  // the own point's draw; the row seeds follow it
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const PolyHash row(static_cast<int>(kIndependence), rng());
+    for (std::size_t j = 0; j < kIndependence; ++j)
+      coeffs_[j * kRows + r] = row.coefficients()[j];
+  }
+  cells_.resize(kRows * buckets_);
 }
 
 SparseRecovery::DecodeResult SparseRecovery::decode() const {
@@ -39,13 +33,14 @@ SparseRecovery::DecodeResult SparseRecovery::decode() const {
   while (progress) {
     progress = false;
     for (std::size_t i = 0; i < work.size(); ++i) {
-      const auto rec = work[i].recover();
+      const auto rec = work[i].recover(point_);
       if (!rec) continue;
       out.items.push_back({rec->key, rec->count});
-      for (std::size_t r = 0; r < hashes_.size(); ++r) {
-        const std::size_t idx = r * buckets_ + hashes_[r].bucket(rec->key, buckets_);
-        work[idx].remove(rec->key, rec->count);
-      }
+      const std::uint64_t x = embed_key(rec->key);
+      const std::uint64_t d = signed_mod(-rec->count);
+      const std::uint64_t rx = pow_mod(point_, x);
+      for (const std::size_t j : cell_indices(x))
+        work[j].add(x, -rec->count, d, rx);
       progress = true;
     }
   }

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
+#include <string>
 
 #include "core/cost.hpp"
 #include "dynamic/dynamic_coreset.hpp"
@@ -163,6 +166,125 @@ TEST(DynamicCoreset, WordsGrowWithLogDelta) {
   // structure and within the paper's polylog budget.
   EXPECT_LT(static_cast<double>(b.words()),
             4.0 * static_cast<double>(a.words()));
+}
+
+// Exact query outputs of seeded runs, pinned so that changes to the sketch
+// internals (evaluation points, row hashing, bucket reduction, cell layout)
+// cannot move the chosen level, the recovered cells, their weights or the
+// storage accounting.  Each run inserts a final multiset (20 points for
+// d = 1; 48 or 96 for d = 2, the first 8 doubled) plus 112 chaff points,
+// then deletes the chaff: four deletes per surviving point.
+struct GoldenQuery {
+  std::uint64_t seed;
+  std::int64_t delta;
+  int dim;
+  int level;
+  std::size_t nonempty_cells;
+  std::size_t words;
+  const char* coreset;  ///< sorted "centre x weight" list
+};
+
+constexpr GoldenQuery kGoldenQueries[] = {
+    {1, 64, 1, 4, 4, 57740, "8x9 24x7 40x4 56x8"},
+    {1, 64, 2, 0, 48, 95456,
+     "0.5,33.5x1 0.5,40.5x1 1.5,37.5x2 2.5,56.5x1 4.5,22.5x1 "
+     "4.5,24.5x1 6.5,41.5x1 7.5,20.5x1 8.5,1.5x1 9.5,6.5x2 "
+     "14.5,35.5x1 14.5,41.5x1 16.5,34.5x1 16.5,59.5x1 20.5,1.5x2 "
+     "21.5,6.5x1 22.5,45.5x2 24.5,58.5x1 26.5,33.5x2 29.5,24.5x1 "
+     "30.5,6.5x2 30.5,14.5x1 30.5,26.5x1 30.5,50.5x1 32.5,16.5x1 "
+     "33.5,0.5x1 34.5,24.5x1 34.5,39.5x1 35.5,19.5x1 37.5,47.5x1 "
+     "37.5,52.5x1 38.5,29.5x1 39.5,7.5x1 40.5,19.5x1 41.5,16.5x1 "
+     "45.5,2.5x1 46.5,16.5x1 47.5,2.5x1 48.5,28.5x1 52.5,47.5x1 "
+     "54.5,34.5x2 56.5,26.5x1 57.5,45.5x1 57.5,47.5x1 59.5,8.5x1 "
+     "60.5,50.5x1 62.5,49.5x2 63.5,8.5x1"},
+    {1, 256, 1, 6, 4, 87936, "32x9 96x7 160x4 224x8"},
+    {1, 256, 2, 6, 16, 150576,
+     "32,32x5 32,96x6 32,160x9 32,224x5 96,32x9 96,96x6 96,160x7 "
+     "96,224x4 160,32x8 160,96x9 160,160x6 160,224x2 224,32x7 "
+     "224,96x6 224,160x6 224,224x9"},
+    {2, 64, 1, 4, 4, 57740, "8x9 24x7 40x5 56x7"},
+    {2, 64, 2, 0, 47, 95456,
+     "0.5,57.5x1 2.5,49.5x2 2.5,56.5x1 6.5,22.5x1 7.5,7.5x1 "
+     "7.5,32.5x1 7.5,42.5x1 7.5,45.5x1 8.5,17.5x2 9.5,49.5x1 "
+     "10.5,32.5x1 10.5,37.5x1 14.5,30.5x1 15.5,46.5x1 17.5,22.5x1 "
+     "17.5,37.5x2 18.5,51.5x1 21.5,21.5x1 23.5,9.5x1 23.5,25.5x2 "
+     "24.5,45.5x1 25.5,32.5x1 25.5,56.5x1 28.5,35.5x1 31.5,34.5x1 "
+     "32.5,28.5x1 32.5,54.5x1 33.5,12.5x1 38.5,51.5x1 42.5,28.5x2 "
+     "43.5,13.5x1 44.5,19.5x1 45.5,0.5x1 47.5,62.5x1 48.5,60.5x1 "
+     "52.5,5.5x1 52.5,6.5x3 53.5,11.5x1 53.5,47.5x1 55.5,47.5x2 "
+     "56.5,14.5x1 57.5,34.5x1 58.5,4.5x1 59.5,15.5x1 59.5,60.5x1 "
+     "63.5,1.5x1 63.5,30.5x2"},
+    {2, 256, 1, 6, 4, 87936, "32x9 96x7 160x5 224x7"},
+    {2, 256, 2, 6, 16, 150576,
+     "32,32x4 32,96x6 32,160x8 32,224x7 96,32x5 96,96x11 96,160x10 "
+     "96,224x2 160,32x7 160,96x6 160,160x3 160,224x6 224,32x12 "
+     "224,96x7 224,160x5 224,224x5"},
+    {3, 64, 1, 4, 4, 57740, "8x4 24x9 40x5 56x10"},
+    {3, 64, 2, 0, 48, 95456,
+     "0.5,7.5x1 1.5,44.5x1 5.5,23.5x1 5.5,51.5x1 7.5,40.5x2 "
+     "10.5,1.5x1 12.5,13.5x1 14.5,21.5x2 15.5,57.5x1 16.5,7.5x1 "
+     "16.5,43.5x1 17.5,15.5x1 18.5,33.5x1 20.5,12.5x1 21.5,49.5x2 "
+     "22.5,30.5x1 23.5,29.5x2 23.5,31.5x1 23.5,35.5x2 24.5,6.5x1 "
+     "24.5,19.5x1 24.5,52.5x1 26.5,45.5x1 27.5,6.5x1 28.5,33.5x1 "
+     "30.5,6.5x1 30.5,9.5x1 32.5,38.5x1 34.5,35.5x1 36.5,56.5x1 "
+     "36.5,57.5x1 37.5,58.5x1 38.5,12.5x1 38.5,29.5x1 41.5,20.5x1 "
+     "43.5,41.5x2 46.5,29.5x2 49.5,35.5x1 49.5,42.5x2 51.5,38.5x1 "
+     "52.5,59.5x1 54.5,43.5x1 58.5,18.5x1 58.5,31.5x1 60.5,54.5x1 "
+     "62.5,11.5x1 62.5,43.5x1 63.5,0.5x1"},
+    {3, 256, 1, 6, 4, 87936, "32x4 96x9 160x5 224x10"},
+    {3, 256, 2, 6, 16, 150576,
+     "32,32x4 32,96x9 32,160x6 32,224x9 96,32x9 96,96x8 96,160x7 "
+     "96,224x7 160,32x2 160,96x6 160,160x12 160,224x7 224,32x4 "
+     "224,96x2 224,160x6 224,224x6"},
+};
+
+std::string format_coreset(WeightedSet cs) {
+  std::sort(cs.begin(), cs.end(),
+            [](const WeightedPoint& a, const WeightedPoint& b) {
+              for (int j = 0; j < a.p.dim(); ++j)
+                if (a.p[j] != b.p[j]) return a.p[j] < b.p[j];
+              return a.w < b.w;
+            });
+  std::string out;
+  char buf[64];
+  for (const auto& wp : cs) {
+    if (!out.empty()) out += ' ';
+    for (int j = 0; j < wp.p.dim(); ++j) {
+      std::snprintf(buf, sizeof buf, j == 0 ? "%g" : ",%g", wp.p[j]);
+      out += buf;
+    }
+    std::snprintf(buf, sizeof buf, "x%lld", static_cast<long long>(wp.w));
+    out += buf;
+  }
+  return out;
+}
+
+TEST(DynamicCoreset, GoldenQueriesAfterDeleteHeavyScripts) {
+  for (const GoldenQuery& g : kGoldenQueries) {
+    SCOPED_TRACE(::testing::Message() << "seed " << g.seed << " delta "
+                                      << g.delta << " dim " << g.dim);
+    const std::size_t n = g.dim == 1 ? 20 : (g.delta == 64 ? 48 : 96);
+    auto final_set = discretize(make_uniform(n, g.dim, 1.0, g.seed), g.delta);
+    for (std::size_t i = 0; i < 8; ++i) final_set.push_back(final_set[i]);
+    const auto script =
+        make_dynamic_script(final_set, 112, g.delta, g.dim, g.seed + 100);
+
+    DynamicCoresetOptions opt;
+    opt.k = 1;
+    opt.z = 1;
+    opt.eps = 1.0;
+    opt.delta = g.delta;
+    opt.dim = g.dim;
+    opt.seed = g.seed;
+    DynamicCoreset dc(opt);
+    for (const auto& up : script) dc.update(up.p, up.sign);
+    const auto q = dc.query();
+    ASSERT_TRUE(q.ok);
+    EXPECT_EQ(q.level, g.level);
+    EXPECT_EQ(q.nonempty_cells, g.nonempty_cells);
+    EXPECT_EQ(dc.words(), g.words);
+    EXPECT_EQ(format_coreset(q.coreset), g.coreset);
+  }
 }
 
 TEST(DynamicKCenter, SolvesPlantedGridInstance) {

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "sketch/field.hpp"
@@ -46,6 +47,35 @@ TEST(Field, FermatHolds) {
 TEST(Field, EmbedKeyNonZero) {
   EXPECT_EQ(embed_key(0), 1u);
   EXPECT_GT(embed_key(~0ULL), 0u);
+}
+
+TEST(Field, SignedMod) {
+  EXPECT_EQ(signed_mod(0), 0u);
+  EXPECT_EQ(signed_mod(5), 5u);
+  EXPECT_EQ(signed_mod(-1), kPrime - 1);
+  EXPECT_EQ(signed_mod(static_cast<std::int64_t>(kPrime)), 0u);
+  EXPECT_EQ(signed_mod(-static_cast<std::int64_t>(kPrime)), 0u);
+  // 2^63 = 4·2^61 ≡ 4, so −2^63 ≡ p − 4.
+  EXPECT_EQ(signed_mod(std::numeric_limits<std::int64_t>::min()),
+            kPrime - 4);
+  EXPECT_EQ(signed_mod(std::numeric_limits<std::int64_t>::max()), 3u);
+  static_assert(signed_mod(-2) == kPrime - 2);
+}
+
+TEST(BucketReducer, MatchesModulo) {
+  // 8 (the minimum bucket count), 868 (2s on the turnstile benchmark),
+  // 2^20 + 7 and 2^31 − 1.
+  constexpr std::uint64_t kRanges[] = {8, 868, 1048583, 2147483647};
+  Rng rng(31);
+  for (const std::uint64_t range : kRanges) {
+    const BucketReducer bucket(range);
+    for (const std::uint64_t h : {range - 1, range, kPrime - 1, ~range})
+      EXPECT_EQ(bucket(h), h % range) << "h " << h << " range " << range;
+    for (int i = 0; i < 100000; ++i) {
+      const std::uint64_t h = rng() % kPrime;
+      ASSERT_EQ(bucket(h), h % range) << "h " << h << " range " << range;
+    }
+  }
 }
 
 TEST(PolyHash, DeterministicAndSeedSensitive) {

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <map>
+#include <vector>
 
+#include "sketch/hashing.hpp"
 #include "sketch/one_sparse.hpp"
 #include "sketch/sparse_recovery.hpp"
 #include "util/rng.hpp"
@@ -10,47 +12,59 @@
 namespace kc::sketch {
 namespace {
 
+// Adds `delta` copies of `key` to a cell whose fingerprints use point r.
+void update(OneSparseCell& cell, std::uint64_t key, std::int64_t delta,
+            std::uint64_t r) {
+  const std::uint64_t x = embed_key(key);
+  cell.add(x, delta, signed_mod(delta), pow_mod(r, x));
+}
+
 TEST(OneSparse, RecoversSingleton) {
-  OneSparseCell cell(7);
-  cell.update(42, 5);
-  const auto rec = cell.recover();
+  constexpr std::uint64_t r = 7;
+  OneSparseCell cell;
+  update(cell, 42, 5, r);
+  const auto rec = cell.recover(r);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->key, 42u);
   EXPECT_EQ(rec->count, 5);
 }
 
 TEST(OneSparse, EmptyAfterCancellation) {
-  OneSparseCell cell(7);
-  cell.update(42, 5);
-  cell.update(42, -5);
+  constexpr std::uint64_t r = 7;
+  OneSparseCell cell;
+  update(cell, 42, 5, r);
+  update(cell, 42, -5, r);
   EXPECT_TRUE(cell.empty());
-  EXPECT_FALSE(cell.recover().has_value());
+  EXPECT_FALSE(cell.recover(r).has_value());
 }
 
 TEST(OneSparse, RejectsTwoKeys) {
-  OneSparseCell cell(7);
-  cell.update(1, 1);
-  cell.update(2, 1);
-  EXPECT_FALSE(cell.recover().has_value());
+  constexpr std::uint64_t r = 7;
+  OneSparseCell cell;
+  update(cell, 1, 1, r);
+  update(cell, 2, 1, r);
+  EXPECT_FALSE(cell.recover(r).has_value());
   EXPECT_FALSE(cell.empty());
 }
 
 TEST(OneSparse, RecoveryAfterPartialDeletes) {
-  OneSparseCell cell(13);
-  cell.update(100, 3);
-  cell.update(200, 2);
-  cell.update(200, -2);  // back to singleton
-  const auto rec = cell.recover();
+  constexpr std::uint64_t r = 13;
+  OneSparseCell cell;
+  update(cell, 100, 3, r);
+  update(cell, 200, 2, r);
+  update(cell, 200, -2, r);  // back to singleton
+  const auto rec = cell.recover(r);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->key, 100u);
   EXPECT_EQ(rec->count, 3);
 }
 
 TEST(OneSparse, LargeKeyRoundTrip) {
-  OneSparseCell cell(5);
+  constexpr std::uint64_t r = 5;
+  OneSparseCell cell;
   const std::uint64_t key = (1ULL << 59) + 12345;
-  cell.update(key, 7);
-  const auto rec = cell.recover();
+  update(cell, key, 7, r);
+  const auto rec = cell.recover(r);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->key, key);
 }
@@ -122,8 +136,27 @@ TEST(SparseRecovery, SuccessProbabilityAcrossSeeds) {
   EXPECT_GE(successes, trials - 1);
 }
 
+TEST(SparseRecovery, LockstepRowHashesMatchPolyHash) {
+  // Row r hashes with PolyHash(7, seed_r), seed_r the (r+2)-th draw of
+  // Rng(seed): the first draw is the sketch's own evaluation point.
+  const std::uint64_t seed = 17;
+  const SparseRecovery sk(24, seed);
+  Rng seeds(seed);
+  EXPECT_EQ(sk.point(), draw_point(seeds));
+  std::vector<PolyHash> rows;
+  for (std::size_t r = 0; r < SparseRecovery::kRows; ++r)
+    rows.emplace_back(7, seeds());
+  Rng keys(18);
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t key = i < 100 ? keys() % 65536 : keys() >> 4;
+    const auto h = sk.row_hashes(embed_key(key));
+    for (std::size_t r = 0; r < SparseRecovery::kRows; ++r)
+      EXPECT_EQ(h[r], rows[r](key)) << "row " << r << " key " << key;
+  }
+}
+
 TEST(SparseRecovery, WordsAccounting) {
-  SparseRecovery sk(10, 1, 4);
+  SparseRecovery sk(10, 1);
   // 4 rows × max(2·10, 8) buckets × 3 words + hash + header.
   EXPECT_GE(sk.words(), 4u * 20u * 3u);
   EXPECT_LE(sk.words(), 4u * 20u * 3u + 64u);
