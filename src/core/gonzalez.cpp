@@ -1,6 +1,9 @@
 #include "core/gonzalez.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <limits>
+#include <numeric>
 
 #include "geometry/kernels.hpp"
 #include "util/check.hpp"
@@ -9,13 +12,17 @@ namespace kc {
 
 namespace {
 
+// Called after each center with the traversal so far, which is then
+// exactly `gonzalez(pts, #centers)` (prefix consistency, see the header).
+using PrefixHook = std::function<void(const GonzalezResult&)>;
+
 // Shared selection loop: `relax(center_coords, label)` relaxes every
 // point's nearest-center key against the new center and returns the
 // farthest point under the relaxed keys (first max wins).
 template <typename Relax>
 GonzalezResult run_traversal(const WeightedSet& pts, int max_centers,
                              const Metric& metric, double stop_radius,
-                             Relax&& relax) {
+                             const PrefixHook& on_prefix, Relax&& relax) {
   GonzalezResult res;
   const std::size_t n = pts.size();
   res.assignment.assign(n, 0);
@@ -27,6 +34,7 @@ GonzalezResult run_traversal(const WeightedSet& pts, int max_centers,
     const double radius = metric.key_to_dist(rr.far_key);
     res.delta.push_back(radius);
     next = rr.far_idx;
+    if (on_prefix) on_prefix(res);
     if (stop_radius > 0.0 && radius <= stop_radius) break;
     // kc-lint-allow(numerics): a max of exact distances is 0.0 only when
     // every remaining point coincides with a selected center.
@@ -35,12 +43,10 @@ GonzalezResult run_traversal(const WeightedSet& pts, int max_centers,
   return res;
 }
 
-}  // namespace
-
-GonzalezResult gonzalez(const WeightedSet& pts, int max_centers,
+GonzalezResult traverse(const WeightedSet& pts, int max_centers,
                         const Metric& metric, double stop_radius,
-                        ThreadPool* pool,
-                        const kernels::PointBuffer* buffer) {
+                        ThreadPool* pool, const kernels::PointBuffer* buffer,
+                        const PrefixHook& on_prefix) {
   KC_EXPECTS(max_centers >= 1);
   if (pts.empty()) return {};
   const std::size_t n = pts.size();
@@ -50,7 +56,7 @@ GonzalezResult gonzalez(const WeightedSet& pts, int max_centers,
     // Scalar fallback: a user-supplied distance cannot go through the
     // inline kernels.
     return run_traversal(
-        pts, max_centers, metric, stop_radius,
+        pts, max_centers, metric, stop_radius, on_prefix,
         [&](const Point& c, std::uint32_t label,
             std::vector<std::uint32_t>& assign) {
           kernels::RelaxResult rr;
@@ -76,7 +82,7 @@ GonzalezResult gonzalez(const WeightedSet& pts, int max_centers,
       (buffer != nullptr && buffer->size() == n) ? *buffer : local;
   std::vector<double> scratch(n);
   auto kernel_run = [&]<Norm N>() {
-    return run_traversal(pts, max_centers, metric, stop_radius,
+    return run_traversal(pts, max_centers, metric, stop_radius, on_prefix,
                          [&](const Point& c, std::uint32_t label,
                              std::vector<std::uint32_t>& assign) {
                            return kernels::relax_min_keys_parallel<N>(
@@ -91,6 +97,43 @@ GonzalezResult gonzalez(const WeightedSet& pts, int max_centers,
     case Norm::Custom: break;  // handled above
   }
   return {};  // unreachable
+}
+
+}  // namespace
+
+GonzalezResult gonzalez(const WeightedSet& pts, int max_centers,
+                        const Metric& metric, double stop_radius,
+                        ThreadPool* pool,
+                        const kernels::PointBuffer* buffer) {
+  return traverse(pts, max_centers, metric, stop_radius, pool, buffer, {});
+}
+
+std::vector<GonzalezPrefix> gonzalez_prefixes(
+    const WeightedSet& pts, std::span<const int> budgets, const Metric& metric,
+    ThreadPool* pool, const kernels::PointBuffer* buffer) {
+  std::vector<GonzalezPrefix> out(budgets.size());
+  if (budgets.empty()) return out;
+  // Checkpoint order: budgets ascending, ties in input order.
+  std::vector<std::size_t> order(budgets.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+    return budgets[a] < budgets[b];
+  });
+  KC_EXPECTS(budgets[order.front()] >= 1);
+  if (pts.empty()) return out;
+  std::size_t done = 0;
+  auto record = [&](const GonzalezResult& g) {
+    while (done < order.size() &&
+           static_cast<std::size_t>(budgets[order[done]]) <=
+               g.center_indices.size())
+      out[order[done++]] = {gonzalez_summary(pts, g), g.delta.back()};
+  };
+  const GonzalezResult g = traverse(pts, budgets[order.back()], metric,
+                                    /*stop_radius=*/0.0, pool, buffer, record);
+  // An early stop leaves the larger budgets at the final prefix.
+  while (done < order.size())
+    out[order[done++]] = {gonzalez_summary(pts, g), g.delta.back()};
+  return out;
 }
 
 WeightedSet gonzalez_summary(const WeightedSet& pts, const GonzalezResult& g) {

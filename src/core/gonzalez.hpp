@@ -12,10 +12,20 @@
 //
 // Weights are irrelevant to center selection but are carried through the
 // assignment so callers can build weighted summaries.
+//
+// Prefix consistency.  The traversal is deterministic (it starts at index
+// 0, takes the first farthest point on ties, and reassigns a point only on
+// a strictly smaller key) and reads its budget only to stop.  So the state
+// after τ centers of a longer run — centers, delta[τ−1] and assignment — is
+// exactly what `gonzalez(τ)` returns, at every thread count.  A caller that
+// needs several budgets (the outlier-guess ladder of the 2-round MPC
+// algorithm, core/radius_oracle.hpp) runs one traversal to the largest
+// budget and reads every smaller one off its prefixes (`gonzalez_prefixes`).
 
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/types.hpp"
@@ -59,5 +69,21 @@ struct GonzalezResult {
 /// the final covering radius of its representative.
 [[nodiscard]] WeightedSet gonzalez_summary(const WeightedSet& pts,
                                            const GonzalezResult& g);
+
+/// The summary and covering radius of one traversal prefix.
+struct GonzalezPrefix {
+  WeightedSet summary;  ///< gonzalez_summary(pts, gonzalez(pts, τ))
+  double delta = 0.0;   ///< gonzalez(pts, τ).delta.back(); 0 for empty pts
+};
+
+/// One traversal to the largest of `budgets` (each ≥ 1, any order,
+/// repeats allowed), checkpointed at every budget: out[i] is what
+/// `gonzalez(pts, budgets[i])` and `gonzalez_summary` give, word for word.
+/// A traversal that stops early (radius 0, or fewer points than the
+/// budget) gives every later budget its final prefix, as `gonzalez` would.
+/// `pool` and `buffer` as for `gonzalez`.
+[[nodiscard]] std::vector<GonzalezPrefix> gonzalez_prefixes(
+    const WeightedSet& pts, std::span<const int> budgets, const Metric& metric,
+    ThreadPool* pool = nullptr, const kernels::PointBuffer* buffer = nullptr);
 
 }  // namespace kc

@@ -4,6 +4,7 @@
 
 #include "core/charikar.hpp"
 #include "core/gonzalez.hpp"
+#include "geometry/point_buffer.hpp"
 #include "util/check.hpp"
 
 namespace kc {
@@ -28,50 +29,66 @@ RadiusEstimate charikar_estimate(const WeightedSet& pts, int k, std::int64_t z,
   return {res.radius, 3.0 * (1.0 + beta)};
 }
 
-RadiusEstimate summary_estimate(const WeightedSet& pts, int k, std::int64_t z,
-                                const Metric& metric, double gamma,
-                                double beta, const mpc::ExecContext& exec) {
-  if (pts.empty()) return {0.0, 1.0};
-  const int dim = pts.front().p.dim();
-  const std::int64_t tau = summary_center_budget(k, z, gamma, dim);
-  if (static_cast<std::int64_t>(pts.size()) <= tau) {
-    // Summary would be the whole input: fall back to Charikar directly.
-    return charikar_estimate(pts, k, z, metric, beta, exec);
+}  // namespace
+
+std::vector<RadiusEstimate> estimate_radius_ladder(
+    const WeightedSet& pts, int k, std::span<const std::int64_t> zs,
+    const Metric& metric, const OracleOptions& opt) {
+  std::vector<RadiusEstimate> out(zs.size());
+  // One SoA pack of the input for the whole ladder: the traversal and
+  // every Charikar fallback on `pts` read it.
+  mpc::ExecContext exec = opt.exec;
+  kernels::PointBuffer local;
+  if ((exec.buffer == nullptr || exec.buffer->size() != pts.size()) &&
+      metric.norm() != Norm::Custom && !pts.empty()) {
+    local = kernels::PointBuffer(pts);
+    exec.buffer = &local;
   }
-  const GonzalezResult g = gonzalez(pts, static_cast<int>(tau), metric,
-                                    /*stop_radius=*/0.0, exec.pool,
-                                    exec.buffer);
-  const double delta = g.delta.back();  // ≤ γ·opt by the packing bound
-  const WeightedSet summary = gonzalez_summary(pts, g);
-  // The caller's buffer mirrors `pts`, not the summary; the Charikar oracle
-  // packs the (small) summary itself, once for its whole ladder.
+  const bool summary =
+      opt.kind == OracleKind::Summary ||
+      (opt.kind == OracleKind::Auto && pts.size() > opt.auto_threshold);
+  if (summary && pts.empty()) return out;  // {0, 1} per guess
+
+  // Guesses whose summary is smaller than the input share one traversal;
+  // the rest (and every guess of a non-Summary oracle) run Charikar on
+  // the input directly.
+  std::vector<std::size_t> via_summary;
+  std::vector<int> budgets;
+  for (std::size_t i = 0; i < zs.size(); ++i) {
+    if (summary) {
+      const std::int64_t tau =
+          summary_center_budget(k, zs[i], opt.gamma, pts.front().p.dim());
+      if (static_cast<std::int64_t>(pts.size()) > tau) {
+        via_summary.push_back(i);
+        budgets.push_back(static_cast<int>(tau));
+        continue;
+      }
+    }
+    out[i] = charikar_estimate(pts, k, zs[i], metric, opt.beta, exec);
+  }
+  if (budgets.empty()) return out;
+
+  const std::vector<GonzalezPrefix> prefixes =
+      gonzalez_prefixes(pts, budgets, metric, exec.pool, exec.buffer);
+  // The buffer mirrors `pts`, not a summary; the Charikar oracle packs each
+  // (small) summary itself, once for its whole ladder.
   mpc::ExecContext summary_exec = exec;
   summary_exec.buffer = nullptr;
-  const RadiusEstimate rs =
-      charikar_estimate(summary, k, z, metric, beta, summary_exec);
-  // opt(P) ≤ opt(S) + δ ≤ r_S + δ, and
-  // r_S + δ ≤ ρ_C·opt(S) + δ ≤ ρ_C(opt+δ) + δ ≤ (ρ_C(1+γ) + γ)·opt.
-  const double rho = rs.rho * (1.0 + gamma) + gamma;
-  return {rs.radius + delta, rho};
+  for (std::size_t s = 0; s < via_summary.size(); ++s) {
+    const std::size_t i = via_summary[s];
+    const RadiusEstimate rs = charikar_estimate(
+        prefixes[s].summary, k, zs[i], metric, opt.beta, summary_exec);
+    // δ ≤ γ·opt by the packing bound.  opt(P) ≤ opt(S) + δ ≤ r_S + δ, and
+    // r_S + δ ≤ ρ_C·opt(S) + δ ≤ ρ_C(opt+δ) + δ ≤ (ρ_C(1+γ) + γ)·opt.
+    out[i] = {rs.radius + prefixes[s].delta,
+              rs.rho * (1.0 + opt.gamma) + opt.gamma};
+  }
+  return out;
 }
-
-}  // namespace
 
 RadiusEstimate estimate_radius(const WeightedSet& pts, int k, std::int64_t z,
                                const Metric& metric, const OracleOptions& opt) {
-  switch (opt.kind) {
-    case OracleKind::Charikar:
-      return charikar_estimate(pts, k, z, metric, opt.beta, opt.exec);
-    case OracleKind::Summary:
-      return summary_estimate(pts, k, z, metric, opt.gamma, opt.beta,
-                              opt.exec);
-    case OracleKind::Auto:
-      if (pts.size() > opt.auto_threshold)
-        return summary_estimate(pts, k, z, metric, opt.gamma, opt.beta,
-                                opt.exec);
-      return charikar_estimate(pts, k, z, metric, opt.beta, opt.exec);
-  }
-  return {0.0, 1.0};  // unreachable
+  return estimate_radius_ladder(pts, k, {&z, 1}, metric, opt).front();
 }
 
 }  // namespace kc

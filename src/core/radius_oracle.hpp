@@ -16,6 +16,17 @@
 //                    the ladder of greedy passes over the full input.
 //  * Auto          — Summary when the input is large, Charikar otherwise.
 //
+// Outlier-guess ladder.  Round 1 of the 2-round MPC algorithm needs the
+// estimate for every guess z_j = 2^j − 1 on the same local set.  The
+// Summary budgets τ_j = k·⌈4/γ⌉^d + z_j + 1 differ only in z_j, and the
+// Gonzalez traversal is prefix-consistent (core/gonzalez.hpp): the first
+// τ_j centers of a run to max τ_j, with the assignment as it stood after
+// them, are exactly a run to τ_j.  `estimate_radius_ladder` therefore packs
+// the input once, runs one traversal and reads each guess's summary and δ
+// off its prefix; guesses with n ≤ τ_j (and every guess of a non-Summary
+// oracle) take the Charikar fallback on the input.  `estimate_radius` is
+// its one-guess case, so both give the same estimate for the same guess.
+//
 // Both underlying passes (Gonzalez relaxation, Charikar greedy) run on the
 // performance layer — inline kernels + hash-grid neighborhoods, see
 // geometry/kernels.hpp and docs/ARCHITECTURE.md — so the Charikar oracle is
@@ -27,6 +38,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "core/types.hpp"
 #include "mpc/context.hpp"
@@ -58,6 +71,12 @@ struct OracleOptions {
 [[nodiscard]] RadiusEstimate estimate_radius(const WeightedSet& pts, int k,
                                              std::int64_t z, const Metric& metric,
                                              const OracleOptions& opt = {});
+
+/// out[j] = estimate_radius(pts, k, zs[j], metric, opt), bit for bit, with
+/// one SoA pack and (Summary path) one Gonzalez traversal for all guesses.
+[[nodiscard]] std::vector<RadiusEstimate> estimate_radius_ladder(
+    const WeightedSet& pts, int k, std::span<const std::int64_t> zs,
+    const Metric& metric, const OracleOptions& opt = {});
 
 /// The τ(γ) center budget that forces the Gonzalez covering radius down to
 /// ≤ γ·optk,z (packing bound, Lemma 6): k·⌈4/γ⌉^d + z + 1.

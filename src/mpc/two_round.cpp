@@ -97,6 +97,9 @@ TwoRoundResult two_round_coreset(const std::vector<WeightedSet>& parts, int k,
   std::vector<std::int64_t> guess_of(static_cast<std::size_t>(m), 0);
 
   // ---- Round 1: compute V_i and broadcast. ----------------------------
+  std::vector<std::int64_t> guesses(static_cast<std::size_t>(levels));
+  for (int j = 0; j < levels; ++j)
+    guesses[static_cast<std::size_t>(j)] = (std::int64_t{1} << j) - 1;
   const int losses_before =
       sim.fault_sink().messages_lost + sim.fault_sink().machines_lost;
   sim.round([&](int id, std::vector<Message>& /*inbox*/,
@@ -105,16 +108,15 @@ TwoRoundResult two_round_coreset(const std::vector<WeightedSet>& parts, int k,
     const WeightedSet& mine = parts[uid];
     sim.record_storage(id, sim.point_words(mine.size()));
 
+    const std::vector<RadiusEstimate> ests =
+        estimate_radius_ladder(mine, k, guesses, metric, opt.oracle);
     auto& V = v_table[uid];
     auto& R = rho_table[uid];
-    V.resize(static_cast<std::size_t>(levels));
-    R.resize(static_cast<std::size_t>(levels));
-    for (int j = 0; j < levels; ++j) {
-      const std::int64_t zj = (std::int64_t{1} << j) - 1;
-      const RadiusEstimate est =
-          estimate_radius(mine, k, zj, metric, opt.oracle);
-      V[static_cast<std::size_t>(j)] = est.radius;
-      R[static_cast<std::size_t>(j)] = est.rho;
+    V.resize(ests.size());
+    R.resize(ests.size());
+    for (std::size_t j = 0; j < ests.size(); ++j) {
+      V[j] = ests[j].radius;
+      R[j] = ests[j].rho;
     }
     Message msg;
     msg.scalars = V;

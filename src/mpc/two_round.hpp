@@ -2,7 +2,11 @@
 //
 // Round 1.  Each machine M_i computes, for j = 0..⌈log2(z+1)⌉, the oracle
 //   radius V_i[j] for the k-center problem with 2^j − 1 outliers on its
-//   local set P_i, and broadcasts the vector V_i to all machines.
+//   local set P_i, and broadcasts the vector V_i to all machines.  The whole
+//   table is one `estimate_radius_ladder` call: with the Summary oracle the
+//   budgets τ_j grow with the guess, and the Gonzalez traversal is
+//   prefix-consistent, so one traversal to τ_J yields every V_i[j] exactly
+//   as J+1 separate `estimate_radius` calls would (core/radius_oracle.hpp).
 //
 // Round 2.  From the shared radius tables every machine computes
 //     r̂ = min { r ∈ R : Σ_ℓ (2^{min{j : V_ℓ[j] ≤ r}} − 1) ≤ 2z },

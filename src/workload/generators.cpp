@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "geometry/box.hpp"
 #include "util/check.hpp"
@@ -46,7 +47,7 @@ PointSet lattice_centers(int k, int dim, double spacing) {
 }
 
 // Certified diameter lower bound: double farthest-point probe.
-double diameter_lb(const std::vector<Point>& pts, const Metric& metric) {
+double diameter_lb(std::span<const Point> pts, const Metric& metric) {
   if (pts.size() < 2) return 0.0;
   std::size_t a = 0;
   double best = -1.0;
@@ -131,11 +132,16 @@ PlantedInstance make_planted(const PlantedConfig& cfg) {
     }
   }
 
-  std::vector<std::vector<Point>> clusters(static_cast<std::size_t>(cfg.k));
+  // Every point goes straight into one array — clusters in order, then the
+  // outliers — and each cluster is certified as soon as it is drawn, so no
+  // per-cluster copy outlives its own loop.  At n = 10^6 that keeps the
+  // transient working set of a rebuild to one array plus the outputs.
+  PointSet all;
+  all.reserve(cfg.n);
+  double hi = 0.0, lo = 0.0;
   for (int c = 0; c < cfg.k; ++c) {
-    auto& cluster = clusters[static_cast<std::size_t>(c)];
+    const Point& center = inst.planted_centers[static_cast<std::size_t>(c)];
     const std::size_t size = sizes[static_cast<std::size_t>(c)];
-    cluster.reserve(size);
     // Near-duplicate flood: ⌈size/duplicates⌉ distinct samples, each
     // replicated with jitter ≤ 1e-9·R (stress for dedup-hostile summaries).
     const std::size_t distinct = (size + cfg.duplicates - 1) / cfg.duplicates;
@@ -144,24 +150,29 @@ PlantedInstance make_planted(const PlantedConfig& cfg) {
     for (std::size_t i = 0; i < distinct; ++i) {
       const Point offset =
           sample_unit_ball(rng, cfg.dim, cfg.norm) * cfg.cluster_radius;
-      bases.push_back(inst.planted_centers[static_cast<std::size_t>(c)] +
-                      offset);
+      bases.push_back(center + offset);
     }
+    const std::size_t first = all.size();
     for (std::size_t i = 0; i < size; ++i) {
       Point p = bases[i / cfg.duplicates];
       if (cfg.duplicates > 1 && i % cfg.duplicates != 0)
         for (int dcoord = 0; dcoord < cfg.dim; ++dcoord)
           p[dcoord] += rng.uniform_real(-1e-9, 1e-9) * cfg.cluster_radius;
-      cluster.push_back(p);
+      all.push_back(p);
     }
+    // Certify the bracket on this cluster.
+    const std::span<const Point> cluster(all.data() + first, size);
+    double far = 0.0;
+    for (const auto& p : cluster) far = std::max(far, metric.dist(p, center));
+    hi = std::max(hi, far);
+    lo = std::max(lo, diameter_lb(cluster, metric) / 2.0);
   }
+  const std::size_t cluster_points = all.size();
 
   // Outliers.  Spread: far along the negative first axis, pairwise
   // ≥ spacing apart.  Burst: one tight clump of diameter ≤ 2R at
   // −2·spacing — any ball covering the clump strands a ≥ z+1 cluster, so
-  // the bracket certificate below still holds.
-  PointSet outliers;
-  outliers.reserve(z);
+  // the bracket certificate above still holds.
   for (std::size_t i = 0; i < z; ++i) {
     Point o(cfg.dim, 0.0);
     if (cfg.outliers == OutlierPattern::Burst) {
@@ -173,40 +184,26 @@ PlantedInstance make_planted(const PlantedConfig& cfg) {
       for (int dcoord = 1; dcoord < cfg.dim; ++dcoord)
         o[dcoord] = rng.uniform_real(0.0, cfg.cluster_radius);
     }
-    outliers.push_back(o);
+    all.push_back(o);
   }
 
-  // Assemble: clusters (interleaved deterministically via shuffle) then
-  // record outlier indices after shuffling everything together.
-  std::vector<std::pair<Point, bool>> all;  // (point, is_outlier)
-  all.reserve(cfg.n);
-  for (const auto& cl : clusters)
-    for (const auto& p : cl) all.emplace_back(p, false);
-  for (const auto& o : outliers) all.emplace_back(o, true);
-  // Fisher–Yates with our deterministic rng.
+  // Interleave clusters and outliers (Fisher–Yates with our deterministic
+  // rng), then record the outlier indices.
+  std::vector<char> is_outlier(all.size(), 0);
+  std::fill(is_outlier.begin() + static_cast<std::ptrdiff_t>(cluster_points),
+            is_outlier.end(), 1);
   for (std::size_t i = all.size(); i > 1; --i) {
     const std::size_t j = rng.uniform(i);
     std::swap(all[i - 1], all[j]);
+    std::swap(is_outlier[i - 1], is_outlier[j]);
   }
   inst.points.reserve(all.size());
   inst.buffer = kernels::PointBuffer(cfg.dim);
   inst.buffer.reserve(all.size());
   for (std::size_t i = 0; i < all.size(); ++i) {
-    inst.points.push_back({all[i].first, 1});
-    inst.buffer.append(all[i].first);
-    if (all[i].second) inst.outlier_indices.push_back(i);
-  }
-
-  // Certify the bracket.
-  double hi = 0.0, lo = 0.0;
-  for (int c = 0; c < cfg.k; ++c) {
-    const auto& cl = clusters[static_cast<std::size_t>(c)];
-    double far = 0.0;
-    for (const auto& p : cl)
-      far = std::max(far,
-                     metric.dist(p, inst.planted_centers[static_cast<std::size_t>(c)]));
-    hi = std::max(hi, far);
-    lo = std::max(lo, diameter_lb(cl, metric) / 2.0);
+    inst.points.push_back({all[i], 1});
+    inst.buffer.append(all[i]);
+    if (is_outlier[i] != 0) inst.outlier_indices.push_back(i);
   }
   inst.opt_hi = hi;
   inst.opt_lo = lo;

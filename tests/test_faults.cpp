@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -226,6 +227,13 @@ struct SweepCase {
   std::string pipeline;
   RecoveryPolicy policy;
 };
+
+// gtest prints a parameter it cannot format as its raw bytes, which here
+// include the string's heap address: the test names would change from run
+// to run.  Print the fields instead.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.pipeline << '/' << to_string(c.policy);
+}
 
 class FaultSweepTest : public ::testing::TestWithParam<SweepCase> {};
 

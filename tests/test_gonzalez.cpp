@@ -6,6 +6,8 @@
 #include "core/brute_force.hpp"
 #include "core/gonzalez.hpp"
 #include "test_support.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace kc {
 namespace {
@@ -107,6 +109,119 @@ TEST(Gonzalez, PackingBoundDrivesDeltaBelowEpsOpt) {
   const GonzalezResult g = gonzalez(inst.points, tau, kL2);
   // opt ≥ opt_lo from the planted bracket.
   EXPECT_LE(g.delta.back(), eps * inst.opt_hi + 1e-9);
+}
+
+// ---- gonzalez_prefixes: one checkpointed traversal ----------------------
+
+// Points on a small integer grid with weights 1..5: repeated points and
+// tied distances exercise first-max-wins and the strict-< reassignment.
+WeightedSet grid_points(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  WeightedSet pts;
+  pts.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto x = static_cast<double>(rng.uniform(40));
+    const auto y = static_cast<double>(rng.uniform(40));
+    pts.push_back({Point{x, y}, 1 + static_cast<std::int64_t>(rng.uniform(5))});
+  }
+  return pts;
+}
+
+std::vector<int> random_budgets(Rng& rng, int max_budget) {
+  std::vector<int> budgets(1 + rng.uniform(6));
+  for (int& b : budgets)
+    b = 1 + static_cast<int>(
+                rng.uniform(static_cast<std::uint64_t>(max_budget)));
+  return budgets;
+}
+
+void expect_same_prefix(const GonzalezPrefix& got, const WeightedSet& want,
+                        double want_delta) {
+  ASSERT_EQ(got.summary.size(), want.size());
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    EXPECT_EQ(got.summary[c].p, want[c].p) << "center " << c;
+    EXPECT_EQ(got.summary[c].w, want[c].w) << "center " << c;
+  }
+  EXPECT_EQ(got.delta, want_delta);
+}
+
+// Every checkpoint equals a fresh traversal to its budget, word for word.
+void expect_prefixes_match(const WeightedSet& pts,
+                           const std::vector<int>& budgets,
+                           const Metric& metric, ThreadPool* pool) {
+  const std::vector<GonzalezPrefix> prefixes =
+      gonzalez_prefixes(pts, budgets, metric, pool);
+  ASSERT_EQ(prefixes.size(), budgets.size());
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    SCOPED_TRACE("budget " + std::to_string(budgets[i]));
+    const GonzalezResult g = gonzalez(pts, budgets[i], metric, 0.0, pool);
+    expect_same_prefix(prefixes[i], gonzalez_summary(pts, g), g.delta.back());
+  }
+}
+
+TEST(GonzalezPrefixes, MatchFreshTraversalsInEveryNorm) {
+  Rng rng(2024);
+  for (const Norm norm : {Norm::L1, Norm::L2, Norm::Linf}) {
+    const Metric metric(norm);
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("norm " + std::to_string(static_cast<int>(norm)) +
+                   " seed " + std::to_string(seed));
+      const WeightedSet pts = grid_points(1500, seed);
+      expect_prefixes_match(pts, random_budgets(rng, 250), metric, nullptr);
+    }
+  }
+}
+
+TEST(GonzalezPrefixes, MatchFreshTraversalsOnEightThreadPool) {
+  // Above the kernels' parallel grain, so the pool really splits the sweep.
+  ThreadPool pool(8);
+  Rng rng(77);
+  const WeightedSet pts = grid_points(20000, 9);
+  for (const Norm norm : {Norm::L1, Norm::L2, Norm::Linf}) {
+    SCOPED_TRACE("norm " + std::to_string(static_cast<int>(norm)));
+    const Metric metric(norm);
+    const std::vector<int> budgets = random_budgets(rng, 60);
+    expect_prefixes_match(pts, budgets, metric, &pool);
+    // …and the pooled checkpoints equal the sequential ones.
+    const auto seq = gonzalez_prefixes(pts, budgets, metric, nullptr);
+    const auto par = gonzalez_prefixes(pts, budgets, metric, &pool);
+    for (std::size_t i = 0; i < budgets.size(); ++i)
+      expect_same_prefix(par[i], seq[i].summary, seq[i].delta);
+  }
+}
+
+TEST(GonzalezPrefixes, AllEqualPointsStopEarly) {
+  const WeightedSet pts(7, WeightedPoint{Point{2.0, -1.0}, 3});
+  const std::vector<int> budgets{4, 1, 9};
+  expect_prefixes_match(pts, budgets, kL2, nullptr);
+  for (const auto& prefix : gonzalez_prefixes(pts, budgets, kL2)) {
+    ASSERT_EQ(prefix.summary.size(), 1u);  // one center, radius 0
+    EXPECT_EQ(prefix.summary.front().w, 21);
+    EXPECT_EQ(prefix.delta, 0.0);
+  }
+}
+
+TEST(GonzalezPrefixes, BudgetAboveInputSize) {
+  // Distinct points, so the traversal runs until it has every point.
+  WeightedSet pts;
+  for (int i = 0; i < 12; ++i)
+    pts.push_back({Point{static_cast<double>(i * i), 0.5 * i}, 1 + i % 3});
+  const std::vector<int> budgets{12, 40, 5, 13};
+  expect_prefixes_match(pts, budgets, kL2, nullptr);
+  const auto prefixes = gonzalez_prefixes(pts, budgets, kL2);
+  EXPECT_EQ(prefixes[1].summary.size(), pts.size());
+  EXPECT_EQ(prefixes[1].delta, 0.0);
+  // Grid points with duplicates stop at radius 0 before n centers.
+  expect_prefixes_match(grid_points(30, 3), {20, 30, 64}, kL2, nullptr);
+}
+
+TEST(GonzalezPrefixes, EmptyInputsGiveEmptyPrefixes) {
+  EXPECT_TRUE(gonzalez_prefixes(grid_points(10, 1), {}, kL2).empty());
+  const auto prefixes =
+      gonzalez_prefixes(WeightedSet{}, std::vector<int>{3}, kL2);
+  ASSERT_EQ(prefixes.size(), 1u);
+  EXPECT_TRUE(prefixes.front().summary.empty());
+  EXPECT_EQ(prefixes.front().delta, 0.0);
 }
 
 }  // namespace

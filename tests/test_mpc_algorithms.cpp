@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "core/cost.hpp"
@@ -14,6 +15,7 @@
 #include "mpc/partition.hpp"
 #include "mpc/two_round.hpp"
 #include "test_support.hpp"
+#include "util/parallel.hpp"
 
 namespace kc::mpc {
 namespace {
@@ -109,6 +111,44 @@ TEST(TwoRound, WorkerStorageExcludesZ) {
       2.0 * std::pow(4.0 * 12.0 / opt.eps, 2);  // k(4ρ/ε)^d with ρ ≤ 12
   EXPECT_LT(static_cast<double>(total_local),
             m * per_machine_kterm + 2.0 * z + m);
+}
+
+// FNV-1a over the bit patterns of every coordinate and weight, in order.
+std::uint64_t fingerprint(const WeightedSet& pts) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& wp : pts) {
+    for (const double c : wp.p.coords()) mix(std::bit_cast<std::uint64_t>(c));
+    mix(static_cast<std::uint64_t>(wp.w));
+  }
+  return h;
+}
+
+TEST(TwoRound, GoldenOnSummaryOraclePath) {
+  // 1000 points per machine, above the Auto oracle's 600-point threshold,
+  // so every V_i[j] goes through the Summary oracle (τ_j = 193..256 < 1000).
+  // r̂ is a V table entry and Σ guesses is read off the tables, so they pin
+  // the tables; the fingerprint pins the coreset.  Recorded before Round 1
+  // moved to one checkpointed traversal per machine.
+  const auto inst = medium_planted(43, 4000, 3, 40);
+  const auto parts =
+      partition_points(inst.points, 4, PartitionKind::EvenSorted, 0);
+  ThreadPool pool(4);
+  ExecContext pooled;
+  pooled.pool = &pool;
+  for (const ExecContext& ctx : {ExecContext{}, pooled}) {
+    const auto res = two_round_coreset(parts, 3, 40, kL2, ctx);
+    EXPECT_EQ(res.r_hat, 0x1.5a4920731e81ap+0);  // 1.3526783257534647
+    EXPECT_EQ(res.sum_outlier_guesses, 70);
+    EXPECT_EQ(res.merged.size(), 729u);
+    EXPECT_EQ(res.coreset.size(), 296u);
+    EXPECT_EQ(fingerprint(res.coreset), 9863276688183447864ULL);
+  }
 }
 
 TEST(OneRound, RandomPartitionValid) {

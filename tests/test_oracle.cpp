@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/charikar.hpp"
+#include "core/gonzalez.hpp"
 #include "core/radius_oracle.hpp"
 #include "test_support.hpp"
+#include "util/parallel.hpp"
 
 namespace kc {
 namespace {
@@ -77,6 +82,102 @@ TEST(AutoOracle, SwitchesOnSize) {
   const RadiusEstimate b = estimate_radius(big.points, 2, 2, kL2, opt);
   EXPECT_GE(b.radius, big.opt_lo - 1e-9);
   EXPECT_LE(b.radius, b.rho * big.opt_hi + 1e-9);
+}
+
+// The oracle spelled out guess by guess: one fresh Gonzalez run per
+// Summary guess, Charikar on the input otherwise.
+RadiusEstimate reference_estimate(const WeightedSet& pts, int k,
+                                  std::int64_t z, const OracleOptions& opt) {
+  CharikarOptions copt;
+  copt.beta = opt.beta;
+  auto charikar = [&](const WeightedSet& s) {
+    return RadiusEstimate{charikar_oracle(s, k, z, kL2, copt).radius,
+                          3.0 * (1.0 + opt.beta)};
+  };
+  const bool summary =
+      opt.kind == OracleKind::Summary ||
+      (opt.kind == OracleKind::Auto && pts.size() > opt.auto_threshold);
+  if (!summary) return charikar(pts);
+  if (pts.empty()) return {0.0, 1.0};
+  const std::int64_t tau =
+      summary_center_budget(k, z, opt.gamma, pts.front().p.dim());
+  if (static_cast<std::int64_t>(pts.size()) <= tau) return charikar(pts);
+  const GonzalezResult g = gonzalez(pts, static_cast<int>(tau), kL2);
+  const RadiusEstimate rs = charikar(gonzalez_summary(pts, g));
+  return {rs.radius + g.delta.back(),
+          rs.rho * (1.0 + opt.gamma) + opt.gamma};
+}
+
+// The ladder is the loop of single estimates, bit for bit, for every kind,
+// and both equal the guess-by-guess reference.
+void expect_ladder_matches_loop(const WeightedSet& pts, int k,
+                                const std::vector<std::int64_t>& zs,
+                                const OracleOptions& opt) {
+  const std::vector<RadiusEstimate> ladder =
+      estimate_radius_ladder(pts, k, zs, kL2, opt);
+  ASSERT_EQ(ladder.size(), zs.size());
+  for (std::size_t j = 0; j < zs.size(); ++j) {
+    const RadiusEstimate one = estimate_radius(pts, k, zs[j], kL2, opt);
+    const RadiusEstimate ref = reference_estimate(pts, k, zs[j], opt);
+    EXPECT_EQ(ladder[j].radius, one.radius) << "z = " << zs[j];
+    EXPECT_EQ(ladder[j].rho, one.rho) << "z = " << zs[j];
+    EXPECT_EQ(ladder[j].radius, ref.radius) << "z = " << zs[j];
+    EXPECT_EQ(ladder[j].rho, ref.rho) << "z = " << zs[j];
+  }
+}
+
+std::vector<std::int64_t> outlier_guesses(int levels) {
+  std::vector<std::int64_t> zs;
+  for (int j = 0; j < levels; ++j) zs.push_back((std::int64_t{1} << j) - 1);
+  return zs;
+}
+
+TEST_P(OracleKinds, LadderMatchesSingleEstimates) {
+  OracleOptions opt;
+  opt.kind = GetParam();
+  PlantedConfig cfg;
+  cfg.n = 700;
+  cfg.k = 3;
+  cfg.z = 20;
+  cfg.dim = 2;
+  cfg.seed = 12;
+  const auto inst = make_planted(cfg);
+  // τ_j = 3·8² + z_j + 1: guesses up to z = 255 (τ = 448) take the Summary
+  // path, z = 511 (τ = 704 ≥ n) falls back to Charikar on the input.
+  const auto zs = outlier_guesses(10);
+  ASSERT_LT(summary_center_budget(3, zs[8], opt.gamma, 2), 700);
+  ASSERT_GE(summary_center_budget(3, zs[9], opt.gamma, 2), 700);
+  expect_ladder_matches_loop(inst.points, 3, zs, opt);
+  // Unsorted guesses with a repeat, on a tiny instance.
+  expect_ladder_matches_loop(testing::tiny_planted(2, 3, 2, 8).points, 2,
+                             {7, 0, 3, 3}, opt);
+}
+
+TEST(SummaryOracle, LadderOnEmptyAndPooledInputs) {
+  OracleOptions opt;
+  opt.kind = OracleKind::Summary;
+  const std::vector<std::int64_t> two{0, 1};
+  for (const RadiusEstimate& est :
+       estimate_radius_ladder(WeightedSet{}, 2, two, kL2, opt)) {
+    EXPECT_EQ(est.radius, 0.0);
+    EXPECT_EQ(est.rho, 1.0);
+  }
+  PlantedConfig cfg;
+  cfg.n = 12000;  // above the kernels' parallel grain
+  cfg.k = 2;
+  cfg.z = 16;
+  cfg.seed = 4;
+  const auto inst = make_planted(cfg);
+  const auto zs = outlier_guesses(6);
+  const auto seq = estimate_radius_ladder(inst.points, 2, zs, kL2, opt);
+  ThreadPool pool(8);
+  opt.exec.pool = &pool;
+  expect_ladder_matches_loop(inst.points, 2, zs, opt);
+  const auto par = estimate_radius_ladder(inst.points, 2, zs, kL2, opt);
+  for (std::size_t j = 0; j < zs.size(); ++j) {
+    EXPECT_EQ(par[j].radius, seq[j].radius);
+    EXPECT_EQ(par[j].rho, seq[j].rho);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "core/cost.hpp"
 #include "workload/generators.hpp"
@@ -97,6 +101,73 @@ TEST(Planted, DeterministicForSeed) {
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t i = 0; i < a.points.size(); ++i)
     EXPECT_EQ(a.points[i].p, b.points[i].p);
+}
+
+// FNV-1a over the bit patterns of every coordinate and weight, the outlier
+// indices and the certified bracket.
+std::uint64_t fingerprint(const PlantedInstance& inst) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& wp : inst.points) {
+    for (const double c : wp.p.coords()) mix(std::bit_cast<std::uint64_t>(c));
+    mix(static_cast<std::uint64_t>(wp.w));
+  }
+  for (const std::size_t i : inst.outlier_indices) mix(i);
+  mix(std::bit_cast<std::uint64_t>(inst.opt_lo));
+  mix(std::bit_cast<std::uint64_t>(inst.opt_hi));
+  return h;
+}
+
+TEST(Planted, GoldenFingerprints) {
+  // Recorded before make_planted stopped keeping a copy of every cluster
+  // until the end: the instance must not move by a bit.
+  PlantedConfig even;
+  even.n = 3000;
+  even.k = 3;
+  even.z = 20;
+  even.seed = 5;
+  PlantedConfig burst;
+  burst.n = 2500;
+  burst.k = 4;
+  burst.z = 10;
+  burst.dim = 3;
+  burst.norm = Norm::Linf;
+  burst.duplicates = 3;
+  burst.outliers = OutlierPattern::Burst;
+  burst.seed = 6;
+  PlantedConfig skewed;
+  skewed.n = 1800;
+  skewed.k = 2;
+  skewed.z = 0;
+  skewed.dim = 1;
+  skewed.norm = Norm::L1;
+  skewed.skew = 0.5;
+  skewed.seed = 7;
+  PlantedConfig explicit_sizes;
+  explicit_sizes.n = 905;
+  explicit_sizes.k = 2;
+  explicit_sizes.z = 5;
+  explicit_sizes.cluster_sizes = {700, 200};
+  explicit_sizes.seed = 8;
+  const std::pair<PlantedConfig, std::uint64_t> cases[] = {
+      {even, 10190864559853788562ULL},
+      {burst, 1820970838144557143ULL},
+      {skewed, 5477190255355499038ULL},
+      {explicit_sizes, 2835867383747208404ULL},
+  };
+  for (const auto& [cfg, want] : cases) {
+    SCOPED_TRACE("seed " + std::to_string(cfg.seed));
+    const PlantedInstance inst = make_planted(cfg);
+    EXPECT_EQ(fingerprint(inst), want);
+    ASSERT_EQ(inst.buffer.size(), inst.points.size());
+    for (std::size_t i = 0; i < inst.points.size(); ++i)
+      ASSERT_EQ(inst.buffer.point(i), inst.points[i].p) << "row " << i;
+  }
 }
 
 TEST(Uniform, InBounds) {

@@ -150,6 +150,17 @@ int main(int argc, char** argv) {
     std::fputs(kUsage, stderr);
     return 2;
   }
+  if (cfg.k < 1) {
+    std::fprintf(stderr, "error: --k must be >= 1 (got %d)\n", cfg.k);
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  if (cfg.z < 0) {
+    std::fprintf(stderr, "error: --z must be >= 0 (got %lld)\n",
+                 static_cast<long long>(cfg.z));
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
   if (!mpc::parse_backend(flags.get_string("backend", "local"),
                           &cfg.backend)) {
     std::fprintf(stderr, "error: unknown --backend '%s' (local|process)\n",
@@ -184,6 +195,18 @@ int main(int argc, char** argv) {
   const bool faults_active = cfg.fault_config().active();
 
   const auto n = static_cast<std::size_t>(flags.get_int("n", 4000));
+  // A generated (planted) instance holds k clusters of at least z+1 points
+  // plus z outliers: n ≥ k(z+1) + z, checked without overflow.
+  const auto zu = static_cast<std::size_t>(cfg.z);
+  if (!flags.has("input") &&
+      (n < zu || (n - zu) / (zu + 1) < static_cast<std::size_t>(cfg.k))) {
+    std::fprintf(stderr,
+                 "error: --n %zu is too small for --k %d --z %lld: a "
+                 "generated instance needs n >= k(z+1)+z\n",
+                 n, cfg.k, static_cast<long long>(cfg.z));
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
   const std::string which = flags.get_string("pipeline", "all");
   std::vector<std::string> names;
   if (which == "all") {
