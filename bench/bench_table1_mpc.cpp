@@ -212,13 +212,13 @@ int main(int argc, char** argv) {
              "x (radius column identical across thread counts — "
              "determinism by ordered reduction)");
 
-  // ---- Sweep 4: measured wire traffic on the process backend -----------
-  // Same rows as Sweep 1, but every message physically crosses a Unix-
-  // domain socket to a forked worker endpoint as a checksummed frame.
-  // `wire bytes` is measured traffic; `pred bytes` is the model's
-  // comm_words at 8 bytes/word.  The ratio stays in (1, 2]: framing adds
-  // a fixed 57-byte overhead per message and truncated payloads ship
-  // their cut tail, but nothing is double-counted.  Result columns are
+  // ---- Sweep 4: measured wire traffic on the wire backend --------------
+  // Same rows as Sweep 1, but every message is delivered through an
+  // encode → decode of its checksummed wire frame.  `wire bytes` is the
+  // encoded frame bytes; `pred bytes` is the model's comm_words at 8
+  // bytes/word.  The ratio stays in (1, 2]: framing adds a fixed 48-byte
+  // header and checksum per message and truncated payloads ship their
+  // cut tail, but nothing is double-counted.  Result columns are
   // byte-identical to the local-backend rows above (the differential
   // suite in tests/test_transport.cpp pins this).
   const std::size_t n4 = setup.quick ? (1 << 12) : (1 << 13);
@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
   cfg4.z = z4;
   cfg4.machines = m4;
   cfg4.partition_seed = seed;
-  cfg4.backend = mpc::Backend::Process;
+  cfg4.backend = mpc::Backend::Wire;
   cfg4.with_direct_solve = false;
 
   Table t4({"algorithm", "m", "comm words", "pred bytes", "wire bytes",
@@ -256,8 +256,8 @@ int main(int argc, char** argv) {
                 fmt(r.get("route_ms"), 1), fmt(r.radius, 4)});
     setup.json.record("engine_pipeline", r.json_fields());
   }
-  std::printf("\n[Sweep 4] measured wire traffic, process backend "
-              "(n=%zu, m=%d, z=%lld, forked worker endpoints):\n", n4, m4,
+  std::printf("\n[Sweep 4] measured wire traffic, wire backend "
+              "(n=%zu, m=%d, z=%lld, encode/decode per delivery):\n", n4, m4,
               static_cast<long long>(z4));
   t4.print();
   shape_note("worst wire_bytes / (8*comm_words) ratio: " +

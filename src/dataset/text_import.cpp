@@ -118,6 +118,8 @@ void walk_csv(const std::string& path,
 
 WeightedSet read_csv_points(const std::string& path, bool weighted) {
   WeightedSet pts;
+  // Every consumer sums weights in int64, so the total must fit there.
+  std::int64_t total = 0;
   walk_csv(path, [&](std::size_t lineno, const std::vector<double>& cols) {
     std::int64_t w = 1;
     std::size_t dim = cols.size();
@@ -131,6 +133,9 @@ WeightedSet read_csv_points(const std::string& path, bool weighted) {
       w = static_cast<std::int64_t>(wv);
       dim = cols.size() - 1;
     }
+    if (w > std::numeric_limits<std::int64_t>::max() - total)
+      fail(path, lineno, "total weight exceeds the int64 range");
+    total += w;
     if (dim > static_cast<std::size_t>(Point::kMaxDim)) {
       std::ostringstream os;
       os << "dim " << dim << " exceeds the Point limit of " << Point::kMaxDim

@@ -37,17 +37,6 @@ class MpcPipeline : public Pipeline {
     const auto parts = mpc::partition_points(
         w.planted.points, cfg.machines, partition_kind(cfg),
         cfg.partition_seed);
-    int dim = 1;
-    for (const auto& part : parts)
-      if (!part.empty()) {
-        dim = part.front().p.dim();
-        break;
-      }
-    // One transport per run, opened (for the process backend: workers
-    // forked) *before* the thread pool exists — forking a multi-threaded
-    // parent is unsafe, and the simulator's own open() is then a no-op.
-    std::unique_ptr<mpc::Transport> transport = mpc::make_transport(cfg.backend);
-    transport->open(cfg.machines, dim);
     // One pool per run: the simulator fans the per-machine map phase out
     // over it, and the extraction tail reuses it for the batch kernels.
     // Outputs are bit-identical for every cfg.num_threads (the registered
@@ -57,10 +46,12 @@ class MpcPipeline : public Pipeline {
     // set.  Inactive (all probabilities zero) makes every simulator path
     // byte-identical to the fault-free build.
     mpc::FaultInjector faults(cfg.fault_config());
+    // One transport per run; the simulator opens it on its topology.
+    mpc::Transport transport(cfg.backend);
     mpc::ExecContext ctx;
     ctx.pool = &pool;
     ctx.faults = &faults;
-    ctx.transport = transport.get();
+    ctx.transport = &transport;
     PipelineResult res;
     Timer timer;
     const mpc::MpcStats stats = run_mpc(parts, w, cfg, res, ctx);
@@ -72,10 +63,10 @@ class MpcPipeline : public Pipeline {
                    static_cast<double>(stats.coordinator_words()));
     res.report.set("threads", static_cast<double>(stats.threads));
     res.report.set("map_ms", stats.map_ms);
-    // Measured wire traffic is stamped only for the process backend: the
+    // Measured wire traffic is stamped only for the wire backend: the
     // local hand-off moves no bytes, and leaving the keys out keeps
     // local-backend reports byte-identical to the historical ones.
-    if (cfg.backend == mpc::Backend::Process)
+    if (cfg.backend == mpc::Backend::Wire)
       stamp_wire_extras(res.report, stats);
     if (faults.enabled()) stamp_fault_extras(res.report, stats.faults);
     mpc::ExecContext tail;
@@ -103,10 +94,10 @@ class MpcPipeline : public Pipeline {
 
  private:
   /// Measured transport traffic next to the predicted words accounting.
-  /// `wire_ratio` compares bytes actually crossing the socket against the
-  /// model's `comm_words` at 8 bytes/word; framing overhead keeps it above
-  /// 1, and one re-encoded crossing per attempt keeps it well under 2 for
-  /// any non-trivial payload.
+  /// `wire_ratio` compares encoded frame bytes against the model's
+  /// `comm_words` at 8 bytes/word; framing overhead keeps it above 1, and
+  /// one frame per attempt keeps it well under 2 for any non-trivial
+  /// payload.
   static void stamp_wire_extras(PipelineReport& rep,
                                 const mpc::MpcStats& stats) {
     rep.set("wire_bytes", static_cast<double>(stats.wire.bytes));
@@ -116,9 +107,6 @@ class MpcPipeline : public Pipeline {
               static_cast<double>(stats.wire.bytes) /
                   (8.0 * static_cast<double>(stats.total_comm_words)));
     rep.set("route_ms", stats.route_ms);
-    if (stats.wire.worker_failures > 0)
-      rep.set("wire_worker_failures",
-              static_cast<double>(stats.wire.worker_failures));
   }
 
   /// Fault accounting lands in the report only when injection was active,

@@ -89,10 +89,10 @@ struct PipelineConfig {
   int machines = 8;
   /// Message transport the MPC simulator routes through: `Local` is the
   /// in-process hand-off (byte-identical to the historical simulator),
-  /// `Process` forks one worker endpoint per machine and ships every
-  /// message as a checksummed wire frame, reporting measured
-  /// `wire_bytes`/`wire_ratio` next to the predicted `comm_words`.
-  /// Result columns are byte-identical across backends at a fixed seed.
+  /// `Wire` delivers every message through an encode → decode of its
+  /// checksummed wire frame, reporting measured `wire_bytes`/`wire_ratio`
+  /// next to the predicted `comm_words`.  Result columns are
+  /// byte-identical across backends at a fixed seed.
   mpc::Backend backend = mpc::Backend::Local;
   mpc::PartitionKind partition = mpc::PartitionKind::EvenSorted;
   std::uint64_t partition_seed = 1;

@@ -9,7 +9,7 @@
 // from the *knobs* that select algorithm behavior (which stay in the
 // slimmed Options structs).  Every pointer is optional and non-owning;
 // a default-constructed context means "single-threaded, no prebuilt
-// buffer, no fault injection, in-process transport".
+// buffer, no fault injection, local transport".
 //
 // This is a leaf header (forward declarations only) so core/ and mpc/
 // can both include it without dragging in the pool, buffer, fault, or
@@ -42,7 +42,8 @@ struct ExecContext {
   const kernels::PointBuffer* buffer = nullptr;
   /// Deterministic fault schedule; nullptr (or inactive) = no injection.
   FaultInjector* faults = nullptr;
-  /// Message transport for the MPC simulator; nullptr = in-process local.
+  /// Message transport for the MPC simulator; nullptr = local hand-off.
+  /// The simulator opens it on its own topology.
   Transport* transport = nullptr;
 };
 

@@ -79,15 +79,13 @@ GatherResult gather_with_recovery(Simulator& sim,
     return miss;
   };
 
-  // Shipments can go missing without an injector too: a real transport
-  // failure (worker exit, short read, timeout) loses the message just the
-  // same.  Reassign passes need the injector's policy/plan machinery, but
-  // the Lemma-4 write-off below is honest on any backend via the
-  // simulator's fault sink.
+  // Only an injected fault loses a shipment: without an injector every
+  // machine runs and every message is delivered.
   std::vector<int> miss = missing();
   if (miss.empty()) return out;
+  KC_ENSURES(faults != nullptr);
 
-  if (faults != nullptr && faults->config().policy == RecoveryPolicy::Reassign) {
+  if (faults->config().policy == RecoveryPolicy::Reassign) {
     const FaultConfig& fc = faults->config();
     for (int pass = 0; pass < fc.max_recovery_rounds && !miss.empty();
          ++pass) {
@@ -137,9 +135,9 @@ GatherResult gather_with_recovery(Simulator& sim,
   // covering of the surviving points — the result degrades to a
   // (k, z + lost_weight) guarantee instead of failing.
   for (int i : miss) {
-    sim.fault_sink().lost_weight +=
+    faults->stats().lost_weight +=
         total_weight(parts[static_cast<std::size_t>(i)]);
-    sim.fault_sink().degraded = true;
+    faults->stats().degraded = true;
   }
   return out;
 }

@@ -127,13 +127,14 @@ MultiRoundResult multi_round_coreset(const std::vector<WeightedSet>& parts,
             static_cast<int>(before - miss.size());
       }
     }
-    // Lemma 4: drop the unrecoverable holdings from the guarantee.  A
-    // shipment can be missing without an injector too (real transport
-    // failure), so the write-off goes through the simulator's fault sink.
+    // Lemma 4: drop the unrecoverable holdings from the guarantee.  Only
+    // an injected fault loses a shipment: without an injector every
+    // machine runs and every message is delivered.
+    KC_ENSURES(miss.empty() || faults != nullptr);
     for (int s : miss) {
-      sim.fault_sink().lost_weight +=
+      faults->stats().lost_weight +=
           total_weight(holdings[static_cast<std::size_t>(s)]);
-      sim.fault_sink().degraded = true;
+      faults->stats().degraded = true;
     }
 
     // New holdings = everything received this stage, in sender order.

@@ -27,14 +27,7 @@ Simulator::Simulator(int m, int dim, const ExecContext& ctx)
                                                              : nullptr) {
   KC_EXPECTS(m >= 1);
   KC_EXPECTS(dim >= 1);
-  if (ctx.transport != nullptr) {
-    transport_ = ctx.transport;
-  } else {
-    owned_transport_ = make_local_transport();
-    transport_ = owned_transport_.get();
-  }
-  // No-op when the pipeline already opened the endpoints (the process
-  // backend forks its workers before any thread pool exists).
+  transport_ = ctx.transport != nullptr ? ctx.transport : &owned_transport_;
   transport_->open(m, dim);
   inboxes_.resize(static_cast<std::size_t>(m));
   stats_.machines = m;
@@ -56,7 +49,7 @@ std::vector<Message>& Simulator::inbox(int id) {
 
 MpcStats Simulator::stats() const {
   MpcStats out = stats_;
-  out.faults = faults_ != nullptr ? faults_->stats() : real_faults_;
+  if (faults_ != nullptr) out.faults = faults_->stats();
   out.backend = transport_->backend();
   out.wire = transport_->wire();
   return out;
@@ -125,14 +118,12 @@ void Simulator::round(const RoundFn& fn) {
 
   // Route messages through the transport; this is the communication phase
   // of the round.  Under fault injection each delivery may take several
-  // attempts: every attempt burns its bandwidth — and is physically
-  // transmitted, so measured wire bytes track the words accounting — re-
+  // attempts: every attempt burns its bandwidth — and goes through the
+  // transport, so measured wire bytes track the words accounting — re-
   // sends past the first are accounted as such, and a message dropped on
   // every attempt is gone for good; the *semantic* consequence (lost
   // weight, degraded bound) is judged by the algorithm-layer recovery,
-  // which knows what the message meant.  Real transport failures land in
-  // `fault_sink()` and, when retry budget exists, consume it like
-  // injected drops.
+  // which knows what the message meant.
   Timer route_timer;
   std::size_t round_words = 0;
   for (auto& box : inboxes_) box.clear();
@@ -150,13 +141,8 @@ void Simulator::round(const RoundFn& fn) {
       const std::size_t wire_words = msg.words(dim_);
       if (faults_ == nullptr) {
         round_words += wire_words;
-        Delivery d = transport_->deliver(std::move(msg));
-        if (d.status == DeliveryStatus::Delivered) {
-          inboxes_[static_cast<std::size_t>(to)].push_back(std::move(d.msg));
-        } else {
-          ++real_faults_.messages_lost;
-          real_faults_.lost_words += wire_words;
-        }
+        inboxes_[static_cast<std::size_t>(to)].push_back(
+            transport_->deliver(std::move(msg)));
         continue;
       }
       auto& fs = faults_->stats();
@@ -191,27 +177,20 @@ void Simulator::round(const RoundFn& fn) {
                 static_cast<double>(msg.payload.full_size()));
           }
         }
-        // The attempt hits the physical wire regardless of the plan's
+        // The attempt goes through the transport regardless of the plan's
         // verdict — injected drops/truncations model transfers that failed
         // *after* burning their bandwidth.
-        Delivery d = transport_->deliver(Message(msg));
+        Message got = transport_->deliver(Message(msg));
         if (inj_drop) {
           ++fs.drops;
           continue;
         }
         if (inj_trunc_retry) continue;
-        if (d.status != DeliveryStatus::Delivered) {
-          // Real failure on an attempt the plan would have delivered: a
-          // lost endpoint cannot come back, so stop burning the budget;
-          // corrupt frames and timeouts retry like drops.
-          if (d.status == DeliveryStatus::WorkerLost) break;
-          continue;
-        }
         if (inj_trunc_final) {
-          d.msg.payload.truncate_to(keep);
-          fs.lost_words += wire_words - d.msg.words(dim_);
+          got.payload.truncate_to(keep);
+          fs.lost_words += wire_words - got.words(dim_);
         }
-        inboxes_[static_cast<std::size_t>(to)].push_back(std::move(d.msg));
+        inboxes_[static_cast<std::size_t>(to)].push_back(std::move(got));
         delivered = true;
         break;
       }

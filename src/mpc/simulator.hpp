@@ -27,13 +27,11 @@
 // bit-identical results.
 //
 // Message routing goes through a `Transport` (mpc/transport.hpp): the
-// default `LocalTransport` is the historical in-process hand-off, while
-// `ProcessTransport` ships every non-self message through a forked worker
-// process as a checksummed wire frame and measures real bytes next to the
-// model-predicted words.  Real transport failures (worker exit, EOF,
-// timeout) land in the same `FaultStats` as injected faults — with no
-// injector attached they accumulate in a simulator-owned sink — so the
-// algorithm-layer recovery treats both alike.
+// default `Local` backend is the in-process hand-off, while the `Wire`
+// backend sends every non-self message through an encode → decode of its
+// checksummed wire frame and measures the frame bytes next to the
+// model-predicted words.  Neither backend loses a message: every loss
+// comes from the fault injector below.
 //
 // Fault model (mpc/faults.hpp): an optional `FaultInjector` adds machine
 // crashes, message drops/truncations, and stragglers.  All fault decisions
@@ -51,7 +49,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "mpc/context.hpp"
@@ -72,7 +69,7 @@ struct MpcStats {
   std::vector<std::size_t> peak_words;  ///< per machine
   std::vector<std::size_t> comm_words_per_round;
   std::size_t total_comm_words = 0;
-  FaultStats faults;  ///< injected + real failures; all-zero when none
+  FaultStats faults;  ///< injected faults; all-zero when none
   Backend backend = Backend::Local;  ///< transport the messages rode
   WireStats wire;  ///< measured transport bytes; all-zero on local
 
@@ -89,7 +86,7 @@ class Simulator {
   /// `ctx.pool` runs the per-machine map phase of each round concurrently;
   /// `ctx.faults` injects the deterministic fault schedule (an inactive
   /// injector is equivalent to none); `ctx.transport` routes messages
-  /// (nullptr = a simulator-owned `LocalTransport`).  Everything the
+  /// (nullptr = a simulator-owned local transport).  Everything the
   /// context points at must outlive the simulator.
   explicit Simulator(int m, int dim, const ExecContext& ctx = {});
 
@@ -98,14 +95,6 @@ class Simulator {
 
   /// The attached injector when it is active, else nullptr.
   [[nodiscard]] FaultInjector* faults() const noexcept { return faults_; }
-
-  /// Where fault accounting lands: the active injector's stats, or the
-  /// simulator-owned sink that collects *real* transport failures when no
-  /// injector is attached.  Algorithm-layer recovery writes loss accounting
-  /// (lost weight, degradation) here so it is honest on both backends.
-  [[nodiscard]] FaultStats& fault_sink() noexcept {
-    return faults_ != nullptr ? faults_->stats() : real_faults_;
-  }
 
   /// False once the machine crashed past its retry budget.
   [[nodiscard]] bool alive(int id) const noexcept {
@@ -132,8 +121,8 @@ class Simulator {
   /// `stats().route_ms`.  Under an active injector, crashed machines are
   /// deterministically re-executed up to the retry budget (then skipped
   /// for good), messages are dropped/truncated/re-sent per the plan, and
-  /// every attempt's bandwidth is accounted — and physically transmitted,
-  /// so the wire-byte measurement matches the words accounting.
+  /// every attempt's bandwidth is accounted — and sent through the
+  /// transport, so the wire-byte measurement matches the words accounting.
   using RoundFn =
       std::function<void(int id, std::vector<Message>& inbox,
                          std::vector<Message>& outbox)>;
@@ -151,9 +140,8 @@ class Simulator {
   int dim_;
   ThreadPool* pool_;          ///< not owned; nullptr = sequential map phase
   FaultInjector* faults_;     ///< not owned; nullptr = no fault injection
-  std::unique_ptr<Transport> owned_transport_;  ///< fallback LocalTransport
-  Transport* transport_;      ///< never null after construction
-  FaultStats real_faults_;    ///< real-failure sink when no injector
+  Transport owned_transport_;  ///< local fallback when ctx has none
+  Transport* transport_;       ///< never null after construction
   std::vector<std::vector<Message>> inboxes_;
   MpcStats stats_;
 };

@@ -1,38 +1,22 @@
-// Message transport backends for the MPC simulator.
+// Message transport for the MPC simulator.
 //
 // `Simulator::round` routes every non-self message through a `Transport`,
-// which decides what "sending" physically means:
+// whose `Backend` decides what "sending" means:
 //
-//  * `LocalTransport` — the historical in-process hand-off: the message
-//    moves by std::move, nothing crosses a boundary, wire bytes stay 0.
-//    Byte-identical to the pre-transport simulator.
-//  * `ProcessTransport` — machine endpoints are forked worker processes
-//    connected by Unix-domain socket pairs.  Every delivery serializes the
-//    message into one checksummed frame (mpc/wire.hpp), ships it to the
-//    receiving machine's worker, which decodes, verifies, re-encodes, and
-//    echoes it back; the parent decodes the echo and that decoded message
-//    is what lands in the inbox.  Bytes-on-the-wire are measured per
-//    round and reported next to the model-predicted `comm_words`
-//    (`wire_bytes` / `wire_ratio` columns).
+//  * `Local` — the in-process hand-off: the message moves by std::move,
+//    nothing is copied or serialized, wire bytes stay 0.
+//  * `Wire` — every delivery is serialized into one checksummed frame
+//    (mpc/wire.hpp) and the message that lands in the inbox is the one
+//    decoded from those bytes, so serialization fidelity is on the result
+//    path.  The frame bytes are counted per round and reported next to
+//    the model-predicted `comm_words` (`wire_bytes` / `wire_ratio`).
 //
-// Division of labor (and its honest limit): the per-machine *computation*
-// still runs in the parent — the algorithms are closures over per-machine
-// state that the coordinator reads directly, so fully remoting compute
-// would change the programming model.  Workers are communication
-// endpoints: every payload physically leaves the parent, round-trips
-// through the receiving machine's process with a checksum verification
-// and a decode/re-encode cycle, and the delivered message is the one
-// reconstructed from wire bytes — so serialization fidelity is on the
-// result path, not decorative.
-//
-// Real failures (worker exit, short read/EOF, response timeout) surface
-// as `DeliveryStatus` values; the simulator maps them onto the same
-// `FaultStats`/recovery machinery as injected faults, so retry/reassign/
-// degrade behave identically on both backends.
+// The per-machine computation runs in this process on both backends; the
+// seam is where a backend with real worker-side compute would plug in.
+// A frame that fails to decode is a serialization bug, not a transport
+// fault, so it is a postcondition failure rather than a lost message.
 
 #pragma once
-
-#include <sys/types.h>
 
 #include <cstdint>
 #include <memory>
@@ -40,140 +24,61 @@
 #include <vector>
 
 #include "mpc/message.hpp"
+#include "util/check.hpp"
 
 namespace kc::mpc {
 
-enum class Backend : std::uint8_t { Local = 0, Process = 1 };
+enum class Backend : std::uint8_t { Local = 0, Wire = 1 };
 
 [[nodiscard]] const char* to_string(Backend b) noexcept;
-/// Parses "local" / "process"; returns false (out untouched) otherwise.
+/// Parses "local" / "wire"; returns false (out untouched) otherwise.
 [[nodiscard]] bool parse_backend(const std::string& s, Backend* out) noexcept;
-
-enum class DeliveryStatus : std::uint8_t {
-  Delivered = 0,
-  WorkerLost = 1,  ///< endpoint process exited (EOF / broken pipe)
-  Corrupt = 2,     ///< frame failed checksum or decode at either end
-  Timeout = 3,     ///< no response within the configured deadline
-};
-
-[[nodiscard]] const char* to_string(DeliveryStatus s) noexcept;
-
-/// Outcome of one physical delivery attempt.  `msg` is meaningful only
-/// when `status == Delivered` — on the process backend it is the message
-/// reconstructed from the echoed wire bytes.
-struct Delivery {
-  DeliveryStatus status = DeliveryStatus::Delivered;
-  Message msg;
-};
 
 /// Measured transport traffic.  All zero on the local backend.
 struct WireStats {
-  std::uint64_t bytes = 0;   ///< frame + protocol-header bytes, all rounds
-  std::uint64_t frames = 0;  ///< delivery attempts that hit the wire
+  std::uint64_t bytes = 0;   ///< encoded frame bytes, all rounds
+  std::uint64_t frames = 0;  ///< deliveries that were encoded
   std::vector<std::uint64_t> bytes_per_round;
-  int worker_failures = 0;  ///< endpoints lost (exit, EOF, timeout)
-  int corrupt_frames = 0;   ///< checksum/decode failures observed
-  int timeouts = 0;         ///< deliveries abandoned at the deadline
 };
 
 class Transport {
  public:
-  Transport() = default;
+  explicit Transport(Backend backend = Backend::Local) noexcept
+      : backend_(backend) {}
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
-  virtual ~Transport() = default;
 
-  [[nodiscard]] virtual Backend backend() const noexcept = 0;
+  [[nodiscard]] Backend backend() const noexcept { return backend_; }
 
-  /// Prepares endpoints for `machines` machines in dimension `dim`.
-  /// Idempotent for a matching topology (the pipeline opens the transport
-  /// before spawning its thread pool — fork must precede threads — and
-  /// the simulator's constructor re-opens as a no-op).
-  virtual void open(int machines, int dim) = 0;
+  /// Sets the topology: `machines` machines in dimension `dim`.  Every
+  /// later delivery must address a machine in [0, machines).  Re-opening
+  /// (the simulator's constructor opens the transport it is handed) just
+  /// resets the topology; the wire counters keep accumulating.
+  void open(int machines, int dim);
 
-  /// Physically conveys one message to machine `msg.to`.  Consumes the
-  /// message; the delivered copy comes back in the `Delivery`.
-  [[nodiscard]] virtual Delivery deliver(Message msg) = 0;
+  /// Conveys one message to machine `msg.to` and returns what arrives:
+  /// the message itself on `Local`, its decoded wire frame on `Wire`.
+  [[nodiscard]] Message deliver(Message msg) {
+    KC_EXPECTS(msg.to >= 0 && msg.to < machines_);
+    if (backend_ == Backend::Local) return msg;
+    return round_trip(msg);
+  }
 
   /// Round boundary: closes the current per-round byte window.
-  void end_round() {
-    wire_.bytes_per_round.push_back(wire_.bytes - round_mark_);
-    round_mark_ = wire_.bytes;
-  }
+  void end_round();
 
   [[nodiscard]] const WireStats& wire() const noexcept { return wire_; }
 
- protected:
-  WireStats wire_;
-
  private:
+  [[nodiscard]] Message round_trip(const Message& msg);
+
+  Backend backend_;
+  int machines_ = 0;
+  WireStats wire_;
   std::uint64_t round_mark_ = 0;
 };
 
-/// In-process pass-through (the historical simulator routing).
-class LocalTransport final : public Transport {
- public:
-  [[nodiscard]] Backend backend() const noexcept override {
-    return Backend::Local;
-  }
-  void open(int machines, int dim) override;
-  [[nodiscard]] Delivery deliver(Message msg) override;
-};
-
-struct ProcessTransportOptions {
-  /// Deadline for a worker's echo before the delivery is abandoned and
-  /// the endpoint declared lost (its byte stream cannot be resynced).
-  int timeout_ms = 30000;
-};
-
-/// Forked worker endpoints over Unix-domain socket pairs.
-class ProcessTransport final : public Transport {
- public:
-  explicit ProcessTransport(ProcessTransportOptions opts = {});
-  ~ProcessTransport() override;
-
-  [[nodiscard]] Backend backend() const noexcept override {
-    return Backend::Process;
-  }
-  void open(int machines, int dim) override;
-  [[nodiscard]] Delivery deliver(Message msg) override;
-
-  [[nodiscard]] int workers() const noexcept {
-    return static_cast<int>(workers_.size());
-  }
-  [[nodiscard]] bool worker_alive(int id) const noexcept;
-
-  /// Test hook: SIGKILL worker `id` (reaping it) but leave its socket
-  /// registered, so the next delivery exercises the real EOF/broken-pipe
-  /// failure path rather than a pre-marked dead flag.
-  void kill_worker(int id);
-
-  /// Closes sockets, asks live workers to exit, and reaps every child.
-  /// Idempotent; also run by the destructor.
-  void close_all() noexcept;
-
- private:
-  struct Worker {
-    int fd = -1;
-    pid_t pid = -1;
-    bool alive = false;   ///< endpoint usable for deliveries
-    bool reaped = false;  ///< waitpid already collected the child
-  };
-
-  void fail_worker(Worker& w) noexcept;  // close + reap + count the loss
-  [[nodiscard]] DeliveryStatus read_response(Worker& w, std::uint8_t* status,
-                                             std::vector<std::uint8_t>* frame);
-
-  ProcessTransportOptions opts_;
-  int machines_ = 0;
-  int dim_ = 0;
-  std::vector<Worker> workers_;
-};
-
-[[nodiscard]] std::unique_ptr<Transport> make_local_transport();
-[[nodiscard]] std::unique_ptr<ProcessTransport> make_process_transport(
-    ProcessTransportOptions opts = {});
-/// Factory by backend tag (default options).
+/// Factory by backend tag.
 [[nodiscard]] std::unique_ptr<Transport> make_transport(Backend b);
 
 }  // namespace kc::mpc

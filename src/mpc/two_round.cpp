@@ -100,8 +100,13 @@ TwoRoundResult two_round_coreset(const std::vector<WeightedSet>& parts, int k,
   std::vector<std::int64_t> guesses(static_cast<std::size_t>(levels));
   for (int j = 0; j < levels; ++j)
     guesses[static_cast<std::size_t>(j)] = (std::int64_t{1} << j) - 1;
-  const int losses_before =
-      sim.fault_sink().messages_lost + sim.fault_sink().machines_lost;
+  FaultInjector* faults = sim.faults();
+  const auto losses = [&] {
+    return faults == nullptr
+               ? 0
+               : faults->stats().messages_lost + faults->stats().machines_lost;
+  };
+  const int losses_before = losses();
   sim.round([&](int id, std::vector<Message>& /*inbox*/,
                 std::vector<Message>& outbox) {
     const auto uid = static_cast<std::size_t>(id);
@@ -132,9 +137,7 @@ TwoRoundResult two_round_coreset(const std::vector<WeightedSet>& parts, int k,
   // machines no longer share one table set: each still computes a valid
   // covering from what it holds, but the Σ ≤ 2z size certificate of
   // Theorem 10 is gone — the run must report the degraded bound.
-  if (sim.fault_sink().messages_lost + sim.fault_sink().machines_lost >
-      losses_before)
-    sim.fault_sink().degraded = true;
+  if (losses() > losses_before) faults->stats().degraded = true;
 
   // ---- Round 2: agree on r̂, build local coverings, ship them. --------
   sim.round([&](int id, std::vector<Message>& inbox,

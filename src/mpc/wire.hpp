@@ -5,10 +5,10 @@
 // contiguous run of float64, followed by the weight column — the same
 // column-major discipline as the `.kcb` container, checksummed the same
 // way (FNV-1a 64 over every byte that precedes the checksum).  Numeric
-// fields are memcpy'd host-endian: both endpoints of a `ProcessTransport`
-// are forks of one process on one host, so doubles cross bit-exactly and
-// decode(encode(msg)) reproduces the message contents exactly — the
-// property the backend-differential tests pin.
+// fields are memcpy'd host-endian: the wire backend encodes and decodes
+// in one process, so doubles cross bit-exactly and decode(encode(msg))
+// reproduces the message contents exactly — the property the
+// backend-differential tests pin.
 //
 // Frame layout (all offsets byte-packed, no alignment padding):
 //
@@ -57,8 +57,8 @@ enum class DecodeStatus : std::uint8_t {
 
 /// Parses one frame.  On Ok, `*out` holds the reconstructed message; on
 /// any failure `*out` is untouched.  A frame longer than its header
-/// claims is Corrupt (frames are delimited by the transport's length
-/// prefix, so trailing bytes mean a framing bug, not a short read).
+/// claims is Corrupt (a caller hands over whole frames, so trailing
+/// bytes mean a framing bug, not a short read).
 [[nodiscard]] DecodeStatus decode(const std::uint8_t* data, std::size_t len,
                                   Message* out);
 

@@ -1,12 +1,15 @@
-// Transport layer: wire round-trips, the process backend's physical
+// Transport layer: wire round-trips, the wire backend's encode → decode
 // delivery path, and the backend-differential guarantee — every MPC
 // pipeline's report (minus wire/timing extras) is byte-identical between
-// the local and the forked-worker backend, healthy or under injected
-// faults at every recovery policy.
+// the local and the wire backend, healthy or under injected faults at
+// every recovery policy.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -145,67 +148,62 @@ TEST(Wire, RejectsTrailingBytes) {
 // ---------------------------------------------------------------------------
 
 TEST(LocalTransport, PassesThroughWithZeroWireBytes) {
-  LocalTransport t;
+  Transport t(Backend::Local);
   t.open(3, 2);
   Message msg = make_message(1, 0, 2, 3, 2);
   const Message copy = msg;
-  Delivery d = t.deliver(std::move(msg));
-  EXPECT_EQ(d.status, DeliveryStatus::Delivered);
-  expect_same_message(copy, d.msg);
+  const Message got = t.deliver(std::move(msg));
+  expect_same_message(copy, got);
   t.end_round();
   EXPECT_EQ(t.wire().bytes, 0u);
   EXPECT_EQ(t.wire().frames, 0u);
 }
 
-TEST(ProcessTransport, DeliversThroughWorkerEchoes) {
-  ProcessTransport t;
+TEST(Transport, WireModeDeliversDecodedFramesAndCountsTheirBytes) {
+  Transport t(Backend::Wire);
   t.open(4, 3);
-  ASSERT_EQ(t.workers(), 4);
-  for (int id = 0; id < 4; ++id) EXPECT_TRUE(t.worker_alive(id));
+  // Two rounds of the Wire.RoundTripsAcrossShapes shapes plus a truncated
+  // payload, whose cut rows still travel in the frame.
+  const struct {
+    std::size_t scalars, rows;
+    int dim;
+  } shapes[] = {{0, 0, 1}, {3, 0, 1}, {0, 1, 2}, {2, 1, 3},
+                {0, 5, 3}, {11, 7, 2}, {1, 9, 3}, {4, 16, 3}};
+  std::vector<std::vector<Message>> rounds(2);
+  for (std::size_t i = 0; i < std::size(shapes); ++i) {
+    const auto& sh = shapes[i];
+    rounds[i % 2].push_back(make_message(static_cast<int>(i % 4),
+                                         static_cast<int>((i + 1) % 4),
+                                         sh.scalars, sh.rows, sh.dim));
+  }
+  Message cut = make_message(3, 1, 2, 6, 3);
+  cut.payload.truncate_to(2);
+  rounds[1].push_back(std::move(cut));
 
-  const Message msg = make_message(2, 1, 3, 8, 3);
-  const std::size_t frame_bytes = wire::encoded_size(msg);
-  Delivery d = t.deliver(Message(msg));
-  ASSERT_EQ(d.status, DeliveryStatus::Delivered);
-  // The delivered message is the one reconstructed from the echoed wire
-  // bytes — serialization is on the result path.
-  expect_same_message(msg, d.msg);
-  EXPECT_GE(t.wire().bytes, frame_bytes);
-  EXPECT_EQ(t.wire().frames, 1u);
-  t.end_round();
-  ASSERT_EQ(t.wire().bytes_per_round.size(), 1u);
-  EXPECT_EQ(t.wire().bytes_per_round[0], t.wire().bytes);
-  t.close_all();
-  for (int id = 0; id < 4; ++id) EXPECT_FALSE(t.worker_alive(id));
-}
-
-TEST(ProcessTransport, LostWorkerSurfacesAsWorkerLost) {
-  ProcessTransport t;
-  t.open(3, 2);
-  t.kill_worker(1);  // socket stays registered: next send sees real EOF
-  Delivery d = t.deliver(make_message(0, 1, 1, 2, 2));
-  EXPECT_EQ(d.status, DeliveryStatus::WorkerLost);
-  EXPECT_FALSE(t.worker_alive(1));
-  EXPECT_EQ(t.wire().worker_failures, 1);
-  // Other endpoints are unaffected.
-  Delivery ok = t.deliver(make_message(0, 2, 1, 2, 2));
-  EXPECT_EQ(ok.status, DeliveryStatus::Delivered);
-  // Deliveries to a known-dead endpoint fail fast, and teardown with a
-  // dead worker in the set stays clean (ASan leg exercises this dtor).
-  Delivery again = t.deliver(make_message(2, 1, 1, 0, 2));
-  EXPECT_EQ(again.status, DeliveryStatus::WorkerLost);
-}
-
-TEST(ProcessTransport, OpenIsIdempotentForMatchingTopology) {
-  ProcessTransport t;
-  t.open(2, 2);
-  const int workers_before = t.workers();
-  t.open(2, 2);  // the simulator's constructor re-open
-  EXPECT_EQ(t.workers(), workers_before);
+  std::uint64_t total_bytes = 0;
+  std::uint64_t total_frames = 0;
+  std::vector<std::uint64_t> per_round;
+  for (const auto& round : rounds) {
+    std::uint64_t round_bytes = 0;
+    for (const Message& msg : round) {
+      round_bytes += wire::encoded_size(msg);
+      // The delivered message is the one decoded from the frame.
+      const Message got = t.deliver(Message(msg));
+      expect_same_message(msg, got);
+      EXPECT_EQ(got.payload.cut_weight(), msg.payload.cut_weight());
+    }
+    t.end_round();
+    total_bytes += round_bytes;
+    total_frames += round.size();
+    per_round.push_back(round_bytes);
+  }
+  EXPECT_EQ(t.wire().bytes, total_bytes);
+  EXPECT_EQ(t.wire().frames, total_frames);
+  EXPECT_EQ(t.wire().bytes_per_round, per_round);
 }
 
 // ---------------------------------------------------------------------------
-// Backend differential: process == local, healthy and under chaos.
+// Backend differential: wire == local, healthy and under chaos.
 // ---------------------------------------------------------------------------
 
 bool is_backend_varying(const std::string& key) {
@@ -248,9 +246,12 @@ struct DiffCase {
   }
 };
 
+// Keeps the test names free of gtest's raw byte dump of the parameter.
+void PrintTo(const DiffCase& c, std::ostream* os) { *os << c.name(); }
+
 class BackendDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
 
-TEST_P(BackendDifferentialTest, ProcessMatchesLocalByteForByte) {
+TEST_P(BackendDifferentialTest, WireMatchesLocalByteForByte) {
   const DiffCase& param = GetParam();
   engine::PipelineConfig cfg;
   cfg.k = 3;
@@ -273,17 +274,17 @@ TEST_P(BackendDifferentialTest, ProcessMatchesLocalByteForByte) {
 
   cfg.backend = Backend::Local;
   const engine::PipelineResult local = pipeline->execute(w, cfg);
-  cfg.backend = Backend::Process;
-  const engine::PipelineResult process = pipeline->execute(w, cfg);
+  cfg.backend = Backend::Wire;
+  const engine::PipelineResult wired = pipeline->execute(w, cfg);
 
-  expect_same_report(local.report, process.report);
+  expect_same_report(local.report, wired.report);
 
-  // The process run measured real traffic, consistent with the model's
+  // The wire run measured its frame bytes, consistent with the model's
   // words accounting (comm_words at 8 bytes/word, ratio in (0, 2]).
   EXPECT_EQ(local.report.get("wire_bytes"), 0.0);
-  if (process.report.comm_words > 0) {
-    EXPECT_GT(process.report.get("wire_bytes"), 0.0);
-    const double ratio = process.report.get("wire_ratio");
+  if (wired.report.comm_words > 0) {
+    EXPECT_GT(wired.report.get("wire_bytes"), 0.0);
+    const double ratio = wired.report.get("wire_ratio");
     EXPECT_GT(ratio, 0.0);
     EXPECT_LE(ratio, 2.0);
   }

@@ -22,10 +22,10 @@ Compares a candidate JSONL file of ``engine_pipeline`` records (what
   by the thread-determinism step, which compares two runs of the same
   build at different ``--threads``).
 * with ``--wire``, every candidate record of model ``mpc`` must carry a
-  measured ``wire_ratio`` (bytes on the wire / 8*comm_words) in
-  (0, --max-wire-ratio]; used by the process-backend CI leg, where the
-  candidate ran under ``--backend process`` and the measured traffic must
-  track the model's words accounting within the framing budget.
+  measured ``wire_ratio`` (encoded frame bytes / 8*comm_words) in
+  (0, --max-wire-ratio]; used by the wire-backend CI legs, where the
+  candidate ran under ``--backend wire`` and the measured frame bytes
+  must track the model's words accounting within the framing budget.
 
 Usage:
     tools/check_bench.py CANDIDATE BASELINE [--tolerance 3.0] [--ignore-time]
@@ -301,7 +301,7 @@ def main():
     parser.add_argument("--wire", action="store_true",
                         help="require every candidate mpc record to report a "
                              "measured wire_ratio in (0, --max-wire-ratio] — "
-                             "for process-backend runs")
+                             "for wire-backend runs")
     parser.add_argument("--max-wire-ratio", type=float, default=2.0,
                         help="--wire mode: allowed wire_bytes/(8*comm_words) "
                              "ceiling (framing + checksum overhead budget)")
@@ -375,9 +375,9 @@ def main():
             if not 0.0 < ratio <= args.max_wire_ratio:
                 failures.append(
                     f"{name}: wire_ratio = {ratio!r} outside "
-                    f"(0, {args.max_wire_ratio:g}] — measured transport "
-                    f"traffic does not track comm_words (or the run was "
-                    f"not on the process backend)")
+                    f"(0, {args.max_wire_ratio:g}] — measured frame "
+                    f"bytes do not track comm_words (or the run was not "
+                    f"on the wire backend)")
         if args.ignore_time:
             continue
         for col in TIME_COLUMNS:

@@ -40,8 +40,8 @@ api           Options structs in ``src/`` must not regain execution-
               must also take an ``ExecContext``.
 syscalls      statement-position (return-value-discarding) calls to
               ``read``/``write``/``fsync``/``posix_madvise``/``waitpid``
-              and friends in ``src/dataset/`` and ``src/mpc/transport_*``
-              are flagged; check the return or allowlist with a reason.
+              and friends in ``src/dataset/`` are flagged; check the
+              return or allowlist with a reason.
 allowlist     allow annotations must carry a non-empty reason and must
               actually suppress something (stale annotations rot).
 
@@ -116,9 +116,9 @@ WALLCLOCK_EXEMPT = {"src/util/timer.hpp"}
 
 # api: execution-resource member names banned from Options structs.
 BANNED_OPTION_MEMBERS = {"pool", "buffer", "faults", "transport", "injector"}
-# api: mpc headers where Options-taking functions are transport/context
-# plumbing rather than algorithm entry points.
-API_EXEMPT_MPC_HEADERS = {"src/mpc/transport.hpp", "src/mpc/context.hpp"}
+# api: mpc headers where Options-taking functions are context plumbing
+# rather than algorithm entry points.
+API_EXEMPT_MPC_HEADERS = {"src/mpc/context.hpp"}
 
 # syscalls: functions whose discarded return hides real I/O failures.
 CHECKED_SYSCALLS = (
@@ -126,7 +126,7 @@ CHECKED_SYSCALLS = (
     "posix_madvise", "madvise", "msync", "waitpid", "close", "kill",
     "shutdown",
 )
-SYSCALL_SCOPES = ("src/dataset/", "src/mpc/transport_")
+SYSCALL_SCOPES = ("src/dataset/",)
 
 FASTMATH_FLAGS = re.compile(
     r"-ffast-math|-Ofast\b|-funsafe-math-optimizations|"

@@ -35,13 +35,13 @@ constexpr const char kUsage[] =
     "                                and batch kernels; 0 = hardware [1]\n"
     "  --m/--partition/--rounds      MPC knobs [8/adversarial/2]\n"
     "  --machines <m>                alias for --m\n"
-    "  --backend local|process       MPC message transport [local].\n"
-    "                                process forks one worker endpoint per\n"
-    "                                machine and ships every message as a\n"
-    "                                checksummed wire frame, reporting\n"
-    "                                measured wire_bytes/wire_ratio next to\n"
-    "                                the predicted comm_words; result\n"
-    "                                columns are byte-identical to local\n"
+    "  --backend local|wire          MPC message transport [local].\n"
+    "                                wire delivers every message through an\n"
+    "                                encode/decode of its checksummed wire\n"
+    "                                frame, reporting measured\n"
+    "                                wire_bytes/wire_ratio next to the\n"
+    "                                predicted comm_words; result columns\n"
+    "                                are byte-identical to local\n"
     "  --policy ours|ceccarello      insertion-only threshold policy [ours]\n"
     "  --window <W>                  sliding-window length (0 = whole stream)\n"
     "  --delta <D>                   dynamic universe side [256]\n"
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
   }
   if (!mpc::parse_backend(flags.get_string("backend", "local"),
                           &cfg.backend)) {
-    std::fprintf(stderr, "error: unknown --backend '%s' (local|process)\n",
+    std::fprintf(stderr, "error: unknown --backend '%s' (local|wire)\n",
                  flags.get_string("backend", "local").c_str());
     std::fputs(kUsage, stderr);
     return 2;
@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
   }
 
   // The transport flags only mean something to the MPC model.  Asking for
-  // a forked-worker backend (or a machine count) on a named non-MPC
+  // the wire backend (or a machine count) on a named non-MPC
   // pipeline is a misread of what the flag does, so it is an error rather
   // than a silent no-op; `--pipeline all` stays allowed (the MPC rows use
   // the backend, the rest ignore it).
@@ -248,6 +248,12 @@ int main(int argc, char** argv) {
     try {
       if (is_kcb) {
         auto src = std::make_shared<dataset::KcbSource>(input);
+        if (src->dim() > Point::kMaxDim) {
+          std::fprintf(stderr,
+                       "error: %s: dim %d exceeds the Point limit of %d\n",
+                       input.c_str(), src->dim(), Point::kMaxDim);
+          return 2;
+        }
         cfg.dim = src->dim();
         workload = engine::make_dataset_workload(std::move(src));
         if (cfg.with_direct_solve) {
@@ -269,7 +275,7 @@ int main(int argc, char** argv) {
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
+      return 2;
     }
   } else {
     workload = engine::make_workload(n, cfg);
