@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "util/check.hpp"
 
@@ -30,6 +31,7 @@ InsertionOnlyStream::InsertionOnlyStream(int k, std::int64_t z, double eps,
   KC_EXPECTS(z >= 0);
   KC_EXPECTS(eps > 0.0 && eps <= 1.0);
   threshold_ = stream_threshold(k, z, eps, dim, policy);
+  for (int j = 0; j < dim; ++j) probe_cells_ *= 3;
   KC_EXPECTS(threshold_ >= static_cast<std::size_t>(k) + static_cast<std::size_t>(z) + 1);
 }
 
@@ -44,7 +46,7 @@ void InsertionOnlyStream::insert_weighted(const Point& p, std::int64_t w) {
   const double join_key = metric_.norm() == Norm::L2 ? join * join : join;
   bool placed = false;
   if (metric_.norm() != Norm::Custom) {
-    const std::size_t hit = first_rep_within(p.coords().data(), join_key);
+    const std::size_t hit = first_rep_within(p.coords().data(), join, join_key);
     if (hit < reps_.size()) {
       reps_[hit].w += w;
       placed = true;
@@ -59,6 +61,7 @@ void InsertionOnlyStream::insert_weighted(const Point& p, std::int64_t w) {
     }
   }
   if (!placed) {
+    if (grid_) grid_->insert(p, static_cast<std::uint32_t>(reps_.size()));
     reps_.push_back({p, w});
     reps_buf_.append(p);
   }
@@ -91,15 +94,60 @@ void InsertionOnlyStream::insert_weighted(const Point& p, std::int64_t w) {
   }
 }
 
+namespace {
+
+// First rep index i with key(q, reps[i]) ≤ join_key, or reps.size().
+// Without a grid: the blocked scan of reps_buf.  With one: the smallest
+// such index among the grid's candidates for q — every cell lists its reps
+// in ascending index order, so the scan of a cell stops at its first hit.
+template <Norm N>
+std::size_t first_rep(const std::optional<GridIndex>& grid,
+                      const WeightedSet& reps,
+                      const kernels::PointBuffer& reps_buf, const double* q,
+                      double join, double join_key) {
+  if (!grid) return kernels::first_within<N>(reps_buf, q, join_key);
+  std::size_t best = reps.size();
+  const int dim = grid->dim();
+  grid->for_each_candidate(
+      q, grid->reach_for(join), [&](std::span<const std::uint32_t> cell) {
+        for (const std::uint32_t i : cell) {
+          if (i >= best) break;
+          if (kernels::raw_key<N>(q, reps[i].p.coords().data(), dim) <=
+              join_key) {
+            best = i;
+            break;
+          }
+        }
+      });
+  return best;
+}
+
+}  // namespace
+
 std::size_t InsertionOnlyStream::first_rep_within(const double* q,
-                                                  double join_key) const {
+                                                  double join,
+                                                  double join_key) {
+  // Probe the grid once r > 0 and its 3^d cells are no more than |P*|;
+  // otherwise (and while r == 0, where only exact duplicates join) scan.
+  // The grid is built here on first use at this join radius and kept up to
+  // date by appends until the radius or the rep set changes.
+  if (r_ > 0.0 && probe_cells_ <= reps_.size()) {
+    if (!grid_) {
+      grid_.emplace(join, dim_);
+      grid_->reserve(reps_.size());
+      for (std::size_t i = 0; i < reps_.size(); ++i)
+        grid_->insert(reps_[i].p, static_cast<std::uint32_t>(i));
+    }
+  } else {
+    grid_.reset();
+  }
   switch (metric_.norm()) {
     case Norm::L2:
-      return kernels::first_within<Norm::L2>(reps_buf_, q, join_key);
+      return first_rep<Norm::L2>(grid_, reps_, reps_buf_, q, join, join_key);
     case Norm::Linf:
-      return kernels::first_within<Norm::Linf>(reps_buf_, q, join_key);
+      return first_rep<Norm::Linf>(grid_, reps_, reps_buf_, q, join, join_key);
     case Norm::L1:
-      return kernels::first_within<Norm::L1>(reps_buf_, q, join_key);
+      return first_rep<Norm::L1>(grid_, reps_, reps_buf_, q, join, join_key);
     case Norm::Custom: break;  // callers exclude Custom
   }
   KC_DCHECK(false);
@@ -110,6 +158,7 @@ void InsertionOnlyStream::rebuild_reps_buf() {
   reps_buf_.clear();
   reps_buf_.reserve(reps_.size());
   for (const auto& rep : reps_) reps_buf_.append(rep.p);
+  grid_.reset();
 }
 
 void InsertionOnlyStream::absorb(const InsertionOnlyStream& other) {
@@ -117,6 +166,7 @@ void InsertionOnlyStream::absorb(const InsertionOnlyStream& other) {
   KC_EXPECTS(other.eps_ == eps_ && other.dim_ == dim_);
   // max of two valid lower bounds is a valid lower bound for the union.
   r_ = std::max(r_, other.r_);
+  grid_.reset();  // the join radius may have changed
   seen_ += other.seen_;
   for (const auto& rep : other.reps_) {
     // Re-cover at the merged radius; weights ride along.  Reuse the

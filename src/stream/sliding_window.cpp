@@ -28,15 +28,23 @@ SlidingWindow::SlidingWindow(int k, std::int64_t z, double eps, int dim,
 }
 
 void SlidingWindow::insert(const Point& p, std::int64_t t) {
+  const std::size_t slots = static_cast<std::size_t>(z_) + 1;
+  // One cluster's stored records: its representative plus its members.
+  const auto records = [](const MiniCluster& c) { return 1 + c.recent.size(); };
   for (auto& lvl : levels_) {
     const double key =
         metric_.norm() == Norm::L2 ? lvl.radius * lvl.radius : lvl.radius;
     bool placed = false;
     for (auto& c : lvl.clusters) {
       if (metric_.dist_key(p, c.rep) <= key) {
-        c.recent.push_back({p, t});
-        if (c.recent.size() > static_cast<std::size_t>(z_) + 1)
-          c.recent.erase(c.recent.begin());
+        // The ring grows to z+1 slots, then overwrites its oldest.
+        if (c.recent.size() < slots) {
+          c.recent.push_back({p, t});
+          ++records_;
+        } else {
+          c.recent[c.head] = {p, t};
+          c.head = (c.head + 1) % slots;
+        }
         c.last_join = t;
         placed = true;
         break;
@@ -48,11 +56,14 @@ void SlidingWindow::insert(const Point& p, std::int64_t t) {
       fresh.recent.push_back({p, t});
       fresh.last_join = t;
       lvl.clusters.push_back(std::move(fresh));
+      records_ += 2;
     }
     // Drop clusters whose every stored member expired — they cannot matter
     // for any current or future window.
     std::erase_if(lvl.clusters, [&](const MiniCluster& c) {
-      return c.last_join <= t - window_;
+      if (c.last_join > t - window_) return false;
+      records_ -= records(c);
+      return true;
     });
     // Capacity: evict the stalest cluster and mark the level unsafe until
     // the evicted cluster's members have all left the window.
@@ -64,17 +75,11 @@ void SlidingWindow::insert(const Point& p, std::int64_t t) {
           });
       lvl.unsafe_until =
           std::max(lvl.unsafe_until, stalest->last_join + window_);
+      records_ -= records(*stalest);
       lvl.clusters.erase(stalest);
     }
   }
-  peak_ = std::max(peak_, stored_records());
-}
-
-std::size_t SlidingWindow::stored_records() const noexcept {
-  std::size_t total = 0;
-  for (const auto& lvl : levels_)
-    for (const auto& c : lvl.clusters) total += 1 + c.recent.size();
-  return total;
+  peak_ = std::max(peak_, records_);
 }
 
 SlidingWindow::QueryResult SlidingWindow::query(std::int64_t now) const {
@@ -89,7 +94,9 @@ SlidingWindow::QueryResult SlidingWindow::query(std::int64_t now) const {
       // Alive members among the stored most-recent z+1.
       std::int64_t alive = 0;
       const Member* newest_alive = nullptr;
-      for (const auto& m : c.recent) {
+      // Oldest first: the ring's oldest slot is `head`.
+      for (std::size_t i = 0; i < c.recent.size(); ++i) {
+        const Member& m = c.recent[(c.head + i) % c.recent.size()];
         if (m.t > horizon) {
           ++alive;
           newest_alive = &m;

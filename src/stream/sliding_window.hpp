@@ -26,6 +26,14 @@
 // the window with radius ≤ 2ε·2^ℓ ≤ 4ε·opt (the factor-2 ladder and the
 // reanchoring to an alive member each cost a factor ≤ 2; callers absorb
 // this constant into ε).
+//
+// Per-insert cost, per level: the first-hit scan over the level's clusters
+// in founding order, O(1) to record the member, and the expiry sweep (plus
+// the stalest-cluster search on overflow).  A cluster's members live in a
+// (z+1)-slot ring — it grows to z+1 slots, then overwrites its oldest —
+// so a join moves no other member, and stored_records() is a running count
+// kept on join, founding, expiry and eviction instead of a recount of every
+// level.
 
 #pragma once
 
@@ -58,7 +66,9 @@ class SlidingWindow {
   }
   [[nodiscard]] std::size_t cap_per_level() const noexcept { return cap_; }
   /// Stored (point, timestamp) records across all levels right now.
-  [[nodiscard]] std::size_t stored_records() const noexcept;
+  [[nodiscard]] std::size_t stored_records() const noexcept {
+    return records_;
+  }
   [[nodiscard]] std::size_t peak_records() const noexcept { return peak_; }
 
  private:
@@ -68,7 +78,10 @@ class SlidingWindow {
   };
   struct MiniCluster {
     Point rep;
-    std::vector<Member> recent;  ///< ≤ z+1, oldest first
+    /// The ≤ z+1 most recent members: a ring that grows to z+1 slots, then
+    /// overwrites its oldest; read oldest first from `head`.
+    std::vector<Member> recent;
+    std::size_t head = 0;  ///< oldest slot once the ring is full, else 0
     std::int64_t last_join = 0;
   };
   struct Level {
@@ -85,6 +98,7 @@ class SlidingWindow {
   Metric metric_;
   std::size_t cap_ = 0;
   std::vector<Level> levels_;
+  std::size_t records_ = 0;  ///< stored_records(), kept as clusters change
   std::size_t peak_ = 0;
 };
 

@@ -232,88 +232,86 @@ PlantedInstance make_drifting(const PlantedConfig& cfg) {
   // Planted centers = drift midpoints on the usual lattice.
   inst.planted_centers = lattice_centers(cfg.k, cfg.dim, spacing);
 
-  // Even split of the n − z cluster points; round-robin emission keeps the
-  // per-cluster drift progress aligned with stream time.
+  // Even split of the n − z cluster points, emitted round-robin (emission
+  // u belongs to cluster u mod k), which keeps the per-cluster drift
+  // progress aligned with stream time.  Stream layout, no shuffle: outlier
+  // i surfaces at position (i+1)·n/(z+1) − 1 (evenly interspersed,
+  // deterministic) and every other position holds the next emission.
+  // `for_each_emission(f)` replays that schedule, calling f(c, t) when
+  // cluster c emits the point at stream position t — so the certificate
+  // below revisits a cluster's members where they lie instead of keeping a
+  // copy of each cluster.
   const std::size_t cluster_total = cfg.n - z;
-  std::vector<std::size_t> sizes(static_cast<std::size_t>(cfg.k),
-                                 cluster_total / static_cast<std::size_t>(cfg.k));
-  for (std::size_t c = 0; c < cluster_total % static_cast<std::size_t>(cfg.k);
-       ++c)
-    ++sizes[c];
-
-  // Cluster emissions in time order.  At stream progress λ ∈ [0, 1] cluster
-  // c emits around anchor + (2λ − 1)·2R along its drift axis: the emission
-  // center sweeps 4R end to end, so every member is within 2R + R = 3R of
-  // the anchor and the standard certificate (separation 40R ≫ 4·3R) holds.
-  std::vector<std::vector<Point>> clusters(static_cast<std::size_t>(cfg.k));
-  std::vector<Point> emissions;
-  emissions.reserve(cluster_total);
-  {
-    std::vector<std::size_t> emitted(static_cast<std::size_t>(cfg.k), 0);
-    std::size_t c = 0;
-    for (std::size_t u = 0; u < cluster_total; ++u) {
-      while (emitted[c] >= sizes[c]) c = (c + 1) % sizes.size();
-      const double lambda =
-          cluster_total > 1
-              ? static_cast<double>(u) / static_cast<double>(cluster_total - 1)
-              : 0.5;
-      Point p = sample_unit_ball(rng, cfg.dim, cfg.norm) * R +
-                inst.planted_centers[c];
-      p[static_cast<int>(c) % cfg.dim] += (2.0 * lambda - 1.0) * 2.0 * R;
-      clusters[c].push_back(p);
-      emissions.push_back(p);
-      ++emitted[c];
-      c = (c + 1) % sizes.size();
+  const auto k = static_cast<std::size_t>(cfg.k);
+  const auto outlier_pos = [&](std::size_t i) {
+    return ((i + 1) * cfg.n) / (z + 1) - 1;
+  };
+  const auto for_each_emission = [&](auto&& f) {
+    std::size_t t = 0;
+    std::size_t next_outlier = 0;
+    for (std::size_t u = 0; u < cluster_total; ++u, ++t) {
+      for (; next_outlier < z && t == outlier_pos(next_outlier); ++t)
+        ++next_outlier;
+      f(u % k, t);
     }
-  }
+  };
 
-  // Spread outliers (same shape as make_planted's).
-  PointSet outliers;
-  outliers.reserve(z);
+  // Cluster emissions, written straight to their stream positions.  At
+  // stream progress λ ∈ [0, 1] cluster c emits around anchor + (2λ − 1)·2R
+  // along its drift axis: the emission center sweeps 4R end to end, so
+  // every member is within 2R + R = 3R of the anchor and the standard
+  // certificate (separation 40R ≫ 4·3R) holds.  The certificate is
+  // make_planted's, taken in emission order: the farthest member from the
+  // anchor, and `diameter_lb`'s double farthest-point probe — the first
+  // probe (from the cluster's first member, first maximum kept) runs while
+  // the points are drawn, the second in one more pass over the schedule.
+  std::vector<std::size_t> first(k, cfg.n);  // position of the first member
+  std::vector<std::size_t> far_from_first(k, 0);
+  std::vector<double> diam(k, -1.0);
+  inst.points.resize(cfg.n);
+  double hi = 0.0;
+  std::size_t u = 0;
+  for_each_emission([&](std::size_t c, std::size_t t) {
+    const double lambda =
+        cluster_total > 1
+            ? static_cast<double>(u) / static_cast<double>(cluster_total - 1)
+            : 0.5;
+    ++u;
+    Point p = sample_unit_ball(rng, cfg.dim, cfg.norm) * R +
+              inst.planted_centers[c];
+    p[static_cast<int>(c) % cfg.dim] += (2.0 * lambda - 1.0) * 2.0 * R;
+    hi = std::max(hi, metric.dist(p, inst.planted_centers[c]));
+    if (first[c] == cfg.n) {
+      first[c] = far_from_first[c] = t;
+    } else if (const double d = metric.dist(inst.points[first[c]].p, p);
+               d > diam[c]) {
+      diam[c] = d;
+      far_from_first[c] = t;
+    }
+    inst.points[t] = {p, 1};
+  });
+  for_each_emission([&](std::size_t c, std::size_t t) {
+    diam[c] = std::max(
+        diam[c], metric.dist(inst.points[far_from_first[c]].p,
+                             inst.points[t].p));
+  });
+  double lo = 0.0;
+  for (const double d : diam) lo = std::max(lo, d / 2.0);
+
+  // Spread outliers (same shape as make_planted's), drawn after every
+  // emission.
   for (std::size_t i = 0; i < z; ++i) {
     Point o(cfg.dim, 0.0);
     o[0] = -spacing * (2.0 + static_cast<double>(i));
     for (int dcoord = 1; dcoord < cfg.dim; ++dcoord)
       o[dcoord] = rng.uniform_real(0.0, R);
-    outliers.push_back(o);
+    inst.points[outlier_pos(i)] = {o, 1};
+    inst.outlier_indices.push_back(outlier_pos(i));
   }
-
-  // Assemble in time order — no shuffle; outlier i surfaces at stream
-  // position (i+1)·n/(z+1) (evenly interspersed, deterministic).
-  inst.points.reserve(cfg.n);
   inst.buffer = kernels::PointBuffer(cfg.dim);
   inst.buffer.reserve(cfg.n);
-  std::size_t next_outlier = 0;
-  std::size_t next_cluster = 0;
-  for (std::size_t t = 0; t < cfg.n; ++t) {
-    const bool emit_outlier =
-        next_outlier < z &&
-        t + 1 == ((next_outlier + 1) * cfg.n) / (z + 1);
-    const Point& p =
-        emit_outlier ? outliers[next_outlier] : emissions[next_cluster];
-    if (emit_outlier) {
-      inst.outlier_indices.push_back(t);
-      ++next_outlier;
-    } else {
-      ++next_cluster;
-    }
-    inst.points.push_back({p, 1});
-    inst.buffer.append(p);
-  }
-  KC_ENSURES(next_outlier == z && next_cluster == cluster_total);
+  for (const auto& wp : inst.points) inst.buffer.append(wp.p);
 
-  // Certify the bracket exactly as make_planted does.
-  double hi = 0.0, lo = 0.0;
-  for (int c = 0; c < cfg.k; ++c) {
-    const auto& cl = clusters[static_cast<std::size_t>(c)];
-    double far = 0.0;
-    for (const auto& p : cl)
-      far = std::max(
-          far,
-          metric.dist(p, inst.planted_centers[static_cast<std::size_t>(c)]));
-    hi = std::max(hi, far);
-    lo = std::max(lo, diameter_lb(cl, metric) / 2.0);
-  }
   inst.opt_hi = hi;
   inst.opt_lo = lo;
   KC_ENSURES(inst.opt_lo <= inst.opt_hi * (1.0 + 1e-12));

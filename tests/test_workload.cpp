@@ -170,6 +170,72 @@ TEST(Planted, GoldenFingerprints) {
   }
 }
 
+TEST(Drifting, GoldenFingerprints) {
+  // Recorded before make_drifting stopped keeping a copy of every cluster
+  // and an assembly array: the instance must not move by a bit.  Covers
+  // uneven splits (n − z not a multiple of k), z = 0, one-point clusters
+  // (diameter bound 0) and a bench-shaped stream.
+  PlantedConfig base;
+  base.n = 3000;
+  base.k = 3;
+  base.z = 20;
+  base.seed = 5;
+  PlantedConfig linf;
+  linf.n = 2501;
+  linf.k = 4;
+  linf.z = 10;
+  linf.dim = 3;
+  linf.norm = Norm::Linf;
+  linf.seed = 6;
+  PlantedConfig line;
+  line.n = 1801;
+  line.k = 2;
+  line.z = 0;
+  line.dim = 1;
+  line.norm = Norm::L1;
+  line.seed = 7;
+  PlantedConfig tight;
+  tight.n = 907;
+  tight.k = 5;
+  tight.z = 7;
+  tight.cluster_radius = 0.3;
+  tight.separation = 25.0;
+  tight.seed = 8;
+  PlantedConfig pair;
+  pair.n = 2;
+  pair.k = 1;
+  pair.z = 0;
+  pair.seed = 9;
+  PlantedConfig singletons;
+  singletons.n = 3;
+  singletons.k = 3;
+  singletons.z = 0;
+  singletons.seed = 10;
+  PlantedConfig bench_shape;
+  bench_shape.n = 20000;
+  bench_shape.k = 3;
+  bench_shape.z = 100;
+  bench_shape.seed = 11;
+  const std::pair<PlantedConfig, std::uint64_t> cases[] = {
+      {base, 7280035116528594483ULL},
+      {linf, 17532114903226092386ULL},
+      {line, 8145574479364423300ULL},
+      {tight, 8373760445391169486ULL},
+      {pair, 1603252187669658775ULL},
+      {singletons, 17606073031750565368ULL},
+      {bench_shape, 15165650739819614902ULL},
+  };
+  for (const auto& [cfg, want] : cases) {
+    SCOPED_TRACE("seed " + std::to_string(cfg.seed));
+    const PlantedInstance inst = make_drifting(cfg);
+    EXPECT_EQ(fingerprint(inst), want);
+    EXPECT_EQ(inst.outlier_indices.size(), static_cast<std::size_t>(cfg.z));
+    ASSERT_EQ(inst.buffer.size(), inst.points.size());
+    for (std::size_t i = 0; i < inst.points.size(); ++i)
+      ASSERT_EQ(inst.buffer.point(i), inst.points[i].p) << "row " << i;
+  }
+}
+
 TEST(Uniform, InBounds) {
   const WeightedSet pts = make_uniform(200, 3, 10.0, 5);
   EXPECT_EQ(pts.size(), 200u);

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -168,14 +169,41 @@ int main(int argc, char** argv) {
     std::fputs(kUsage, stderr);
     return 2;
   }
+  // ε ∈ (0, 1] (the negated test also rejects NaN), R ≥ 1, W ≥ 0 and
+  // Δ ≥ 2 are contracts of the structures these flags configure: reject a
+  // value outside them here instead of aborting inside a pipeline.
+  if (!(cfg.eps > 0.0 && cfg.eps <= 1.0)) {
+    std::fprintf(stderr, "error: --eps must be in (0, 1] (got %g)\n", cfg.eps);
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  const long long rounds = flags.get_int("rounds", 2);
+  if (rounds < 1 || rounds > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "error: --rounds must be in [1, %d] (got %lld)\n",
+                 std::numeric_limits<int>::max(), rounds);
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  cfg.window = flags.get_int("window", 0);
+  if (cfg.window < 0) {
+    std::fprintf(stderr, "error: --window must be >= 0 (got %lld)\n",
+                 static_cast<long long>(cfg.window));
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  cfg.delta = flags.get_int("delta", 256);
+  if (cfg.delta < 2) {
+    std::fprintf(stderr, "error: --delta must be >= 2 (got %lld)\n",
+                 static_cast<long long>(cfg.delta));
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
   cfg.partition = parse_partition(flags.get_string("partition", "adversarial"));
   cfg.partition_seed = cfg.seed;
-  cfg.rounds = static_cast<int>(flags.get_int("rounds", 2));
+  cfg.rounds = static_cast<int>(rounds);
   cfg.policy = flags.get_string("policy", "ours") == "ceccarello"
                    ? stream::ThresholdPolicy::Ceccarello
                    : stream::ThresholdPolicy::Ours;
-  cfg.window = flags.get_int("window", 0);
-  cfg.delta = flags.get_int("delta", 256);
   cfg.deterministic_recovery = flags.has("det-recovery");
   cfg.num_threads = static_cast<int>(flags.get_int("threads", 1));
   cfg.fault_seed = static_cast<std::uint64_t>(flags.get_int("fault-seed", 0));
