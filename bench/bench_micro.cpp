@@ -162,6 +162,38 @@ void BM_DynamicUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_DynamicUpdate)->Arg(1 << 8)->Arg(1 << 12);
 
+// The same 1024 uniform points and alternating signs as BM_DynamicUpdate,
+// applied as one update_batch per 1024 updates.  No point repeats within a
+// batch, so level 0 coalesces nothing: this is the batched path's floor.
+void BM_DynamicUpdateBatch(benchmark::State& state) {
+  kc::dynamic::DynamicCoresetOptions opt;
+  opt.k = 2;
+  opt.z = 8;
+  opt.eps = 1.0;
+  opt.delta = state.range(0);
+  opt.dim = 2;
+  opt.seed = 7;
+  kc::dynamic::DynamicCoreset dc(opt);
+  kc::Rng rng(9);
+  std::vector<kc::GridUpdate> inserts, deletes;
+  for (int i = 0; i < 1024; ++i) {
+    kc::GridPoint p;
+    p.dim = 2;
+    p.c[0] = static_cast<std::int64_t>(rng.uniform(static_cast<std::uint64_t>(opt.delta)));
+    p.c[1] = static_cast<std::int64_t>(rng.uniform(static_cast<std::uint64_t>(opt.delta)));
+    inserts.push_back({p, +1});
+    deletes.push_back({p, -1});
+  }
+  bool insert = true;
+  for (auto _ : state) {
+    dc.update_batch(insert ? inserts : deletes);
+    insert = !insert;  // keep the live set bounded
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(inserts.size()));
+}
+BENCHMARK(BM_DynamicUpdateBatch)->Arg(1 << 8)->Arg(1 << 12);
+
 }  // namespace
 
 BENCHMARK_MAIN();

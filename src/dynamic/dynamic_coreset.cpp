@@ -1,19 +1,37 @@
 #include "dynamic/dynamic_coreset.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.hpp"
 
 namespace kc::dynamic {
 
-std::int64_t dynamic_sample_budget(int k, std::int64_t z, double eps,
-                                   int dim) {
+namespace {
+
+/// ⌈k(4√d/ε)^d⌉.  The 1e-9 guard keeps exact powers (e.g. (4√2)² = 32)
+/// from rounding up.
+double center_budget(int k, double eps, int dim) {
   const double per_center =
       std::pow(4.0 * std::sqrt(static_cast<double>(dim)) / eps, dim);
-  // The 1e-9 guard keeps exact powers (e.g. (4√2)² = 32) from rounding up.
-  return static_cast<std::int64_t>(
-             std::ceil(static_cast<double>(k) * per_center - 1e-9)) +
-         z;
+  return std::ceil(static_cast<double>(k) * per_center - 1e-9);
+}
+
+}  // namespace
+
+double dynamic_sample_budget_real(int k, std::int64_t z, double eps,
+                                  int dim) {
+  return center_budget(k, eps, dim) + static_cast<double>(z);
+}
+
+std::int64_t dynamic_sample_budget(int k, std::int64_t z, double eps,
+                                   int dim) {
+  const double head = center_budget(k, eps, dim);
+  // The negated test also rejects NaN.  Below the bound the cast is exact
+  // and the int64 sum cannot overflow.
+  KC_EXPECTS(!(head + static_cast<double>(z) >
+               static_cast<double>(kMaxSampleBudget)));
+  return static_cast<std::int64_t>(head) + z;
 }
 
 DynamicCoreset::DynamicCoreset(const DynamicCoresetOptions& opt)
@@ -44,24 +62,83 @@ DynamicCoreset::DynamicCoreset(const DynamicCoresetOptions& opt)
   }
 }
 
+void DynamicCoreset::add_cell(std::size_t level, std::uint64_t cell,
+                              std::int64_t delta) {
+  // The field work is done once per (level, cell): the embedded cell id x
+  // and r_l^x feed S(G_l) and every level of F(G_l).
+  const std::uint64_t x = sketch::embed_key(cell);
+  const std::uint64_t d = sketch::signed_mod(delta);
+  const std::uint64_t rx = sketch::pow_mod(f0_[level].point(), x);
+  if (opt_.deterministic_recovery)
+    det_recovery_[level].update(cell, delta);
+  else
+    recovery_[level].add(x, delta, d, rx);
+  f0_[level].add(x, delta, d, rx);
+}
+
 void DynamicCoreset::update(const GridPoint& p, int sign) {
   KC_EXPECTS(sign == +1 || sign == -1);
   KC_EXPECTS(p.dim == opt_.dim);
   live_ += sign;
   KC_EXPECTS(live_ >= 0);  // strict turnstile
-  // The field work of one update is done once per grid level: the embedded
-  // cell id x and r_l^x feed S(G_l) and every level of F(G_l).
-  const std::uint64_t d = sketch::signed_mod(sign);
-  for (int l = 0; l < grids_.levels(); ++l) {
-    const auto i = static_cast<std::size_t>(l);
-    const std::uint64_t cell = grids_.cell_id(p, l);
-    const std::uint64_t x = sketch::embed_key(cell);
-    const std::uint64_t rx = sketch::pow_mod(f0_[i].point(), x);
-    if (opt_.deterministic_recovery)
-      det_recovery_[i].update(cell, sign);
-    else
-      recovery_[i].add(x, sign, d, rx);
-    f0_[i].add(x, sign, d, rx);
+  for (int l = 0; l < grids_.levels(); ++l)
+    add_cell(static_cast<std::size_t>(l), grids_.cell_id(p, l), sign);
+}
+
+void DynamicCoreset::update_batch(std::span<const GridUpdate> ups) {
+  if (scratch_.capacity() < kBatchChunk) scratch_.reserve(kBatchChunk);
+  for (std::size_t at = 0; at < ups.size(); at += kBatchChunk)
+    apply_chunk(ups.subspan(at, std::min(kBatchChunk, ups.size() - at)));
+}
+
+void DynamicCoreset::apply_chunk(std::span<const GridUpdate> chunk) {
+  // Packed key: axis 0 in the most significant of d fields of `bits` bits
+  // each, holding the cell coordinate c >> l at level l.
+  const int bits = grids_.levels() - 1;
+  const std::uint64_t field = (std::uint64_t{1} << bits) - 1;
+  std::uint64_t keep = 0;  // every field but its top bit
+  for (int i = 0; i < opt_.dim; ++i) keep = (keep << bits) | (field >> 1);
+
+  scratch_.clear();
+  for (const GridUpdate& up : chunk) {
+    KC_EXPECTS(up.sign == +1 || up.sign == -1);
+    KC_EXPECTS(up.p.dim == opt_.dim);
+    live_ += up.sign;
+    KC_EXPECTS(live_ >= 0);  // strict turnstile, on every prefix
+    std::uint64_t key = 0;
+    for (int i = 0; i < opt_.dim; ++i) {
+      const std::int64_t c = up.p.c[static_cast<std::size_t>(i)];
+      KC_EXPECTS(c >= 0 && c < grids_.delta());
+      key = (key << bits) | static_cast<std::uint64_t>(c);
+    }
+    scratch_.push_back({key, up.sign});
+  }
+
+  for (int l = 0; l < grids_.levels() && !scratch_.empty(); ++l) {
+    if (l > 0) {
+      // One bit right per field: c >> l from c >> (l−1).  The mask drops
+      // the bit each field took from the low end of the field above it.
+      for (CellSum& e : scratch_) e.key = (e.key >> 1) & keep;
+    }
+    std::sort(scratch_.begin(), scratch_.end(),
+              [](const CellSum& a, const CellSum& b) { return a.key < b.key; });
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < scratch_.size();) {
+      CellSum run = scratch_[i];
+      for (++i; i < scratch_.size() && scratch_[i].key == run.key; ++i)
+        run.sum += scratch_[i].sum;
+      if (run.sum != 0) scratch_[out++] = run;
+    }
+    scratch_.resize(out);
+
+    const auto per_axis = static_cast<std::uint64_t>(grids_.cells_per_axis(l));
+    for (const CellSum& e : scratch_) {
+      std::uint64_t cell = 0;  // GridHierarchy::cell_id's mixed-radix id
+      for (int j = 0; j < opt_.dim; ++j)
+        cell = cell * per_axis +
+               ((e.key >> (bits * (opt_.dim - 1 - j))) & field);
+      add_cell(static_cast<std::size_t>(l), cell, e.sum);
+    }
   }
 }
 

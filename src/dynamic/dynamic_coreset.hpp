@@ -23,6 +23,31 @@
 // words() counts 3 words per cell, 8 per row or level hash and 4 header
 // words per sketch.
 //
+// Batched ingest: update_batch() takes a whole script and leaves every
+// sketch word exactly as one update() per element would.  Every sketch is
+// linear over F_p — a one-sparse cell holds Σ ξ, Σ ξ·x and Σ ξ·r^x, a
+// power-sum syndrome Σ ξ·x^j, and which cells a key reaches depends on the
+// key alone — so the ξ of one (level, cell) may be summed first and added
+// once; a zero sum adds nothing and is skipped.  The script is cut into
+// chunks of kBatchChunk updates.  Per chunk:
+//   * each update is checked (sign, dimension, coordinate range) and
+//     counted into the live total, so strict turnstile holds on every
+//     prefix, not only at chunk ends;
+//   * the level-0 cells (all d coordinates packed ⌈log2 Δ⌉ bits each) are
+//     sorted once and summed per cell, dropping zero sums;
+//   * level l's cells come from level l−1's survivors: each packed
+//     coordinate shifts right by one bit.  A cell whose sum is zero adds
+//     nothing to its parent cell, so dropping it early is exact.  Each
+//     level's keys are sorted and summed again;
+//   * each nonzero (level, cell) sum s gets one embed_key, signed_mod and
+//     r_l^x, then one add to S(G_l) and F(G_l) — the helper update() uses
+//     with s = ±1.
+// A chunk costs one sort of ≤ kBatchChunk keys plus sorts of the shrinking
+// survivor lists, and sketch work per surviving (level, cell) instead of
+// per update and level.  Inputs with locality (points re-hitting the same
+// cells, deletes near their inserts) gain most; a live set spread
+// uniformly over the universe still shares the coarse levels.
+//
 // The `deterministic_recovery` option swaps the randomized peeling sketch
 // for the power-sum (Vandermonde) sketch of power_sum.hpp — the paper's §1
 // determinisation remark — at the cost of a universe scan during decoding
@@ -30,13 +55,16 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/types.hpp"
 #include "geometry/grid.hpp"
 #include "sketch/f0_estimator.hpp"
+#include "sketch/one_sparse.hpp"
 #include "sketch/power_sum.hpp"
 #include "sketch/sparse_recovery.hpp"
 
@@ -60,6 +88,14 @@ class DynamicCoreset {
   /// Insert (sign = +1) or delete (sign = −1) one point of [Δ]^d.
   void update(const GridPoint& p, int sign);
 
+  /// Applies `ups` in order; the sketch state (and so query() and words())
+  /// ends bit-identical to one update() per element.  Strict turnstile is
+  /// checked on every prefix.
+  void update_batch(std::span<const GridUpdate> ups);
+
+  /// Updates summed per (level, cell) in one pass of update_batch.
+  static constexpr std::size_t kBatchChunk = 4096;
+
   struct QueryResult {
     WeightedSet coreset;          ///< weighted cell centers (relaxed coreset)
     int level = -1;               ///< grid level used
@@ -78,7 +114,22 @@ class DynamicCoreset {
   [[nodiscard]] const GridHierarchy& grids() const noexcept { return grids_; }
   [[nodiscard]] std::int64_t live_points() const noexcept { return live_; }
 
+  /// Every non-empty cell of `level` with its exact count, or nullopt when
+  /// S(G_level) does not decode.
+  [[nodiscard]] std::optional<std::vector<std::pair<std::uint64_t, std::int64_t>>>
+  recover_level(int level) const;
+
+  /// F(G_level)'s estimate of the number of non-empty cells of `level`.
+  [[nodiscard]] double f0_estimate(int level) const {
+    return f0_[static_cast<std::size_t>(level)].estimate();
+  }
+
  private:
+  struct CellSum {
+    std::uint64_t key;  ///< packed cell coordinates (update_batch)
+    std::int64_t sum;
+  };
+
   DynamicCoresetOptions opt_;
   GridHierarchy grids_;
   std::int64_t s_;
@@ -86,12 +137,29 @@ class DynamicCoreset {
   std::vector<sketch::PowerSumSketch> det_recovery_;  // deterministic path
   std::vector<sketch::F0Estimator> f0_;
   std::int64_t live_ = 0;
+  // update_batch's per-chunk (cell, sum) list, reserved once at
+  // kBatchChunk entries and never grown.
+  std::vector<CellSum> scratch_;
 
-  [[nodiscard]] std::optional<std::vector<std::pair<std::uint64_t, std::int64_t>>>
-  recover_level(int level) const;
+  /// Adds `delta` copies of cell `cell` of `level` to S(G_level) and
+  /// F(G_level): the one code path that touches the sketches.
+  void add_cell(std::size_t level, std::uint64_t cell, std::int64_t delta);
+  void apply_chunk(std::span<const GridUpdate> chunk);
 };
 
-/// The sample budget formula s = k(4√d/ε)^d + z.
+/// The sample budget formula s = k(4√d/ε)^d + z, in double, so a caller
+/// can range-check it before any integer conversion.
+[[nodiscard]] double dynamic_sample_budget_real(int k, std::int64_t z,
+                                                double eps, int dim);
+
+/// The largest sample budget whose sketch is representable: S(G_l) holds
+/// kRows rows of 2s one-sparse cells in one array, so its byte size must
+/// fit in ptrdiff_t.
+inline constexpr std::int64_t kMaxSampleBudget =
+    PTRDIFF_MAX / static_cast<std::int64_t>(2 * sketch::SparseRecovery::kRows *
+                                            sizeof(sketch::OneSparseCell));
+
+/// s = k(4√d/ε)^d + z as an integer; requires s ≤ kMaxSampleBudget.
 [[nodiscard]] std::int64_t dynamic_sample_budget(int k, std::int64_t z,
                                                  double eps, int dim);
 

@@ -4,8 +4,9 @@
 // (workload/generators.hpp discretize); the sketch is driven either by the
 // workload's turnstile script (inserts + deletes whose final alive set is
 // the discretized instance) or, when no script is given, by plain
-// insertions.  Ground truth for quality is the live set *in grid
-// coordinates* — the space the relaxed coreset lives in.
+// insertions, either way through DynamicCoreset::update_batch.  Ground
+// truth for quality is the live set *in grid coordinates* — the space the
+// relaxed coreset lives in.
 
 #include <algorithm>
 #include <memory>
@@ -62,7 +63,7 @@ class DynamicPipeline final : public Pipeline {
     PipelineResult res;
     dynamic::DynamicCoreset dc(opt);
     Timer timer;
-    for (const auto& up : script) dc.update(up.p, up.sign);
+    dc.update_batch(script);
     res.report.build_ms = timer.millis();
 
     const auto q = dc.query();
@@ -135,9 +136,20 @@ class DynamicPipeline final : public Pipeline {
     {
       dataset::ChunkedReader reader(src);
       dataset::ChunkedReader::Chunk ch;
-      while (reader.next(ch))
-        for (std::size_t i = 0; i < ch.view.size(); ++i)
-          dc.update(snap_row(ch.view, i), +1);
+      // Snapped inserts go through one buffer of update_batch's chunk size
+      // (a reader chunk holds up to a million rows), allocated once.
+      std::vector<GridUpdate> batch;
+      batch.reserve(dynamic::DynamicCoreset::kBatchChunk);
+      while (reader.next(ch)) {
+        for (std::size_t i = 0; i < ch.view.size(); ++i) {
+          batch.push_back({snap_row(ch.view, i), +1});
+          if (batch.size() == batch.capacity()) {
+            dc.update_batch(batch);
+            batch.clear();
+          }
+        }
+      }
+      dc.update_batch(batch);
     }
     res.report.build_ms = timer.millis();
 

@@ -1,6 +1,7 @@
 #include "geometry/grid.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace kc {
@@ -17,26 +18,21 @@ GridPoint snap_to_grid(const Point& p, std::int64_t delta) {
   return g;
 }
 
-namespace {
-int ceil_log2(std::int64_t v) {
-  int l = 0;
-  std::int64_t x = 1;
-  while (x < v) {
-    x <<= 1;
-    ++l;
-  }
-  return l;
+int GridHierarchy::axis_bits(std::int64_t delta) noexcept {
+  return std::bit_width(static_cast<std::uint64_t>(delta - 1));
 }
-}  // namespace
+
+bool GridHierarchy::fits(std::int64_t delta, int dim) noexcept {
+  return delta >= 2 && dim >= 1 && axis_bits(delta) <= 62 / dim;
+}
 
 GridHierarchy::GridHierarchy(std::int64_t delta, int dim)
     : delta_(delta), dim_(dim) {
   KC_EXPECTS(delta >= 2);
   KC_EXPECTS(dim >= 1 && dim <= Point::kMaxDim);
-  bits_per_axis_ = ceil_log2(delta);
+  KC_EXPECTS(fits(delta, dim));
+  bits_per_axis_ = axis_bits(delta);
   levels_ = bits_per_axis_ + 1;
-  // Packing requires d * bits_per_axis <= 62.
-  KC_EXPECTS(dim_ * bits_per_axis_ <= 62);
 }
 
 std::int64_t GridHierarchy::cells_per_axis(int level) const noexcept {

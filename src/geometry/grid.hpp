@@ -7,8 +7,8 @@
 // reports per-level universe sizes (needed by the sketches).
 //
 // Cell ids pack the per-axis cell coordinates into one 64-bit word, which
-// requires d·⌈log2(Δ)⌉ ≤ 60 bits — ample for the discrete universes the
-// dynamic model targets (d ≤ 4, Δ ≤ 2^15 by default).
+// requires d·⌈log2(Δ)⌉ ≤ 62 bits (GridHierarchy::fits) — ample for the
+// discrete universes the dynamic model targets (d ≤ 4, Δ ≤ 2^15 by default).
 
 #pragma once
 
@@ -39,13 +39,28 @@ struct GridPoint {
   }
 };
 
+/// One fully-dynamic stream element (strict turnstile: the alive multiset
+/// never goes negative).
+struct GridUpdate {
+  GridPoint p;
+  int sign = +1;  ///< +1 insert, −1 delete
+};
+
 /// Rounds a real point onto the grid (coordinates clamped to [0, Δ)).
 [[nodiscard]] GridPoint snap_to_grid(const Point& p, std::int64_t delta);
 
 class GridHierarchy {
  public:
-  /// delta = universe side Δ (must be ≥ 2); dim = dimension d.
+  /// delta = universe side Δ (must be ≥ 2); dim = dimension d, with
+  /// fits(delta, dim).
   GridHierarchy(std::int64_t delta, int dim);
+
+  /// Bits of one level-0 axis coordinate: ⌈log2 Δ⌉ (Δ ≥ 2).
+  [[nodiscard]] static int axis_bits(std::int64_t delta) noexcept;
+
+  /// Whether a d-dimensional cell id over [Δ]^d packs into the 62 bits a
+  /// sketch key allows: d·⌈log2 Δ⌉ ≤ 62.
+  [[nodiscard]] static bool fits(std::int64_t delta, int dim) noexcept;
 
   [[nodiscard]] std::int64_t delta() const noexcept { return delta_; }
   [[nodiscard]] int dim() const noexcept { return dim_; }

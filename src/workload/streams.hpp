@@ -12,13 +12,7 @@
 
 namespace kc {
 
-/// One fully-dynamic stream element (strict turnstile: the alive multiset
-/// never goes negative).
-struct GridUpdate {
-  GridPoint p;
-  int sign = +1;  ///< +1 insert, −1 delete
-};
-
+/// A fully-dynamic stream (GridUpdate lives in geometry/grid.hpp).
 using DynamicScript = std::vector<GridUpdate>;
 
 /// Builds a dynamic script whose *final* alive multiset equals `final_set`:

@@ -7,12 +7,15 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "core/cost.hpp"
 #include "dynamic/dynamic_coreset.hpp"
 #include "dynamic/dynamic_kcenter.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
 #include "workload/streams.hpp"
 
 namespace kc::dynamic {
@@ -37,6 +40,18 @@ TEST(DynamicCoreset, SampleBudgetFormula) {
   // s = k(4√d/ε)^d + z.
   EXPECT_EQ(dynamic_sample_budget(2, 4, 1.0, 2), 2 * 32 + 4);
   EXPECT_EQ(dynamic_sample_budget(1, 0, 0.5, 1), 8 + 0);
+}
+
+TEST(DynamicCoreset, SampleBudgetBound) {
+  EXPECT_EQ(dynamic_sample_budget_real(2, 4, 1.0, 2), 2.0 * 32 + 4);
+  // k(4√3/1e-7)^3 ≈ 1e24 is past any representable sketch; k(8/1e-3)^4
+  // ≈ 1.2e16 is representable (and far too large to allocate).
+  EXPECT_GT(dynamic_sample_budget_real(3, 16, 1e-7, 3),
+            static_cast<double>(kMaxSampleBudget));
+  EXPECT_LT(dynamic_sample_budget_real(3, 16, 1e-3, 4),
+            static_cast<double>(kMaxSampleBudget));
+  EXPECT_EQ(dynamic_sample_budget(3, 16, 1e-3, 4),
+            std::int64_t{3} * 8000 * 8000 * 8000 * 8000 + 16);
 }
 
 TEST(DynamicCoreset, EmptyQueryOk) {
@@ -285,6 +300,195 @@ TEST(DynamicCoreset, GoldenQueriesAfterDeleteHeavyScripts) {
     EXPECT_EQ(dc.words(), g.words);
     EXPECT_EQ(format_coreset(q.coreset), g.coreset);
   }
+}
+
+// The same golden table driven through update_batch in one call: every
+// row must match what the per-update path recorded.
+TEST(DynamicCoreset, GoldenQueriesThroughUpdateBatch) {
+  for (const GoldenQuery& g : kGoldenQueries) {
+    SCOPED_TRACE(::testing::Message() << "seed " << g.seed << " delta "
+                                      << g.delta << " dim " << g.dim);
+    const std::size_t n = g.dim == 1 ? 20 : (g.delta == 64 ? 48 : 96);
+    auto final_set = discretize(make_uniform(n, g.dim, 1.0, g.seed), g.delta);
+    for (std::size_t i = 0; i < 8; ++i) final_set.push_back(final_set[i]);
+    const auto script =
+        make_dynamic_script(final_set, 112, g.delta, g.dim, g.seed + 100);
+
+    DynamicCoresetOptions opt;
+    opt.k = 1;
+    opt.z = 1;
+    opt.eps = 1.0;
+    opt.delta = g.delta;
+    opt.dim = g.dim;
+    opt.seed = g.seed;
+    DynamicCoreset dc(opt);
+    dc.update_batch(script);
+    const auto q = dc.query();
+    ASSERT_TRUE(q.ok);
+    EXPECT_EQ(q.level, g.level);
+    EXPECT_EQ(q.nonempty_cells, g.nonempty_cells);
+    EXPECT_EQ(dc.words(), g.words);
+    EXPECT_EQ(format_coreset(q.coreset), g.coreset);
+  }
+}
+
+// Everything the sketch state determines: every level's decode, every F0
+// estimate, the storage count and the query.
+struct SketchView {
+  std::int64_t live = 0;
+  std::size_t words = 0;
+  std::vector<std::optional<std::vector<std::pair<std::uint64_t,
+                                                  std::int64_t>>>>
+      decoded;
+  std::vector<double> f0;
+  bool ok = false;
+  int level = -1;
+  std::size_t nonempty_cells = 0;
+  double cell_side = 0.0;
+  std::string coreset;
+};
+
+SketchView view_of(const DynamicCoreset& dc) {
+  SketchView v;
+  v.live = dc.live_points();
+  v.words = dc.words();
+  for (int l = 0; l < dc.grids().levels(); ++l) {
+    v.decoded.push_back(dc.recover_level(l));
+    v.f0.push_back(dc.f0_estimate(l));
+  }
+  const auto q = dc.query();
+  v.ok = q.ok;
+  v.level = q.level;
+  v.nonempty_cells = q.nonempty_cells;
+  v.cell_side = q.cell_side;
+  v.coreset = format_coreset(q.coreset);
+  return v;
+}
+
+void expect_same_sketch(const SketchView& a, const SketchView& b) {
+  EXPECT_EQ(a.live, b.live);
+  EXPECT_EQ(a.words, b.words);
+  ASSERT_EQ(a.decoded.size(), b.decoded.size());
+  for (std::size_t l = 0; l < a.decoded.size(); ++l) {
+    EXPECT_EQ(a.decoded[l], b.decoded[l]) << "level " << l;
+    EXPECT_EQ(a.f0[l], b.f0[l]) << "level " << l;
+  }
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.level, b.level);
+  EXPECT_EQ(a.nonempty_cells, b.nonempty_cells);
+  EXPECT_EQ(a.cell_side, b.cell_side);
+  EXPECT_EQ(a.coreset, b.coreset);
+}
+
+// A live set of `n` points: `local` draws them within ±2 of three centres
+// (many share a level-0 cell), otherwise uniformly over [Δ]^d.
+std::vector<GridPoint> live_set(std::size_t n, std::int64_t delta, int dim,
+                                bool local, Rng& rng) {
+  std::vector<GridPoint> centres(3);
+  for (auto& c : centres) {
+    c.dim = dim;
+    for (int j = 0; j < dim; ++j)
+      c.c[static_cast<std::size_t>(j)] = rng.uniform_int(0, delta - 1);
+  }
+  std::vector<GridPoint> pts(n);
+  for (auto& p : pts) {
+    p.dim = dim;
+    const GridPoint& c = centres[rng.uniform(centres.size())];
+    for (int j = 0; j < dim; ++j) {
+      const auto i = static_cast<std::size_t>(j);
+      p.c[i] = local ? std::clamp<std::int64_t>(c.c[i] + rng.uniform_int(-2, 2),
+                                                0, delta - 1)
+                     : rng.uniform_int(0, delta - 1);
+    }
+  }
+  return pts;
+}
+
+// update_batch over any split of a script into spans (empty ones, single
+// updates, spans past kBatchChunk) leaves the sketch word for word where
+// one update() per element leaves it; so do batches whose per-cell sums
+// are all zero.
+TEST(DynamicCoreset, UpdateBatchMatchesUpdateOnRandomSplits) {
+  for (const bool det : {false, true}) {
+    for (const int dim : {1, 2, 3}) {
+      for (const bool local : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "det " << det << " dim " << dim
+                                          << " local " << local);
+        DynamicCoresetOptions opt;
+        opt.k = 1;
+        opt.z = 1;
+        opt.eps = 1.0;
+        // The deterministic decoder scans the universe: keep it small.
+        opt.delta = det ? 16 : (dim == 3 ? 64 : 256);
+        opt.dim = dim;
+        opt.seed = 40 + static_cast<std::uint64_t>(dim);
+        opt.deterministic_recovery = det;
+        Rng rng(opt.seed * 2 + (local ? 1 : 0));
+        // Over kBatchChunk updates; the live set is smaller on the
+        // deterministic path, whose decode is quadratic in the budget.
+        const std::size_t live = det ? 60 : 1500;
+        const auto script = make_dynamic_script(
+            live_set(live, opt.delta, dim, local, rng), 3000 - live, opt.delta,
+            dim, opt.seed + 7);
+        ASSERT_GT(script.size(), DynamicCoreset::kBatchChunk);
+
+        DynamicCoreset ref(opt);
+        for (const auto& up : script) ref.update(up.p, up.sign);
+        const SketchView want = view_of(ref);
+
+        const std::span<const GridUpdate> all(script);
+        for (int split = 0; split < 4; ++split) {
+          SCOPED_TRACE(::testing::Message() << "split " << split);
+          DynamicCoreset dc(opt);
+          if (split == 0) {
+            for (std::size_t i = 0; i < all.size(); ++i)
+              dc.update_batch(all.subspan(i, 1));
+          } else if (split == 1) {
+            dc.update_batch(all);
+          } else {
+            // Random spans of 0..600 updates (split 2), or 0..600 plus one
+            // span of kBatchChunk + 123 (split 3), with empty spans
+            // between them.
+            std::size_t at = 0;
+            bool long_span = split == 3;
+            while (at < all.size()) {
+              std::size_t len = rng.uniform(601);
+              if (long_span && at > 0) {
+                len = DynamicCoreset::kBatchChunk + 123;
+                long_span = false;
+              }
+              len = std::min(len, all.size() - at);
+              dc.update_batch(all.subspan(at, len));
+              dc.update_batch(all.subspan(at, 0));
+              at += len;
+            }
+          }
+          expect_same_sketch(view_of(dc), want);
+        }
+
+        // Insert-then-delete pairs nested in one span sum to zero in every
+        // cell: the state must not move.
+        DynamicCoreset dc(opt);
+        dc.update_batch(all);
+        const auto extra = live_set(300, opt.delta, dim, local, rng);
+        std::vector<GridUpdate> zero;
+        for (const auto& p : extra) zero.push_back({p, +1});
+        for (auto it = extra.rbegin(); it != extra.rend(); ++it)
+          zero.push_back({*it, -1});
+        dc.update_batch(zero);
+        expect_same_sketch(view_of(dc), want);
+      }
+    }
+  }
+}
+
+// Strict turnstile holds on every prefix of a batch: [−p, +p] on an empty
+// sketch sums to zero, yet its first prefix deletes a point never inserted.
+TEST(DynamicCoresetDeathTest, UpdateBatchChecksEveryPrefix) {
+  DynamicCoreset dc(small_opts(3));
+  const GridPoint p{{5, 9}, 2};
+  const std::vector<GridUpdate> batch{{p, -1}, {p, +1}};
+  EXPECT_DEATH(dc.update_batch(batch), "live_ >= 0");
 }
 
 TEST(DynamicKCenter, SolvesPlantedGridInstance) {

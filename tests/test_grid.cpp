@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "geometry/grid.hpp"
 
@@ -88,6 +89,20 @@ TEST(GridHierarchy, NonPowerOfTwoDelta) {
     const auto id = g.cell_id(p, level);
     EXPECT_LT(id, g.universe_size(level));
   }
+}
+
+TEST(GridHierarchy, FitsTheSixtyTwoBitCellId) {
+  EXPECT_EQ(GridHierarchy::axis_bits(2), 1);
+  EXPECT_EQ(GridHierarchy::axis_bits(256), 8);
+  EXPECT_EQ(GridHierarchy::axis_bits(257), 9);
+  EXPECT_TRUE(GridHierarchy::fits(256, 7));    // 56 bits
+  EXPECT_FALSE(GridHierarchy::fits(256, 8));   // 64
+  EXPECT_FALSE(GridHierarchy::fits(100000, 4));  // 4 · 17 = 68
+  EXPECT_TRUE(GridHierarchy::fits(std::int64_t{1} << 62, 1));
+  EXPECT_FALSE(GridHierarchy::fits((std::int64_t{1} << 62) + 1, 1));
+  EXPECT_FALSE(
+      GridHierarchy::fits(std::numeric_limits<std::int64_t>::max(), 1));
+  EXPECT_FALSE(GridHierarchy::fits(1, 1));
 }
 
 TEST(SnapToGrid, RoundsAndClamps) {

@@ -12,10 +12,12 @@
 // Unknown flags are an error (usage text + exit 2), so a typo'd flag in a
 // CI smoke step fails the job instead of silently running the defaults.
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <limits>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -309,6 +311,33 @@ int main(int argc, char** argv) {
     workload = engine::make_workload(n, cfg);
   }
 
+  // The dynamic sketch's sizing inputs, checked once the dimension is
+  // known (an --input file sets it): its cell ids pack d·⌈log2 Δ⌉ bits into
+  // 62, and its sample budget s = k(4√d/ε)^d + z, evaluated in double
+  // before any integer conversion, must give a representable sketch.
+  if (std::find(names.begin(), names.end(), "dynamic") != names.end()) {
+    if (!GridHierarchy::fits(cfg.delta, cfg.dim)) {
+      std::fprintf(stderr,
+                   "error: --delta %lld in %d dimensions needs %lld bits "
+                   "of grid cell id; the dynamic sketch packs at most 62\n",
+                   static_cast<long long>(cfg.delta), cfg.dim,
+                   static_cast<long long>(cfg.dim) *
+                       GridHierarchy::axis_bits(cfg.delta));
+      return 2;
+    }
+    const double s = dynamic::dynamic_sample_budget_real(cfg.k, cfg.z,
+                                                         cfg.eps, cfg.dim);
+    if (!(s <= static_cast<double>(dynamic::kMaxSampleBudget))) {
+      std::fprintf(stderr,
+                   "error: --k %d --z %lld --eps %g --dim %d give a dynamic "
+                   "sample budget of %g cells; the largest representable "
+                   "sketch holds %lld\n",
+                   cfg.k, static_cast<long long>(cfg.z), cfg.eps, cfg.dim, s,
+                   static_cast<long long>(dynamic::kMaxSampleBudget));
+      return 2;
+    }
+  }
+
   if (workload.from_dataset()) {
     std::printf("kcenter_cli: dataset %s: n=%zu k=%d z=%lld eps=%g dim=%d "
                 "norm=%s seed=%llu (streamed out of core)\n\n",
@@ -356,7 +385,18 @@ int main(int argc, char** argv) {
       }
       run_on = &materialized;
     }
-    const auto res = pipeline->execute(*run_on, cfg);
+    engine::PipelineResult res;
+    try {
+      res = pipeline->execute(*run_on, cfg);
+    } catch (const std::bad_alloc&) {
+      // A representable but oversized structure (e.g. the dynamic sketch
+      // at a tiny --eps) is an input the machine cannot hold, not a crash.
+      std::fprintf(stderr,
+                   "error: %s: out of memory building the summary for "
+                   "these parameters\n",
+                   name.c_str());
+      return 2;
+    }
     const auto& r = res.report;
     const bool grid_space = r.get("grid_space") > 0;
     any_grid_space = any_grid_space || grid_space;
