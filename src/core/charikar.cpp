@@ -169,19 +169,11 @@ CharikarRun charikar_run(const WeightedSet& pts, int k, std::int64_t z,
                          double r, const Metric& metric, ThreadPool* pool,
                          const kernels::PointBuffer* buffer) {
   KC_EXPECTS(k >= 1);
-  if (metric.norm() == Norm::Custom || r <= 0.0 ||
-      pts.size() < kGridMinPoints)
+  if (r <= 0.0 || pts.size() < kGridMinPoints)
     return charikar_run_scalar(pts, k, z, r, metric);
-  switch (metric.norm()) {
-    case Norm::L2:
-      return charikar_run_grid<Norm::L2>(pts, k, z, r, pool, buffer);
-    case Norm::Linf:
-      return charikar_run_grid<Norm::Linf>(pts, k, z, r, pool, buffer);
-    case Norm::L1:
-      return charikar_run_grid<Norm::L1>(pts, k, z, r, pool, buffer);
-    case Norm::Custom: break;  // handled above
-  }
-  return charikar_run_scalar(pts, k, z, r, metric);  // unreachable
+  return kernels::with_norm(metric.norm(), [&]<Norm N>() {
+    return charikar_run_grid<N>(pts, k, z, r, pool, buffer);
+  });
 }
 
 CharikarResult charikar_oracle(const WeightedSet& pts, int k, std::int64_t z,
@@ -226,7 +218,7 @@ CharikarResult charikar_oracle(const WeightedSet& pts, int k, std::int64_t z,
   kernels::PointBuffer local;
   const kernels::PointBuffer* buffer = opt.exec.buffer;
   if ((buffer == nullptr || buffer->size() != pts.size()) &&
-      metric.norm() != Norm::Custom && pts.size() >= kGridMinPoints) {
+      pts.size() >= kGridMinPoints) {
     local = kernels::PointBuffer(pts);
     buffer = &local;
   }

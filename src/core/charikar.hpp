@@ -42,8 +42,8 @@ struct CharikarRun {
   bool success = false;   ///< uncovered ≤ z
 };
 
-/// One greedy pass with a fixed radius guess.  Built-in norms run the
-/// grid-accelerated pass: candidate ball weights are computed once from
+/// One greedy pass with a fixed radius guess.  For r > 0 and at least 32
+/// points it runs the grid-accelerated pass: candidate ball weights are computed once from
 /// grid-bucketed neighborhoods and maintained *incrementally* as points are
 /// covered, so the per-round cost is O(n) plus the (one-time) total size of
 /// the r-balls touched, instead of the O(n²) rescan per round of the
@@ -60,8 +60,9 @@ struct CharikarRun {
                                            nullptr);
 
 /// Reference implementation of `charikar_run`: the plain O(k · n²) rescan.
-/// Fallback for custom metrics and degenerate radii, and the ground truth
-/// for the grid-path equivalence tests.
+/// `charikar_run` runs it for inputs below 32 points and for r ≤ 0 (the
+/// grid needs a positive cell width); it is also the ground truth for the
+/// grid-path equivalence tests.
 [[nodiscard]] CharikarRun charikar_run_scalar(const WeightedSet& pts, int k,
                                               std::int64_t z, double r,
                                               const Metric& metric);

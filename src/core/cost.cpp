@@ -31,21 +31,10 @@ std::vector<double> nearest_center_dist(const WeightedSet& pts,
                                         const Metric& metric,
                                         const kernels::PointBuffer* buf) {
   KC_EXPECTS(!centers.empty());
-  if (buf != nullptr && buf->size() == pts.size() &&
-      metric.norm() != Norm::Custom && !pts.empty()) {
-    std::vector<double> keys;
-    switch (metric.norm()) {
-      case Norm::L2:
-        keys = nearest_center_keys<Norm::L2>(*buf, centers);
-        break;
-      case Norm::Linf:
-        keys = nearest_center_keys<Norm::Linf>(*buf, centers);
-        break;
-      case Norm::L1:
-        keys = nearest_center_keys<Norm::L1>(*buf, centers);
-        break;
-      case Norm::Custom: break;  // excluded above
-    }
+  if (buf != nullptr && buf->size() == pts.size() && !pts.empty()) {
+    std::vector<double> keys = kernels::with_norm(
+        metric.norm(),
+        [&]<Norm N>() { return nearest_center_keys<N>(*buf, centers); });
     for (auto& k : keys) k = metric.key_to_dist(k);
     return keys;
   }

@@ -18,11 +18,11 @@ namespace kc {
 /// Distance from each point of `pts` to its nearest center.
 ///
 /// `buf` (optional) is a prebuilt SoA buffer of `pts` in the same order
-/// (e.g. the workload's canonical buffer): built-in norms then run the
+/// (e.g. the workload's canonical buffer): the scan then runs the
 /// batched min-relax kernel per center instead of the AoS scalar scan.
 /// Per-point minimisation visits centers in the same ascending order either
-/// way, so the result is bit-identical.  Ignored when null, stale (size
-/// mismatch), or under a custom metric.
+/// way, so the result is bit-identical.  Ignored when null or stale (size
+/// mismatch).
 [[nodiscard]] std::vector<double> nearest_center_dist(
     const WeightedSet& pts, const PointSet& centers, const Metric& metric,
     const kernels::PointBuffer* buf = nullptr);

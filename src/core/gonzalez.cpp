@@ -16,33 +16,6 @@ namespace {
 // exactly `gonzalez(pts, #centers)` (prefix consistency, see the header).
 using PrefixHook = std::function<void(const GonzalezResult&)>;
 
-// Shared selection loop: `relax(center_coords, label)` relaxes every
-// point's nearest-center key against the new center and returns the
-// farthest point under the relaxed keys (first max wins).
-template <typename Relax>
-GonzalezResult run_traversal(const WeightedSet& pts, int max_centers,
-                             const Metric& metric, double stop_radius,
-                             const PrefixHook& on_prefix, Relax&& relax) {
-  GonzalezResult res;
-  const std::size_t n = pts.size();
-  res.assignment.assign(n, 0);
-  std::size_t next = 0;  // first center: index 0 (deterministic)
-  for (int t = 0; t < max_centers && static_cast<std::size_t>(t) < n; ++t) {
-    res.center_indices.push_back(next);
-    const kernels::RelaxResult rr =
-        relax(pts[next].p, static_cast<std::uint32_t>(t), res.assignment);
-    const double radius = metric.key_to_dist(rr.far_key);
-    res.delta.push_back(radius);
-    next = rr.far_idx;
-    if (on_prefix) on_prefix(res);
-    if (stop_radius > 0.0 && radius <= stop_radius) break;
-    // kc-lint-allow(numerics): a max of exact distances is 0.0 only when
-    // every remaining point coincides with a selected center.
-    if (radius == 0.0) break;  // all points coincide with selected centers
-  }
-  return res;
-}
-
 GonzalezResult traverse(const WeightedSet& pts, int max_centers,
                         const Metric& metric, double stop_radius,
                         ThreadPool* pool, const kernels::PointBuffer* buffer,
@@ -51,52 +24,36 @@ GonzalezResult traverse(const WeightedSet& pts, int max_centers,
   if (pts.empty()) return {};
   const std::size_t n = pts.size();
   std::vector<double> key(n, std::numeric_limits<double>::infinity());
-
-  if (metric.norm() == Norm::Custom) {
-    // Scalar fallback: a user-supplied distance cannot go through the
-    // inline kernels.
-    return run_traversal(
-        pts, max_centers, metric, stop_radius, on_prefix,
-        [&](const Point& c, std::uint32_t label,
-            std::vector<std::uint32_t>& assign) {
-          kernels::RelaxResult rr;
-          for (std::size_t i = 0; i < n; ++i) {
-            const double k2 = metric.dist_key(pts[i].p, c);
-            if (k2 < key[i]) {
-              key[i] = k2;
-              assign[i] = label;
-            }
-            if (key[i] > rr.far_key) {
-              rr.far_key = key[i];
-              rr.far_idx = i;
-            }
-          }
-          return rr;
-        });
-  }
-
   kernels::PointBuffer local;
   if (buffer == nullptr || buffer->size() != n)
     local = kernels::PointBuffer(pts);
   const kernels::PointBuffer& buf =
       (buffer != nullptr && buffer->size() == n) ? *buffer : local;
   std::vector<double> scratch(n);
-  auto kernel_run = [&]<Norm N>() {
-    return run_traversal(pts, max_centers, metric, stop_radius, on_prefix,
-                         [&](const Point& c, std::uint32_t label,
-                             std::vector<std::uint32_t>& assign) {
-                           return kernels::relax_min_keys_parallel<N>(
-                               buf, c.coords().data(), label, key.data(),
-                               assign.data(), scratch.data(), pool);
-                         });
-  };
-  switch (metric.norm()) {
-    case Norm::L2: return kernel_run.template operator()<Norm::L2>();
-    case Norm::Linf: return kernel_run.template operator()<Norm::Linf>();
-    case Norm::L1: return kernel_run.template operator()<Norm::L1>();
-    case Norm::Custom: break;  // handled above
-  }
-  return {};  // unreachable
+
+  // Each step relaxes every point's nearest-center key against the new
+  // center and moves to the farthest point under the relaxed keys (first
+  // max wins).
+  return kernels::with_norm(metric.norm(), [&]<Norm N>() {
+    GonzalezResult res;
+    res.assignment.assign(n, 0);
+    std::size_t next = 0;  // first center: index 0 (deterministic)
+    for (int t = 0; t < max_centers && static_cast<std::size_t>(t) < n; ++t) {
+      res.center_indices.push_back(next);
+      const kernels::RelaxResult rr = kernels::relax_min_keys_parallel<N>(
+          buf, pts[next].p.coords().data(), static_cast<std::uint32_t>(t),
+          key.data(), res.assignment.data(), scratch.data(), pool);
+      const double radius = metric.key_to_dist(rr.far_key);
+      res.delta.push_back(radius);
+      next = rr.far_idx;
+      if (on_prefix) on_prefix(res);
+      if (stop_radius > 0.0 && radius <= stop_radius) break;
+      // kc-lint-allow(numerics): a max of exact distances is 0.0 only when
+      // every remaining point coincides with a selected center.
+      if (radius == 0.0) break;  // all points coincide with selected centers
+    }
+    return res;
+  });
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "core/mbc.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -13,9 +14,6 @@ namespace kc {
 
 namespace {
 
-// Below this input size the grid build costs more than it prunes.
-constexpr std::size_t kGridMinPoints = 32;
-
 // Rep count at which the covering pass switches from the early-exit linear
 // scan to grid probes.  The scan touches first-hit-position inline
 // distances per point (cheap, and small while reps are few); a grid probe
@@ -24,37 +22,30 @@ constexpr std::size_t kGridMinPoints = 32;
 // lowest-index representative within the radius.
 constexpr std::size_t kGridSwitchReps = 256;
 
-// Covering pass with grid acceleration: representatives are indexed in a
-// hash grid with cell width = radius, so each point probes only the 3^d
-// neighboring cells instead of scanning every representative.  To match
-// the scalar reference exactly we assign to the *lowest-index*
-// representative within the radius (the scalar scan returns the first
-// hit in rep order, which is the same thing).  The grid is built lazily
-// once the rep set reaches `switch_reps`.
+// Covering pass with grid acceleration: once the rep set reaches
+// kGridSwitchReps, representatives are indexed in a hash grid with cell
+// width = radius, so each point probes only the 3^d neighboring cells
+// instead of scanning every representative.  Both phases assign to the
+// *lowest-index* representative within the radius — the first hit of a
+// scan in rep order.  At radius 0 the grid never switches on (it needs a
+// positive width) and the scan joins exact duplicates only.
 template <Norm N>
-MiniBallCovering mbc_hybrid_impl(const WeightedSet& pts, double radius,
-                                 std::size_t switch_reps) {
+MiniBallCovering mbc_hybrid_impl(const WeightedSet& pts, double radius) {
   MiniBallCovering out;
   out.cover_radius = radius;
+  if (pts.empty()) return out;
   out.assignment.reserve(pts.size());
   const double key = kernels::dist_to_key(N, radius);
   const int dim = pts.front().p.dim();
+  const bool use_grid = radius > 0.0;
 
   // SoA mirror of the rep coordinates for the pre-grid phase: the
   // "first rep within radius" probe runs through the blocked vectorized
-  // scan (identical first hit).  Not maintained once the grid takes over.
+  // scan.  Not maintained once the grid takes over.
   kernels::PointBuffer repbuf(dim);
-  repbuf.reserve(switch_reps);
+  repbuf.reserve(std::min(kGridSwitchReps, pts.size()));
 
   std::optional<GridIndex> grid;
-  const auto ensure_grid = [&] {
-    if (grid || out.reps.size() < switch_reps) return;
-    grid.emplace(radius, dim);
-    for (std::size_t r = 0; r < out.reps.size(); ++r)
-      grid->insert(out.reps[r].p, static_cast<std::uint32_t>(r));
-  };
-  ensure_grid();
-
   constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
   for (const auto& wp : pts) {
     KC_EXPECTS(wp.w > 0);
@@ -78,83 +69,32 @@ MiniBallCovering mbc_hybrid_impl(const WeightedSet& pts, double radius,
     if (best != kNone) {
       out.reps[best].w += wp.w;
       out.assignment.push_back(best);
+      continue;
+    }
+    const auto id = static_cast<std::uint32_t>(out.reps.size());
+    out.assignment.push_back(id);
+    out.reps.push_back(wp);
+    if (grid) {
+      grid->insert(q, id);
+    } else if (use_grid && out.reps.size() >= kGridSwitchReps) {
+      grid.emplace(radius, dim);
+      for (std::size_t r = 0; r < out.reps.size(); ++r)
+        grid->insert(out.reps[r].p, static_cast<std::uint32_t>(r));
     } else {
-      const auto id = static_cast<std::uint32_t>(out.reps.size());
-      out.assignment.push_back(id);
-      out.reps.push_back(wp);
-      if (grid) {
-        grid->insert(q, id);
-      } else {
-        repbuf.append(q);
-        ensure_grid();
-      }
+      repbuf.append(q);
     }
   }
   return out;
-}
-
-MiniBallCovering mbc_by_norm(const WeightedSet& pts, double radius,
-                             const Metric& metric, std::size_t switch_reps) {
-  switch (metric.norm()) {
-    case Norm::L2:
-      return mbc_hybrid_impl<Norm::L2>(pts, radius, switch_reps);
-    case Norm::Linf:
-      return mbc_hybrid_impl<Norm::Linf>(pts, radius, switch_reps);
-    case Norm::L1:
-      return mbc_hybrid_impl<Norm::L1>(pts, radius, switch_reps);
-    case Norm::Custom: break;  // callers exclude Custom
-  }
-  return mbc_with_radius_scalar(pts, radius, metric);  // unreachable
 }
 
 }  // namespace
 
-MiniBallCovering mbc_with_radius_scalar(const WeightedSet& pts, double radius,
-                                        const Metric& metric) {
-  KC_EXPECTS(radius >= 0.0);
-  MiniBallCovering out;
-  out.cover_radius = radius;
-  out.assignment.reserve(pts.size());
-  const double key = metric.dist_to_key(radius);
-
-  for (const auto& wp : pts) {
-    KC_EXPECTS(wp.w > 0);
-    bool placed = false;
-    for (std::size_t r = 0; r < out.reps.size(); ++r) {
-      if (metric.dist_key(wp.p, out.reps[r].p) <= key) {
-        out.reps[r].w += wp.w;
-        out.assignment.push_back(static_cast<std::uint32_t>(r));
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      out.assignment.push_back(static_cast<std::uint32_t>(out.reps.size()));
-      out.reps.push_back(wp);
-    }
-  }
-  return out;
-}
-
 MiniBallCovering mbc_with_radius(const WeightedSet& pts, double radius,
                                  const Metric& metric) {
   KC_EXPECTS(radius >= 0.0);
-  if (metric.norm() == Norm::Custom || radius <= 0.0 ||
-      pts.size() < kGridMinPoints)
-    return mbc_with_radius_scalar(pts, radius, metric);
-  return mbc_by_norm(pts, radius, metric, kGridSwitchReps);
-}
-
-MiniBallCovering mbc_with_radius_grid(const WeightedSet& pts, double radius,
-                                      const Metric& metric) {
-  KC_EXPECTS(radius > 0.0);
-  KC_EXPECTS(metric.norm() != Norm::Custom);
-  if (pts.empty()) {
-    MiniBallCovering out;
-    out.cover_radius = radius;
-    return out;
-  }
-  return mbc_by_norm(pts, radius, metric, /*switch_reps=*/0);
+  return kernels::with_norm(metric.norm(), [&]<Norm N>() {
+    return mbc_hybrid_impl<N>(pts, radius);
+  });
 }
 
 MiniBallCovering mbc_construct(const WeightedSet& pts, int k, std::int64_t z,

@@ -48,28 +48,15 @@ struct MiniBallCovering {
 /// original coordinates and accumulate the weight of the points they absorb.
 /// Postcondition: representatives are pairwise > radius apart.
 ///
-/// Built-in norms run adaptively: an early-exit linear scan while the rep
-/// set is small, then a hash grid (geometry/grid_index.hpp) of the
+/// Runs adaptively: an early-exit linear scan while the rep set is small,
+/// then (for radius > 0) a hash grid (geometry/grid_index.hpp) of the
 /// representatives so each point probes only grid-adjacent reps.  Either
-/// way the result is bit-identical to the scalar reference below (pinned by
-/// tests/test_kernels.cpp).
+/// way each point joins the lowest-index representative within the radius,
+/// the same result as the plain O(n·|reps|) scan kept in
+/// tests/core_reference.hpp (pinned by tests/test_kernels.cpp).
 [[nodiscard]] MiniBallCovering mbc_with_radius(const WeightedSet& pts,
                                                double radius,
                                                const Metric& metric);
-
-/// Grid-from-the-start variant (no adaptive switch).  Exposed so the
-/// equivalence tests and benches can exercise the grid path regardless of
-/// the adaptive threshold.  Requires a built-in norm and radius > 0.
-[[nodiscard]] MiniBallCovering mbc_with_radius_grid(const WeightedSet& pts,
-                                                    double radius,
-                                                    const Metric& metric);
-
-/// Reference implementation of `mbc_with_radius`: the plain O(n·|reps|)
-/// scan.  Used as the fallback for custom metrics and degenerate radii, and
-/// as the ground truth for the grid-path equivalence tests.
-[[nodiscard]] MiniBallCovering mbc_with_radius_scalar(const WeightedSet& pts,
-                                                      double radius,
-                                                      const Metric& metric);
 
 /// Algorithm 1, MBCConstruction(P, k, z, ε): radius oracle + greedy cover
 /// with mini-ball radius ε·r/ρ.

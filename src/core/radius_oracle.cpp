@@ -40,7 +40,7 @@ std::vector<RadiusEstimate> estimate_radius_ladder(
   mpc::ExecContext exec = opt.exec;
   kernels::PointBuffer local;
   if ((exec.buffer == nullptr || exec.buffer->size() != pts.size()) &&
-      metric.norm() != Norm::Custom && !pts.empty()) {
+      !pts.empty()) {
     local = kernels::PointBuffer(pts);
     exec.buffer = &local;
   }

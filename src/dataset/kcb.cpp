@@ -10,8 +10,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 
+#include "geometry/point.hpp"
 #include "util/check.hpp"
 
 namespace kc::dataset {
@@ -292,6 +294,17 @@ MappedKcb::MappedKcb(const std::string& path) {
   std::memcpy(box_hi_.data(),
               base + sizeof(KcbHeader) + header_.dim * sizeof(double),
               header_.dim * sizeof(double));
+  for (std::uint32_t j = 0; j < header_.dim; ++j) {
+    // Negated so a NaN bound is rejected too.
+    if (!(box_lo_[j] >= -Point::kMaxAbsCoordinate &&
+          box_hi_[j] <= Point::kMaxAbsCoordinate)) {
+      std::ostringstream os;
+      os << "column " << (j + 1) << ": bounding box [" << box_lo_[j] << ", "
+         << box_hi_[j] << "] exceeds the coordinate bound "
+         << Point::kMaxAbsCoordinate;
+      reject(os.str());
+    }
+  }
   data_ = reinterpret_cast<const double*>(base + kKcbDataOffset);
 
 #if defined(POSIX_MADV_SEQUENTIAL)

@@ -4,7 +4,7 @@
 // Everything in this repo streams coordinates column-wise, so the file
 // stores exactly what the kernels read: `dim` contiguous float64 columns of
 // length `n` (stride = n).  A reader maps the file and hands out
-// `BufferView<double>` slices whose `col(j)` pointers alias the mapping —
+// `BufferView` slices whose `col(j)` pointers alias the mapping —
 // no parse, no re-pack, no copy; the OS page cache is the only buffer.
 //
 // Layout (version 1, all integers little-or-big endian as written — the
@@ -134,8 +134,9 @@ class KcbWriter {
 };
 
 /// Read-only mmap of a `.kcb` file.  Opening validates the header (magic,
-/// endianness, version, dtype, header checksum, exact file size) and
-/// advises the kernel of sequential access; `view()` aliases the mapping.
+/// endianness, version, dtype, header checksum, exact file size) and that
+/// the bounding box lies within ±Point::kMaxAbsCoordinate, and advises the
+/// kernel of sequential access; `view()` aliases the mapping.
 class MappedKcb {
  public:
   /// Throws std::runtime_error with a precise reason on any malformed file.
@@ -159,9 +160,8 @@ class MappedKcb {
 
   /// Zero-copy view of the whole file: col(j) points into the mapping at
   /// file offset 4096 + j·8·n.
-  [[nodiscard]] kernels::BufferView<double> view() const noexcept {
-    return kernels::BufferView<double>(data_, header_.n,
-                                       header_.n, dim());
+  [[nodiscard]] kernels::BufferView view() const noexcept {
+    return kernels::BufferView(data_, header_.n, header_.n, dim());
   }
 
   /// First mapped data element (for pointer-identity tests).

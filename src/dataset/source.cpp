@@ -13,8 +13,8 @@ namespace kc::dataset {
 // ---------------------------------------------------------------------------
 // KcbSource
 
-kernels::BufferView<double> KcbSource::chunk(std::uint64_t offset,
-                                             std::size_t count) {
+kernels::BufferView KcbSource::chunk(std::uint64_t offset,
+                                     std::size_t count) {
   KC_EXPECTS(count >= 1 && offset + count <= map_.size());
   // subview keeps the mapping's stride (= n), so col(j) pointers alias the
   // file image directly — zero-copy by construction.
@@ -115,8 +115,8 @@ void GeneratedSource::point_at(std::uint64_t i, double* out) const {
     out[j] = ctr[j] + (2.0 * u01(next()) - 1.0) * cfg_.cluster_radius;
 }
 
-kernels::BufferView<double> GeneratedSource::chunk(std::uint64_t offset,
-                                                   std::size_t count) {
+kernels::BufferView GeneratedSource::chunk(std::uint64_t offset,
+                                           std::size_t count) {
   KC_EXPECTS(count >= 1 && offset + count <= cfg_.n);
   kernels::PointBuffer& slot = slots_[active_];
   active_ ^= 1;
@@ -196,7 +196,7 @@ double chunked_radius_impl(DataSource& src, const PointSet& centers,
   std::vector<double> keys, scratch;
   ChunkedReader::Chunk ch;
   while (reader.next(ch)) {
-    kernels::BufferView<double> view = ch.view;
+    kernels::BufferView view = ch.view;
     if (transform) {
       scratch_buf.clear();
       transform(ch.view, scratch_buf);
@@ -233,21 +233,9 @@ double chunked_radius_with_outliers(DataSource& src, const PointSet& centers,
                                     const ChunkTransform& transform) {
   KC_EXPECTS(!centers.empty());
   KC_EXPECTS(z >= 0);
-  KC_EXPECTS(metric.norm() != Norm::Custom);
-  switch (metric.norm()) {
-    case Norm::L2:
-      return chunked_radius_impl<Norm::L2>(src, centers, z, metric, opts,
-                                           transform);
-    case Norm::Linf:
-      return chunked_radius_impl<Norm::Linf>(src, centers, z, metric, opts,
-                                             transform);
-    case Norm::L1:
-      return chunked_radius_impl<Norm::L1>(src, centers, z, metric, opts,
-                                           transform);
-    case Norm::Custom: break;
-  }
-  KC_EXPECTS(false && "unreachable norm");
-  return 0.0;
+  return kernels::with_norm(metric.norm(), [&]<Norm N>() {
+    return chunked_radius_impl<N>(src, centers, z, metric, opts, transform);
+  });
 }
 
 // ---------------------------------------------------------------------------

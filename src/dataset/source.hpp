@@ -58,7 +58,7 @@ class DataSource {
   /// returned view stays valid until the *second* following chunk() call
   /// (double-buffer contract; mmap-backed views are valid for the source's
   /// lifetime).
-  [[nodiscard]] virtual kernels::BufferView<double> chunk(
+  [[nodiscard]] virtual kernels::BufferView chunk(
       std::uint64_t offset, std::size_t count) = 0;
 
   /// Advisory: the caller will read rows [offset, offset+count) soon.
@@ -93,7 +93,7 @@ class KcbSource final : public DataSource {
   [[nodiscard]] const std::vector<double>& box_hi() const override {
     return map_.box_hi();
   }
-  [[nodiscard]] kernels::BufferView<double> chunk(
+  [[nodiscard]] kernels::BufferView chunk(
       std::uint64_t offset, std::size_t count) override;
   void prefetch(std::uint64_t offset, std::size_t count) override {
     map_.prefetch(offset, count);
@@ -137,7 +137,7 @@ class GeneratedSource final : public DataSource {
   [[nodiscard]] const std::vector<double>& box_hi() const override {
     return box_hi_;
   }
-  [[nodiscard]] kernels::BufferView<double> chunk(
+  [[nodiscard]] kernels::BufferView chunk(
       std::uint64_t offset, std::size_t count) override;
   [[nodiscard]] std::string describe() const override;
 
@@ -170,7 +170,7 @@ struct ReaderOptions {
 class ChunkedReader {
  public:
   struct Chunk {
-    kernels::BufferView<double> view;
+    kernels::BufferView view;
     std::uint64_t offset = 0;  ///< row index of view row 0 in the source
   };
 
@@ -204,7 +204,7 @@ class ChunkedReader {
 /// `scratch` (cleared by the caller) with the transformed image of `in`
 /// — e.g. the dynamic pipeline's [Δ]^d discretization.
 using ChunkTransform = std::function<void(
-    const kernels::BufferView<double>& in, kernels::PointBuffer& scratch)>;
+    const kernels::BufferView& in, kernels::PointBuffer& scratch)>;
 
 /// Exact `radius_with_outliers` over a source, one chunk at a time: the
 /// smallest r such that at most z points are farther than r from their

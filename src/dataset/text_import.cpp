@@ -29,6 +29,12 @@ namespace {
   throw std::runtime_error(os.str());
 }
 
+std::string out_of_bound() {
+  std::ostringstream os;
+  os << "|value| exceeds the coordinate bound " << Point::kMaxAbsCoordinate;
+  return os.str();
+}
+
 bool is_blank(const std::string& s) {
   return std::all_of(s.begin(), s.end(), [](unsigned char c) {
     return std::isspace(c) != 0;
@@ -100,6 +106,11 @@ void walk_csv(const std::string& path,
       if (!std::isfinite(cols[c])) {
         std::ostringstream os;
         os << "column " << (c + 1) << ": non-finite value";
+        fail(path, lineno, os.str());
+      }
+      if (std::fabs(cols[c]) > Point::kMaxAbsCoordinate) {
+        std::ostringstream os;
+        os << "column " << (c + 1) << ": " << out_of_bound();
         fail(path, lineno, os.str());
       }
     }
@@ -232,6 +243,8 @@ std::uint64_t mtx_to_kcb(const std::string& mtx_path,
       double v = 0.0;
       if (!parse_cell(tok, v)) fail(mtx_path, lineno, "not a number: " + tok);
       if (!std::isfinite(v)) fail(mtx_path, lineno, "non-finite value");
+      if (std::fabs(v) > Point::kMaxAbsCoordinate)
+        fail(mtx_path, lineno, out_of_bound());
       if (got == need)
         fail(mtx_path, lineno, "trailing garbage after the declared values");
       const int col = static_cast<int>(got / n);

@@ -3,9 +3,10 @@
 // Both CLIs used to carry private CSV loaders that silently *skipped* any
 // line std::stod could not fully parse and silently *accepted* trailing
 // garbage inside a cell ("1.5abc" parsed as 1.5).  This is the one shared
-// parser now: every cell must be a complete finite number, every data line
-// must have a consistent column count, and every rejection names the line
-// (and column) that caused it.  The only forgiven line is a single leading
+// parser now: every cell must be a complete finite number of magnitude at
+// most Point::kMaxAbsCoordinate (past it a squared distance overflows),
+// every data line must have a consistent column count, and every rejection
+// names the line (and column) that caused it.  The only forgiven line is a single leading
 // header (first non-comment line that parses as no numbers at all) — real
 // CSV exports have one.
 //

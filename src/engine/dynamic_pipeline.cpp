@@ -122,7 +122,7 @@ class DynamicPipeline final : public Pipeline {
     const double span = std::max(box.max_side(), 1e-12);
     const double scale = static_cast<double>(cfg.delta - 1) / span;
     const auto snap_row = [&box, scale, &cfg](
-                              const kernels::BufferView<double>& v,
+                              const kernels::BufferView& v,
                               std::size_t i) {
       Point scaled(cfg.dim);
       for (int j = 0; j < cfg.dim; ++j)
@@ -175,7 +175,7 @@ class DynamicPipeline final : public Pipeline {
     // same snapping the sketch consumed.
     extract_and_evaluate_source(
         res, src, cfg,
-        [&snap_row](const kernels::BufferView<double>& in,
+        [&snap_row](const kernels::BufferView& in,
                     kernels::PointBuffer& scratch) {
           for (std::size_t i = 0; i < in.size(); ++i)
             scratch.append(snap_row(in, i).to_point());

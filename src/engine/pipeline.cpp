@@ -220,7 +220,7 @@ void evaluate_centers(PipelineResult& res, PointSet centers,
 
 void extract_and_evaluate_source(
     PipelineResult& res, dataset::DataSource& src, const PipelineConfig& cfg,
-    const std::function<void(const kernels::BufferView<double>&,
+    const std::function<void(const kernels::BufferView&,
                              kernels::PointBuffer&)>& transform) {
   if (!cfg.with_extraction || res.coreset.empty()) return;
   const Metric metric = cfg.metric();

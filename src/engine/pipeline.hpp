@@ -341,7 +341,7 @@ void evaluate_centers(PipelineResult& res, PointSet centers,
 /// `quality` is reported as 1.0, mirroring `with_direct_solve = false`.
 void extract_and_evaluate_source(
     PipelineResult& res, dataset::DataSource& src, const PipelineConfig& cfg,
-    const std::function<void(const kernels::BufferView<double>&,
+    const std::function<void(const kernels::BufferView&,
                              kernels::PointBuffer&)>& transform = nullptr);
 
 }  // namespace kc::engine

@@ -19,10 +19,9 @@
 // incremental-weight bookkeeping in core/charikar.cpp relies on that.
 // Extreme coordinate/width ratios are clamped to ±2^61 before the cast;
 // clamping is monotone and contracts index differences, so the superset
-// guarantee survives even degenerate inputs.
-//
-// Custom metrics get no grid (a user distance need not relate to
-// coordinates); the consumers keep their scalar fallbacks for that case.
+// guarantee survives even degenerate inputs.  The width must be positive:
+// a zero radius (exact duplicates only) is served by the consumers'
+// linear scans, never by a grid.
 
 #pragma once
 

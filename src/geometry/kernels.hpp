@@ -13,10 +13,9 @@
 // Floating-point contract: for each norm the kernels accumulate in the
 // exact same order as the historical scalar code (dimension-ascending per
 // point), so a kernel-computed distance key is bit-identical to
-// `Metric::dist_key` on float64 storage.  The differential suite in
-// tests/test_simd.cpp pins this down across norms × dimensions × sizes ×
-// slice offsets; it is what lets the SoA-migrated paths claim "no
-// behavioral change".
+// `Metric::dist_key`.  The differential suite in tests/test_simd.cpp pins
+// this down across norms × dimensions × sizes × slice offsets; it is what
+// lets the SoA-migrated paths claim "no behavioral change".
 //
 // Vectorization: the batch kernels dispatch on the buffer's dimension to
 // compile-time-specialized bodies for d ∈ {1, 2, 3, 4, 8} that fuse all
@@ -29,14 +28,12 @@
 // back to `compute_keys_generic`, the retained column-at-a-time reference
 // that doubles as the bit-equality ground truth.
 //
-// Storage types: kernels are generic over the buffer's scalar type.
-// Float64 buffers are bit-exact; float32 buffers (PointBufferF) round
-// coordinates once at append time and still accumulate in float64 — see
-// point_buffer.hpp for the documented error bound.
-//
-// `Norm::Custom` is deliberately outside this layer: a user-supplied
-// distance function cannot be inlined or bucketed, so callers must keep a
-// scalar fallback (they all do).
+// Norm dispatch: the kernels are templated on the norm, and `with_norm`
+// is the one place a runtime `Norm` becomes that template argument —
+// `Metric`'s inline calls and every batch consumer in core/, stream/ and
+// dataset/ go through it (kc_lint's api rule keeps `case Norm::` labels
+// inside geometry/).  Each kernel takes any SoA buffer or slice (a
+// `PointBuffer` or a `BufferView`) over float64 columns.
 //
 // The `_parallel` variants split the scanned range into the deterministic
 // chunks of `kc::ThreadPool` and reduce the per-chunk partials in ascending
@@ -73,12 +70,24 @@ namespace kc {
 
 namespace kernels {
 
+/// Calls `f.template operator()<N>()` with N = n and returns its result:
+/// the only mapping from a runtime `Norm` to a kernel instantiation.
+/// Callers pass a template lambda, `[&]<Norm N>() { ... }`.
+template <typename F>
+inline decltype(auto) with_norm(Norm n, F&& f) {
+  switch (n) {
+    case Norm::Linf: return f.template operator()<Norm::Linf>();
+    case Norm::L1: return f.template operator()<Norm::L1>();
+    case Norm::L2: break;
+  }
+  return f.template operator()<Norm::L2>();
+}
+
 /// Monotone distance key between two coordinate arrays: squared distance
 /// under L2 (avoids the sqrt), the distance itself under L∞/L1.
 template <Norm N>
 [[nodiscard]] inline double raw_key(const double* a, const double* b,
                                     int d) noexcept {
-  static_assert(N != Norm::Custom, "custom metrics have no inline kernel");
   if constexpr (N == Norm::L2) {
     double s = 0.0;
     for (int i = 0; i < d; ++i) {
@@ -100,30 +109,22 @@ template <Norm N>
   }
 }
 
-/// Runtime-norm dispatch to `raw_key` (for call sites that hold a `Norm`
-/// value rather than a template parameter, e.g. the inline Metric methods).
+/// Runtime-norm `raw_key` (for call sites that hold a `Norm` value rather
+/// than a template parameter, e.g. the inline Metric methods).
 [[nodiscard]] inline double dist_key(Norm n, const double* a, const double* b,
                                      int d) noexcept {
-  switch (n) {
-    case Norm::L2: return raw_key<Norm::L2>(a, b, d);
-    case Norm::Linf: return raw_key<Norm::Linf>(a, b, d);
-    case Norm::L1: return raw_key<Norm::L1>(a, b, d);
-    case Norm::Custom: break;
-  }
-  KC_DCHECK(false);  // custom metrics never reach the kernel layer
-  return 0.0;
-}
-
-/// Actual distance (key with the L2 sqrt applied).
-[[nodiscard]] inline double dist(Norm n, const double* a, const double* b,
-                                 int d) noexcept {
-  const double key = dist_key(n, a, b, d);
-  return n == Norm::L2 ? std::sqrt(key) : key;
+  return with_norm(n, [&]<Norm N>() { return raw_key<N>(a, b, d); });
 }
 
 /// Converts a key back to a distance.
 [[nodiscard]] inline double key_to_dist(Norm n, double key) noexcept {
   return n == Norm::L2 ? std::sqrt(key) : key;
+}
+
+/// Actual distance (key with the L2 sqrt applied).
+[[nodiscard]] inline double dist(Norm n, const double* a, const double* b,
+                                 int d) noexcept {
+  return key_to_dist(n, dist_key(n, a, b, d));
 }
 
 /// Converts a distance threshold to a key threshold (`dist <= r` iff
@@ -150,9 +151,9 @@ constexpr bool has_fixed_dim(int d) noexcept {
 }
 
 template <int D, typename Buf>
-[[nodiscard]] inline std::array<const typename Buf::value_type*, D> col_ptrs(
+[[nodiscard]] inline std::array<const double*, D> col_ptrs(
     const Buf& buf, std::size_t offset) noexcept {
-  std::array<const typename Buf::value_type*, D> c;
+  std::array<const double*, D> c;
   for (int j = 0; j < D; ++j) c[static_cast<std::size_t>(j)] = buf.col(j) + offset;
   return c;
 }
@@ -160,30 +161,27 @@ template <int D, typename Buf>
 /// Per-point key under norm N from D column pointers — the unrolled body
 /// shared by every fixed-dimension kernel.  Accumulation is
 /// dimension-ascending, identical to `raw_key`.
-template <Norm N, int D, typename T>
-[[nodiscard]] inline double key_at(const std::array<const T*, D>& c,
+template <Norm N, int D>
+[[nodiscard]] inline double key_at(const std::array<const double*, D>& c,
                                    const double* q, std::size_t i) noexcept {
   if constexpr (N == Norm::L2) {
     double s = 0.0;
     for (int j = 0; j < D; ++j) {
-      const double diff =
-          static_cast<double>(c[static_cast<std::size_t>(j)][i]) - q[j];
+      const double diff = c[static_cast<std::size_t>(j)][i] - q[j];
       s += diff * diff;
     }
     return s;
   } else if constexpr (N == Norm::Linf) {
     double m = 0.0;
     for (int j = 0; j < D; ++j) {
-      const double diff = std::fabs(
-          static_cast<double>(c[static_cast<std::size_t>(j)][i]) - q[j]);
+      const double diff = std::fabs(c[static_cast<std::size_t>(j)][i] - q[j]);
       if (diff > m) m = diff;
     }
     return m;
   } else {
     double s = 0.0;
     for (int j = 0; j < D; ++j)
-      s += std::fabs(static_cast<double>(c[static_cast<std::size_t>(j)][i]) -
-                     q[j]);
+      s += std::fabs(c[static_cast<std::size_t>(j)][i] - q[j]);
     return s;
   }
 }
@@ -252,21 +250,21 @@ inline void compute_keys_generic_range(const Buf& buf, const double* q,
                                        std::size_t end) noexcept {
   for (std::size_t i = begin; i < end; ++i) out[i] = 0.0;
   for (int j = 0; j < buf.dim(); ++j) {
-    const auto* c = buf.col(j);
+    const double* c = buf.col(j);
     const double qj = q[j];
     if constexpr (N == Norm::L2) {
       for (std::size_t i = begin; i < end; ++i) {
-        const double diff = static_cast<double>(c[i]) - qj;
+        const double diff = c[i] - qj;
         out[i] += diff * diff;
       }
     } else if constexpr (N == Norm::Linf) {
       for (std::size_t i = begin; i < end; ++i) {
-        const double diff = std::fabs(static_cast<double>(c[i]) - qj);
+        const double diff = std::fabs(c[i] - qj);
         if (diff > out[i]) out[i] = diff;
       }
     } else {
       for (std::size_t i = begin; i < end; ++i)
-        out[i] += std::fabs(static_cast<double>(c[i]) - qj);
+        out[i] += std::fabs(c[i] - qj);
     }
   }
 }

@@ -10,10 +10,9 @@ const char* Metric::name() const noexcept {
   switch (norm_) {
     case Norm::L2: return "L2";
     case Norm::Linf: return "Linf";
-    case Norm::L1: return "L1";
-    case Norm::Custom: return "custom";
+    case Norm::L1: break;
   }
-  return "?";
+  return "L1";
 }
 
 }  // namespace kc

@@ -1,87 +1,67 @@
-// Metric abstraction for R^d under the L2, L∞, and L1 norms, plus
-// user-supplied distances.
+// Metric abstraction for R^d under the L2, L∞, and L1 norms.
 //
 // All algorithms in the library are written against this class rather than
 // against a hard-coded norm: the paper's results hold in any metric space of
 // constant doubling dimension, and its sliding-window lower bound (§6) is
-// stated under L∞, so both norms must be first-class.  The Custom kind lets
-// adopters plug in any distance over coordinate tuples (e.g. a weighted
-// norm or a learned embedding distance); correctness of the paper's
-// guarantees then requires that the supplied function is a metric with
-// bounded doubling dimension — the triangle inequality and packing bounds
-// are used throughout.  The doubling dimension of R^d is Θ(d) under each
-// built-in norm; `doubling_dimension` returns the constant the size bounds
-// use.
+// stated under L∞, so every built-in norm is first-class.  A `Metric` is a
+// trivially copyable wrapper around a `Norm`; its distance calls are the
+// inline kernels of geometry/kernels.hpp, so a per-item call pays no
+// out-of-line call and no branch beyond the norm dispatch.  The doubling
+// dimension of R^d is Θ(d) under each norm; `doubling_dimension` returns
+// the constant the size bounds use.
 
 #pragma once
 
-#include <cmath>
-#include <cstdint>
-#include <functional>
-#include <memory>
+#include <type_traits>
 
 #include "geometry/kernels.hpp"  // defines Norm + the inline kernels
 #include "geometry/point.hpp"
 
 namespace kc {
 
-/// User-supplied distance; must satisfy the metric axioms.
-using DistanceFn = std::function<double(const Point&, const Point&)>;
-
 class Metric {
  public:
-  explicit Metric(Norm norm = Norm::L2) noexcept : norm_(norm) {
-    KC_EXPECTS(norm != Norm::Custom);  // Custom requires a function
-  }
-
-  /// Custom metric from a distance function.
-  explicit Metric(DistanceFn fn)
-      : norm_(Norm::Custom),
-        custom_(std::make_shared<DistanceFn>(std::move(fn))) {
-    KC_EXPECTS(static_cast<bool>(*custom_));
-  }
+  explicit Metric(Norm norm = Norm::L2) noexcept : norm_(norm) {}
 
   [[nodiscard]] Norm norm() const noexcept { return norm_; }
 
-  /// Defined inline (dispatching to the geometry/kernels.hpp kernels) so
-  /// even non-batched call sites pay no out-of-line call per distance.
-  [[nodiscard]] double dist(const Point& a, const Point& b) const {
+  [[nodiscard]] double dist(const Point& a, const Point& b) const noexcept {
     KC_DCHECK(a.dim() == b.dim());
-    if (norm_ == Norm::Custom) return (*custom_)(a, b);
     return kernels::dist(norm_, a.coords().data(), b.coords().data(), a.dim());
   }
 
   /// Monotone "fast key" — squared distance under L2 (avoids the sqrt in
-  /// inner loops); equals dist for every other kind.
-  [[nodiscard]] double dist_key(const Point& a, const Point& b) const {
+  /// inner loops); equals dist under L∞ and L1.
+  [[nodiscard]] double dist_key(const Point& a,
+                                const Point& b) const noexcept {
     KC_DCHECK(a.dim() == b.dim());
-    if (norm_ == Norm::Custom) return (*custom_)(a, b);
     return kernels::dist_key(norm_, a.coords().data(), b.coords().data(),
                              a.dim());
   }
 
   /// Converts a key produced by dist_key back to a distance.
   [[nodiscard]] double key_to_dist(double key) const noexcept {
-    return norm_ == Norm::L2 ? std::sqrt(key) : key;
+    return kernels::key_to_dist(norm_, key);
   }
 
   /// Converts a distance threshold to a key threshold: `dist(a,b) <= r` iff
-  /// `dist_key(a,b) <= dist_to_key(r)` for r >= 0 (built-in norms).
+  /// `dist_key(a,b) <= dist_to_key(r)` for r >= 0.
   [[nodiscard]] double dist_to_key(double r) const noexcept {
-    return norm_ == Norm::L2 ? r * r : r;
+    return kernels::dist_to_key(norm_, r);
   }
 
   /// Doubling dimension of (R^d, norm): the smallest D such that every ball
   /// is covered by 2^D balls of half the radius.  For L∞ it is exactly d;
-  /// for L2/L1 it is Θ(d); custom metrics are the caller's responsibility
-  /// (we return d as the conventional parameter of the size bounds).
+  /// for L2/L1 it is Θ(d) (we return d as the conventional parameter of the
+  /// size bounds).
   [[nodiscard]] static int doubling_dimension(int dim) noexcept { return dim; }
 
   [[nodiscard]] const char* name() const noexcept;
 
  private:
   Norm norm_;
-  std::shared_ptr<const DistanceFn> custom_;
 };
+
+static_assert(std::is_trivially_copyable_v<Metric>);
 
 }  // namespace kc

@@ -22,6 +22,12 @@ namespace kc {
 class Point {
  public:
   static constexpr int kMaxDim = 8;
+  /// Largest |coordinate| an external input (CSV, Matrix Market, `.kcb`)
+  /// may carry.  Within it, every squared L2 distance in d ≤ kMaxDim is at
+  /// most 4·8·(1e150)² = 3.2e301, so the distance keys, the 3r and 2r
+  /// radius multiples the algorithms form, and their squares all stay
+  /// finite; past ~1e153 the L2 key overflows to inf.
+  static constexpr double kMaxAbsCoordinate = 1e150;
 
   Point() noexcept : dim_(0) {}
 

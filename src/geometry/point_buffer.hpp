@@ -1,27 +1,19 @@
 // Flat structure-of-arrays point storage — the canonical in-memory layout.
 //
 // Every hot loop in the library streams through coordinates column-wise
-// (one contiguous array per dimension), so points live in a
-// `BasicPointBuffer<T>`: column j holds coordinate j of every point.  The
-// AoS `Point` (geometry/point.hpp) remains the *boundary* representation —
+// (one contiguous float64 array per dimension), so points live in a
+// `PointBuffer`: column j holds coordinate j of every point.  The AoS
+// `Point` (geometry/point.hpp) remains the *boundary* representation —
 // convenient for construction, tests, and per-item APIs — and `point(i)`
 // unpacks one row on demand.  Workload generators emit a buffer alongside
 // the AoS set, pipelines pass it down, and the kernels in
 // geometry/kernels.hpp consume it (or any slice of it) directly, so no
-// layer re-packs coordinates at a kernel boundary.
+// layer re-packs coordinates at a kernel boundary.  Kernel results over a
+// buffer are bit-identical to the historical AoS scalar loops
+// (dimension-ascending accumulation per point, pinned by
+// tests/test_simd.cpp).
 //
-// Storage modes:
-//  * `PointBuffer`  (T = double) — the default; kernel results over it are
-//    bit-identical to the historical AoS scalar loops (dimension-ascending
-//    accumulation per point, pinned by tests/test_simd.cpp).
-//  * `PointBufferF` (T = float)  — half the memory traffic; coordinates are
-//    rounded to float32 once at append time, while every kernel still
-//    *accumulates in float64*.  The only error source is the storage
-//    rounding: each coordinate is perturbed by ≤ 2⁻²⁴ relative, so an L2
-//    key drifts by ≤ ~2⁻²³ relative (plus one rounding per dimension) —
-//    the documented ULP bound asserted by tests/test_simd.cpp.
-//
-// `BufferView<T>` is a non-owning slice (offset + count) of a buffer: the
+// `BufferView` is a non-owning slice (offset + count) of a buffer: the
 // columns keep the parent's stride, so taking a view copies nothing and
 // kernels run on arbitrary sub-ranges (MPC machine blocks, stream windows,
 // chunk-parallel splits) with no re-pack.
@@ -42,19 +34,16 @@
 
 namespace kc {
 
-enum class Norm : std::uint8_t { L2, Linf, L1, Custom };
+enum class Norm : std::uint8_t { L2, Linf, L1 };
 
 namespace kernels {
 
-/// Non-owning slice of a `BasicPointBuffer`: rows [0, size()) map to rows
+/// Non-owning slice of a `PointBuffer`: rows [0, size()) map to rows
 /// [offset, offset+count) of the parent, columns keep the parent's stride.
-template <typename T>
 class BufferView {
  public:
-  using value_type = T;
-
   BufferView() = default;
-  BufferView(const T* base, std::size_t stride, std::size_t count,
+  BufferView(const double* base, std::size_t stride, std::size_t count,
              int dim) noexcept
       : base_(base), stride_(stride), n_(count), dim_(dim) {}
 
@@ -63,7 +52,7 @@ class BufferView {
   [[nodiscard]] int dim() const noexcept { return dim_; }
 
   /// Column j (coordinate j of every row in the slice), length size().
-  [[nodiscard]] const T* col(int j) const noexcept {
+  [[nodiscard]] const double* col(int j) const noexcept {
     KC_DCHECK(j >= 0 && j < dim_);
     return base_ + static_cast<std::size_t>(j) * stride_;
   }
@@ -75,7 +64,7 @@ class BufferView {
     return BufferView(base_ + offset, stride_, count, dim_);
   }
 
-  /// Alias for `subview` matching `BasicPointBuffer::view(offset, count)`,
+  /// Alias for `subview` matching `PointBuffer::view(offset, count)`,
   /// so generic kernels (e.g. the blocked `first_within`) accept owning
   /// buffers and slices interchangeably.
   [[nodiscard]] BufferView view(std::size_t offset,
@@ -83,36 +72,35 @@ class BufferView {
     return subview(offset, count);
   }
 
-  /// Distance key of row i to query coordinates q, accumulated in float64
-  /// in dimension-ascending order (bit-identical to the scalar AoS loop
-  /// when T = double).
+  /// Distance key of row i to query coordinates q, accumulated in
+  /// dimension-ascending order (bit-identical to the scalar AoS loop).
   template <Norm N>
   [[nodiscard]] double key_to(std::size_t i, const double* q) const noexcept {
     KC_DCHECK(i < n_);
     if constexpr (N == Norm::L2) {
       double s = 0.0;
       for (int j = 0; j < dim_; ++j) {
-        const double diff = static_cast<double>(col(j)[i]) - q[j];
+        const double diff = col(j)[i] - q[j];
         s += diff * diff;
       }
       return s;
     } else if constexpr (N == Norm::Linf) {
       double m = 0.0;
       for (int j = 0; j < dim_; ++j) {
-        const double diff = std::fabs(static_cast<double>(col(j)[i]) - q[j]);
+        const double diff = std::fabs(col(j)[i] - q[j]);
         if (diff > m) m = diff;
       }
       return m;
     } else {
       double s = 0.0;
       for (int j = 0; j < dim_; ++j)
-        s += std::fabs(static_cast<double>(col(j)[i]) - q[j]);
+        s += std::fabs(col(j)[i] - q[j]);
       return s;
     }
   }
 
  private:
-  const T* base_ = nullptr;
+  const double* base_ = nullptr;
   std::size_t stride_ = 0;
   std::size_t n_ = 0;
   int dim_ = 0;
@@ -122,25 +110,22 @@ class BufferView {
 /// allocation with stride = capacity; growing re-packs (amortized, like
 /// std::vector).  Append-only: rows are never mutated in place, matching
 /// the read-only contract the kernels assume.
-template <typename T>
-class BasicPointBuffer {
+class PointBuffer {
  public:
-  using value_type = T;
-
-  BasicPointBuffer() = default;
+  PointBuffer() = default;
 
   /// Empty appendable buffer of the given dimension (any dim ≥ 1; `Point`
   /// conveniences additionally require dim ≤ Point::kMaxDim).
-  explicit BasicPointBuffer(int dim) : dim_(dim) { KC_EXPECTS(dim >= 1); }
+  explicit PointBuffer(int dim) : dim_(dim) { KC_EXPECTS(dim >= 1); }
 
-  explicit BasicPointBuffer(const WeightedSet& pts) {
+  explicit PointBuffer(const WeightedSet& pts) {
     if (pts.empty()) return;
     dim_ = pts.front().p.dim();
     reserve(pts.size());
     for (const auto& wp : pts) append(wp.p);
   }
 
-  explicit BasicPointBuffer(const PointSet& pts) {
+  explicit PointBuffer(const PointSet& pts) {
     if (pts.empty()) return;
     dim_ = pts.front().dim();
     reserve(pts.size());
@@ -153,7 +138,7 @@ class BasicPointBuffer {
   [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
 
   /// Column j (coordinate j of every point), length size().
-  [[nodiscard]] const T* col(int j) const noexcept {
+  [[nodiscard]] const double* col(int j) const noexcept {
     KC_DCHECK(j >= 0 && j < dim_);
     return data_.data() + static_cast<std::size_t>(j) * cap_;
   }
@@ -162,9 +147,8 @@ class BasicPointBuffer {
     if (n > cap_) relayout(n);
   }
 
-  /// Appends one row from raw coordinates (length dim()).  Coordinates are
-  /// stored as T — for T = float this is the one narrowing point of the
-  /// float32 storage mode.  NaN/Inf coordinates are rejected here, at the
+  /// Appends one row from raw coordinates (length dim()).  NaN/Inf
+  /// coordinates are rejected here, at the
   /// single SoA ingest point, so no non-finite value ever reaches the
   /// distance kernels (whose comparisons silently misbehave under NaN).
   void append(const double* coords) {
@@ -172,8 +156,7 @@ class BasicPointBuffer {
     if (n_ == cap_) relayout(cap_ < 8 ? 8 : cap_ * 2);
     for (int j = 0; j < dim_; ++j) {
       KC_EXPECTS(std::isfinite(coords[j]) && "non-finite coordinate");
-      data_[static_cast<std::size_t>(j) * cap_ + n_] =
-          static_cast<T>(coords[j]);
+      data_[static_cast<std::size_t>(j) * cap_ + n_] = coords[j];
     }
     ++n_;
   }
@@ -192,48 +175,43 @@ class BasicPointBuffer {
     KC_DCHECK(i < n_);
     KC_EXPECTS(dim_ >= 1 && dim_ <= Point::kMaxDim);
     Point p(dim_);
-    for (int j = 0; j < dim_; ++j) p[j] = static_cast<double>(col(j)[i]);
+    for (int j = 0; j < dim_; ++j) p[j] = col(j)[i];
     return p;
   }
 
   /// Whole-buffer view, and the [offset, offset+count) slice.
-  [[nodiscard]] BufferView<T> view() const noexcept {
-    return BufferView<T>(data_.data(), cap_, n_, dim_);
+  [[nodiscard]] BufferView view() const noexcept {
+    return BufferView(data_.data(), cap_, n_, dim_);
   }
-  [[nodiscard]] BufferView<T> view(std::size_t offset,
-                                   std::size_t count) const noexcept {
+  [[nodiscard]] BufferView view(std::size_t offset,
+                                std::size_t count) const noexcept {
     KC_DCHECK(offset + count <= n_);
-    return BufferView<T>(data_.data() + offset, cap_, count, dim_);
+    return BufferView(data_.data() + offset, cap_, count, dim_);
   }
 
   /// Distance key of point i to query coordinates q (see BufferView).
   template <Norm N>
   [[nodiscard]] double key_to(std::size_t i, const double* q) const noexcept {
-    return view().template key_to<N>(i, q);
+    return view().key_to<N>(i, q);
   }
 
  private:
   void relayout(std::size_t new_cap) {
-    std::vector<T> next(new_cap * static_cast<std::size_t>(dim_));
+    std::vector<double> next(new_cap * static_cast<std::size_t>(dim_));
     for (int j = 0; j < dim_; ++j) {
-      const T* src = data_.data() + static_cast<std::size_t>(j) * cap_;
-      T* dst = next.data() + static_cast<std::size_t>(j) * new_cap;
+      const double* src = data_.data() + static_cast<std::size_t>(j) * cap_;
+      double* dst = next.data() + static_cast<std::size_t>(j) * new_cap;
       for (std::size_t i = 0; i < n_; ++i) dst[i] = src[i];
     }
     data_ = std::move(next);
     cap_ = new_cap;
   }
 
-  std::vector<T> data_;
+  std::vector<double> data_;
   std::size_t n_ = 0;
   std::size_t cap_ = 0;
   int dim_ = 0;
 };
-
-/// Float64 storage — the canonical representation (bit-exact kernels).
-using PointBuffer = BasicPointBuffer<double>;
-/// Float32 storage with float64 accumulation (documented ULP bound).
-using PointBufferF = BasicPointBuffer<float>;
 
 }  // namespace kernels
 }  // namespace kc

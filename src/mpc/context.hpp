@@ -22,9 +22,7 @@ namespace kc {
 class ThreadPool;
 
 namespace kernels {
-template <typename T>
-class BasicPointBuffer;
-using PointBuffer = BasicPointBuffer<double>;
+class PointBuffer;
 }  // namespace kernels
 
 namespace mpc {

@@ -11,14 +11,23 @@ namespace kc::stream {
 
 std::size_t stream_threshold(int k, std::int64_t z, double eps, int dim,
                              ThresholdPolicy policy) {
+  // Saturate in double before each cast: at tiny ε, k(16/ε)^d is past the
+  // range of size_t, where a cast is undefined.  A threshold larger than
+  // any stream just means "never recompress".
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const auto to_size = [](double x) {
+    return x < static_cast<double>(kMax) ? static_cast<std::size_t>(x) : kMax;
+  };
   const double per_center = std::pow(16.0 / eps, dim);
   switch (policy) {
-    case ThresholdPolicy::Ours:
-      return static_cast<std::size_t>(static_cast<double>(k) * per_center) +
-             static_cast<std::size_t>(z);
+    case ThresholdPolicy::Ours: {
+      const std::size_t centers = to_size(static_cast<double>(k) * per_center);
+      const auto outliers = static_cast<std::size_t>(z);
+      return centers > kMax - outliers ? kMax : centers + outliers;
+    }
     case ThresholdPolicy::Ceccarello:
-      return static_cast<std::size_t>(
-          (static_cast<double>(k) + static_cast<double>(z)) * per_center);
+      return to_size((static_cast<double>(k) + static_cast<double>(z)) *
+                     per_center);
   }
   return 0;  // unreachable
 }
@@ -39,27 +48,12 @@ void InsertionOnlyStream::insert_weighted(const Point& p, std::int64_t w) {
   KC_EXPECTS(w > 0);
   ++seen_;
   // Try to assign p to an existing representative within (ε/2)·r.  While
-  // r == 0 this absorbs exact duplicates only.  Built-in norms probe the
-  // SoA mirror with the blocked first-within scan (same first hit as the
-  // scalar rep loop); a custom metric falls back to that loop.
+  // r == 0 this absorbs exact duplicates only.
   const double join = (eps_ / 2.0) * r_;
-  const double join_key = metric_.norm() == Norm::L2 ? join * join : join;
-  bool placed = false;
-  if (metric_.norm() != Norm::Custom) {
-    const std::size_t hit = first_rep_within(p.coords().data(), join, join_key);
-    if (hit < reps_.size()) {
-      reps_[hit].w += w;
-      placed = true;
-    }
-  } else {
-    for (auto& rep : reps_) {
-      if (metric_.dist_key(p, rep.p) <= join_key) {
-        rep.w += w;
-        placed = true;
-        break;
-      }
-    }
-  }
+  const std::size_t hit =
+      first_rep_within(p.coords().data(), join, metric_.dist_to_key(join));
+  const bool placed = hit < reps_.size();
+  if (placed) reps_[hit].w += w;
   if (!placed) {
     if (grid_) grid_->insert(p, static_cast<std::uint32_t>(reps_.size()));
     reps_.push_back({p, w});
@@ -141,17 +135,9 @@ std::size_t InsertionOnlyStream::first_rep_within(const double* q,
   } else {
     grid_.reset();
   }
-  switch (metric_.norm()) {
-    case Norm::L2:
-      return first_rep<Norm::L2>(grid_, reps_, reps_buf_, q, join, join_key);
-    case Norm::Linf:
-      return first_rep<Norm::Linf>(grid_, reps_, reps_buf_, q, join, join_key);
-    case Norm::L1:
-      return first_rep<Norm::L1>(grid_, reps_, reps_buf_, q, join, join_key);
-    case Norm::Custom: break;  // callers exclude Custom
-  }
-  KC_DCHECK(false);
-  return reps_buf_.size();
+  return kernels::with_norm(metric_.norm(), [&]<Norm N>() {
+    return first_rep<N>(grid_, reps_, reps_buf_, q, join, join_key);
+  });
 }
 
 void InsertionOnlyStream::rebuild_reps_buf() {

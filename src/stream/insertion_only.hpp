@@ -20,8 +20,8 @@
 // radius, each cell lists its reps in index order, and the smallest
 // qualifying index over those cells is the same first hit a scan of P* in
 // index order returns.  New reps are appended to the grid; a doubling or
-// an absorb rebuilds it.  While r == 0 (only exact duplicates join), while
-// |P*| < 3^d, and for custom metrics, the probe scans P* instead.
+// an absorb rebuilds it.  While r == 0 (only exact duplicates join) and
+// while |P*| < 3^d, the probe scans P* instead.
 //
 // Space: |P*| ≤ k(16/ε)^d + z — optimal by the paper's Theorem 11 lower
 // bound.  The same class also implements the Ceccarello-et-al.-style

@@ -41,7 +41,7 @@ void McCutchenKhuller::insert_into(Instance& inst, const Point& p,
                                    std::int64_t weight) {
   const double r = std::max(inst.r, 0.0);
   const double join = 2.0 * r;
-  const double join_key = metric_.norm() == Norm::L2 ? join * join : join;
+  const double join_key = metric_.dist_to_key(join);
   for (auto& c : inst.clusters) {
     if (metric_.dist_key(p, c.anchor) <= join_key) {
       c.support.push_back({p, weight});

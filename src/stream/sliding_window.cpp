@@ -1,8 +1,8 @@
 #include "stream/sliding_window.hpp"
 
 #include <algorithm>
-#include <cmath>
 
+#include "stream/insertion_only.hpp"
 #include "util/check.hpp"
 
 namespace kc::stream {
@@ -16,9 +16,7 @@ SlidingWindow::SlidingWindow(int k, std::int64_t z, double eps, int dim,
   KC_EXPECTS(eps > 0.0 && eps <= 1.0);
   KC_EXPECTS(window >= 1);
   KC_EXPECTS(r_min > 0.0 && r_max >= r_min);
-  cap_ = static_cast<std::size_t>(
-             static_cast<double>(k) * std::pow(16.0 / eps, dim)) +
-         static_cast<std::size_t>(z);
+  cap_ = stream_threshold(k, z, eps, dim, ThresholdPolicy::Ours);
   for (double guess = r_min; guess <= 2.0 * r_max; guess *= 2.0) {
     Level lvl;
     lvl.guess = guess;
@@ -32,8 +30,7 @@ void SlidingWindow::insert(const Point& p, std::int64_t t) {
   // One cluster's stored records: its representative plus its members.
   const auto records = [](const MiniCluster& c) { return 1 + c.recent.size(); };
   for (auto& lvl : levels_) {
-    const double key =
-        metric_.norm() == Norm::L2 ? lvl.radius * lvl.radius : lvl.radius;
+    const double key = metric_.dist_to_key(lvl.radius);
     bool placed = false;
     for (auto& c : lvl.clusters) {
       if (metric_.dist_key(p, c.rep) <= key) {

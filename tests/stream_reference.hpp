@@ -4,13 +4,15 @@
 //  * `SlidingWindow` is the structure as it stood with each cluster's
 //    members in a plain oldest-first vector (`erase(begin())` on overflow)
 //    and the record count recomputed over every level after each insert;
-//  * `InsertionOnlyStream` is Algorithm 3 with the linear-scan rep probe
-//    (the blocked first-within scan over every rep, no grid).
+//  * `InsertionOnlyStream` is Algorithm 3 with the linear-scan rep probe:
+//    a plain in-order `Metric::dist_key` loop over every rep (no grid and
+//    no kernels::first_within, so the reference does not check the kernel
+//    against itself).
 //
-// Both are verbatim apart from `inline` and one test: the bootstrap check
-// `r_ == 0.0` is written `!(r_ > 0.0)` (the same, as r_ ≥ 0), so the copy
-// needs no lint suppression.  The library's versions must match them output
-// for output (tests/test_stream_differential.cpp).
+// Both are verbatim apart from `inline`, that probe, and one test: the
+// bootstrap check `r_ == 0.0` is written `!(r_ > 0.0)` (the same, as
+// r_ ≥ 0), so the copy needs no lint suppression.  The library's versions
+// must match them output for output (tests/test_stream_differential.cpp).
 
 #pragma once
 
@@ -22,7 +24,6 @@
 
 #include "core/mbc.hpp"
 #include "core/types.hpp"
-#include "geometry/kernels.hpp"
 #include "stream/insertion_only.hpp"
 #include "util/check.hpp"
 
@@ -241,13 +242,6 @@ class InsertionOnlyStream {
   [[nodiscard]] std::size_t points_seen() const noexcept { return seen_; }
 
  private:
-  /// First rep index with dist_key(q, rep) ≤ join_key (built-in norms; the
-  /// blocked vectorized scan of geometry/kernels.hpp), or reps_.size().
-  [[nodiscard]] std::size_t first_rep_within(const double* q,
-                                             double join_key) const;
-  /// Re-packs reps_buf_ from reps_ (after a recompression replaced reps_).
-  void rebuild_reps_buf();
-
   int k_;
   std::int64_t z_;
   double eps_;
@@ -255,11 +249,6 @@ class InsertionOnlyStream {
   Metric metric_;
   std::size_t threshold_;
   WeightedSet reps_;
-  /// SoA mirror of the rep coordinates, maintained incrementally (append on
-  /// new rep, rebuild after recompression) so the per-arrival "join an
-  /// existing rep" probe runs through the blocked vectorized scan instead
-  /// of re-packing — identical first hit, see geometry/kernels.hpp.
-  kernels::PointBuffer reps_buf_;
   double r_ = 0.0;
   std::size_t peak_ = 0;
   std::size_t seen_ = 0;
@@ -270,7 +259,7 @@ inline InsertionOnlyStream::InsertionOnlyStream(int k, std::int64_t z,
                                                 double eps, int dim,
                                                 const Metric& metric,
                                                 ThresholdPolicy policy)
-    : k_(k), z_(z), eps_(eps), dim_(dim), metric_(metric), reps_buf_(dim) {
+    : k_(k), z_(z), eps_(eps), dim_(dim), metric_(metric) {
   KC_EXPECTS(k >= 1);
   KC_EXPECTS(z >= 0);
   KC_EXPECTS(eps > 0.0 && eps <= 1.0);
@@ -283,32 +272,19 @@ inline void InsertionOnlyStream::insert_weighted(const Point& p,
                                                  std::int64_t w) {
   KC_EXPECTS(w > 0);
   ++seen_;
-  // Try to assign p to an existing representative within (ε/2)·r.  While
-  // r == 0 this absorbs exact duplicates only.  Built-in norms probe the
-  // SoA mirror with the blocked first-within scan (same first hit as the
-  // scalar rep loop); a custom metric falls back to that loop.
+  // Try to assign p to the first representative within (ε/2)·r.  While
+  // r == 0 this absorbs exact duplicates only.
   const double join = (eps_ / 2.0) * r_;
   const double join_key = metric_.norm() == Norm::L2 ? join * join : join;
   bool placed = false;
-  if (metric_.norm() != Norm::Custom) {
-    const std::size_t hit = first_rep_within(p.coords().data(), join_key);
-    if (hit < reps_.size()) {
-      reps_[hit].w += w;
+  for (auto& rep : reps_) {
+    if (metric_.dist_key(p, rep.p) <= join_key) {
+      rep.w += w;
       placed = true;
-    }
-  } else {
-    for (auto& rep : reps_) {
-      if (metric_.dist_key(p, rep.p) <= join_key) {
-        rep.w += w;
-        placed = true;
-        break;
-      }
+      break;
     }
   }
-  if (!placed) {
-    reps_.push_back({p, w});
-    reps_buf_.append(p);
-  }
+  if (!placed) reps_.push_back({p, w});
   peak_ = std::max(peak_, reps_.size());
 
   // Bootstrap: first sensible lower bound once k+z+1 distinct points exist.
@@ -332,29 +308,7 @@ inline void InsertionOnlyStream::insert_weighted(const Point& p,
     const MiniBallCovering mbc =
         mbc_with_radius(reps_, (eps_ / 2.0) * r_, metric_);
     reps_ = mbc.reps;
-    rebuild_reps_buf();
   }
-}
-
-inline std::size_t InsertionOnlyStream::first_rep_within(
-    const double* q, double join_key) const {
-  switch (metric_.norm()) {
-    case Norm::L2:
-      return kernels::first_within<Norm::L2>(reps_buf_, q, join_key);
-    case Norm::Linf:
-      return kernels::first_within<Norm::Linf>(reps_buf_, q, join_key);
-    case Norm::L1:
-      return kernels::first_within<Norm::L1>(reps_buf_, q, join_key);
-    case Norm::Custom: break;  // callers exclude Custom
-  }
-  KC_DCHECK(false);
-  return reps_buf_.size();
-}
-
-inline void InsertionOnlyStream::rebuild_reps_buf() {
-  reps_buf_.clear();
-  reps_buf_.reserve(reps_.size());
-  for (const auto& rep : reps_) reps_buf_.append(rep.p);
 }
 
 inline void InsertionOnlyStream::absorb(const InsertionOnlyStream& other) {

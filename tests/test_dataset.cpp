@@ -461,6 +461,40 @@ TEST(MtxImportTest, DenseArrayRoundTripAndRejections) {
   std::remove(kcb.c_str());
 }
 
+TEST(CoordinateBoundTest, ImportersAndKcbOpenRejectValuesPastTheBound) {
+  // ±Point::kMaxAbsCoordinate itself is accepted everywhere; one step past
+  // it is an error at the CSV and MTX importers and at .kcb open.
+  const std::string csv = tmp_path("bound.csv");
+  const std::string mtx = tmp_path("bound.mtx");
+  const std::string kcb = tmp_path("bound.kcb");
+  write_file(csv, "1e150,-1e150\n0,0\n");
+  EXPECT_EQ(read_csv_points(csv).size(), 2u);
+  write_file(csv, "0,0\n-1.0000001e150,0\n");
+  EXPECT_THROW(read_csv_points(csv), std::runtime_error);
+  write_file(csv, "2e200,0\n");
+  EXPECT_THROW(csv_to_kcb(csv, kcb), std::runtime_error);
+
+  write_file(mtx,
+             "%%MatrixMarket matrix array real general\n2 1\n1e150\n-1e150\n");
+  EXPECT_EQ(mtx_to_kcb(mtx, kcb), 2u);
+  write_file(mtx,
+             "%%MatrixMarket matrix array real general\n2 1\n1\n-1e200\n");
+  EXPECT_THROW(mtx_to_kcb(mtx, kcb), std::runtime_error);
+
+  kernels::PointBuffer buf(2);
+  const double in_bound[2] = {1e150, -1e150};
+  buf.append(in_bound);
+  write_kcb(kcb, buf);
+  EXPECT_EQ(MappedKcb(kcb).size(), 1u);
+  const double past[2] = {0.0, 1e200};
+  buf.append(past);
+  write_kcb(kcb, buf);
+  EXPECT_THROW(MappedKcb{kcb}, std::runtime_error);
+  std::remove(csv.c_str());
+  std::remove(mtx.c_str());
+  std::remove(kcb.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Engine out-of-core paths
 

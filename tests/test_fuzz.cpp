@@ -294,25 +294,5 @@ TEST(Fuzz, BufferSliceAliasingAcrossSeeds) {
   }
 }
 
-TEST(Fuzz, CustomMetricScaledL2BehavesLikeL2) {
-  // A custom metric = 2·L2 must produce exactly the same mini-ball
-  // covering as L2 with doubled radius.
-  const Metric scaled{DistanceFn{[](const Point& a, const Point& b) {
-    const Metric l2{Norm::L2};
-    return 2.0 * l2.dist(a, b);
-  }}};
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed * 7);
-    WeightedSet pts;
-    for (int i = 0; i < 60; ++i)
-      pts.push_back({Point{rng.uniform_real(0, 50)}, 1});
-    const auto a = mbc_with_radius(pts, 3.0, scaled);
-    const auto b = mbc_with_radius(pts, 1.5, kL2);
-    ASSERT_EQ(a.reps.size(), b.reps.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < a.reps.size(); ++i)
-      EXPECT_EQ(a.reps[i].p, b.reps[i].p);
-  }
-}
-
 }  // namespace
 }  // namespace kc

@@ -175,24 +175,14 @@ TEST_P(ParallelKernelTest, RelaxMinKeysMatchesScalarBitForBit) {
   std::vector<std::uint32_t> assign_a(n, 0), assign_b(n, 0);
   std::vector<double> scratch(n);
 
-  const auto sweep = [&](Norm nm, auto&& run) {
-    switch (nm) {
-      case Norm::L2: return run.template operator()<Norm::L2>();
-      case Norm::Linf: return run.template operator()<Norm::Linf>();
-      case Norm::L1: return run.template operator()<Norm::L1>();
-      case Norm::Custom: break;
-    }
-    return kernels::RelaxResult{};
-  };
-
   std::size_t q_idx = 0;
   for (std::uint32_t label = 0; label < 8; ++label) {
     const double* q = pts[q_idx].p.coords().data();
-    const auto scalar = sweep(norm, [&]<Norm N>() {
+    const auto scalar = kernels::with_norm(norm, [&]<Norm N>() {
       return kernels::relax_min_keys<N>(buf, q, label, keys_a.data(),
                                         assign_a.data(), scratch.data());
     });
-    const auto parallel = sweep(norm, [&]<Norm N>() {
+    const auto parallel = kernels::with_norm(norm, [&]<Norm N>() {
       return kernels::relax_min_keys_parallel<N>(buf, q, label, keys_b.data(),
                                                  assign_b.data(),
                                                  scratch.data(), &pool,
@@ -222,15 +212,7 @@ TEST_P(ParallelKernelTest, CountAndMarkWithinMatchScalar) {
   const double* q = pts[42].p.coords().data();
   const double thresh = kernels::dist_to_key(norm, 2.5);
 
-  const auto run = [&](auto&& fn) {
-    switch (norm) {
-      case Norm::L2: return fn.template operator()<Norm::L2>();
-      case Norm::Linf: return fn.template operator()<Norm::Linf>();
-      case Norm::L1: return fn.template operator()<Norm::L1>();
-      case Norm::Custom: break;
-    }
-    return std::int64_t{0};
-  };
+  const auto run = [&](auto&& fn) { return kernels::with_norm(norm, fn); };
 
   const std::int64_t scalar_count = run([&]<Norm N>() {
     return kernels::count_within<N>(buf, idx.data(), n, q, thresh, w.data(),
@@ -268,13 +250,7 @@ TEST_P(ParallelKernelTest, CountAndMarkWithinMatchScalar) {
 INSTANTIATE_TEST_SUITE_P(Norms, ParallelKernelTest,
                          ::testing::Values(Norm::L2, Norm::Linf, Norm::L1),
                          [](const ::testing::TestParamInfo<Norm>& info) {
-                           switch (info.param) {
-                             case Norm::L2: return std::string("L2");
-                             case Norm::Linf: return std::string("Linf");
-                             case Norm::L1: return std::string("L1");
-                             case Norm::Custom: break;
-                           }
-                           return std::string("Custom");
+                           return std::string(Metric{info.param}.name());
                          });
 
 // ---- End-to-end: every pipeline is thread-count invariant ---------------

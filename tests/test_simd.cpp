@@ -1,18 +1,13 @@
 // Differential suite pinning the vectorized SoA kernels to the scalar
 // reference paths (geometry/kernels.hpp, geometry/point_buffer.hpp).
 //
-// The contract under test:
-//  * float64 storage — the dimension-dispatched fused kernel bodies
-//    (compute_keys_range / relax_min_keys / min_keys / first_within) are
-//    BIT-IDENTICAL to both the retained column-at-a-time reference
-//    (compute_keys_generic) and a freshly written AoS scalar loop, across
-//    norms × dimensions (fixed-D specializations AND the generic fallback,
-//    including d = 9 > Point::kMaxDim) × sizes covering SIMD lane-width
-//    tails × unaligned slice offsets.
-//  * float32 storage (PointBufferF) — kernels accumulate in float64, so
-//    their results are EXACTLY equal to double kernels run on the
-//    float-rounded coordinates, and within the documented ~2⁻²³ relative
-//    bound of the unrounded float64 keys (cancellation-free queries).
+// The contract under test: the dimension-dispatched fused kernel bodies
+// (compute_keys_range / relax_min_keys / min_keys / first_within) are
+// BIT-IDENTICAL to both the retained column-at-a-time reference
+// (compute_keys_generic) and a freshly written AoS scalar loop, across
+// norms × dimensions (fixed-D specializations AND the generic fallback,
+// including d = 9 > Point::kMaxDim) × sizes covering SIMD lane-width tails
+// × unaligned slice offsets.
 //
 // Sizes are chosen around the interesting boundaries: SSE/AVX lane counts
 // (2/4/8 doubles), the first_within block (kFirstWithinBlock = 128), and
@@ -64,10 +59,9 @@ std::vector<double> lattice_query(int dim, std::uint64_t seed) {
   return q;
 }
 
-template <typename T>
-kernels::BasicPointBuffer<T> pack(const std::vector<std::vector<double>>& rows,
-                                  int dim) {
-  kernels::BasicPointBuffer<T> buf(dim);
+kernels::PointBuffer pack(const std::vector<std::vector<double>>& rows,
+                          int dim) {
+  kernels::PointBuffer buf(dim);
   buf.reserve(rows.size());
   for (const auto& row : rows) buf.append(row.data());
   return buf;
@@ -118,7 +112,7 @@ TEST(Simd, DispatchedKeysBitIdenticalToScalarAllDims) {
     for (const std::size_t n : kSizes) {
       const auto rows = lattice_rows(n, dim, 1000 + n * 10 + dim);
       const auto q = lattice_query(dim, 17 * dim + n);
-      const auto buf = pack<double>(rows, dim);
+      const auto buf = pack(rows, dim);
       ASSERT_EQ(buf.size(), n);
       check_keys_bitwise<Norm::L2>(buf, rows, q, dim);
       check_keys_bitwise<Norm::Linf>(buf, rows, q, dim);
@@ -132,7 +126,7 @@ TEST(Simd, UnalignedViewOffsetsBitIdentical) {
   for (const int dim : kDims) {
     const auto rows = lattice_rows(n, dim, 77 + dim);
     const auto q = lattice_query(dim, 91 + dim);
-    const auto buf = pack<double>(rows, dim);
+    const auto buf = pack(rows, dim);
     for (const std::size_t offset : {std::size_t{1}, std::size_t{2},
                                      std::size_t{3}, std::size_t{5},
                                      std::size_t{7}, std::size_t{13},
@@ -168,7 +162,7 @@ TEST(Simd, RelaxMatchesScalarSweepWithTies) {
     for (const Norm norm : kNorms) {
       const std::size_t n = 257;
       const auto rows = lattice_rows(n, dim, 311 + dim);
-      const auto buf = pack<double>(rows, dim);
+      const auto buf = pack(rows, dim);
 
       std::vector<double> keys(n, std::numeric_limits<double>::infinity());
       std::vector<double> ref_keys = keys;
@@ -225,7 +219,7 @@ TEST(Simd, MinKeysMatchesPerPointScalarMin) {
   for (const int dim : kDims) {
     const std::size_t n = 129;
     const auto rows = lattice_rows(n, dim, 53 + dim);
-    const auto buf = pack<double>(rows, dim);
+    const auto buf = pack(rows, dim);
     const std::size_t centers[] = {0, 3, n / 2, n - 1};
 
     std::vector<double> keys(n, std::numeric_limits<double>::infinity());
@@ -254,7 +248,7 @@ TEST(Simd, FirstWithinMatchesScalarEarlyExitScan) {
           std::size_t{300}}) {
       const auto rows = lattice_rows(n, dim, 600 + n + dim);
       const auto q = lattice_query(dim, 5 * n + dim);
-      const auto buf = pack<double>(rows, dim);
+      const auto buf = pack(rows, dim);
       // Thresholds: impossible, exact key of a mid row (boundary tie,
       // `<=` must hit), just below that key, and +infinity.
       const double mid_key =
@@ -282,7 +276,7 @@ TEST(Simd, FirstWithinOnSlicesMatchesScalar) {
   const int dim = 3;
   const auto rows = lattice_rows(n, dim, 415);
   const auto q = lattice_query(dim, 416);
-  const auto buf = pack<double>(rows, dim);
+  const auto buf = pack(rows, dim);
   for (const std::size_t offset : {std::size_t{0}, std::size_t{17}}) {
     const std::size_t count = n - 2 * offset;
     const auto view = buf.view(offset, count);
@@ -296,139 +290,6 @@ TEST(Simd, FirstWithinOnSlicesMatchesScalar) {
       }
     }
     EXPECT_EQ(kernels::first_within<Norm::L2>(view, q.data(), t), ref);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// float32 storage mode
-// ---------------------------------------------------------------------------
-
-/// Rounds a coordinate through float32 exactly the way PointBufferF's
-/// append does.
-double round_f32(double x) { return static_cast<double>(static_cast<float>(x)); }
-
-TEST(SimdF32, KernelsExactlyEqualDoubleOnRoundedCoords) {
-  // float32 storage + float64 accumulation == float64 kernel over the
-  // float-rounded coordinates, bit for bit: the rounding at append time is
-  // the ONLY error source.
-  for (const int dim : kDims) {
-    const std::size_t n = 129;
-    Rng rng(900 + static_cast<std::uint64_t>(dim));
-    std::vector<std::vector<double>> rows(n, std::vector<double>(dim));
-    std::vector<std::vector<double>> rounded = rows;
-    for (std::size_t i = 0; i < n; ++i)
-      for (int j = 0; j < dim; ++j) {
-        rows[i][j] = rng.uniform_real(-10.0, 10.0);
-        rounded[i][j] = round_f32(rows[i][j]);
-      }
-    const auto q = lattice_query(dim, 901 + dim);
-    const auto fbuf = pack<float>(rows, dim);
-    const auto dbuf = pack<double>(rounded, dim);
-    std::vector<double> fkeys(n), dkeys(n);
-    for (const Norm norm : kNorms) {
-      switch (norm) {
-        case Norm::L2:
-          kernels::compute_keys<Norm::L2>(fbuf, q.data(), fkeys.data());
-          kernels::compute_keys<Norm::L2>(dbuf, q.data(), dkeys.data());
-          break;
-        case Norm::Linf:
-          kernels::compute_keys<Norm::Linf>(fbuf, q.data(), fkeys.data());
-          kernels::compute_keys<Norm::Linf>(dbuf, q.data(), dkeys.data());
-          break;
-        default:
-          kernels::compute_keys<Norm::L1>(fbuf, q.data(), fkeys.data());
-          kernels::compute_keys<Norm::L1>(dbuf, q.data(), dkeys.data());
-          break;
-      }
-      for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(fkeys[i], dkeys[i]) << "dim " << dim << " i " << i;
-    }
-  }
-}
-
-TEST(SimdF32, FixedDispatchBitIdenticalToGenericOnFloatStorage) {
-  // The fixed-D bodies and the generic fallback agree bitwise for float
-  // storage too (same loads, same float64 accumulation order).
-  for (const int dim : kDims) {
-    const std::size_t n = 97;
-    const auto rows = lattice_rows(n, dim, 950 + dim);
-    const auto q = lattice_query(dim, 951 + dim);
-    const auto fbuf = pack<float>(rows, dim);
-    std::vector<double> dispatched(n, -1.0), generic(n, -2.0);
-    kernels::compute_keys<Norm::L2>(fbuf, q.data(), dispatched.data());
-    kernels::compute_keys_generic<Norm::L2>(fbuf, q.data(), generic.data());
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(dispatched[i], generic[i]) << "dim " << dim << " i " << i;
-  }
-}
-
-TEST(SimdF32, KeysWithinDocumentedRelativeBound) {
-  // Cancellation-free configuration (coordinates in [1, 2), query at the
-  // origin): each stored coordinate is perturbed by ≤ 2⁻²⁴ relative, so an
-  // L2 key (sum of squares) drifts ≤ ~2·2⁻²⁴ ≈ 2⁻²³ relative, and L1/L∞
-  // keys ≤ 2⁻²⁴.  Asserted with one bit of slack (2⁻²²).
-  constexpr double kBound = 0x1.0p-22;
-  for (const int dim : kDims) {
-    const std::size_t n = 257;
-    Rng rng(970 + static_cast<std::uint64_t>(dim));
-    std::vector<std::vector<double>> rows(n, std::vector<double>(dim));
-    for (auto& row : rows)
-      for (int j = 0; j < dim; ++j) row[j] = rng.uniform_real(1.0, 2.0);
-    const std::vector<double> q(static_cast<std::size_t>(dim), 0.0);
-    const auto fbuf = pack<float>(rows, dim);
-    const auto dbuf = pack<double>(rows, dim);
-    std::vector<double> fkeys(n), dkeys(n);
-    kernels::compute_keys<Norm::L2>(fbuf, q.data(), fkeys.data());
-    kernels::compute_keys<Norm::L2>(dbuf, q.data(), dkeys.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_GT(dkeys[i], 0.0);
-      EXPECT_LE(std::fabs(fkeys[i] - dkeys[i]) / dkeys[i], kBound)
-          << "dim " << dim << " i " << i;
-    }
-  }
-}
-
-TEST(SimdF32, RelaxOnFloatStorageMatchesScalarOverRoundedCoords) {
-  const int dim = 2;
-  const std::size_t n = 200;
-  Rng rng(991);
-  std::vector<std::vector<double>> rows(n, std::vector<double>(dim));
-  std::vector<std::vector<double>> rounded = rows;
-  for (std::size_t i = 0; i < n; ++i)
-    for (int j = 0; j < dim; ++j) {
-      rows[i][j] = rng.uniform_real(-5.0, 5.0);
-      rounded[i][j] = round_f32(rows[i][j]);
-    }
-  const auto fbuf = pack<float>(rows, dim);
-
-  std::vector<double> keys(n, std::numeric_limits<double>::infinity());
-  std::vector<double> ref_keys = keys;
-  std::vector<std::uint32_t> assign(n, 0), ref_assign(n, 0);
-  std::vector<double> scratch(n);
-  for (std::uint32_t label = 0; label < 4; ++label) {
-    // Query coordinates stay double (e.g. a center from the AoS side).
-    const std::vector<double>& c = rows[(label * 29) % n];
-    const kernels::RelaxResult rr = kernels::relax_min_keys<Norm::L2>(
-        fbuf, c.data(), label, keys.data(), assign.data(), scratch.data());
-    double far_key = -1.0;
-    std::size_t far_idx = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double k2 = scalar_key(Norm::L2, rounded[i].data(), c.data(), dim);
-      if (k2 < ref_keys[i]) {
-        ref_keys[i] = k2;
-        ref_assign[i] = label;
-      }
-      if (ref_keys[i] > far_key) {
-        far_key = ref_keys[i];
-        far_idx = i;
-      }
-    }
-    EXPECT_EQ(rr.far_key, far_key);
-    EXPECT_EQ(rr.far_idx, far_idx);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(keys[i], ref_keys[i]) << "i " << i;
-      ASSERT_EQ(assign[i], ref_assign[i]) << "i " << i;
-    }
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/cost.hpp"
 #include "stream/insertion_only.hpp"
@@ -34,6 +35,26 @@ TEST(InsertionOnly, ThresholdFormulas) {
             7u * 16u);
   EXPECT_EQ(stream_threshold(1, 0, 0.5, 2, ThresholdPolicy::Ours),
             static_cast<std::size_t>(32 * 32));
+}
+
+TEST(InsertionOnly, ThresholdSaturatesAtTinyEps) {
+  // k(16/ε)^d at ε = 1e-12, d = 8 is ~1e105: past the size_t range, so both
+  // policies saturate instead of casting out of range ("never recompress").
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(stream_threshold(2, 4, 1e-12, 8, ThresholdPolicy::Ours), kMax);
+  EXPECT_EQ(stream_threshold(2, 4, 1e-12, 8, ThresholdPolicy::Ceccarello),
+            kMax);
+  // k(16/ε)^d = 2^64 is the first value past the range; 2^63 still casts
+  // exactly and z is added on top.
+  EXPECT_EQ(stream_threshold(1, 5, 0x1p-12, 4, ThresholdPolicy::Ours), kMax);
+  EXPECT_EQ(stream_threshold(1, 5, 0x1p-59, 1, ThresholdPolicy::Ours),
+            (std::size_t{1} << 63) + 5u);
+  // A saturated threshold still admits the stream and never recompresses.
+  InsertionOnlyStream s(2, 4, 1e-12, 8, kL2);
+  EXPECT_EQ(s.threshold(), kMax);
+  for (int i = 0; i < 50; ++i) s.insert(Point(8, static_cast<double>(i)));
+  EXPECT_EQ(s.doublings(), 0);
+  EXPECT_EQ(s.coreset().size(), 50u);
 }
 
 TEST(InsertionOnly, WeightConservation) {

@@ -26,7 +26,7 @@ determinism   no ``std::rand``/``srand``/``std::random_device`` and no
               outside ``util/timer.hpp`` (bench/tools/examples/tests time
               things by design and are exempt from the wall-clock ban).
 numerics      no ``float`` accumulators (``float x; ... x += ...`` —
-              accumulation is float64 by contract, storage may be float32);
+              accumulation is float64 by contract);
               no ``==``/``!=`` against floating-point literals (exact
               sentinel compares must be allowlisted with a reason); no
               ``-ffast-math``-family flags in any build file (they break
@@ -37,7 +37,10 @@ api           Options structs in ``src/`` must not regain execution-
               ``transport``/``injector`` — those live in
               ``mpc::ExecContext``); MPC entry points (functions declared
               in ``src/mpc/*.hpp`` taking an ``...Options`` parameter)
-              must also take an ``ExecContext``.
+              must also take an ``ExecContext``; ``case Norm::`` labels
+              appear only under ``src/geometry/`` — everywhere else a
+              runtime ``Norm`` reaches its kernels through
+              ``kernels::with_norm``.
 syscalls      statement-position (return-value-discarding) calls to
               ``read``/``write``/``fsync``/``posix_madvise``/``waitpid``
               and friends in ``src/dataset/`` are flagged; check the
@@ -119,6 +122,9 @@ BANNED_OPTION_MEMBERS = {"pool", "buffer", "faults", "transport", "injector"}
 # api: mpc headers where Options-taking functions are context plumbing
 # rather than algorithm entry points.
 API_EXEMPT_MPC_HEADERS = {"src/mpc/context.hpp"}
+# api: the only src/ module that may switch on a Norm (kernels::with_norm
+# and Metric::name live there).
+NORM_DISPATCH_SCOPE = "src/geometry/"
 
 # syscalls: functions whose discarded return hides real I/O failures.
 CHECKED_SYSCALLS = (
@@ -475,8 +481,7 @@ class Linter:
                 if acc_re and acc_re.search(line):
                     self.diag("numerics", rel, no,
                               "float accumulator: accumulation is float64 "
-                              "by contract (float32 is a storage format, "
-                              "see geometry/point_buffer.hpp)")
+                              "by contract (see geometry/kernels.hpp)")
                 if self.FLOAT_EQ_RE.search(line):
                     self.diag("numerics", rel, no,
                               "==/!= against a floating-point literal; "
@@ -502,6 +507,19 @@ class Linter:
             if (rel.startswith("src/mpc/") and rel.endswith(".hpp")
                     and rel not in API_EXEMPT_MPC_HEADERS):
                 self._check_mpc_entry_points(rel, f)
+            if not rel.startswith(NORM_DISPATCH_SCOPE):
+                self._check_norm_dispatch(rel, f)
+
+    NORM_CASE_RE = re.compile(r"\bcase\s+(?:\w+::)*Norm::")
+
+    def _check_norm_dispatch(self, rel, f):
+        for no, line in enumerate(f.lines, 1):
+            if self.NORM_CASE_RE.search(line):
+                self.diag("api", rel, no,
+                          "`case Norm::` outside src/geometry/: map a "
+                          "runtime Norm to its kernel instantiation with "
+                          "kernels::with_norm (geometry/kernels.hpp), the "
+                          "one Norm dispatch")
 
     def _check_options_members(self, rel, f):
         text = f.stripped
