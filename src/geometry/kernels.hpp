@@ -22,9 +22,11 @@
 // per-point work into one pass with the dimension loop fully unrolled;
 // the per-lane operation sequence is identical to the scalar reference,
 // so vectorizing *across points* changes no bits.  The hot loops carry a
-// `KC_SIMD_LOOP` pragma (ivdep) and are verified to auto-vectorize at -O3
-// (see docs/ARCHITECTURE.md "Memory layout"; CI additionally runs the
-// differential suite under -msse4.2 and -mavx2).  Other dimensions fall
+// `KC_SIMD_LOOP` pragma (ivdep).  GCC 12 at -O3 vectorizes the key and
+// min bodies at the x86-64 baseline, but the fused relax (a uint32 assign
+// select next to double keys) only with -mavx2 (see docs/ARCHITECTURE.md
+// "Memory layout"; CI additionally runs the differential suite under
+// -msse4.2 and -mavx2).  Other dimensions fall
 // back to `compute_keys_generic`, the retained column-at-a-time reference
 // that doubles as the bit-equality ground truth.
 //
@@ -510,32 +512,6 @@ inline RelaxResult relax_min_keys_parallel(const Buf& buf, const double* q,
   for (std::size_t c = 1; c < chunks; ++c)
     if (part[c].far_key > res.far_key) res = part[c];
   return res;
-}
-
-/// Chunk-parallel `count_within`: per-chunk integer partial sums, added in
-/// ascending chunk order (integer addition — bit-identical to the serial
-/// scan regardless of the split).  For a single large candidate list; the
-/// Charikar init pass instead fans out one level up (parallel over query
-/// points, serial counts per ball), which covers the same work with less
-/// dispatch — use this variant when there is one big list and no outer
-/// fan-out.  Contract pinned by tests/test_parallel.cpp.
-template <Norm N, typename Buf>
-[[nodiscard]] inline std::int64_t count_within_parallel(
-    const Buf& buf, const std::uint32_t* idx, std::size_t m, const double* q,
-    double key_thresh, const std::int64_t* w, const std::uint8_t* covered,
-    ThreadPool* pool, std::size_t grain = kParallelGrain) {
-  if (pool == nullptr || pool->num_threads() <= 1 || m <= grain)
-    return count_within<N>(buf, idx, m, q, key_thresh, w, covered);
-  const std::size_t chunks = pool->chunk_count(m, grain);
-  std::vector<std::int64_t> part(chunks, 0);
-  pool->parallel_for_chunks(
-      m, grain, [&](std::size_t c, std::size_t begin, std::size_t end) {
-        part[c] = count_within<N>(buf, idx + begin, end - begin, q,
-                                  key_thresh, w, covered);
-      });
-  std::int64_t sum = 0;
-  for (std::size_t c = 0; c < chunks; ++c) sum += part[c];
-  return sum;
 }
 
 /// Chunk-parallel `mark_within`.  The candidate filter (the distance scan)

@@ -16,48 +16,20 @@ CeccarelloResult ceccarello_coreset(const std::vector<WeightedSet>& parts,
                                     const CeccarelloOptions& opt) {
   KC_EXPECTS(!parts.empty());
   const int m = static_cast<int>(parts.size());
-  int dim = 1;
-  for (const auto& part : parts)
-    if (!part.empty()) {
-      dim = part.front().p.dim();
-      break;
-    }
+  const int dim = parts_dim(parts);
 
   // τ = (k+z)·⌈4/ε⌉^d + 1: the multiplicative-z per-machine budget.
   const auto per_center = static_cast<std::int64_t>(
       std::pow(std::ceil(4.0 / opt.eps), dim));
   const std::int64_t tau = (static_cast<std::int64_t>(k) + z) * per_center + 1;
 
+  // Each machine ships a Gonzalez summary of its partition; a missing one
+  // is rebuilt (or written off) per the injector's policy by re-running
+  // the deterministic summary.
   Simulator sim(m, dim, ctx);
-  std::vector<WeightedSet> local(static_cast<std::size_t>(m));
-
-  sim.round([&](int id, std::vector<Message>& /*inbox*/,
-                std::vector<Message>& outbox) {
-    const auto uid = static_cast<std::size_t>(id);
-    const WeightedSet& mine = parts[uid];
-    sim.record_storage(id, sim.point_words(mine.size()));
-    if (!mine.empty()) {
-      const GonzalezResult g = gonzalez(
-          mine,
-          static_cast<int>(std::min<std::int64_t>(
-              tau, static_cast<std::int64_t>(mine.size()))),
-          metric);
-      local[uid] = gonzalez_summary(mine, g);
-    }
-    sim.record_storage(id, sim.point_words(mine.size() + local[uid].size()));
-    if (id != 0) {
-      Message msg;
-      msg.to = 0;
-      msg.payload = PointPayload(local[uid]);
-      outbox.push_back(std::move(msg));
-    }
-  });
-
-  // Missing shipments are recovered (or written off) per the injector's
-  // policy; the rebuild re-runs the deterministic Gonzalez summary.
-  const GatherResult gathered = gather_with_recovery(
-      sim, parts, std::move(local[0]), [&](int machine) -> WeightedSet {
-        const WeightedSet& mine = parts[static_cast<std::size_t>(machine)];
+  const std::vector<WeightedSet> shipments =
+      fan_in(sim, parts, m, m, [&](int id) -> WeightedSet {
+        const WeightedSet& mine = parts[static_cast<std::size_t>(id)];
         if (mine.empty()) return {};
         const GonzalezResult g = gonzalez(
             mine,
@@ -69,13 +41,9 @@ CeccarelloResult ceccarello_coreset(const std::vector<WeightedSet>& parts,
 
   CeccarelloResult result;
   result.tau = tau;
-  std::vector<WeightedSet> received;
-  received.reserve(gathered.shipments.size());
-  for (const auto& shipment : gathered.shipments) {
+  for (const auto& shipment : shipments)
     result.local_coreset_sizes.push_back(shipment.size());
-    received.push_back(shipment);
-  }
-  result.merged = merge_coresets(received);
+  result.merged = merge_coresets(shipments);
   const MiniBallCovering final_mbc =
       recompress(result.merged, k, z, opt.eps, metric, opt.oracle);
   sim.record_storage(0, sim.point_words(parts[0].size() + result.merged.size() +

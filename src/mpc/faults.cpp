@@ -1,5 +1,7 @@
 #include "mpc/faults.hpp"
 
+#include <utility>
+
 #include "mpc/simulator.hpp"
 #include "util/check.hpp"
 
@@ -34,6 +36,10 @@ bool parse_recovery_policy(const std::string& name,
   return false;
 }
 
+namespace {
+
+// Deterministic adopter for a dead machine's holding: the first alive
+// machine on the ring (dead+1, …, m−1, 1, …, dead−1).
 int choose_adopter(const FaultInjector& faults, int machines,
                    int dead) noexcept {
   for (int step = 1; step < machines; ++step) {
@@ -43,46 +49,79 @@ int choose_adopter(const FaultInjector& faults, int machines,
   return 0;  // the coordinator adopts when no worker survives
 }
 
+// Receiver-side accounting for a transport-truncated point payload: the
+// cut rows' weight is gone from the summary, and the registered bound can
+// no longer be certified.
 void account_payload_truncation(FaultInjector* faults, const Message& msg) {
   if (faults == nullptr || !msg.payload.truncated()) return;
   faults->stats().lost_weight += msg.payload.cut_weight();
   faults->stats().degraded = true;
 }
 
-GatherResult gather_with_recovery(Simulator& sim,
-                                  const std::vector<WeightedSet>& parts,
-                                  WeightedSet own, const RebuildFn& rebuild) {
+}  // namespace
+
+std::vector<WeightedSet> fan_in(Simulator& sim,
+                                const std::vector<WeightedSet>& holdings,
+                                int senders, int beta,
+                                const SummarizeFn& summarize,
+                                const RebuildFn& rebuild) {
   const int m = sim.machines();
-  KC_EXPECTS(static_cast<int>(parts.size()) == m);
+  KC_EXPECTS(static_cast<int>(holdings.size()) == m);
+  KC_EXPECTS(senders >= 1 && senders <= m && beta >= 1);
   FaultInjector* faults = sim.faults();
+  const auto held = [&](int id) -> const WeightedSet& {
+    return holdings[static_cast<std::size_t>(id)];
+  };
+  const auto ship = [&](std::vector<Message>& outbox, int sender, int adopter,
+                        WeightedSet summary) {
+    // The shipping machine holds its own input, the holding it summarized
+    // (the same one unless it adopted an orphan) and the summary.
+    sim.record_storage(
+        adopter,
+        sim.point_words((adopter == sender ? 0 : held(adopter).size()) +
+                        held(sender).size() + summary.size()));
+    Message msg;
+    msg.to = sender / beta;
+    if (adopter != sender) msg.scalars.push_back(static_cast<double>(sender));
+    msg.payload = PointPayload(summary);
+    outbox.push_back(std::move(msg));
+  };
 
-  GatherResult out;
-  out.shipments.resize(static_cast<std::size_t>(m));
-  out.shipments[0] = std::move(own);
-  std::vector<char> have(static_cast<std::size_t>(m), 0);
-  have[0] = 1;
-  for (auto& msg : sim.inbox(0)) {
-    if (msg.from == 0) continue;  // the coordinator's own data is `own`
-    account_payload_truncation(faults, msg);
-    out.shipments[static_cast<std::size_t>(msg.from)] = msg.payload.unpack();
-    have[static_cast<std::size_t>(msg.from)] = 1;
-  }
+  sim.round([&](int id, std::vector<Message>& inbox,
+                std::vector<Message>& outbox) {
+    if (id < senders) ship(outbox, id, id, summarize(id, inbox));
+  });
 
-  // Machines with an empty partition legitimately ship nothing of weight;
+  // A recovery shipment is tagged with its orphan sender's id.
+  std::vector<WeightedSet> shipments(static_cast<std::size_t>(senders));
+  std::vector<char> have(static_cast<std::size_t>(senders), 0);
+  const auto collect = [&] {
+    for (int to = 0; to * beta < senders; ++to)
+      for (auto& msg : sim.inbox(to)) {
+        const bool tagged = !msg.scalars.empty();
+        const int s = tagged ? static_cast<int>(msg.scalars[0]) : msg.from;
+        if (s < 0 || s >= senders || have[static_cast<std::size_t>(s)] != 0)
+          continue;
+        account_payload_truncation(faults, msg);
+        shipments[static_cast<std::size_t>(s)] = msg.payload.unpack();
+        have[static_cast<std::size_t>(s)] = 1;
+        if (tagged) ++faults->stats().partitions_reassigned;
+      }
+  };
+  // Senders with an empty holding legitimately ship nothing of weight;
   // everything else that is absent must be recovered or written off.
   const auto missing = [&] {
     std::vector<int> miss;
-    for (int i = 1; i < m; ++i)
-      if (have[static_cast<std::size_t>(i)] == 0 &&
-          !parts[static_cast<std::size_t>(i)].empty())
-        miss.push_back(i);
+    for (int s = 0; s < senders; ++s)
+      if (have[static_cast<std::size_t>(s)] == 0 && !held(s).empty())
+        miss.push_back(s);
     return miss;
   };
-
+  collect();
+  std::vector<int> miss = missing();
   // Only an injected fault loses a shipment: without an injector every
   // machine runs and every message is delivered.
-  std::vector<int> miss = missing();
-  if (miss.empty()) return out;
+  if (miss.empty()) return shipments;
   KC_ENSURES(faults != nullptr);
 
   if (faults->config().policy == RecoveryPolicy::Reassign) {
@@ -95,38 +134,13 @@ GatherResult gather_with_recovery(Simulator& sim,
       // recovered shipment may drop — the next pass tries again).
       std::vector<std::pair<int, int>> tasks;  // (orphan, adopter)
       tasks.reserve(miss.size());
-      for (int i : miss) tasks.emplace_back(i, choose_adopter(*faults, m, i));
+      for (int s : miss) tasks.emplace_back(s, choose_adopter(*faults, m, s));
       sim.round([&](int id, std::vector<Message>& /*inbox*/,
                     std::vector<Message>& outbox) {
-        for (const auto& [orphan, adopter] : tasks) {
-          if (adopter != id) continue;
-          WeightedSet summary = rebuild(orphan);
-          // The adopter now holds its own partition, the orphan partition
-          // it re-read, and the rebuilt summary.
-          sim.record_storage(
-              id, sim.point_words(
-                      parts[static_cast<std::size_t>(id)].size() +
-                      parts[static_cast<std::size_t>(orphan)].size() +
-                      summary.size()));
-          Message msg;
-          msg.to = 0;
-          msg.scalars.push_back(static_cast<double>(orphan));
-          msg.payload = PointPayload(summary);
-          outbox.push_back(std::move(msg));
-        }
+        for (const auto& [orphan, adopter] : tasks)
+          if (adopter == id) ship(outbox, orphan, id, rebuild(orphan));
       });
-      for (auto& msg : sim.inbox(0)) {
-        if (msg.scalars.empty()) continue;
-        const int orphan = static_cast<int>(msg.scalars[0]);
-        if (orphan <= 0 || orphan >= m ||
-            have[static_cast<std::size_t>(orphan)] != 0)
-          continue;
-        account_payload_truncation(faults, msg);
-        out.shipments[static_cast<std::size_t>(orphan)] =
-            msg.payload.unpack();
-        have[static_cast<std::size_t>(orphan)] = 1;
-        ++faults->stats().partitions_reassigned;
-      }
+      collect();
       miss = missing();
     }
   }
@@ -134,12 +148,21 @@ GatherResult gather_with_recovery(Simulator& sim,
   // Lemma 4: the union of the surviving coverings is still a valid
   // covering of the surviving points — the result degrades to a
   // (k, z + lost_weight) guarantee instead of failing.
-  for (int i : miss) {
-    faults->stats().lost_weight +=
-        total_weight(parts[static_cast<std::size_t>(i)]);
+  for (int s : miss) {
+    faults->stats().lost_weight += total_weight(held(s));
     faults->stats().degraded = true;
   }
-  return out;
+  return shipments;
+}
+
+std::vector<WeightedSet> fan_in(Simulator& sim,
+                                const std::vector<WeightedSet>& holdings,
+                                int senders, int beta,
+                                const RebuildFn& build) {
+  return fan_in(
+      sim, holdings, senders, beta,
+      [&](int id, const std::vector<Message>& /*inbox*/) { return build(id); },
+      build);
 }
 
 }  // namespace kc::mpc

@@ -24,8 +24,8 @@
 //  * transport recovery (crash re-execution, message re-send with backoff)
 //    lives in `Simulator::round`;
 //  * semantic recovery (reassigning a dead machine's partition, degrading
-//    to the surviving union) lives in the algorithms, via
-//    `gather_with_recovery` below and per-algorithm code (multi_round).
+//    to the surviving union) lives in `fan_in` below: the one stage through
+//    which every MPC algorithm ships and gathers its coverings.
 
 #pragma once
 
@@ -203,43 +203,34 @@ class FaultInjector {
   std::vector<char> dead_;
 };
 
-/// Deterministic adopter for a dead machine's partition: the first alive
-/// machine on the ring (dead+1, …, m−1, 1, …, dead−1), falling back to the
-/// coordinator when no worker survives.
-[[nodiscard]] int choose_adopter(const FaultInjector& faults, int machines,
-                                 int dead) noexcept;
+/// Builds machine `id`'s shipment from its durable holding; a summarize
+/// also sees the inbox the previous round delivered to it.  Must be a pure
+/// function of its arguments: an adopter re-runs it for a dead machine.
+using SummarizeFn =
+    std::function<WeightedSet(int id, const std::vector<Message>& inbox)>;
+using RebuildFn = std::function<WeightedSet(int id)>;
 
-/// Rebuilds machine `i`'s shipment from its resident partition (machines
-/// are restartable: partitions are durable, per the index-based
-/// partitioning of PR 6).  Runs on the adopting machine during a recovery
-/// round; must be a pure function of `i`.
-using RebuildFn = std::function<WeightedSet(int machine)>;
-
-struct GatherResult {
-  /// Shipments in machine-id order; [0] is the coordinator's own summary.
-  /// Missing shipments that could not be recovered stay empty (their
-  /// weight is accounted in `FaultStats::lost_weight`).
-  std::vector<WeightedSet> shipments;
-};
-
-/// Receiver-side accounting for a transport-truncated point payload: the
-/// cut rows' weight is gone from the summary, and the registered bound can
-/// no longer be certified.  No-op when `faults` is null or nothing was cut.
-void account_payload_truncation(FaultInjector* faults, const Message& msg);
-
-/// Coordinator-side gather shared by the single-shipment algorithms
-/// (1-round, 2-round round 2, Ceccarello, Guha): collects the one point
-/// shipment expected from every machine 1..m−1 with a nonempty partition,
-/// then recovers the missing ones according to the injector's policy —
-/// Reassign runs up to `max_recovery_rounds` extra rounds in which
-/// deterministic adopters rebuild orphan shipments from the durable
-/// partitions (storage and communication honestly re-accounted, the fault
-/// plan still active); anything still missing afterwards (or under
+/// The fan-in stage every MPC algorithm composes coverings with (Lemma 4):
+/// in one simulator round each machine s < `senders` ships `summarize(s)`
+/// to machine s / `beta` (machine 0's shipment to itself is local data
+/// movement, never faulted); the stage then collects one shipment per
+/// sender.  A shipment missing from a nonempty holding (dead machine, lost
+/// message) is recovered per the injector's policy — Reassign runs up to
+/// `max_recovery_rounds` extra rounds in which deterministic adopters
+/// `rebuild` orphan shipments from the durable holdings, tagged with the
+/// orphan's id (storage and communication honestly re-accounted, the fault
+/// plan still active) — and anything still missing (or under
 /// Retry/Degrade) is written off as lost weight and flags the run
-/// degraded.  With no active injector this reduces to the pre-fault
-/// gather, byte for byte.
-[[nodiscard]] GatherResult gather_with_recovery(
-    Simulator& sim, const std::vector<WeightedSet>& parts, WeightedSet own,
-    const RebuildFn& rebuild);
+/// degraded.  Returns the shipments in sender order; a written-off one
+/// stays empty.  Without an active injector nothing is ever missing.
+[[nodiscard]] std::vector<WeightedSet> fan_in(
+    Simulator& sim, const std::vector<WeightedSet>& holdings, int senders,
+    int beta, const SummarizeFn& summarize, const RebuildFn& rebuild);
+
+/// The common case: a shipment depends on the holding alone, so `build`
+/// both summarizes and rebuilds.
+[[nodiscard]] std::vector<WeightedSet> fan_in(
+    Simulator& sim, const std::vector<WeightedSet>& holdings, int senders,
+    int beta, const RebuildFn& build);
 
 }  // namespace kc::mpc

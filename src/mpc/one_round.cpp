@@ -15,12 +15,6 @@ OneRoundResult one_round_coreset(const std::vector<WeightedSet>& parts, int k,
                                  const OneRoundOptions& opt) {
   KC_EXPECTS(!parts.empty());
   const int m = static_cast<int>(parts.size());
-  int dim = 1;
-  for (const auto& part : parts)
-    if (!part.empty()) {
-      dim = part.front().p.dim();
-      break;
-    }
 
   // z' = min(6z/m + 3·log2 n, z)   (Lemma 32).
   const double logn = n_total > 1 ? std::log2(static_cast<double>(n_total)) : 1.0;
@@ -28,45 +22,22 @@ OneRoundResult one_round_coreset(const std::vector<WeightedSet>& parts, int k,
       z, static_cast<std::int64_t>(
              std::ceil(6.0 * static_cast<double>(z) / m + 3.0 * logn)));
 
-  Simulator sim(m, dim, ctx);
-  std::vector<MiniBallCovering> local(static_cast<std::size_t>(m));
-
-  sim.round([&](int id, std::vector<Message>& /*inbox*/,
-                std::vector<Message>& outbox) {
-    const auto uid = static_cast<std::size_t>(id);
-    const WeightedSet& mine = parts[uid];
-    sim.record_storage(id, sim.point_words(mine.size()));
-    MiniBallCovering mbc =
-        mbc_construct(mine, k, z_local, opt.eps, metric, opt.oracle);
-    sim.record_storage(id, sim.point_words(mine.size() + mbc.reps.size()));
-    if (id != 0) {
-      Message msg;
-      msg.to = 0;
-      msg.payload = PointPayload(mbc.reps);
-      outbox.push_back(std::move(msg));
-    }
-    local[uid] = std::move(mbc);
-  });
-
-  // Missing shipments are recovered (or written off) per the injector's
-  // policy; the rebuild simply re-runs the machine's deterministic local
-  // construction on its durable partition.
-  const GatherResult gathered = gather_with_recovery(
-      sim, parts, std::move(local[0].reps), [&](int machine) -> WeightedSet {
-        return mbc_construct(parts[static_cast<std::size_t>(machine)], k,
-                             z_local, opt.eps, metric, opt.oracle)
+  // Each machine ships its local covering; a missing one is rebuilt (or
+  // written off) per the injector's policy by re-running the machine's
+  // deterministic local construction on its durable partition.
+  Simulator sim(m, parts_dim(parts), ctx);
+  const std::vector<WeightedSet> shipments =
+      fan_in(sim, parts, m, m, [&](int id) -> WeightedSet {
+        return mbc_construct(parts[static_cast<std::size_t>(id)], k, z_local,
+                             opt.eps, metric, opt.oracle)
             .reps;
       });
 
   OneRoundResult result;
   result.z_local = z_local;
-  std::vector<WeightedSet> received;
-  received.reserve(gathered.shipments.size());
-  for (const auto& shipment : gathered.shipments) {
+  for (const auto& shipment : shipments)
     result.local_coreset_sizes.push_back(shipment.size());
-    received.push_back(shipment);
-  }
-  result.merged = merge_coresets(received);
+  result.merged = merge_coresets(shipments);
   const MiniBallCovering final_mbc =
       recompress(result.merged, k, z, opt.eps, metric, opt.oracle);
   sim.record_storage(0, sim.point_words(parts[0].size() + result.merged.size() +

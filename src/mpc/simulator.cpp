@@ -19,6 +19,12 @@ std::size_t MpcStats::coordinator_words() const {
   return peak_words.empty() ? 0 : peak_words[0];
 }
 
+int parts_dim(const std::vector<WeightedSet>& parts) {
+  for (const auto& part : parts)
+    if (!part.empty()) return part.front().p.dim();
+  return 1;
+}
+
 Simulator::Simulator(int m, int dim, const ExecContext& ctx)
     : m_(m),
       dim_(dim),

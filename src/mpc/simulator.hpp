@@ -79,6 +79,10 @@ struct MpcStats {
   [[nodiscard]] std::size_t coordinator_words() const;
 };
 
+/// The dimension a run over `parts` works in: that of the first nonempty
+/// partition, 1 when every partition is empty.
+[[nodiscard]] int parts_dim(const std::vector<WeightedSet>& parts);
+
 class Simulator {
  public:
   /// m ≥ 1 machines in dimension dim.  Machine 0 is the coordinator.

@@ -78,20 +78,12 @@ TwoRoundResult two_round_coreset(const std::vector<WeightedSet>& parts, int k,
   KC_EXPECTS(!parts.empty());
   KC_EXPECTS(z >= 0);
   const int m = static_cast<int>(parts.size());
-  int dim = 1;
-  for (const auto& part : parts)
-    if (!part.empty()) {
-      dim = part.front().p.dim();
-      break;
-    }
-
-  Simulator sim(m, dim, ctx);
+  Simulator sim(m, parts_dim(parts), ctx);
   const int levels = guess_levels(z) + 1;  // j = 0..J inclusive
 
   // Per-machine state living across rounds.
   std::vector<std::vector<double>> v_table(static_cast<std::size_t>(m));
   std::vector<std::vector<double>> rho_table(static_cast<std::size_t>(m));
-  std::vector<MiniBallCovering> local_mbc(static_cast<std::size_t>(m));
   std::vector<double> r_hat_seen(static_cast<std::size_t>(m), 0.0);
   std::vector<double> rho_max_seen(static_cast<std::size_t>(m), 1.0);
   std::vector<std::int64_t> guess_of(static_cast<std::size_t>(m), 0);
@@ -140,8 +132,7 @@ TwoRoundResult two_round_coreset(const std::vector<WeightedSet>& parts, int k,
   if (losses() > losses_before) faults->stats().degraded = true;
 
   // ---- Round 2: agree on r̂, build local coverings, ship them. --------
-  sim.round([&](int id, std::vector<Message>& inbox,
-                std::vector<Message>& outbox) {
+  const auto summarize = [&](int id, const std::vector<Message>& inbox) {
     const auto uid = static_cast<std::size_t>(id);
     const WeightedSet& mine = parts[uid];
 
@@ -159,10 +150,6 @@ TwoRoundResult two_round_coreset(const std::vector<WeightedSet>& parts, int k,
       for (std::size_t i = half; i < msg.scalars.size(); ++i)
         rho_max = std::max(rho_max, msg.scalars[i]);
     }
-    // Storage at this moment: own points + m radius tables.
-    sim.record_storage(
-        id, sim.point_words(mine.size()) +
-                static_cast<std::size_t>(m) * 2 * static_cast<std::size_t>(levels));
 
     const double r_hat = compute_r_hat(all_v, z);
     r_hat_seen[uid] = r_hat;
@@ -182,54 +169,42 @@ TwoRoundResult two_round_coreset(const std::vector<WeightedSet>& parts, int k,
     // MBCConstruction(P_i, k, 2^ĵ−1, ε) reusing the Round-1 radius; the
     // mini-ball radius ε·V_i[ĵ]/ρ ≤ ε·r̂/ρ ≤ ε·opt (Lemma 9).
     const double r_i = v_table[uid][static_cast<std::size_t>(j_hat)];
-    MiniBallCovering mbc =
-        mbc_with_radius(mine, opt.eps * r_i / rho_max, metric);
-    mbc.oracle_radius = r_i;
-    mbc.rho = rho_max;
+    WeightedSet reps =
+        mbc_with_radius(mine, opt.eps * r_i / rho_max, metric).reps;
+    // Storage at this moment: own points, the covering and m radius tables.
     sim.record_storage(
-        id, sim.point_words(mine.size() + mbc.reps.size()) +
+        id, sim.point_words(mine.size() + reps.size()) +
                 static_cast<std::size_t>(m) * 2 * static_cast<std::size_t>(levels));
+    return reps;
+  };
 
-    if (id != 0) {
-      Message out;
-      out.to = 0;
-      out.payload = PointPayload(mbc.reps);
-      outbox.push_back(std::move(out));
-    }
-    local_mbc[uid] = std::move(mbc);
-  });
-
-  // ---- Coordinator: merge and recompress. ------------------------------
   // Missing shipments (dead machines, lost messages) are recovered per the
   // injector's policy.  The rebuild re-derives the machine's deterministic
   // round-2 computation from its durable partition and the coordinator's
   // table view; a machine whose V table never existed (dead in round 1)
   // falls back to the always-valid full-z local covering.
-  const GatherResult gathered = gather_with_recovery(
-      sim, parts, local_mbc[0].reps, [&](int machine) -> WeightedSet {
-        const auto ui = static_cast<std::size_t>(machine);
-        if (!v_table[ui].empty()) {
-          for (int j = 0; j < levels; ++j) {
-            if (v_table[ui][static_cast<std::size_t>(j)] <= r_hat_seen[0]) {
-              const double r_i = v_table[ui][static_cast<std::size_t>(j)];
-              return mbc_with_radius(parts[ui],
-                                     opt.eps * r_i / rho_max_seen[0], metric)
-                  .reps;
-            }
-          }
+  const auto rebuild = [&](int machine) -> WeightedSet {
+    const auto ui = static_cast<std::size_t>(machine);
+    if (!v_table[ui].empty()) {
+      for (int j = 0; j < levels; ++j) {
+        if (v_table[ui][static_cast<std::size_t>(j)] <= r_hat_seen[0]) {
+          const double r_i = v_table[ui][static_cast<std::size_t>(j)];
+          return mbc_with_radius(parts[ui], opt.eps * r_i / rho_max_seen[0],
+                                 metric)
+              .reps;
         }
-        return mbc_construct(parts[ui], k, z, opt.eps, metric, opt.oracle)
-            .reps;
-      });
+      }
+    }
+    return mbc_construct(parts[ui], k, z, opt.eps, metric, opt.oracle).reps;
+  };
+  const std::vector<WeightedSet> shipments =
+      fan_in(sim, parts, m, m, summarize, rebuild);
 
+  // ---- Coordinator: merge and recompress. ------------------------------
   TwoRoundResult result;
-  std::vector<WeightedSet> received;
-  received.reserve(gathered.shipments.size());
-  for (const auto& shipment : gathered.shipments) {
+  for (const auto& shipment : shipments)
     result.local_coreset_sizes.push_back(shipment.size());
-    received.push_back(shipment);
-  }
-  result.merged = merge_coresets(received);
+  result.merged = merge_coresets(shipments);
   const MiniBallCovering final_mbc =
       recompress(result.merged, k, z, opt.eps, metric, opt.oracle);
   sim.record_storage(

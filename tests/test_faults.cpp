@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -312,6 +314,335 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
+
+// ---------------------------------------------------------------------------
+// Fault-path golden: every MPC pipeline × recovery policy × schedule pinned
+// to its exact report.  The sweep above checks validity and thread-count
+// determinism only, and the wire-vs-local differential changes both sides
+// together; this table pins the recovery paths themselves (reassigned
+// rebuilds, truncation write-offs, whole-machine losses).  A change that
+// moves any number here changes what a fault costs, and must say so.
+// ---------------------------------------------------------------------------
+
+// The harsh schedule: most machines crash for good on their first fault
+// (no transport retries), on the wire backend.
+engine::PipelineConfig harsh_pipeline_config(RecoveryPolicy policy) {
+  engine::PipelineConfig cfg = chaos_pipeline_config(policy);
+  cfg.fault_seed = 11;
+  cfg.fault_crash = 0.6;
+  cfg.fault_drop = cfg.fault_truncate = cfg.fault_straggle = 0.0;
+  cfg.fault_retries = 0;
+  cfg.backend = Backend::Wire;
+  return cfg;
+}
+
+// One line per run: the common result columns, the radius as a hex float
+// (its exact bits), and every extra except wall times and the pool size.
+std::string golden_line(const std::string& label,
+                        const engine::PipelineReport& r) {
+  char buf[64];
+  std::string line = label;
+  const auto add = [&](const std::string& key, const char* fmt, auto value) {
+    std::snprintf(buf, sizeof buf, fmt, value);
+    line += ' ' + key + '=' + buf;
+  };
+  add("coreset", "%zu", r.coreset_size);
+  add("words", "%zu", r.words);
+  add("comm", "%zu", r.comm_words);
+  add("rounds", "%d", r.rounds);
+  add("radius", "%a", r.radius);
+  for (const auto& [key, value] : r.extra) {
+    const bool simulated = key.rfind("fault_", 0) == 0;
+    const bool timing = key.size() > 3 && key.ends_with("_ms");
+    if (key == "threads" || (timing && !simulated)) continue;
+    add(key, "%.17g", value);
+  }
+  return line;
+}
+
+// Rows are in the loop order of the test below.
+const char* const kFaultGolden[] = {
+    "mpc-1round/retry/chaos coreset=111 words=555 comm=1206 rounds=1"
+    " radius=0x1.5a1a702a600f9p+0 merged_size=319 z_local=8"
+    " eps_effective=1.25 coord_words=1677 fault_crashes=3 fault_drops=1"
+    " fault_truncations=2 fault_straggles=2 fault_retries=2"
+    " fault_resends=2 fault_resent_words=396 fault_lost_words=84"
+    " fault_lost_weight=169 fault_machines_lost=1 fault_messages_lost=0"
+    " fault_reassigned=0 fault_recovery_rounds=0 fault_backoff_ms=6"
+    " fault_straggle_ms=10 degraded=1",
+    "mpc-1round/retry/harsh coreset=134 words=555 comm=420 rounds=1"
+    " radius=0x1.5c2aa4c372d93p+0 merged_size=217 z_local=8"
+    " eps_effective=1.25 coord_words=1440 wire_bytes=3456 wire_frames=2"
+    " wire_ratio=1.0285714285714285 fault_crashes=3 fault_drops=0"
+    " fault_truncations=0 fault_straggles=0 fault_retries=0"
+    " fault_resends=0 fault_resent_words=0 fault_lost_words=0"
+    " fault_lost_weight=351 fault_machines_lost=3 fault_messages_lost=0"
+    " fault_reassigned=0 fault_recovery_rounds=0 fault_backoff_ms=0"
+    " fault_straggle_ms=0 degraded=1",
+    "mpc-1round/reassign/chaos coreset=113 words=966 comm=1911 rounds=2"
+    " radius=0x1.5a1a702a600f9p+0 merged_size=397 z_local=8"
+    " eps_effective=1.25 coord_words=1917 fault_crashes=3 fault_drops=2"
+    " fault_truncations=3 fault_straggles=2 fault_retries=2"
+    " fault_resends=4 fault_resent_words=866 fault_lost_words=84"
+    " fault_lost_weight=34 fault_machines_lost=1 fault_messages_lost=0"
+    " fault_reassigned=1 fault_recovery_rounds=1 fault_backoff_ms=9"
+    " fault_straggle_ms=10 degraded=1",
+    "mpc-1round/reassign/harsh coreset=119 words=555 comm=420 rounds=3"
+    " radius=0x1.5a1a702a600f9p+0 merged_size=425 z_local=8"
+    " eps_effective=1.25 coord_words=2019 wire_bytes=3456 wire_frames=2"
+    " wire_ratio=1.0285714285714285 fault_crashes=5 fault_drops=0"
+    " fault_truncations=0 fault_straggles=0 fault_retries=0"
+    " fault_resends=0 fault_resent_words=0 fault_lost_words=0"
+    " fault_lost_weight=0 fault_machines_lost=5 fault_messages_lost=0"
+    " fault_reassigned=3 fault_recovery_rounds=2 fault_backoff_ms=0"
+    " fault_straggle_ms=0 degraded=0",
+    "mpc-1round/degrade/chaos coreset=133 words=555 comm=810 rounds=1"
+    " radius=0x1.5a1a702a600f9p+0 merged_size=281 z_local=8"
+    " eps_effective=1.25 coord_words=1629 fault_crashes=1 fault_drops=1"
+    " fault_truncations=0 fault_straggles=2 fault_retries=0"
+    " fault_resends=0 fault_resent_words=0 fault_lost_words=198"
+    " fault_lost_weight=244 fault_machines_lost=1 fault_messages_lost=1"
+    " fault_reassigned=0 fault_recovery_rounds=0 fault_backoff_ms=0"
+    " fault_straggle_ms=10 degraded=1",
+    "mpc-1round/degrade/harsh coreset=134 words=555 comm=420 rounds=1"
+    " radius=0x1.5c2aa4c372d93p+0 merged_size=217 z_local=8"
+    " eps_effective=1.25 coord_words=1440 wire_bytes=3456 wire_frames=2"
+    " wire_ratio=1.0285714285714285 fault_crashes=3 fault_drops=0"
+    " fault_truncations=0 fault_straggles=0 fault_retries=0"
+    " fault_resends=0 fault_resent_words=0 fault_lost_words=0"
+    " fault_lost_weight=351 fault_machines_lost=3 fault_messages_lost=0"
+    " fault_reassigned=0 fault_recovery_rounds=0 fault_backoff_ms=0"
+    " fault_straggle_ms=0 degraded=1",
+    "mpc-2round/retry/chaos coreset=89 words=561 comm=1098 rounds=2"
+    " radius=0x1.97f14370364d8p+0 merged_size=236"
+    " r_hat=1.1320547515323807 sum_guesses=16 eps_effective=1.25"
+    " coord_words=1326 fault_crashes=3 fault_drops=3 fault_truncations=1"
+    " fault_straggles=2 fault_retries=2 fault_resends=4"
+    " fault_resent_words=320 fault_lost_words=0 fault_lost_weight=116"
+    " fault_machines_lost=1 fault_messages_lost=0 fault_reassigned=0"
+    " fault_recovery_rounds=0 fault_backoff_ms=8 fault_straggle_ms=10"
+    " degraded=1",
+    "mpc-2round/retry/harsh coreset=43 words=351 comm=150 rounds=2"
+    " radius=0x1.4de3f1cb64cfbp+5 merged_size=60"
+    " r_hat=0.90353492734867003 sum_guesses=15 eps_effective=1.25"
+    " coord_words=660 wire_bytes=1920 wire_frames=15"
+    " wire_ratio=1.6000000000000001 fault_crashes=5 fault_drops=0"
+    " fault_truncations=0 fault_straggles=0 fault_retries=0"
+    " fault_resends=0 fault_resent_words=0 fault_lost_words=0"
+    " fault_lost_weight=583 fault_machines_lost=5 fault_messages_lost=0"
+    " fault_reassigned=0 fault_recovery_rounds=0 fault_backoff_ms=0"
+    " fault_straggle_ms=0 degraded=1",
+    "mpc-2round/reassign/chaos coreset=107 words=921 comm=1321 rounds=3"
+    " radius=0x1.97f14370364d8p+0 merged_size=310"
+    " r_hat=1.1320547515323807 sum_guesses=16 eps_effective=1.25"
+    " coord_words=1602 fault_crashes=3 fault_drops=3 fault_truncations=1"
+    " fault_straggles=2 fault_retries=2 fault_resends=4"
+    " fault_resent_words=320 fault_lost_words=0 fault_lost_weight=0"
+    " fault_machines_lost=1 fault_messages_lost=0 fault_reassigned=1"
+    " fault_recovery_rounds=1 fault_backoff_ms=8 fault_straggle_ms=10"
+    " degraded=1",
+    "mpc-2round/reassign/harsh coreset=109 words=351 comm=150 rounds=3"
+    " radius=0x1.93939e3db9c26p+0 merged_size=348"
+    " r_hat=0.90353492734867003 sum_guesses=15 eps_effective=1.25"
+    " coord_words=1722 wire_bytes=1920 wire_frames=15"
+    " wire_ratio=1.6000000000000001 fault_crashes=5 fault_drops=0"
+    " fault_truncations=0 fault_straggles=0 fault_retries=0"
+    " fault_resends=0 fault_resent_words=0 fault_lost_words=0"
+    " fault_lost_weight=0 fault_machines_lost=5 fault_messages_lost=0"
+    " fault_reassigned=5 fault_recovery_rounds=1 fault_backoff_ms=0"
+    " fault_straggle_ms=0 degraded=1",
+    "mpc-2round/degrade/chaos coreset=90 words=600 comm=856 rounds=2"
+    " radius=0x1.97f14370364d8p+0 merged_size=261"
+    " r_hat=1.1320547515323807 sum_guesses=23 eps_effective=1.25"
+    " coord_words=1404 fault_crashes=1 fault_drops=2 fault_truncations=1"
+    " fault_straggles=2 fault_retries=0 fault_resends=0"
+    " fault_resent_words=0 fault_lost_words=23 fault_lost_weight=117"
+    " fault_machines_lost=1 fault_messages_lost=2 fault_reassigned=0"
+    " fault_recovery_rounds=0 fault_backoff_ms=0 fault_straggle_ms=10"
+    " degraded=1",
+    "mpc-2round/degrade/harsh coreset=43 words=351 comm=150 rounds=2"
+    " radius=0x1.4de3f1cb64cfbp+5 merged_size=60"
+    " r_hat=0.90353492734867003 sum_guesses=15 eps_effective=1.25"
+    " coord_words=660 wire_bytes=1920 wire_frames=15"
+    " wire_ratio=1.6000000000000001 fault_crashes=5 fault_drops=0"
+    " fault_truncations=0 fault_straggles=0 fault_retries=0"
+    " fault_resends=0 fault_resent_words=0 fault_lost_words=0"
+    " fault_lost_weight=583 fault_machines_lost=5 fault_messages_lost=0"
+    " fault_reassigned=0 fault_recovery_rounds=0 fault_backoff_ms=0"
+    " fault_straggle_ms=0 degraded=1",
+    "mpc-ceccarello/retry/chaos coreset=88 words=702 comm=2097 rounds=1"
+    " radius=0x1.7992c3c232b08p+0 merged_size=535 tau=705"
+    " coord_words=2220 fault_crashes=3 fault_drops=1 fault_truncations=2"
+    " fault_straggles=2 fault_retries=2 fault_resends=2"
+    " fault_resent_words=696 fault_lost_words=147 fault_lost_weight=165"
+    " fault_machines_lost=1 fault_messages_lost=0 fault_reassigned=0"
+    " fault_recovery_rounds=0 fault_backoff_ms=6 fault_straggle_ms=10"
+    " degraded=1",
+    "mpc-ceccarello/retry/harsh coreset=67 words=702 comm=699 rounds=1"
+    " radius=0x1.830175830f577p+0 merged_size=350 tau=705"
+    " coord_words=1602 wire_bytes=5688 wire_frames=2"
+    " wire_ratio=1.0171673819742488 fault_crashes=3 fault_drops=0"
+    " fault_truncations=0 fault_straggles=0 fault_retries=0"
+    " fault_resends=0 fault_resent_words=0 fault_lost_words=0"
+    " fault_lost_weight=350 fault_machines_lost=3 fault_messages_lost=0"
+    " fault_reassigned=0 fault_recovery_rounds=0 fault_backoff_ms=0"
+    " fault_straggle_ms=0 degraded=1",
+    "mpc-ceccarello/reassign/chaos coreset=189 words=1047 comm=3144"
+    " rounds=2 radius=0x1.76777d1379acbp+0 merged_size=651 tau=705"
+    " coord_words=2871 fault_crashes=3 fault_drops=2 fault_truncations=3"
+    " fault_straggles=2 fault_retries=2 fault_resends=4"
+    " fault_resent_words=1394 fault_lost_words=147 fault_lost_weight=49"
+    " fault_machines_lost=1 fault_messages_lost=0 fault_reassigned=1"
+    " fault_recovery_rounds=1 fault_backoff_ms=9 fault_straggle_ms=10"
+    " degraded=1",
+    "mpc-ceccarello/reassign/harsh coreset=243 words=702 comm=699"
+    " rounds=3 radius=0x1.6d9fc3c63eb82p+0 merged_size=700 tau=705"
+    " coord_words=3180 wire_bytes=5688 wire_frames=2"
+    " wire_ratio=1.0171673819742488 fault_crashes=5 fault_drops=0"
+    " fault_truncations=0 fault_straggles=0 fault_retries=0"
+    " fault_resends=0 fault_resent_words=0 fault_lost_words=0"
+    " fault_lost_weight=0 fault_machines_lost=5 fault_messages_lost=0"
+    " fault_reassigned=3 fault_recovery_rounds=2 fault_backoff_ms=0"
+    " fault_straggle_ms=0 degraded=0",
+    "mpc-ceccarello/degrade/chaos coreset=81 words=702 comm=1401 rounds=1"
+    " radius=0x1.7992c3c232b08p+0 merged_size=468 tau=705"
+    " coord_words=1998 fault_crashes=1 fault_drops=1 fault_truncations=0"
+    " fault_straggles=2 fault_retries=0 fault_resends=0"
+    " fault_resent_words=0 fault_lost_words=348 fault_lost_weight=232"
+    " fault_machines_lost=1 fault_messages_lost=1 fault_reassigned=0"
+    " fault_recovery_rounds=0 fault_backoff_ms=0 fault_straggle_ms=10"
+    " degraded=1",
+    "mpc-ceccarello/degrade/harsh coreset=67 words=702 comm=699 rounds=1"
+    " radius=0x1.830175830f577p+0 merged_size=350 tau=705"
+    " coord_words=1602 wire_bytes=5688 wire_frames=2"
+    " wire_ratio=1.0171673819742488 fault_crashes=3 fault_drops=0"
+    " fault_truncations=0 fault_straggles=0 fault_retries=0"
+    " fault_resends=0 fault_resent_words=0 fault_lost_words=0"
+    " fault_lost_weight=350 fault_machines_lost=3 fault_messages_lost=0"
+    " fault_reassigned=0 fault_recovery_rounds=0 fault_backoff_ms=0"
+    " fault_straggle_ms=0 degraded=1",
+    "mpc-guha/retry/chaos coreset=89 words=576 comm=1041 rounds=1"
+    " radius=0x1.b652fdacfcf3bp+0 merged_size=258 coord_words=1392"
+    " fault_crashes=3 fault_drops=1 fault_truncations=2 fault_straggles=2"
+    " fault_retries=2 fault_resends=2 fault_resent_words=318"
+    " fault_lost_words=69 fault_lost_weight=158 fault_machines_lost=1"
+    " fault_messages_lost=0 fault_reassigned=0 fault_recovery_rounds=0"
+    " fault_backoff_ms=6 fault_straggle_ms=10 degraded=1",
+    "mpc-guha/retry/harsh coreset=66 words=576 comm=384 rounds=1"
+    " radius=0x1.b24eb388632fdp+0 merged_size=168 coord_words=1053"
+    " wire_bytes=3168 wire_frames=2 wire_ratio=1.03125 fault_crashes=3"
+    " fault_drops=0 fault_truncations=0 fault_straggles=0 fault_retries=0"
+    " fault_resends=0 fault_resent_words=0 fault_lost_words=0"
+    " fault_lost_weight=350 fault_machines_lost=3 fault_messages_lost=0"
+    " fault_reassigned=0 fault_recovery_rounds=0 fault_backoff_ms=0"
+    " fault_straggle_ms=0 degraded=1",
+    "mpc-guha/reassign/chaos coreset=108 words=921 comm=1710 rounds=2"
+    " radius=0x1.699e0be8ebc36p+0 merged_size=332 coord_words=1671"
+    " fault_crashes=3 fault_drops=2 fault_truncations=3 fault_straggles=2"
+    " fault_retries=2 fault_resends=4 fault_resent_words=764"
+    " fault_lost_words=69 fault_lost_weight=42 fault_machines_lost=1"
+    " fault_messages_lost=0 fault_reassigned=1 fault_recovery_rounds=1"
+    " fault_backoff_ms=9 fault_straggle_ms=10 degraded=1",
+    "mpc-guha/reassign/harsh coreset=110 words=576 comm=384 rounds=3"
+    " radius=0x1.5f07a65d1d338p+0 merged_size=355 coord_words=1746"
+    " wire_bytes=3168 wire_frames=2 wire_ratio=1.03125 fault_crashes=5"
+    " fault_drops=0 fault_truncations=0 fault_straggles=0 fault_retries=0"
+    " fault_resends=0 fault_resent_words=0 fault_lost_words=0"
+    " fault_lost_weight=0 fault_machines_lost=5 fault_messages_lost=0"
+    " fault_reassigned=3 fault_recovery_rounds=2 fault_backoff_ms=0"
+    " fault_straggle_ms=0 degraded=0",
+    "mpc-guha/degrade/chaos coreset=78 words=576 comm=723 rounds=1"
+    " radius=0x1.b652fdacfcf3bp+0 merged_size=228 coord_words=1269"
+    " fault_crashes=1 fault_drops=1 fault_truncations=0 fault_straggles=2"
+    " fault_retries=0 fault_resends=0 fault_resent_words=0"
+    " fault_lost_words=159 fault_lost_weight=232 fault_machines_lost=1"
+    " fault_messages_lost=1 fault_reassigned=0 fault_recovery_rounds=0"
+    " fault_backoff_ms=0 fault_straggle_ms=10 degraded=1",
+    "mpc-guha/degrade/harsh coreset=66 words=576 comm=384 rounds=1"
+    " radius=0x1.b24eb388632fdp+0 merged_size=168 coord_words=1053"
+    " wire_bytes=3168 wire_frames=2 wire_ratio=1.03125 fault_crashes=3"
+    " fault_drops=0 fault_truncations=0 fault_straggles=0 fault_retries=0"
+    " fault_resends=0 fault_resent_words=0 fault_lost_words=0"
+    " fault_lost_weight=350 fault_machines_lost=3 fault_messages_lost=0"
+    " fault_reassigned=0 fault_recovery_rounds=0 fault_backoff_ms=0"
+    " fault_straggle_ms=0 degraded=1",
+    "mpc-rround/retry/chaos coreset=152 words=636 comm=1707 rounds=2"
+    " radius=0x1.970e5668e49a3p+0 beta=3 eps_effective=1.25"
+    " coord_words=594 fault_crashes=3 fault_drops=2 fault_truncations=3"
+    " fault_straggles=2 fault_retries=2 fault_resends=4"
+    " fault_resent_words=762 fault_lost_words=69 fault_lost_weight=158"
+    " fault_machines_lost=1 fault_messages_lost=0 fault_reassigned=0"
+    " fault_recovery_rounds=0 fault_backoff_ms=9 fault_straggle_ms=10"
+    " degraded=1",
+    "mpc-rround/retry/harsh coreset=52 words=576 comm=384 rounds=2"
+    " radius=0x1.4710d8dcc09e4p+5 beta=3 eps_effective=1.25"
+    " coord_words=471 wire_bytes=3168 wire_frames=2 wire_ratio=1.03125"
+    " fault_crashes=5 fault_drops=0 fault_truncations=0 fault_straggles=0"
+    " fault_retries=0 fault_resends=0 fault_resent_words=0"
+    " fault_lost_words=0 fault_lost_weight=467 fault_machines_lost=5"
+    " fault_messages_lost=0 fault_reassigned=0 fault_recovery_rounds=0"
+    " fault_backoff_ms=0 fault_straggle_ms=0 degraded=1",
+    "mpc-rround/reassign/chaos coreset=161 words=921 comm=1290 rounds=3"
+    " radius=0x1.811690e26490ep+0 beta=3 eps_effective=1.25"
+    " coord_words=594 fault_crashes=3 fault_drops=1 fault_truncations=2"
+    " fault_straggles=2 fault_retries=2 fault_resends=2"
+    " fault_resent_words=318 fault_lost_words=69 fault_lost_weight=42"
+    " fault_machines_lost=1 fault_messages_lost=0 fault_reassigned=1"
+    " fault_recovery_rounds=1 fault_backoff_ms=6 fault_straggle_ms=10"
+    " degraded=1",
+    "mpc-rround/reassign/harsh coreset=150 words=636 comm=797 rounds=5"
+    " radius=0x1.5a1a702a600f9p+0 beta=3 eps_effective=1.25"
+    " coord_words=1314 wire_bytes=6568 wire_frames=4"
+    " wire_ratio=1.0301129234629862 fault_crashes=5 fault_drops=0"
+    " fault_truncations=0 fault_straggles=0 fault_retries=0"
+    " fault_resends=0 fault_resent_words=0 fault_lost_words=0"
+    " fault_lost_weight=0 fault_machines_lost=5 fault_messages_lost=0"
+    " fault_reassigned=4 fault_recovery_rounds=3 fault_backoff_ms=0"
+    " fault_straggle_ms=0 degraded=0",
+    "mpc-rround/degrade/chaos coreset=137 words=636 comm=945 rounds=2"
+    " radius=0x1.93939e3db9c26p+0 beta=3 eps_effective=1.25"
+    " coord_words=471 fault_crashes=1 fault_drops=1 fault_truncations=1"
+    " fault_straggles=2 fault_retries=0 fault_resends=0"
+    " fault_resent_words=0 fault_lost_words=162 fault_lost_weight=233"
+    " fault_machines_lost=1 fault_messages_lost=1 fault_reassigned=0"
+    " fault_recovery_rounds=0 fault_backoff_ms=0 fault_straggle_ms=10"
+    " degraded=1",
+    "mpc-rround/degrade/harsh coreset=52 words=576 comm=384 rounds=2"
+    " radius=0x1.4710d8dcc09e4p+5 beta=3 eps_effective=1.25"
+    " coord_words=471 wire_bytes=3168 wire_frames=2 wire_ratio=1.03125"
+    " fault_crashes=5 fault_drops=0 fault_truncations=0 fault_straggles=0"
+    " fault_retries=0 fault_resends=0 fault_resent_words=0"
+    " fault_lost_words=0 fault_lost_weight=467 fault_machines_lost=5"
+    " fault_messages_lost=0 fault_reassigned=0 fault_recovery_rounds=0"
+    " fault_backoff_ms=0 fault_straggle_ms=0 degraded=1",
+};
+
+TEST(FaultGolden, EveryPipelinePolicyAndScheduleMatchesTheBaseline) {
+  // The chaos probabilities on a seed whose schedule, on every pipeline,
+  // both truncates a shipment and has Reassign rebuild one.
+  const auto chaos = [](RecoveryPolicy policy) {
+    engine::PipelineConfig cfg = chaos_pipeline_config(policy);
+    cfg.fault_seed = 354;
+    return cfg;
+  };
+  const engine::Workload w =
+      engine::make_workload(700, chaos(RecoveryPolicy::Retry));
+  std::vector<std::string> actual;
+  for (const auto& name : mpc_pipeline_names())
+    for (const RecoveryPolicy policy :
+         {RecoveryPolicy::Retry, RecoveryPolicy::Reassign,
+          RecoveryPolicy::Degrade}) {
+      const std::string label = name + '/' + to_string(policy);
+      actual.push_back(golden_line(
+          label + "/chaos", engine::run(name, w, chaos(policy)).report));
+      actual.push_back(golden_line(
+          label + "/harsh",
+          engine::run(name, w, harsh_pipeline_config(policy)).report));
+    }
+  ASSERT_EQ(actual.size(), std::size(kFaultGolden));
+  for (std::size_t i = 0; i < actual.size(); ++i)
+    EXPECT_EQ(actual[i], kFaultGolden[i]);
+}
 
 TEST(FaultRecovery, ZeroFaultConfigIsByteIdenticalToBaseline) {
   // An all-zero fault config must not perturb a single reported number on

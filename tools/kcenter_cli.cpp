@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -36,7 +35,8 @@ constexpr const char kUsage[] =
     "  --seed <s>                    instance + sketch seed [1]\n"
     "  --threads <N>                 thread-pool size for the MPC map phase\n"
     "                                and batch kernels; 0 = hardware [1]\n"
-    "  --m/--partition/--rounds      MPC knobs [8/adversarial/2]\n"
+    "  --m/--partition/--rounds      MPC knobs [8/adversarial/2]; --rounds\n"
+    "                                is the R of mpc-rround, in [1, 31]\n"
     "  --machines <m>                alias for --m\n"
     "  --backend local|wire          MPC message transport [local].\n"
     "                                wire delivers every message through an\n"
@@ -179,10 +179,14 @@ int main(int argc, char** argv) {
     std::fputs(kUsage, stderr);
     return 2;
   }
+  // β = max(2, ⌈m^{1/R}⌉) at least halves the active machines per stage, so
+  // any int m is down to one machine after 31 stages; every later stage is
+  // one more lone recompression at machine 0 (about a millisecond each).
+  constexpr long long kMaxRounds = 31;
   const long long rounds = flags.get_int("rounds", 2);
-  if (rounds < 1 || rounds > std::numeric_limits<int>::max()) {
-    std::fprintf(stderr, "error: --rounds must be in [1, %d] (got %lld)\n",
-                 std::numeric_limits<int>::max(), rounds);
+  if (rounds < 1 || rounds > kMaxRounds) {
+    std::fprintf(stderr, "error: --rounds must be in [1, %lld] (got %lld)\n",
+                 kMaxRounds, rounds);
     std::fputs(kUsage, stderr);
     return 2;
   }
