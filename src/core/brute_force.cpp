@@ -36,12 +36,13 @@ Solution brute_force_kcenter(const WeightedSet& pts, int k, std::int64_t z,
 
   Solution best;
   best.radius = std::numeric_limits<double>::infinity();
+  const kernels::PointBuffer buf(pts);  // one pack for every subset
 
   auto eval_current = [&] {
     PointSet centers;
     centers.reserve(idx.size());
     for (auto i : idx) centers.push_back(pts[i].p);
-    const double r = radius_with_outliers(pts, centers, z, metric);
+    const double r = radius_with_outliers(pts, centers, z, metric, &buf);
     if (r < best.radius) {
       best.radius = r;
       best.centers = std::move(centers);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "geometry/grid_index.hpp"
@@ -11,9 +13,6 @@
 namespace kc {
 
 namespace {
-
-// Below this size the grid build costs more than it prunes.
-constexpr std::size_t kGridMinPoints = 32;
 
 // Grid-accelerated greedy pass.  Invariant maintained across rounds:
 //   cand[i] = total weight of the *uncovered* points within distance r of
@@ -32,10 +31,8 @@ CharikarRun charikar_run_grid(const WeightedSet& pts, int k, std::int64_t z,
   const std::size_t n = pts.size();
   const int dim = pts.front().p.dim();
   kernels::PointBuffer local;
-  if (prebuilt == nullptr || prebuilt->size() != n)
-    local = kernels::PointBuffer(pts);
   const kernels::PointBuffer& buf =
-      (prebuilt != nullptr && prebuilt->size() == n) ? *prebuilt : local;
+      kernels::mirror_or_pack(pts, prebuilt, local);
   std::vector<std::int64_t> w(n);
   for (std::size_t i = 0; i < n; ++i) w[i] = pts[i].w;
   std::vector<std::uint8_t> covered(n, 0);
@@ -46,11 +43,22 @@ CharikarRun charikar_run_grid(const WeightedSet& pts, int k, std::int64_t z,
   const double r3 = 3.0 * r;
   const double r3_key = kernels::dist_to_key(N, r3);
 
-  GridIndex grid(r, dim);
+  // At r = 0 only exact duplicates count, and they share any cell.
+  GridIndex grid(r > 0.0 ? r : 1.0, dim);
   grid.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
     grid.insert(pts[i].p, static_cast<std::uint32_t>(i));
   const int reach3 = grid.reach_for(r3);
+  // A neighborhood of (2·reach+1)^d cells can outnumber the points (high d,
+  // few points): its candidates are then all points.  Any superset of a
+  // ball gives the same counts, so the result does not change.
+  std::vector<std::uint32_t> all(n);
+  std::iota(all.begin(), all.end(), 0u);
+  const auto candidates = [&](const double* q, int reach, auto&& f) {
+    if (std::pow(2.0 * reach + 1.0, dim) < static_cast<double>(n))
+      return grid.for_each_candidate(q, reach, f);
+    f(std::span<const std::uint32_t>(all));
+  };
 
   // Initial candidate ball weights (nothing covered yet).  This is the
   // O(Σ|ball_r|) bulk of the pass; each point's count is independent and
@@ -61,7 +69,7 @@ CharikarRun charikar_run_grid(const WeightedSet& pts, int k, std::int64_t z,
     for (std::size_t i = begin; i < end; ++i) {
       const double* q = pts[i].p.coords().data();
       std::int64_t sum = 0;
-      grid.for_each_candidate(q, 1, [&](std::span<const std::uint32_t> cell) {
+      candidates(q, 1, [&](std::span<const std::uint32_t> cell) {
         sum += kernels::count_within<N>(buf, cell.data(), cell.size(), q,
                                         r_key, w.data(), nullptr);
       });
@@ -94,17 +102,15 @@ CharikarRun charikar_run_grid(const WeightedSet& pts, int k, std::int64_t z,
     // whole ball; the mutation applies serially in that same order.
     const double* qc = pts[best_i].p.coords().data();
     ball.clear();
-    grid.for_each_candidate(qc, reach3,
-                            [&](std::span<const std::uint32_t> cell) {
-                              ball.insert(ball.end(), cell.begin(),
-                                          cell.end());
-                            });
+    candidates(qc, reach3, [&](std::span<const std::uint32_t> cell) {
+      ball.insert(ball.end(), cell.begin(), cell.end());
+    });
     const std::int64_t removed = kernels::mark_within_parallel<N>(
         buf, ball.data(), ball.size(), qc, r3_key, w.data(), covered.data(),
         [&](std::uint32_t j) {
           const double* qj = pts[j].p.coords().data();
           const std::int64_t wj = w[j];
-          grid.for_each_candidate(
+          candidates(
               qj, 1, [&](std::span<const std::uint32_t> inner) {
                 for (const std::uint32_t i : inner) {
                   if (buf.key_to<N>(i, qj) <= r_key) cand[i] -= wj;
@@ -121,56 +127,12 @@ CharikarRun charikar_run_grid(const WeightedSet& pts, int k, std::int64_t z,
 
 }  // namespace
 
-CharikarRun charikar_run_scalar(const WeightedSet& pts, int k, std::int64_t z,
-                                double r, const Metric& metric) {
-  KC_EXPECTS(k >= 1);
-  CharikarRun out;
-  const std::size_t n = pts.size();
-  std::vector<bool> covered(n, false);
-  std::int64_t uncovered_w = 0;
-  for (const auto& wp : pts) uncovered_w += wp.w;
-
-  // dist_key thresholds: compare squared distances under L2.
-  const double r_key = metric.dist_to_key(r);
-  const double r3 = 3.0 * r;
-  const double r3_key = metric.dist_to_key(r3);
-
-  for (int t = 0; t < k && uncovered_w > z; ++t) {
-    // Pick the point whose r-ball covers the most uncovered weight.
-    std::int64_t best_w = -1;
-    std::size_t best_i = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::int64_t wsum = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (covered[j]) continue;
-        if (metric.dist_key(pts[i].p, pts[j].p) <= r_key) wsum += pts[j].w;
-      }
-      if (wsum > best_w) {
-        best_w = wsum;
-        best_i = i;
-      }
-    }
-    out.centers.push_back(pts[best_i].p);
-    // Remove everything inside the expanded ball b(best_i, 3r).
-    for (std::size_t j = 0; j < n; ++j) {
-      if (covered[j]) continue;
-      if (metric.dist_key(pts[best_i].p, pts[j].p) <= r3_key) {
-        covered[j] = true;
-        uncovered_w -= pts[j].w;
-      }
-    }
-  }
-  out.uncovered = uncovered_w;
-  out.success = uncovered_w <= z;
-  return out;
-}
-
 CharikarRun charikar_run(const WeightedSet& pts, int k, std::int64_t z,
                          double r, const Metric& metric, ThreadPool* pool,
                          const kernels::PointBuffer* buffer) {
   KC_EXPECTS(k >= 1);
-  if (r <= 0.0 || pts.size() < kGridMinPoints)
-    return charikar_run_scalar(pts, k, z, r, metric);
+  KC_EXPECTS(r >= 0.0);
+  if (pts.empty()) return CharikarRun{{}, 0, z >= 0};
   return kernels::with_norm(metric.norm(), [&]<Norm N>() {
     return charikar_run_grid<N>(pts, k, z, r, pool, buffer);
   });
@@ -216,12 +178,8 @@ CharikarResult charikar_oracle(const WeightedSet& pts, int k, std::int64_t z,
   // One SoA pack shared by every ladder guess: use the caller's prebuilt
   // buffer when it matches, else pack here — never once per guess.
   kernels::PointBuffer local;
-  const kernels::PointBuffer* buffer = opt.exec.buffer;
-  if ((buffer == nullptr || buffer->size() != pts.size()) &&
-      pts.size() >= kGridMinPoints) {
-    local = kernels::PointBuffer(pts);
-    buffer = &local;
-  }
+  const kernels::PointBuffer* buffer =
+      &kernels::mirror_or_pack(pts, opt.exec.buffer, local);
 
   CharikarRun best_run = charikar_run(pts, k, z, candidate(0), metric,
                                       opt.exec.pool, buffer);

@@ -42,30 +42,22 @@ struct CharikarRun {
   bool success = false;   ///< uncovered ≤ z
 };
 
-/// One greedy pass with a fixed radius guess.  For r > 0 and at least 32
-/// points it runs the grid-accelerated pass: candidate ball weights are computed once from
-/// grid-bucketed neighborhoods and maintained *incrementally* as points are
-/// covered, so the per-round cost is O(n) plus the (one-time) total size of
-/// the r-balls touched, instead of the O(n²) rescan per round of the
-/// reference below.  Results are bit-identical to the reference (pinned by
-/// tests/test_kernels.cpp).  `pool` (optional) fans the initial
-/// candidate-weight pass out over deterministic chunks — same results at
-/// every thread count.  `buffer` (optional) is a prebuilt SoA buffer of
-/// `pts` in the same order; when null the grid pass packs one itself.
+/// One greedy pass with a fixed radius guess r ≥ 0: candidate ball weights
+/// come once from grid-bucketed neighborhoods (cell width r, or 1 at r = 0;
+/// all points where a neighborhood's cells outnumber them) and are
+/// maintained *incrementally* as points are covered — O(n) per round plus
+/// the total size of the r-balls touched, instead of the O(n²) rescan per
+/// round of the plain greedy, with bit-identical results
+/// (tests/core_reference.hpp, tests/test_kernels.cpp). `pool` (optional)
+/// fans the initial candidate-weight pass out over deterministic chunks —
+/// same results at every thread count. `buffer` (optional) is a prebuilt SoA
+/// buffer of `pts` in the same order; when null the pass packs one.
 [[nodiscard]] CharikarRun charikar_run(const WeightedSet& pts, int k,
                                        std::int64_t z, double r,
                                        const Metric& metric,
                                        ThreadPool* pool = nullptr,
                                        const kernels::PointBuffer* buffer =
                                            nullptr);
-
-/// Reference implementation of `charikar_run`: the plain O(k · n²) rescan.
-/// `charikar_run` runs it for inputs below 32 points and for r ≤ 0 (the
-/// grid needs a positive cell width); it is also the ground truth for the
-/// grid-path equivalence tests.
-[[nodiscard]] CharikarRun charikar_run_scalar(const WeightedSet& pts, int k,
-                                              std::int64_t z, double r,
-                                              const Metric& metric);
 
 struct CharikarResult {
   double radius = 0.0;   ///< r_out = 3·r₀ (two-sided opt estimate, see above)

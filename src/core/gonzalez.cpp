@@ -25,10 +25,7 @@ GonzalezResult traverse(const WeightedSet& pts, int max_centers,
   const std::size_t n = pts.size();
   std::vector<double> key(n, std::numeric_limits<double>::infinity());
   kernels::PointBuffer local;
-  if (buffer == nullptr || buffer->size() != n)
-    local = kernels::PointBuffer(pts);
-  const kernels::PointBuffer& buf =
-      (buffer != nullptr && buffer->size() == n) ? *buffer : local;
+  const kernels::PointBuffer& buf = kernels::mirror_or_pack(pts, buffer, local);
   std::vector<double> scratch(n);
 
   // Each step relaxes every point's nearest-center key against the new

@@ -39,11 +39,7 @@ std::vector<RadiusEstimate> estimate_radius_ladder(
   // every Charikar fallback on `pts` read it.
   mpc::ExecContext exec = opt.exec;
   kernels::PointBuffer local;
-  if ((exec.buffer == nullptr || exec.buffer->size() != pts.size()) &&
-      !pts.empty()) {
-    local = kernels::PointBuffer(pts);
-    exec.buffer = &local;
-  }
+  exec.buffer = &kernels::mirror_or_pack(pts, exec.buffer, local);
   const bool summary =
       opt.kind == OracleKind::Summary ||
       (opt.kind == OracleKind::Auto && pts.size() > opt.auto_threshold);

@@ -1,6 +1,6 @@
 #include "core/solver.hpp"
 
-#include <limits>
+#include <vector>
 
 #include "core/brute_force.hpp"
 #include "core/charikar.hpp"
@@ -14,14 +14,12 @@ Solution solve_kcenter_outliers(const WeightedSet& pts, int k, std::int64_t z,
                                 const Metric& metric,
                                 const OracleOptions& oracle) {
   KC_EXPECTS(!pts.empty());
-  // The oracle's prebuilt buffer (when supplied) mirrors `pts`; it feeds
-  // the Gonzalez compression, the Charikar ladder (when uncompressed), and
-  // the final evaluation — one pack for the whole solve.
+  // One pack of `pts` (the oracle's buffer when it mirrors them) feeds the
+  // Gonzalez compression, the Charikar ladder (when uncompressed), and the
+  // final evaluation.
+  kernels::PointBuffer local;
   const kernels::PointBuffer* buffer =
-      (oracle.exec.buffer != nullptr &&
-       oracle.exec.buffer->size() == pts.size())
-          ? oracle.exec.buffer
-          : nullptr;
+      &kernels::mirror_or_pack(pts, oracle.exec.buffer, local);
   CharikarOptions copt;
   copt.beta = oracle.beta;
   copt.exec = oracle.exec;
@@ -75,25 +73,22 @@ Labeling classify(const WeightedSet& pts, const Solution& sol,
                   const Metric& metric) {
   KC_EXPECTS(!sol.centers.empty());
   Labeling out;
-  out.labels.reserve(pts.size());
+  const std::size_t n = pts.size();
+  const kernels::PointBuffer buf(pts);
+  std::vector<double> keys;
+  std::vector<std::uint32_t> assign;
+  nearest_center_assign(buf.view(), sol.centers, metric, keys, assign);
   // Tolerance mirrors check_expansion_property: absorb fp rounding so a
   // point exactly on the boundary counts as covered.
   const double limit = sol.radius * (1.0 + 1e-12) + 1e-300;
-  for (const auto& wp : pts) {
-    int best = -1;
-    double best_key = std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < sol.centers.size(); ++c) {
-      const double key = metric.dist_key(wp.p, sol.centers[c]);
-      if (key < best_key) {
-        best_key = key;
-        best = static_cast<int>(c);
-      }
-    }
-    if (metric.key_to_dist(best_key) > limit) {
+  out.labels.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (metric.key_to_dist(keys[i]) > limit) {
       out.labels.push_back(-1);
-      out.outlier_weight += wp.w;
+      out.outlier_weight += pts[i].w;
     } else {
-      out.labels.push_back(best);
+      out.labels.push_back(assign[i] == kNoCenter ? -1
+                                                  : static_cast<int>(assign[i]));
     }
   }
   return out;

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <sstream>
 
-#include "geometry/kernels.hpp"
+#include "core/cost.hpp"
 #include "util/check.hpp"
 
 namespace kc::dataset {
@@ -178,64 +177,23 @@ bool ChunkedReader::next(Chunk& out) {
 // ---------------------------------------------------------------------------
 // Chunked evaluation
 
-namespace {
-
-template <Norm N>
-double chunked_radius_impl(DataSource& src, const PointSet& centers,
-                           std::int64_t z, const Metric& metric,
-                           const ReaderOptions& opts,
-                           const ChunkTransform& transform) {
-  ChunkedReader reader(src, opts);
-  // Min-heap of the z+1 largest nearest-center distances seen so far; its
-  // top after the full pass is the (z+1)-th largest overall — exactly the
-  // radius the in-memory descending walk returns for unit weights.
-  std::priority_queue<double, std::vector<double>, std::greater<double>> top;
-  const auto keep = static_cast<std::size_t>(z) + 1;
-
-  kernels::PointBuffer scratch_buf(src.dim());
-  std::vector<double> keys, scratch;
-  ChunkedReader::Chunk ch;
-  while (reader.next(ch)) {
-    kernels::BufferView view = ch.view;
-    if (transform) {
-      scratch_buf.clear();
-      transform(ch.view, scratch_buf);
-      view = scratch_buf.view();
-    }
-    const std::size_t m = view.size();
-    keys.assign(m, std::numeric_limits<double>::infinity());
-    scratch.resize(m);
-    // Centers in ascending order — the same per-point minimisation sequence
-    // as core/cost.cpp's nearest_center_keys, hence bit-identical keys.
-    for (const auto& c : centers)
-      kernels::min_keys<N>(view, c.coords().data(), keys.data(),
-                           scratch.data());
-    for (std::size_t i = 0; i < m; ++i) {
-      const double d = metric.key_to_dist(keys[i]);
-      if (top.size() < keep) {
-        top.push(d);
-      } else if (d > top.top()) {
-        top.pop();
-        top.push(d);
-      }
-    }
-  }
-  // Fewer than z+1 points in total: everything may be an outlier.
-  if (top.size() < keep) return 0.0;
-  return top.top();
-}
-
-}  // namespace
-
 double chunked_radius_with_outliers(DataSource& src, const PointSet& centers,
                                     std::int64_t z, const Metric& metric,
                                     const ReaderOptions& opts,
                                     const ChunkTransform& transform) {
   KC_EXPECTS(!centers.empty());
-  KC_EXPECTS(z >= 0);
-  return kernels::with_norm(metric.norm(), [&]<Norm N>() {
-    return chunked_radius_impl<N>(src, centers, z, metric, opts, transform);
-  });
+  ChunkedReader reader(src, opts);
+  OutlierTail tail(z, metric);
+  kernels::PointBuffer scratch(src.dim());
+  ChunkedReader::Chunk ch;
+  while (reader.next(ch)) {
+    if (transform) {
+      scratch.clear();
+      transform(ch.view, scratch);
+    }
+    tail.add(transform ? scratch.view() : ch.view, centers);
+  }
+  return tail.radius();
 }
 
 // ---------------------------------------------------------------------------

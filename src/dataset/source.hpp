@@ -23,6 +23,9 @@
 // i+1's pages are (best effort) resident.  Peak memory is O(budget),
 // independent of n: that is the invariant bench_scale's RSS trajectory
 // pins.
+//
+// `chunked_radius_with_outliers` feeds each chunk to core/cost.hpp's one
+// evaluation selector; it owns no evaluation code.
 
 #pragma once
 
@@ -208,10 +211,10 @@ using ChunkTransform = std::function<void(
 
 /// Exact `radius_with_outliers` over a source, one chunk at a time: the
 /// smallest r such that at most z points are farther than r from their
-/// nearest center.  Bit-identical to the in-memory evaluation (same
-/// per-point kernel accumulation, ascending-center minimisation; the
-/// (z+1)-largest selection is value-equal under ties).  Peak memory is
-/// O(chunk), independent of n.  Built-in norms only.
+/// nearest center.  Each chunk (after the optional transform) is one batch
+/// of core/cost.hpp's `OutlierTail`, the selector the in-memory evaluation
+/// uses, so the result is bit-identical to it.  Peak memory is O(chunk),
+/// independent of n.
 [[nodiscard]] double chunked_radius_with_outliers(
     DataSource& src, const PointSet& centers, std::int64_t z,
     const Metric& metric, const ReaderOptions& opts = {},

@@ -22,6 +22,24 @@ namespace kc::engine {
 
 namespace {
 
+// The sketch and query fields of every dynamic report (after build_ms).
+void stamp_query(PipelineReport& report, const dynamic::DynamicCoreset& dc,
+                 const dynamic::DynamicCoreset::QueryResult& q,
+                 std::uint64_t updates) {
+  report.words = dc.words();
+  report.set("grid_space", 1.0);  // radius is in [Δ]^d coordinates
+  report.set("ok", q.ok ? 1.0 : 0.0);
+  report.set("level", static_cast<double>(q.level));
+  report.set("nonempty_cells", static_cast<double>(q.nonempty_cells));
+  report.set("cell_side", q.cell_side);
+  report.set("levels", static_cast<double>(dc.grids().levels()));
+  report.set("sample_budget", static_cast<double>(dc.sample_budget()));
+  report.set("live", static_cast<double>(dc.live_points()));
+  report.set("update_us", updates == 0 ? 0.0
+                                       : report.build_ms * 1e3 /
+                                             static_cast<double>(updates));
+}
+
 class DynamicPipeline final : public Pipeline {
  public:
   [[nodiscard]] std::string name() const override { return "dynamic"; }
@@ -67,20 +85,7 @@ class DynamicPipeline final : public Pipeline {
     res.report.build_ms = timer.millis();
 
     const auto q = dc.query();
-    res.report.words = dc.words();
-    res.report.set("grid_space", 1.0);  // radius is in [Δ]^d coordinates
-    res.report.set("ok", q.ok ? 1.0 : 0.0);
-    res.report.set("level", static_cast<double>(q.level));
-    res.report.set("nonempty_cells", static_cast<double>(q.nonempty_cells));
-    res.report.set("cell_side", q.cell_side);
-    res.report.set("levels", static_cast<double>(dc.grids().levels()));
-    res.report.set("sample_budget", static_cast<double>(dc.sample_budget()));
-    res.report.set("live", static_cast<double>(dc.live_points()));
-    res.report.set(
-        "update_us",
-        script.empty() ? 0.0
-                       : res.report.build_ms * 1e3 /
-                             static_cast<double>(script.size()));
+    stamp_query(res.report, dc, q, script.size());
     if (!q.ok) return res;  // no recoverable level: report without a summary
 
     res.coreset = q.coreset;
@@ -154,20 +159,7 @@ class DynamicPipeline final : public Pipeline {
     res.report.build_ms = timer.millis();
 
     const auto q = dc.query();
-    res.report.words = dc.words();
-    res.report.set("grid_space", 1.0);
-    res.report.set("ok", q.ok ? 1.0 : 0.0);
-    res.report.set("level", static_cast<double>(q.level));
-    res.report.set("nonempty_cells", static_cast<double>(q.nonempty_cells));
-    res.report.set("cell_side", q.cell_side);
-    res.report.set("levels", static_cast<double>(dc.grids().levels()));
-    res.report.set("sample_budget", static_cast<double>(dc.sample_budget()));
-    res.report.set("live", static_cast<double>(dc.live_points()));
-    res.report.set("update_us",
-                   src.size() == 0
-                       ? 0.0
-                       : res.report.build_ms * 1e3 /
-                             static_cast<double>(src.size()));
+    stamp_query(res.report, dc, q, src.size());
     if (!q.ok) return res;
 
     res.coreset = q.coreset;

@@ -140,7 +140,7 @@ namespace {
 /// caller-supplied one when given, else the workload's canonical buffer
 /// when `ground_truth` IS the workload's planted point set (harnesses that
 /// fill Workload fields by hand may leave it empty).  Null otherwise — the
-/// consumers below then fall back to packing / scalar scans.
+/// consumers below then pack one.
 const kernels::PointBuffer* ground_truth_buffer(
     const WeightedSet& ground_truth, const Workload& w,
     const kernels::PointBuffer* gt_buffer) {

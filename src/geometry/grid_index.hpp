@@ -20,8 +20,8 @@
 // Extreme coordinate/width ratios are clamped to ±2^61 before the cast;
 // clamping is monotone and contracts index differences, so the superset
 // guarantee survives even degenerate inputs.  The width must be positive:
-// a zero radius (exact duplicates only) is served by the consumers'
-// linear scans, never by a grid.
+// a zero radius (exact duplicates only) takes any positive width, since
+// duplicates share a cell.
 
 #pragma once
 

@@ -213,5 +213,14 @@ class PointBuffer {
   int dim_ = 0;
 };
 
+/// `*buf` when it mirrors `pts` (same size: callers pass a buffer packed
+/// from that set), else `local` packed from `pts` — one pack per caller.
+[[nodiscard]] inline const PointBuffer& mirror_or_pack(
+    const WeightedSet& pts, const PointBuffer* buf, PointBuffer& local) {
+  if (buf != nullptr && buf->size() == pts.size()) return *buf;
+  local = PointBuffer(pts);
+  return local;
+}
+
 }  // namespace kernels
 }  // namespace kc

@@ -10,19 +10,9 @@
 
 namespace kc::stream {
 
-namespace {
-// Offsets (1+ε)^g, g = 0..L−1, with (1+ε)^L ≥ 2: the union of the offset
-// doubling ladders is (1+ε)-dense.
-std::vector<double> ladder_offsets(double eps) {
-  std::vector<double> offsets;
-  double v = 1.0;
-  while (v < 2.0) {
-    offsets.push_back(v);
-    v *= (1.0 + eps);
-  }
-  return offsets;
+double McCutchenKhuller::ladder_size(double eps) {
+  return std::ceil(std::log(2.0) / std::log(1.0 + eps));
 }
-}  // namespace
 
 McCutchenKhuller::McCutchenKhuller(int k, std::int64_t z, double eps,
                                    const Metric& metric)
@@ -30,7 +20,10 @@ McCutchenKhuller::McCutchenKhuller(int k, std::int64_t z, double eps,
   KC_EXPECTS(k >= 1);
   KC_EXPECTS(z >= 0);
   KC_EXPECTS(eps > 0.0 && eps <= 1.0);
-  for (double off : ladder_offsets(eps)) {
+  KC_EXPECTS(ladder_size(eps) <= kMaxLadder);
+  // Offsets (1+ε)^g, g = 0..L−1, with (1+ε)^L ≥ 2: the union of the offset
+  // doubling ladders is (1+ε)-dense.
+  for (double off = 1.0; off < 2.0; off *= 1.0 + eps) {
     Instance inst;
     inst.r = -off;  // negative encodes "warm-up with this offset"
     instances_.push_back(std::move(inst));

@@ -29,6 +29,11 @@ namespace kc::stream {
 
 class McCutchenKhuller {
  public:
+  /// Instances at this ε, one per offset (1+ε)^g < 2: ⌈ln 2 / ln(1+ε)⌉,
+  /// as a double (+∞ once 1+ε rounds to 1).  At most kMaxLadder (ε ≳ 1e-5).
+  [[nodiscard]] static double ladder_size(double eps);
+  static constexpr double kMaxLadder = 65536;
+
   McCutchenKhuller(int k, std::int64_t z, double eps, const Metric& metric);
 
   void insert(const Point& p);

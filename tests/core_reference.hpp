@@ -1,15 +1,29 @@
-// Reference copy of the greedy mini-ball covering pass, kept as the
-// differential oracle for `mbc_with_radius` (core/mbc.cpp): the plain
-// O(n·|reps|) scan that assigns each point to the first representative
-// within the radius, in rep order, through `Metric::dist_key` (no kernels,
-// no grid).  The library's adaptive scan-then-grid pass must match it
-// output for output (tests/test_kernels.cpp).
+// Reference copies of library passes, kept as differential oracles: each is
+// the plain scalar loop over `Metric::dist_key` (no kernels, no grid) that
+// the library's fast path must match output for output.
+//
+//  * `mbc_with_radius_scalar` — the greedy mini-ball covering pass
+//    (`mbc_with_radius`, core/mbc.cpp): each point joins the first
+//    representative within the radius, in rep order
+//    (tests/test_kernels.cpp).
+//  * `charikar_run_scalar` — the O(k·n²) Charikar greedy rescan
+//    (`charikar_run`, core/charikar.cpp; tests/test_kernels.cpp).
+//  * `nearest_center_keys_aos` / `radius_with_outliers_sorted` /
+//    `classify_aos` — the AoS nearest-center sweep, the sort-and-walk
+//    outlier objective and the labelling loop that core/cost.cpp's sweep
+//    and (z+1)-tail selector replaced (tests/test_cost.cpp).
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
+#include "core/charikar.hpp"
 #include "core/mbc.hpp"
+#include "core/solver.hpp"
 #include "core/types.hpp"
 #include "util/check.hpp"
 
@@ -38,6 +52,114 @@ inline MiniBallCovering mbc_with_radius_scalar(const WeightedSet& pts,
     if (!placed) {
       out.assignment.push_back(static_cast<std::uint32_t>(out.reps.size()));
       out.reps.push_back(wp);
+    }
+  }
+  return out;
+}
+
+inline CharikarRun charikar_run_scalar(const WeightedSet& pts, int k,
+                                       std::int64_t z, double r,
+                                       const Metric& metric) {
+  KC_EXPECTS(k >= 1);
+  CharikarRun out;
+  const std::size_t n = pts.size();
+  std::vector<bool> covered(n, false);
+  std::int64_t uncovered_w = 0;
+  for (const auto& wp : pts) uncovered_w += wp.w;
+
+  // dist_key thresholds: compare squared distances under L2.
+  const double r_key = metric.dist_to_key(r);
+  const double r3_key = metric.dist_to_key(3.0 * r);
+
+  for (int t = 0; t < k && uncovered_w > z; ++t) {
+    // Pick the point whose r-ball covers the most uncovered weight.
+    std::int64_t best_w = -1;
+    std::size_t best_i = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::int64_t wsum = 0;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (covered[j]) continue;
+        if (metric.dist_key(pts[i].p, pts[j].p) <= r_key) wsum += pts[j].w;
+      }
+      if (wsum > best_w) {
+        best_w = wsum;
+        best_i = i;
+      }
+    }
+    out.centers.push_back(pts[best_i].p);
+    // Remove everything inside the expanded ball b(best_i, 3r).
+    for (std::size_t j = 0; j < n; ++j) {
+      if (covered[j]) continue;
+      if (metric.dist_key(pts[best_i].p, pts[j].p) <= r3_key) {
+        covered[j] = true;
+        uncovered_w -= pts[j].w;
+      }
+    }
+  }
+  out.uncovered = uncovered_w;
+  out.success = uncovered_w <= z;
+  return out;
+}
+
+/// Nearest-center key of every point, centers scanned in ascending order.
+inline std::vector<double> nearest_center_keys_aos(const WeightedSet& pts,
+                                                   const PointSet& centers,
+                                                   const Metric& metric) {
+  std::vector<double> out;
+  out.reserve(pts.size());
+  for (const auto& wp : pts) {
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto& c : centers) {
+      const double key = metric.dist_key(wp.p, c);
+      if (key < best) best = key;
+    }
+    out.push_back(best);
+  }
+  return out;
+}
+
+/// The outlier objective by a full sort: pair distances with weights, sort
+/// descending, and walk from the farthest point — once the accumulated
+/// weight would exceed z, the current point must be covered.
+inline double radius_with_outliers_sorted(const WeightedSet& pts,
+                                          const PointSet& centers,
+                                          std::int64_t z,
+                                          const Metric& metric) {
+  const std::vector<double> keys = nearest_center_keys_aos(pts, centers, metric);
+  std::vector<std::pair<double, std::int64_t>> dw;
+  dw.reserve(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i)
+    dw.emplace_back(metric.key_to_dist(keys[i]), pts[i].w);
+  std::sort(dw.begin(), dw.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::int64_t acc = 0;
+  for (const auto& [d, w] : dw) {
+    if (acc + w > z) return d;
+    acc += w;
+  }
+  return 0.0;  // total weight ≤ z: everything may be an outlier
+}
+
+/// `classify` with its own AoS argmin loop.
+inline Labeling classify_aos(const WeightedSet& pts, const Solution& sol,
+                             const Metric& metric) {
+  Labeling out;
+  const double limit = sol.radius * (1.0 + 1e-12) + 1e-300;
+  for (const auto& wp : pts) {
+    int best = -1;
+    double best_key = std::numeric_limits<double>::infinity();
+    for (std::size_t c = 0; c < sol.centers.size(); ++c) {
+      const double key = metric.dist_key(wp.p, sol.centers[c]);
+      if (key < best_key) {
+        best_key = key;
+        best = static_cast<int>(c);
+      }
+    }
+    if (metric.key_to_dist(best_key) > limit) {
+      out.labels.push_back(-1);
+      out.outlier_weight += wp.w;
+    } else {
+      out.labels.push_back(best);
     }
   }
   return out;

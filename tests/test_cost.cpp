@@ -1,7 +1,22 @@
+// The outlier objective (core/cost.hpp): hand-computed cases, plus the one
+// nearest-center sweep and (z+1)-tail selector checked bit for bit against
+// the sort-and-walk and AoS references of tests/core_reference.hpp — in
+// memory, fed in batches, per chunk of a data source, and for classify.
+
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/brute_force.hpp"
 #include "core/cost.hpp"
+#include "core/solver.hpp"
+#include "core_reference.hpp"
+#include "dataset/source.hpp"
+#include "util/rng.hpp"
 
 namespace kc {
 namespace {
@@ -110,6 +125,228 @@ TEST(BruteForce, TwoDimensional) {
   pts.push_back({Point{10.0, 0.0}, 1});
   pts.push_back({Point{10.0, 2.0}, 1});
   EXPECT_DOUBLE_EQ(brute_force_radius(pts, 2, 0, kL2), 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// Sweep and selector vs the references
+
+const Norm kNorms[] = {Norm::L2, Norm::Linf, Norm::L1};
+
+// Points on a coarse lattice (coordinates in {-3..3}), so many nearest-
+// center keys tie, including at the (z+1) boundary.  Weights are 1, or
+// 1..5 when `unit` is false.
+WeightedSet tied_points(std::size_t n, int dim, bool unit, Rng& rng) {
+  WeightedSet pts;
+  for (std::size_t i = 0; i < n; ++i) {
+    Point p(dim);
+    for (int j = 0; j < dim; ++j)
+      p[j] = static_cast<double>(rng.uniform_int(-3, 3));
+    const auto w =
+        unit ? std::int64_t{1} : static_cast<std::int64_t>(rng.uniform(5)) + 1;
+    pts.push_back({p, w});
+  }
+  return pts;
+}
+
+// z = 0, small, around the (z+1) boundary of the total, total weight ≤ z
+// and z ≥ n.
+std::vector<std::int64_t> z_grid(const WeightedSet& pts) {
+  const auto n = static_cast<std::int64_t>(pts.size());
+  const std::int64_t total = total_weight(pts);
+  return {0, 1, 3, n / 3, n - 1, n, total - 1, total, total + 7, 10 * n};
+}
+
+// An in-memory DataSource over a packed buffer, served in chunks.
+class BufferSource final : public dataset::DataSource {
+ public:
+  explicit BufferSource(const WeightedSet& pts)
+      : buf_(pts), lo_(static_cast<std::size_t>(buf_.dim())),
+        hi_(static_cast<std::size_t>(buf_.dim())) {}
+  [[nodiscard]] int dim() const override { return buf_.dim(); }
+  [[nodiscard]] std::uint64_t size() const override { return buf_.size(); }
+  [[nodiscard]] const std::vector<double>& box_lo() const override {
+    return lo_;
+  }
+  [[nodiscard]] const std::vector<double>& box_hi() const override {
+    return hi_;
+  }
+  [[nodiscard]] kernels::BufferView chunk(std::uint64_t offset,
+                                          std::size_t count) override {
+    return buf_.view(static_cast<std::size_t>(offset), count);
+  }
+  [[nodiscard]] std::string describe() const override { return "buffer"; }
+
+ private:
+  kernels::PointBuffer buf_;
+  std::vector<double> lo_, hi_;
+};
+
+TEST(CostReference, SelectorMatchesSortAndWalk) {
+  Rng rng(17);
+  for (const Norm norm : kNorms) {
+    const Metric metric{norm};
+    for (const int dim : {1, 2, 3, 5, 8}) {
+      for (const bool unit : {true, false}) {
+        // 4099 rows cross the selector's 4096-row sweep block.
+        for (const std::size_t n : {std::size_t{1}, std::size_t{57},
+                                    std::size_t{600}, std::size_t{4099}}) {
+          const WeightedSet pts = tied_points(n, dim, unit, rng);
+          const PointSet centers{pts[rng.uniform(n)].p, pts[rng.uniform(n)].p};
+          const kernels::PointBuffer buf(pts);
+          std::vector<std::int64_t> w;
+          for (const auto& wp : pts) w.push_back(wp.w);
+          for (const std::int64_t z : z_grid(pts)) {
+            if (z < 0) continue;
+            SCOPED_TRACE(std::string(metric.name()) + " d=" +
+                         std::to_string(dim) + " unit=" +
+                         std::to_string(unit) + " n=" + std::to_string(n) +
+                         " z=" + std::to_string(z));
+            const double want =
+                reference::radius_with_outliers_sorted(pts, centers, z, metric);
+            EXPECT_EQ(radius_with_outliers(pts, centers, z, metric), want);
+            EXPECT_EQ(radius_with_outliers(pts, centers, z, metric, &buf),
+                      want);
+            if (total_weight(pts) <= z) {
+              EXPECT_EQ(want, 0.0);
+            }
+            // The same selector fed in batches of 1, an odd size and the
+            // whole set.
+            for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, n}) {
+              OutlierTail tail(z, metric);
+              for (std::size_t lo = 0; lo < n; lo += chunk) {
+                const std::size_t len = std::min(chunk, n - lo);
+                tail.add(buf.view(lo, len), centers,
+                         std::span<const std::int64_t>(w).subspan(lo, len));
+              }
+              EXPECT_EQ(tail.radius(), want) << "chunk=" << chunk;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CostReference, TiesAtTheBoundary) {
+  // Distances from the center at 0: 4 (w 1), 4 (w 3), 4 (w 1), 2 (w 1),
+  // 1 (w 2).  Key 4 carries weight 5, so z < 5 keeps a point at 4.
+  WeightedSet pts = line_points({4.0, -4.0, 4.0, 2.0, 1.0});
+  pts[1].w = 3;
+  pts[4].w = 2;
+  const PointSet centers{Point{0.0}};
+  const double want[] = {4, 4, 4, 4, 4, 2, 1, 1, 0, 0};
+  for (std::int64_t z = 0; z < 10; ++z) {
+    EXPECT_EQ(radius_with_outliers(pts, centers, z, kL2),
+              want[static_cast<std::size_t>(z)])
+        << "z=" << z;
+    EXPECT_EQ(radius_with_outliers(pts, centers, z, kL2),
+              reference::radius_with_outliers_sorted(pts, centers, z, kL2));
+  }
+  // Every point at one distance: the answer is that distance until z
+  // reaches the total weight.
+  const WeightedSet same = line_points({3.0, 3.0, 3.0, 3.0});
+  for (std::int64_t z = 0; z < 4; ++z)
+    EXPECT_EQ(radius_with_outliers(same, {Point{0.0}}, z, kL2), 3.0);
+  EXPECT_EQ(radius_with_outliers(same, {Point{0.0}}, 4, kL2), 0.0);
+}
+
+TEST(CostReference, SinglePoint) {
+  const WeightedSet pts = line_points({5.0});
+  const PointSet centers{Point{1.0}};
+  EXPECT_EQ(radius_with_outliers(pts, centers, 0, kL2), 4.0);
+  EXPECT_EQ(radius_with_outliers(pts, centers, 1, kL2), 0.0);
+  const kernels::PointBuffer buf(pts);
+  OutlierTail tail(0, kL2);
+  tail.add(buf.view(), centers);
+  EXPECT_EQ(tail.radius(), 4.0);
+}
+
+TEST(CostReference, WeightsFollowTheirRowsPastTheFirstBlock) {
+  // Point i sits at distance i; the last three (past the 4096-row sweep
+  // block) weigh 3 each, so z = 3 drops only the farthest.
+  WeightedSet pts;
+  for (int i = 0; i < 4099; ++i)
+    pts.push_back({Point{static_cast<double>(i)}, i < 4096 ? 1 : 3});
+  const PointSet centers{Point{0.0}};
+  EXPECT_EQ(radius_with_outliers(pts, centers, 3, kL2), 4097.0);
+  EXPECT_EQ(radius_with_outliers(pts, centers, 3, kL2),
+            reference::radius_with_outliers_sorted(pts, centers, 3, kL2));
+}
+
+TEST(CostReference, ChunkedMatchesSortAndWalk) {
+  Rng rng(29);
+  for (const Norm norm : kNorms) {
+    const Metric metric{norm};
+    for (const int dim : {1, 2, 3, 5, 8}) {
+      const std::size_t n = 301;
+      const WeightedSet pts = tied_points(n, dim, /*unit=*/true, rng);
+      const PointSet centers{pts[0].p, pts[150].p, pts[300].p};
+      BufferSource src(pts);
+      // The optional transform rewrites each chunk before the sweep.
+      const dataset::ChunkTransform twice =
+          [](const kernels::BufferView& in, kernels::PointBuffer& out) {
+            std::vector<double> row(static_cast<std::size_t>(in.dim()));
+            for (std::size_t i = 0; i < in.size(); ++i) {
+              for (int j = 0; j < in.dim(); ++j)
+                row[static_cast<std::size_t>(j)] = 2.0 * in.col(j)[i];
+              out.append(row.data());
+            }
+          };
+      WeightedSet doubled = pts;
+      for (auto& wp : doubled)
+        for (int j = 0; j < dim; ++j) wp.p[j] *= 2.0;
+      for (const std::int64_t z : z_grid(pts)) {
+        const double want =
+            reference::radius_with_outliers_sorted(pts, centers, z, metric);
+        const double want2 =
+            reference::radius_with_outliers_sorted(doubled, centers, z, metric);
+        for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, n}) {
+          SCOPED_TRACE(std::string(metric.name()) + " d=" +
+                       std::to_string(dim) + " z=" + std::to_string(z) +
+                       " chunk=" + std::to_string(chunk));
+          dataset::ReaderOptions opts;
+          opts.chunk_points = chunk;
+          EXPECT_EQ(dataset::chunked_radius_with_outliers(src, centers, z,
+                                                          metric, opts),
+                    want);
+          EXPECT_EQ(dataset::chunked_radius_with_outliers(src, centers, z,
+                                                          metric, opts, twice),
+                    want2);
+        }
+      }
+    }
+  }
+}
+
+TEST(CostReference, SweepAndClassifyMatchAosReference) {
+  Rng rng(41);
+  for (const Norm norm : kNorms) {
+    const Metric metric{norm};
+    for (const int dim : {1, 2, 3, 5, 8}) {
+      const WeightedSet pts = tied_points(400, dim, /*unit=*/false, rng);
+      PointSet centers;
+      for (int c = 0; c < 4; ++c) centers.push_back(pts[rng.uniform(400)].p);
+      centers.push_back(centers[1]);  // a duplicate center never wins a tie
+      SCOPED_TRACE(std::string(metric.name()) + " d=" + std::to_string(dim));
+      const std::vector<double> keys =
+          reference::nearest_center_keys_aos(pts, centers, metric);
+      const std::vector<double> dist = nearest_center_dist(pts, centers, metric);
+      ASSERT_EQ(dist.size(), keys.size());
+      for (std::size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(dist[i], metric.key_to_dist(keys[i])) << i;
+      for (const std::int64_t z : {0, 40, 200}) {
+        const Solution sol{centers,
+                           radius_with_outliers(pts, centers, z, metric)};
+        const Labeling got = classify(pts, sol, metric);
+        const Labeling want = reference::classify_aos(pts, sol, metric);
+        EXPECT_EQ(got.labels, want.labels) << "z=" << z;
+        EXPECT_EQ(got.outlier_weight, want.outlier_weight) << "z=" << z;
+        EXPECT_LE(got.outlier_weight, z);
+        EXPECT_EQ(uncovered_weight(pts, centers, sol.radius, metric),
+                  got.outlier_weight);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // geometry/grid_index.hpp): inline kernels are bit-identical to the Metric
 // scalar path, the grid index yields a superset of every ball query, and
 // the grid-accelerated hot paths (mbc_with_radius, charikar_run) produce
-// exactly the same output as the scalar references (core_reference.hpp,
-// charikar_run_scalar) across norms and dimensions.
+// exactly the same output as the scalar references (core_reference.hpp)
+// across norms and dimensions.
 
 #include <gtest/gtest.h>
 
@@ -207,26 +207,42 @@ TEST(GridEquivalence, MbcWithRadiusMatchesScalarReference) {
 }
 
 TEST(GridEquivalence, CharikarRunMatchesScalarReference) {
+  // The grid pass runs at every n and every r ≥ 0: r = 0 counts exact
+  // duplicates only (cell width 1), so the half-width-2 lattice, dense in
+  // duplicates, covers it; n = 5 and 31 are the sizes the pass once left to
+  // the scalar rescan.  Where a neighborhood's (2·reach+1)^d cells
+  // outnumber the points (small n, and every n here at d = 8) the pass
+  // scans all points instead of the cells.
   for (const Norm norm : kNorms) {
     const Metric metric{norm};
-    for (int dim = 1; dim <= 3; ++dim) {
+    const CharikarRun none = charikar_run({}, 2, 0, 0.5, metric);
+    EXPECT_TRUE(none.centers.empty() && none.uncovered == 0 && none.success);
+    for (const int dim : {1, 2, 3, 8}) {
       for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        const WeightedSet pts = lattice_points(300, dim, seed * 211);
-        for (const int k : {1, 3}) {
-          for (const std::int64_t z : {0LL, 25LL}) {
-            for (const double r : {0.25, 0.75, 3.0}) {
-              const CharikarRun grid = charikar_run(pts, k, z, r, metric);
-              const CharikarRun ref =
-                  charikar_run_scalar(pts, k, z, r, metric);
-              SCOPED_TRACE(std::string(metric.name()) + " d=" +
-                           std::to_string(dim) + " k=" + std::to_string(k) +
-                           " z=" + std::to_string(z) +
-                           " r=" + std::to_string(r));
-              ASSERT_EQ(grid.centers.size(), ref.centers.size());
-              for (std::size_t c = 0; c < ref.centers.size(); ++c)
-                EXPECT_EQ(grid.centers[c], ref.centers[c]) << "center " << c;
-              EXPECT_EQ(grid.uncovered, ref.uncovered);
-              EXPECT_EQ(grid.success, ref.success);
+        for (const std::size_t n : {5u, 31u, 300u}) {
+          for (const int half : {2, 20}) {
+            const WeightedSet pts =
+                lattice_points(n, dim, seed * 211, half);
+            for (const int k : {1, 3}) {
+              for (const std::int64_t z : {0LL, 25LL}) {
+                for (const double r : {0.0, 0.25, 0.75, 3.0}) {
+                  const CharikarRun grid = charikar_run(pts, k, z, r, metric);
+                  const CharikarRun ref =
+                      reference::charikar_run_scalar(pts, k, z, r, metric);
+                  SCOPED_TRACE(std::string(metric.name()) + " d=" +
+                               std::to_string(dim) + " n=" +
+                               std::to_string(n) + " half=" +
+                               std::to_string(half) + " k=" +
+                               std::to_string(k) + " z=" + std::to_string(z) +
+                               " r=" + std::to_string(r));
+                  ASSERT_EQ(grid.centers.size(), ref.centers.size());
+                  for (std::size_t c = 0; c < ref.centers.size(); ++c)
+                    EXPECT_EQ(grid.centers[c], ref.centers[c])
+                        << "center " << c;
+                  EXPECT_EQ(grid.uncovered, ref.uncovered);
+                  EXPECT_EQ(grid.success, ref.success);
+                }
+              }
             }
           }
         }

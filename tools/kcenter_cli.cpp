@@ -11,13 +11,17 @@
 //
 // Unknown flags are an error (usage text + exit 2), so a typo'd flag in a
 // CI smoke step fails the job instead of silently running the defaults.
+// So is a numeric flag whose value does not parse whole into its type.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <exception>
 #include <memory>
 #include <new>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "kcenter.hpp"
@@ -30,11 +34,13 @@ constexpr const char kUsage[] =
     "usage: kcenter_cli [flags]   (defaults in brackets)\n"
     "  --list                        print the pipeline catalogue and exit\n"
     "  --pipeline <name>|all [all]   registered pipeline name (see --list)\n"
-    "  --n/--k/--z/--eps/--dim       problem parameters [4000/3/16/0.5/2]\n"
+    "  --n/--k/--z/--eps/--dim       problem parameters [4000/3/16/0.5/2];\n"
+    "                                --dim is in [1, 8]\n"
     "  --norm l2|l1|linf             metric [l2]\n"
     "  --seed <s>                    instance + sketch seed [1]\n"
     "  --threads <N>                 thread-pool size for the MPC map phase\n"
-    "                                and batch kernels; 0 = hardware [1]\n"
+    "                                and batch kernels, in [0, 256];\n"
+    "                                0 = hardware [1]\n"
     "  --m/--partition/--rounds      MPC knobs [8/adversarial/2]; --rounds\n"
     "                                is the R of mpc-rround, in [1, 31]\n"
     "  --machines <m>                alias for --m\n"
@@ -100,6 +106,32 @@ mpc::PartitionKind parse_partition(const std::string& name) {
   return mpc::PartitionKind::EvenSorted;
 }
 
+// Parses numeric flag `name` into `out`, which keeps its value when the
+// flag is absent.  The whole value must parse as a T ("300x", "abc" and a
+// value past T's range are errors, not a prefix or a wrapped cast).
+template <typename T>
+bool parse_number(const Flags& flags, const char* name, T& out) {
+  if (!flags.has(name)) return true;
+  const std::string v = flags.get_string(name, "");
+  const char* end = v.data() + v.size();
+  T value{};
+  const auto [ptr, ec] = std::from_chars(v.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    std::fprintf(stderr, "error: --%s %s is out of range\n", name, v.c_str());
+    return false;
+  }
+  if (ec != std::errc{} || ptr != end || v.empty()) {
+    std::fprintf(stderr, "error: --%s expects %s, got '%s'\n", name,
+                 !std::is_integral_v<T>   ? "a number"
+                 : std::is_unsigned_v<T> ? "a non-negative integer"
+                                         : "an integer",
+                 v.c_str());
+    return false;
+  }
+  out = value;
+  return true;
+}
+
 void print_catalogue() {
   std::printf("registered pipelines (kc::engine::registry()):\n\n");
   Table table({"name", "model", "description"});
@@ -134,19 +166,34 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Every numeric flag parses whole into its own type; the defaults are
+  // PipelineConfig's.  --machines is the transport-era alias of --m; given
+  // both, --machines wins (it is the more explicit spelling).
   engine::PipelineConfig cfg;
-  cfg.k = static_cast<int>(flags.get_int("k", 3));
-  cfg.z = flags.get_int("z", 16);
-  cfg.eps = flags.get_double("eps", 0.5);
-  cfg.dim = static_cast<int>(flags.get_int("dim", 2));
+  std::size_t n = 4000;
+  const bool numbers_ok =
+      parse_number(flags, "n", n) && parse_number(flags, "k", cfg.k) &&
+      parse_number(flags, "z", cfg.z) && parse_number(flags, "eps", cfg.eps) &&
+      parse_number(flags, "dim", cfg.dim) &&
+      parse_number(flags, "seed", cfg.seed) &&
+      parse_number(flags, "threads", cfg.num_threads) &&
+      parse_number(flags, "m", cfg.machines) &&
+      parse_number(flags, "machines", cfg.machines) &&
+      parse_number(flags, "rounds", cfg.rounds) &&
+      parse_number(flags, "window", cfg.window) &&
+      parse_number(flags, "delta", cfg.delta) &&
+      parse_number(flags, "fault-seed", cfg.fault_seed) &&
+      parse_number(flags, "fault-crash", cfg.fault_crash) &&
+      parse_number(flags, "fault-drop", cfg.fault_drop) &&
+      parse_number(flags, "fault-truncate", cfg.fault_truncate) &&
+      parse_number(flags, "fault-straggle", cfg.fault_straggle) &&
+      parse_number(flags, "fault-retries", cfg.fault_retries);
+  if (!numbers_ok) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
   cfg.norm = parse_norm(flags.get_string("norm", "l2"));
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   cfg.with_direct_solve = !flags.has("no-direct");
-  // --machines is the transport-era alias of --m; given both, --machines
-  // wins (it is the more explicit spelling).
-  cfg.machines = static_cast<int>(
-      flags.has("machines") ? flags.get_int("machines", 8)
-                            : flags.get_int("m", 8));
   if (cfg.machines < 1) {
     std::fprintf(stderr, "error: --machines must be >= 1 (got %d)\n",
                  cfg.machines);
@@ -161,6 +208,21 @@ int main(int argc, char** argv) {
   if (cfg.z < 0) {
     std::fprintf(stderr, "error: --z must be >= 0 (got %lld)\n",
                  static_cast<long long>(cfg.z));
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  // The generator and Point hold at most kMaxDim coordinates.
+  if (cfg.dim < 1 || cfg.dim > Point::kMaxDim) {
+    std::fprintf(stderr, "error: --dim must be in [1, %d] (got %d)\n",
+                 Point::kMaxDim, cfg.dim);
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  // The pool starts this many OS threads up front.
+  constexpr int kMaxThreads = 256;
+  if (cfg.num_threads < 0 || cfg.num_threads > kMaxThreads) {
+    std::fprintf(stderr, "error: --threads must be in [0, %d] (got %d)\n",
+                 kMaxThreads, cfg.num_threads);
     std::fputs(kUsage, stderr);
     return 2;
   }
@@ -182,22 +244,19 @@ int main(int argc, char** argv) {
   // β = max(2, ⌈m^{1/R}⌉) at least halves the active machines per stage, so
   // any int m is down to one machine after 31 stages; every later stage is
   // one more lone recompression at machine 0 (about a millisecond each).
-  constexpr long long kMaxRounds = 31;
-  const long long rounds = flags.get_int("rounds", 2);
-  if (rounds < 1 || rounds > kMaxRounds) {
-    std::fprintf(stderr, "error: --rounds must be in [1, %lld] (got %lld)\n",
-                 kMaxRounds, rounds);
+  constexpr int kMaxRounds = 31;
+  if (cfg.rounds < 1 || cfg.rounds > kMaxRounds) {
+    std::fprintf(stderr, "error: --rounds must be in [1, %d] (got %d)\n",
+                 kMaxRounds, cfg.rounds);
     std::fputs(kUsage, stderr);
     return 2;
   }
-  cfg.window = flags.get_int("window", 0);
   if (cfg.window < 0) {
     std::fprintf(stderr, "error: --window must be >= 0 (got %lld)\n",
                  static_cast<long long>(cfg.window));
     std::fputs(kUsage, stderr);
     return 2;
   }
-  cfg.delta = flags.get_int("delta", 256);
   if (cfg.delta < 2) {
     std::fprintf(stderr, "error: --delta must be >= 2 (got %lld)\n",
                  static_cast<long long>(cfg.delta));
@@ -206,18 +265,10 @@ int main(int argc, char** argv) {
   }
   cfg.partition = parse_partition(flags.get_string("partition", "adversarial"));
   cfg.partition_seed = cfg.seed;
-  cfg.rounds = static_cast<int>(rounds);
   cfg.policy = flags.get_string("policy", "ours") == "ceccarello"
                    ? stream::ThresholdPolicy::Ceccarello
                    : stream::ThresholdPolicy::Ours;
   cfg.deterministic_recovery = flags.has("det-recovery");
-  cfg.num_threads = static_cast<int>(flags.get_int("threads", 1));
-  cfg.fault_seed = static_cast<std::uint64_t>(flags.get_int("fault-seed", 0));
-  cfg.fault_crash = flags.get_double("fault-crash", 0.0);
-  cfg.fault_drop = flags.get_double("fault-drop", 0.0);
-  cfg.fault_truncate = flags.get_double("fault-truncate", 0.0);
-  cfg.fault_straggle = flags.get_double("fault-straggle", 0.0);
-  cfg.fault_retries = static_cast<int>(flags.get_int("fault-retries", 2));
   if (!mpc::parse_recovery_policy(flags.get_string("fault-policy", "retry"),
                                   &cfg.fault_policy)) {
     std::fprintf(stderr,
@@ -228,7 +279,6 @@ int main(int argc, char** argv) {
   }
   const bool faults_active = cfg.fault_config().active();
 
-  const auto n = static_cast<std::size_t>(flags.get_int("n", 4000));
   // A generated (planted) instance holds k clusters of at least z+1 points
   // plus z outliers: n ≥ k(z+1) + z, checked without overflow.
   const auto zu = static_cast<std::size_t>(cfg.z);
@@ -251,6 +301,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: unknown pipeline '%s'; --list shows the "
                          "catalogue\n", which.c_str());
     return 1;
+  }
+
+  // stream-mk runs one instance per (1+ε) ladder offset below 2.
+  if (std::find(names.begin(), names.end(), "stream-mk") != names.end()) {
+    const double ladder = stream::McCutchenKhuller::ladder_size(cfg.eps);
+    if (!(ladder <= stream::McCutchenKhuller::kMaxLadder)) {
+      std::fprintf(stderr,
+                   "error: --eps %g gives stream-mk a ladder of %.0f "
+                   "instances; it runs at most %.0f\n",
+                   cfg.eps, ladder, stream::McCutchenKhuller::kMaxLadder);
+      return 2;
+    }
   }
 
   // The transport flags only mean something to the MPC model.  Asking for
