@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   using namespace kc::mpc;
   const Flags flags(argc, argv);
   const bool quick = flags.has("quick");
-  const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t seed = flags.get<std::uint64_t>("seed", 1);
   const int k = 2;
   const double eps = 0.5;
   const Metric metric{Norm::L2};

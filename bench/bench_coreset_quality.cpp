@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   using namespace kc::bench;
   const Flags flags(argc, argv);
   const bool quick = flags.has("quick");
-  const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t seed = flags.get<std::uint64_t>("seed", 1);
   const int k = 3;
   const std::int64_t z = 12;
   const Metric metric{Norm::L2};

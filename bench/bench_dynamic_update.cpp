@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace kc::dynamic;
   const Flags flags(argc, argv);
   const bool quick = flags.has("quick");
-  const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t seed = flags.get<std::uint64_t>("seed", 1);
 
   banner("APP-DYN", "dynamic (3+eps) k-center: update/solve cost vs live "
                     "points", seed);

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   using namespace kc::lowerbound;
   const Flags flags(argc, argv);
   const bool quick = flags.has("quick");
-  const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t seed = flags.get<std::uint64_t>("seed", 1);
   const Metric metric{Norm::L2};
 
   banner("FIG5", "Theorem 28 construction: Omega((k/eps^d) log Delta + z)",

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   using namespace kc::lowerbound;
   const Flags flags(argc, argv);
   const bool quick = flags.has("quick");
-  const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t seed = flags.get<std::uint64_t>("seed", 1);
   const Metric metric{Norm::L2};
 
   banner("FIG2-3/FIG4/FIG8", "insertion-only lower-bound constructions "

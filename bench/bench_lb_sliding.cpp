@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   using namespace kc::lowerbound;
   const Flags flags(argc, argv);
   const bool quick = flags.has("quick");
-  const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t seed = flags.get<std::uint64_t>("seed", 1);
   const Metric linf{Norm::Linf};
 
   banner("FIG6-7", "Theorem 30 construction: Omega((kz/eps^d) log sigma) "

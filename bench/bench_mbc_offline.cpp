@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   using namespace kc::bench;
   const Flags flags(argc, argv);
   const bool quick = flags.has("quick");
-  const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t seed = flags.get<std::uint64_t>("seed", 1);
   const Metric metric{Norm::L2};
   const JsonLog json = JsonLog::from_flags(flags);
 
@@ -285,8 +285,7 @@ int main(int argc, char** argv) {
 
   // ---- Part 4: hot-path timings (the perf trajectory) ----------------------
   {
-    const auto hot_n = static_cast<std::size_t>(
-        flags.get_int("hot-n", quick ? 8000 : 50000));
+    const auto hot_n = flags.get<std::size_t>("hot-n", quick ? 8000 : 50000);
     const int k = 3;
     const std::int64_t z = 16;
     const double eps = 0.5;
@@ -345,8 +344,7 @@ int main(int argc, char** argv) {
 
   // ---- Part 5: kernel throughput (points/sec, scalar vs SIMD) --------------
   {
-    const auto hot_n = static_cast<std::size_t>(
-        flags.get_int("hot-n", quick ? 8000 : 50000));
+    const auto hot_n = flags.get<std::size_t>("hot-n", quick ? 8000 : 50000);
     // Enough sweeps that each variant runs ~10⁷ point-relaxations.
     const std::size_t sweeps = std::max<std::size_t>(4, 12000000 / hot_n);
     std::printf("\n[KERNEL] relax sweep throughput at n=%zu (%zu sweeps, "

@@ -19,12 +19,12 @@ int main(int argc, char** argv) {
   using namespace kc::mpc;
   const Flags flags(argc, argv);
   const bool quick = flags.has("quick");
-  const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const double eps = flags.get_double("eps", 0.25);
-  const int k = static_cast<int>(flags.get_int("k", 3));
-  const std::int64_t z = flags.get_int("z", 32);
+  const std::uint64_t seed = flags.get<std::uint64_t>("seed", 1);
+  const double eps = flags.get<double>("eps", 0.25);
+  const int k = flags.get<int>("k", 3);
+  const std::int64_t z = flags.get<std::int64_t>("z", 32);
   const std::size_t n = quick ? (1 << 13) : (1 << 15);
-  const int m = static_cast<int>(flags.get_int("m", 64));
+  const int m = flags.get<int>("m", 64);
   const Metric metric{Norm::L2};
 
   banner("T1-MPC-RR", "Theorem 35: rounds R vs storage per machine", seed);

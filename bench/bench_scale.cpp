@@ -82,7 +82,7 @@ void record_run(const bench::JsonLog& json, Table& table,
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const bool quick = flags.has("quick");
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const auto seed = flags.get<std::uint64_t>("seed", 1);
   const bench::JsonLog json = bench::JsonLog::from_flags(flags);
   bench::banner("SCALE-INGEST",
                 "out-of-core .kcb ingest: throughput, fixed-memory RSS, and "
@@ -94,9 +94,9 @@ int main(int argc, char** argv) {
             : std::vector<std::uint64_t>{1'000'000, 10'000'000};
 
   engine::PipelineConfig cfg;
-  cfg.k = static_cast<int>(flags.get_int("k", 3));
-  cfg.z = flags.get_int("z", 100);
-  cfg.eps = flags.get_double("eps", 0.5);
+  cfg.k = flags.get<int>("k", 3);
+  cfg.z = flags.get<std::int64_t>("z", 100);
+  cfg.eps = flags.get<double>("eps", 0.5);
   cfg.dim = 2;
   cfg.seed = seed;
   // The direct solve needs the whole set in memory; both sources run

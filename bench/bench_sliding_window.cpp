@@ -43,10 +43,10 @@ int main(int argc, char** argv) {
   using namespace kc::stream;
   const Flags flags(argc, argv);
   const bool quick = flags.has("quick");
-  const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const int k = static_cast<int>(flags.get_int("k", 2));
-  const double eps = flags.get_double("eps", 1.0);
-  const std::int64_t W = flags.get_int("window", 500);
+  const std::uint64_t seed = flags.get<std::uint64_t>("seed", 1);
+  const int k = flags.get<int>("k", 2);
+  const double eps = flags.get<double>("eps", 1.0);
+  const std::int64_t W = flags.get<std::int64_t>("window", 500);
   const Metric metric{Norm::L2};
 
   banner("T1-SW", "sliding-window space vs spread ratio and z ([18] + "

@@ -42,9 +42,9 @@ Table1Setup table1_setup(int argc, char** argv,
   const Flags flags(argc, argv);
   Table1Setup setup;
   setup.quick = flags.has("quick");
-  setup.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  setup.k = static_cast<int>(flags.get_int("k", default_k));
-  setup.eps = flags.get_double("eps", default_eps);
+  setup.seed = flags.get<std::uint64_t>("seed", 1);
+  setup.k = flags.get<int>("k", default_k);
+  setup.eps = flags.get<double>("eps", default_eps);
   setup.csv_path = flags.has("csv") ? flags.get_string("csv", "t1.csv") : "";
   setup.json = JsonLog::from_flags(flags);
   banner(experiment_id, description, setup.seed);

@@ -18,15 +18,15 @@ int main(int argc, char** argv) {
   using namespace kc;
   using namespace kc::dynamic;
   const Flags flags(argc, argv);
-  const int batches = static_cast<int>(flags.get_int("batches", 20));
-  const int batch = static_cast<int>(flags.get_int("batch", 400));
+  const int batches = flags.get<int>("batches", 20);
+  const int batch = flags.get<int>("batch", 400);
   DynamicCoresetOptions opt;
-  opt.delta = flags.get_int("delta", 1024);
-  opt.k = static_cast<int>(flags.get_int("k", 3));
-  opt.z = flags.get_int("z", 16);
-  opt.eps = flags.get_double("eps", 0.5);
+  opt.delta = flags.get<std::int64_t>("delta", 1024);
+  opt.k = flags.get<int>("k", 3);
+  opt.z = flags.get<std::int64_t>("z", 16);
+  opt.eps = flags.get<double>("eps", 0.5);
   opt.dim = 2;
-  opt.seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
+  opt.seed = flags.get<std::uint64_t>("seed", 5);
 
   std::printf("dynamic inventory on [%lld]^2: %d batches x %d updates, k=%d "
               "z=%lld eps=%g\n",

@@ -65,10 +65,10 @@ int main(int argc, char** argv) {
 
   if (flags.has("generate")) {
     generate_demo(flags.get_string("generate", "demo.csv"),
-                  static_cast<std::size_t>(flags.get_int("n", 20000)),
-                  static_cast<int>(flags.get_int("k", 4)),
-                  flags.get_int("z", 60),
-                  static_cast<std::uint64_t>(flags.get_int("seed", 1)));
+                  flags.get<std::size_t>("n", 20000),
+                  flags.get<int>("k", 4),
+                  flags.get<std::int64_t>("z", 60),
+                  flags.get<std::uint64_t>("seed", 1));
     return 0;
   }
   if (flags.positional().empty()) {
@@ -80,13 +80,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const int k = static_cast<int>(flags.get_int("k", 4));
-  const std::int64_t z = flags.get_int("z", 0);
-  const double eps = flags.get_double("eps", 0.25);
-  const std::string norm_name = flags.get_string("norm", "l2");
-  const Metric metric{norm_name == "linf"  ? Norm::Linf
-                      : norm_name == "l1" ? Norm::L1
-                                          : Norm::L2};
+  const int k = flags.get<int>("k", 4);
+  const std::int64_t z = flags.get<std::int64_t>("z", 0);
+  const double eps = flags.get<double>("eps", 0.25);
+  Norm norm = Norm::L2;
+  if (!parse_norm(flags.get_string("norm", "l2"), &norm)) {
+    std::fprintf(stderr, "error: unknown --norm '%s' (l2|l1|linf)\n",
+                 flags.get_string("norm", "").c_str());
+    return 2;
+  }
+  const Metric metric{norm};
   const std::string pipeline = flags.get_string("pipeline", "offline");
 
   const WeightedSet pts = read_csv_points(flags.positional().front());

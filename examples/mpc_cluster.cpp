@@ -17,15 +17,15 @@ int main(int argc, char** argv) {
   using namespace kc::mpc;
   const Flags flags(argc, argv);
   engine::PipelineConfig cfg;
-  cfg.k = static_cast<int>(flags.get_int("k", 5));
-  cfg.z = flags.get_int("z", 100);
+  cfg.k = flags.get<int>("k", 5);
+  cfg.z = flags.get<std::int64_t>("z", 100);
   cfg.dim = 2;
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  cfg.eps = flags.get_double("eps", 0.5);
-  cfg.machines = static_cast<int>(flags.get_int("m", 64));
+  cfg.seed = flags.get<std::uint64_t>("seed", 1);
+  cfg.eps = flags.get<double>("eps", 0.5);
+  cfg.machines = flags.get<int>("m", 64);
   cfg.partition_seed = 7;
   cfg.with_direct_solve = false;  // report the bracket, not a direct solve
-  const auto n = static_cast<std::size_t>(flags.get_int("n", 40000));
+  const auto n = flags.get<std::size_t>("n", 40000);
   const std::string part_name = flags.get_string("partition", "adversarial");
   cfg.partition = part_name == "random"       ? PartitionKind::Random
                   : part_name == "roundrobin" ? PartitionKind::RoundRobin

@@ -17,12 +17,12 @@ int main(int argc, char** argv) {
   using namespace kc;
   const Flags flags(argc, argv);
   engine::PipelineConfig cfg;
-  cfg.k = static_cast<int>(flags.get_int("k", 4));
-  cfg.z = flags.get_int("z", 50);
-  cfg.eps = flags.get_double("eps", 0.25);
+  cfg.k = flags.get<int>("k", 4);
+  cfg.z = flags.get<std::int64_t>("z", 50);
+  cfg.eps = flags.get<double>("eps", 0.25);
   cfg.dim = 2;
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto n = static_cast<std::size_t>(flags.get_int("n", 20000));
+  cfg.seed = flags.get<std::uint64_t>("seed", 1);
+  const auto n = flags.get<std::size_t>("n", 20000);
 
   std::printf("kcoreset quickstart: n=%zu k=%d z=%lld eps=%g\n", n, cfg.k,
               static_cast<long long>(cfg.z), cfg.eps);

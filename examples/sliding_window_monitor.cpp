@@ -14,11 +14,11 @@
 int main(int argc, char** argv) {
   using namespace kc;
   const Flags flags(argc, argv);
-  const auto n = static_cast<std::int64_t>(flags.get_int("n", 20000));
-  const auto W = static_cast<std::int64_t>(flags.get_int("window", 2000));
-  const int k = static_cast<int>(flags.get_int("k", 3));
-  const std::int64_t z = flags.get_int("z", 8);
-  const double eps = flags.get_double("eps", 0.5);
+  const auto n = flags.get<std::int64_t>("n", 20000);
+  const auto W = flags.get<std::int64_t>("window", 2000);
+  const int k = flags.get<int>("k", 3);
+  const std::int64_t z = flags.get<std::int64_t>("z", 8);
+  const double eps = flags.get<double>("eps", 0.5);
   const Metric metric{Norm::L2};
 
   std::printf("sliding-window monitor: %lld events, window %lld, k=%d z=%lld "

@@ -14,11 +14,11 @@
 int main(int argc, char** argv) {
   using namespace kc;
   const Flags flags(argc, argv);
-  const auto n = static_cast<std::size_t>(flags.get_int("n", 50000));
-  const int k = static_cast<int>(flags.get_int("k", 4));
-  const std::int64_t z = flags.get_int("z", 60);
-  const double eps = flags.get_double("eps", 0.5);
-  const auto report = static_cast<std::size_t>(flags.get_int("report", 10000));
+  const auto n = flags.get<std::size_t>("n", 50000);
+  const int k = flags.get<int>("k", 4);
+  const std::int64_t z = flags.get<std::int64_t>("z", 60);
+  const double eps = flags.get<double>("eps", 0.5);
+  const auto report = flags.get<std::size_t>("report", 10000);
   const Metric metric{Norm::L2};
 
   PlantedConfig cfg;
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   cfg.k = k;
   cfg.z = z;
   cfg.dim = 2;
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
+  cfg.seed = flags.get<std::uint64_t>("seed", 3);
   const PlantedInstance inst = make_planted(cfg);
   const auto order = shuffled_order(n, 11);
 

@@ -17,6 +17,14 @@ double center_budget(int k, double eps, int dim) {
   return std::ceil(static_cast<double>(k) * per_center - 1e-9);
 }
 
+/// Top level of F(G_l)'s sampling ladder: it spans the cells of G_l
+/// (≤ log2 of its universe size), not a generic 2^40 range.
+int f0_max_level(const GridHierarchy& grids, int level) {
+  int bits = 1;
+  while ((std::uint64_t{1} << bits) < grids.universe_size(level)) ++bits;
+  return bits + 1;
+}
+
 }  // namespace
 
 double dynamic_sample_budget_real(int k, std::int64_t z, double eps,
@@ -53,12 +61,7 @@ DynamicCoreset::DynamicCoreset(const DynamicCoresetOptions& opt)
     } else {
       recovery_.emplace_back(static_cast<std::size_t>(s_), rng(), point);
     }
-    // The level-sampling ladder of F(G_l) only needs to span the number of
-    // cells in G_l (≤ log2 of its universe size), not a generic 2^40 range.
-    int f0_levels = 1;
-    while ((std::uint64_t{1} << f0_levels) < grids_.universe_size(l))
-      ++f0_levels;
-    f0_.emplace_back(opt.f0_eps, rng(), f0_levels + 1, point);
+    f0_.emplace_back(opt.f0_eps, rng(), f0_max_level(grids_, l), point);
   }
 }
 
@@ -190,6 +193,27 @@ DynamicCoreset::QueryResult DynamicCoreset::query() const {
     return res;
   }
   return res;  // ok = false: no level decodable (should not happen)
+}
+
+double DynamicCoreset::predicted_words(const DynamicCoresetOptions& opt) {
+  const GridHierarchy grids(opt.delta, opt.dim);
+  const double s = std::max(
+      dynamic_sample_budget_real(opt.k, opt.z, opt.eps, opt.dim), 1.0);
+  // SparseRecovery(c): kRows rows of max(2c, 8) cells, 8 hash words per row
+  // and 4 header words; PowerSumSketch(c): 2c; F0Estimator: 8 hash words
+  // and max_level + 1 level sketches of capacity max(16, ⌈16/ε²⌉).
+  const auto recovery = [](double c) {
+    constexpr auto kRows = static_cast<double>(sketch::SparseRecovery::kRows);
+    return kRows * (std::max(2.0 * c, 8.0) * sketch::OneSparseCell::words() +
+                    8.0) + 4.0;
+  };
+  const double s0 =
+      std::max(16.0, std::ceil(16.0 / (opt.f0_eps * opt.f0_eps)));
+  double total = 0.0;
+  for (int l = 0; l < grids.levels(); ++l)
+    total += (opt.deterministic_recovery ? 2.0 * s : recovery(s)) + 8.0 +
+             (f0_max_level(grids, l) + 1) * recovery(s0);
+  return total;
 }
 
 std::size_t DynamicCoreset::words() const {

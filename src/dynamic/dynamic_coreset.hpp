@@ -111,6 +111,10 @@ class DynamicCoreset {
   /// Total sketch storage in words (the measured Table-1 quantity).
   [[nodiscard]] std::size_t words() const;
 
+  /// words() of a sketch built from `opt`, from the options alone and in
+  /// double, so any size compares.  Requires GridHierarchy::fits.
+  [[nodiscard]] static double predicted_words(const DynamicCoresetOptions& opt);
+
   [[nodiscard]] const GridHierarchy& grids() const noexcept { return grids_; }
   [[nodiscard]] std::int64_t live_points() const noexcept { return live_; }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
 
 #include "dataset/source.hpp"
 #include "dynamic/dynamic_coreset.hpp"
@@ -55,15 +56,7 @@ class DynamicPipeline final : public Pipeline {
 
   [[nodiscard]] PipelineResult run(const Workload& w,
                                    const PipelineConfig& cfg) const override {
-    dynamic::DynamicCoresetOptions opt;
-    opt.k = cfg.k;
-    opt.z = cfg.z;
-    opt.eps = cfg.eps;
-    opt.delta = cfg.delta;
-    opt.dim = cfg.dim;
-    opt.seed = cfg.seed;
-    opt.deterministic_recovery = cfg.deterministic_recovery;
-
+    const dynamic::DynamicCoresetOptions opt = options(cfg);
     if (w.from_dataset()) return run_from_source(*w.source, cfg, opt);
 
     // The workload's grid and script are used in place; only a missing one
@@ -107,7 +100,41 @@ class DynamicPipeline final : public Pipeline {
     return res;
   }
 
+ protected:
+  /// Cell ids pack d·⌈log2 Δ⌉ bits into 62; s = k(4√d/ε)^d + z, in double,
+  /// must be representable; the sketch words must fit the memory budget.
+  [[nodiscard]] std::string sizing_error(const PipelineConfig& cfg,
+                                         const Workload&) const override {
+    std::ostringstream os;
+    if (!GridHierarchy::fits(cfg.delta, cfg.dim)) {
+      os << "delta " << cfg.delta << " in " << cfg.dim << " dimensions needs "
+         << cfg.dim * GridHierarchy::axis_bits(cfg.delta)
+         << " bits of grid cell id; the sketch packs at most 62";
+      return os.str();
+    }
+    const double s =
+        dynamic::dynamic_sample_budget_real(cfg.k, cfg.z, cfg.eps, cfg.dim);
+    if (!(s <= static_cast<double>(dynamic::kMaxSampleBudget))) {
+      os << "k = " << cfg.k << ", z = " << cfg.z << ", eps = " << cfg.eps
+         << ", dim = " << cfg.dim << " give a sample budget of " << s
+         << " cells; the largest representable sketch holds "
+         << dynamic::kMaxSampleBudget;
+      return os.str();
+    }
+    return memory_error(
+        static_cast<double>(sizeof(std::uint64_t)) *
+            dynamic::DynamicCoreset::predicted_words(options(cfg)),
+        "the sketch");
+  }
+
  private:
+  [[nodiscard]] static dynamic::DynamicCoresetOptions options(
+      const PipelineConfig& cfg) {
+    return {.k = cfg.k, .z = cfg.z, .eps = cfg.eps, .delta = cfg.delta,
+            .dim = cfg.dim, .seed = cfg.seed,
+            .deterministic_recovery = cfg.deterministic_recovery};
+  }
+
   /// Out-of-core run: one discretizing pass feeds the sketch, a second
   /// (chunk-transformed) pass evaluates.  The scaling constants come from
   /// the source's exact bbox — min/max commute, so they equal the ones

@@ -140,6 +140,12 @@ class TwoRoundPipeline final : public MpcPipeline {
   }
 
  protected:
+  [[nodiscard]] std::string sizing_error(const PipelineConfig& cfg,
+                                         const Workload&) const override {
+    return memory_error(mpc::round1_broadcast_bytes(cfg.machines, cfg.z),
+                        "the Round-1 broadcast");
+  }
+
   [[nodiscard]] mpc::MpcStats run_mpc(const std::vector<WeightedSet>& parts,
                                       const Workload&,
                                       const PipelineConfig& cfg,

@@ -1,12 +1,16 @@
 #include "engine/pipeline.hpp"
 
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "core/cost.hpp"
 #include "core/solver.hpp"
 #include "dataset/source.hpp"
 #include "util/parallel.hpp"
+#include "util/rss.hpp"
 #include "util/timer.hpp"
 
 namespace kc::engine {
@@ -17,7 +21,88 @@ std::size_t Workload::n() const noexcept {
   return static_cast<std::size_t>(source->size());
 }
 
+int Workload::dim() const noexcept {
+  if (!planted.points.empty()) return planted.points.front().p.dim();
+  return source != nullptr ? source->dim() : planted.config.dim;
+}
+
+namespace {
+
+/// The shared field ranges of `config_error` (all but the workload's dim).
+std::string field_error(const PipelineConfig& cfg) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::tuple<const char*, double, double, double> ranges[] = {
+      {"k", cfg.k, 1, kInf},
+      {"z", static_cast<double>(cfg.z), 0, kInf},
+      {"dim", cfg.dim, 1, Point::kMaxDim},
+      {"num_threads", cfg.num_threads, 0, PipelineConfig::kMaxThreads},
+      {"machines", cfg.machines, 1, kInf},
+      {"rounds", cfg.rounds, 1, PipelineConfig::kMaxRounds},
+      {"window", static_cast<double>(cfg.window), 0, kInf},
+      {"delta", static_cast<double>(cfg.delta), 2, kInf},
+      {"fault_crash", cfg.fault_crash, 0, 1},
+      {"fault_drop", cfg.fault_drop, 0, 1},
+      {"fault_truncate", cfg.fault_truncate, 0, 1},
+      {"fault_straggle", cfg.fault_straggle, 0, 1},
+      {"fault_retries", cfg.fault_retries, 0,
+       PipelineConfig::kMaxFaultRetries}};
+  // The negated range tests are false for NaN too.
+  if (!(cfg.eps > 0.0 && cfg.eps <= 1.0)) {
+    std::ostringstream os;
+    os << std::setprecision(17) << "eps must be in (0, 1] (got " << cfg.eps
+       << ")";
+    return os.str();
+  }
+  for (const auto& [field, got, lo, hi] : ranges) {
+    if (got >= lo && got <= hi) continue;
+    std::ostringstream os;
+    os << std::setprecision(17) << field << " must be "
+       << (hi == kInf ? ">= " : "in [") << lo;
+    if (hi != kInf) os << ", " << hi << "]";
+    os << " (got " << got << ")";
+    return os.str();
+  }
+  return {};
+}
+
+}  // namespace
+
+std::string memory_error(double bytes, const std::string& what) {
+  const double budget = static_cast<double>(memory_budget_bytes());
+  if (!(bytes > budget)) return {};
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(2) << what << " needs at least "
+     << bytes / 1e9
+     << " GB; the memory budget (RLIMIT_AS, else physical RAM) is "
+     << budget / 1e9 << " GB";
+  return os.str();
+}
+
+std::string config_error(const Pipeline& pipeline, const PipelineConfig& cfg,
+                         const Workload& w) {
+  std::string err = field_error(cfg);
+  if (err.empty() && cfg.dim != w.dim())
+    err = "dim " + std::to_string(cfg.dim) + " differs from the workload's " +
+          std::to_string(w.dim());
+  return err.empty() ? pipeline.sizing_error(cfg, w) : err;
+}
+
 Workload make_workload(std::size_t n, const PipelineConfig& cfg) {
+  std::string err = field_error(cfg);
+  // k clusters of at least z+1 points plus z outliers, without overflow.
+  const auto zu = static_cast<std::size_t>(cfg.z);
+  if (err.empty() &&
+      (n < zu || (n - zu) / (zu + 1) < static_cast<std::size_t>(cfg.k)))
+    err = "n = " + std::to_string(n) + " is too small for k = " +
+          std::to_string(cfg.k) + ", z = " + std::to_string(cfg.z) +
+          ": a planted instance needs n >= k(z+1)+z";
+  // The points, their SoA buffer and the arrival order live at once.
+  const double point_bytes = sizeof(WeightedPoint) + sizeof(std::size_t) +
+                             sizeof(double) * static_cast<double>(cfg.dim);
+  if (err.empty())
+    err = memory_error(static_cast<double>(n) * point_bytes,
+                       "the planted workload");
+  if (!err.empty()) throw ConfigError(err);
   PlantedConfig pc;
   pc.n = n;
   pc.k = cfg.k;
@@ -123,6 +208,8 @@ PipelineResult Pipeline::execute(const Workload& w,
           "it first or pick a dataset-capable pipeline";
     throw std::runtime_error(os.str());
   }
+  if (std::string err = config_error(*this, cfg, w); !err.empty())
+    throw ConfigError(name() + ": " + err);
   PipelineResult res = run(w, cfg);
   res.report.pipeline = name();
   res.report.model = model();

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,6 +69,7 @@ struct PipelineConfig {
   /// bit-identical for every value — threading only changes wall time
   /// (pinned by tests/test_parallel.cpp).
   int num_threads = 1;
+  static constexpr int kMaxThreads = 256;  ///< all started up front
 
   /// Extract a Solution from the summary at all (solve on the summary,
   /// evaluate on ground truth).  Storage-shape-only consumers (e.g. the
@@ -97,6 +99,9 @@ struct PipelineConfig {
   mpc::PartitionKind partition = mpc::PartitionKind::EvenSorted;
   std::uint64_t partition_seed = 1;
   int rounds = 2;  ///< R for the R-round trade-off pipeline
+  /// β ≥ 2 at least halves the machines per stage: any int m is down to one
+  /// after 31, and each later stage is a lone recompression at machine 0.
+  static constexpr int kMaxRounds = 31;
 
   // MPC fault-injection knobs (mpc/faults.hpp).  All probabilities default
   // to 0 — an inactive plan takes exactly the pre-fault code paths, so
@@ -107,6 +112,9 @@ struct PipelineConfig {
   double fault_truncate = 0.0;  ///< per point-message-attempt truncation prob
   double fault_straggle = 0.0;  ///< per machine-round straggler prob
   int fault_retries = 2;        ///< transport retry budget
+  /// Each retry is one more attempt per lost message: at drop probability 1
+  /// run time is linear in the budget (10^7 took 9 s at n = 300, m = 4).
+  static constexpr int kMaxFaultRetries = 1000;
   mpc::RecoveryPolicy fault_policy = mpc::RecoveryPolicy::Retry;
 
   /// The MPC fault plan these knobs describe.
@@ -189,6 +197,9 @@ struct Workload {
   /// here).
   [[nodiscard]] std::size_t n() const noexcept;
 
+  /// The points' dimension, else the dataset's, else the planted config's.
+  [[nodiscard]] int dim() const noexcept;
+
   /// The planted instance's canonical SoA buffer, or null when a harness
   /// filled the fields by hand and left it empty/stale.  Pipelines hand
   /// this to the solver/evaluation layers so nothing re-packs the input.
@@ -200,8 +211,17 @@ struct Workload {
   }
 };
 
+/// A configuration outside the ranges a pipeline's structures hold for:
+/// thrown by `Pipeline::execute` and `make_workload` before any work.
+class ConfigError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 /// Standard workload: a planted instance with cfg's (k, z, dim, norm, seed)
-/// and a shuffled arrival order derived from cfg.seed.
+/// and a shuffled arrival order derived from cfg.seed.  Throws ConfigError
+/// on a shared field out of range (`config_error`), on n < k(z+1) + z, and
+/// on points past the memory budget.
 [[nodiscard]] Workload make_workload(std::size_t n, const PipelineConfig& cfg);
 
 /// Dataset-backed workload: no planted points, no certified bracket; the
@@ -301,10 +321,35 @@ class Pipeline {
   [[nodiscard]] virtual PipelineResult run(const Workload& w,
                                            const PipelineConfig& cfg) const = 0;
 
+  /// `config_error` check (a non-empty one is thrown as ConfigError), then
   /// `run` + stamping of the identification fields.  Call this, not `run`.
   [[nodiscard]] PipelineResult execute(const Workload& w,
                                        const PipelineConfig& cfg) const;
+
+ protected:
+  /// Limits of the pipeline's own structures (sketch size, ladder length,
+  /// message volume) once the shared ranges hold; empty when cfg fits.
+  [[nodiscard]] virtual std::string sizing_error(
+      const PipelineConfig& /*cfg*/, const Workload& /*w*/) const {
+    return {};
+  }
+
+  friend std::string config_error(const Pipeline&, const PipelineConfig&,
+                                  const Workload&);
 };
+
+/// Why `pipeline` cannot run `cfg` on `w`, or empty when it can: first the
+/// shared ranges (k ≥ 1, z ≥ 0, ε ∈ (0, 1], dim ∈ [1, Point::kMaxDim] and
+/// the workload's, machines ≥ 1, window ≥ 0, Δ ≥ 2, fault probabilities in
+/// [0, 1], num_threads/rounds/fault_retries within PipelineConfig's kMax*
+/// limits), then the pipeline's own `sizing_error`.  Allocates nothing.
+[[nodiscard]] std::string config_error(const Pipeline& pipeline,
+                                       const PipelineConfig& cfg,
+                                       const Workload& w);
+
+/// Non-empty when `bytes`, a lower bound on what `what` holds at once,
+/// exceeds `memory_budget_bytes()` (util/rss.hpp): such a run cannot fit.
+[[nodiscard]] std::string memory_error(double bytes, const std::string& what);
 
 /// Shared tail of every pipeline: solve k-center-with-outliers on the
 /// summary (Charikar greedy, the paper's "offline algorithm on the

@@ -7,7 +7,9 @@
 // the other two summarize the whole stream.
 
 #include <algorithm>
+#include <iomanip>
 #include <memory>
+#include <sstream>
 
 #include "dataset/source.hpp"
 #include "engine/builtin.hpp"
@@ -113,6 +115,19 @@ class McCutchenKhullerPipeline final : public Pipeline {
       evaluate_centers(res, sol.centers, w.planted.points, cfg, w);
     }
     return res;
+  }
+
+ protected:
+  /// One instance per (1+ε) ladder offset below 2.
+  [[nodiscard]] std::string sizing_error(const PipelineConfig& cfg,
+                                         const Workload&) const override {
+    const double ladder = stream::McCutchenKhuller::ladder_size(cfg.eps);
+    if (ladder <= stream::McCutchenKhuller::kMaxLadder) return {};
+    std::ostringstream os;
+    os << "eps " << cfg.eps << " gives a ladder of " << std::fixed
+       << std::setprecision(0) << ladder << " instances; it runs at most "
+       << stream::McCutchenKhuller::kMaxLadder;
+    return os.str();
   }
 };
 

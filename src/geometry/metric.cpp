@@ -15,4 +15,20 @@ const char* Metric::name() const noexcept {
   return "L1";
 }
 
+bool parse_norm(const std::string& name, Norm* out) noexcept {
+  if (name == "l2") {
+    *out = Norm::L2;
+    return true;
+  }
+  if (name == "l1") {
+    *out = Norm::L1;
+    return true;
+  }
+  if (name == "linf") {
+    *out = Norm::Linf;
+    return true;
+  }
+  return false;
+}
+
 }  // namespace kc

@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <string>
 #include <type_traits>
 
 #include "geometry/kernels.hpp"  // defines Norm + the inline kernels
@@ -63,5 +64,8 @@ class Metric {
 };
 
 static_assert(std::is_trivially_copyable_v<Metric>);
+
+/// Parses "l2" / "l1" / "linf"; returns false (out untouched) otherwise.
+[[nodiscard]] bool parse_norm(const std::string& name, Norm* out) noexcept;
 
 }  // namespace kc

@@ -65,4 +65,20 @@ const char* partition_name(PartitionKind kind) noexcept {
   return "?";
 }
 
+bool parse_partition(const std::string& name, PartitionKind* out) noexcept {
+  if (name == "random") {
+    *out = PartitionKind::Random;
+    return true;
+  }
+  if (name == "roundrobin") {
+    *out = PartitionKind::RoundRobin;
+    return true;
+  }
+  if (name == "adversarial") {
+    *out = PartitionKind::EvenSorted;
+    return true;
+  }
+  return false;
+}
+
 }  // namespace kc::mpc

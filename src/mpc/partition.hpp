@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "geometry/point.hpp"
@@ -39,5 +40,9 @@ enum class PartitionKind : std::uint8_t {
     const WeightedSet& pts, int m, PartitionKind kind, std::uint64_t seed);
 
 [[nodiscard]] const char* partition_name(PartitionKind kind) noexcept;
+/// Parses "random" / "roundrobin" / "adversarial" (EvenSorted); returns
+/// false (out untouched) otherwise.
+[[nodiscard]] bool parse_partition(const std::string& name,
+                                   PartitionKind* out) noexcept;
 
 }  // namespace kc::mpc

@@ -1,6 +1,7 @@
 #include "mpc/two_round.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -12,11 +13,10 @@ namespace kc::mpc {
 
 namespace {
 
-// ⌈log2(z+1)⌉ — the index of the last outlier guess 2^J − 1 ≥ … ≥ z.
+// J = ⌈log2(z+1)⌉ — the index of the last outlier guess 2^J − 1 ≥ z; valid
+// guesses are j = 0..J.
 int guess_levels(std::int64_t z) {
-  int j = 0;
-  while ((std::int64_t{1} << j) - 1 < z) ++j;
-  return j;  // J; valid guesses are j = 0..J
+  return std::bit_width(static_cast<std::uint64_t>(z));
 }
 
 // The r̂ rule of Round 2.  `tables[ℓ][j]` = V_ℓ[j].  Returns the smallest
@@ -70,6 +70,13 @@ double compute_r_hat(const std::vector<std::vector<double>>& tables,
 }
 
 }  // namespace
+
+double round1_broadcast_bytes(int machines, std::int64_t z) {
+  const double m = machines;
+  const double scalars = 2.0 * (guess_levels(z) + 1);  // V_i and ρ_i
+  return m * (m - 1.0) *
+         (static_cast<double>(sizeof(Message)) + scalars * sizeof(double));
+}
 
 TwoRoundResult two_round_coreset(const std::vector<WeightedSet>& parts, int k,
                                  std::int64_t z, const Metric& metric,

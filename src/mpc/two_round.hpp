@@ -59,4 +59,9 @@ struct TwoRoundResult {
     const Metric& metric, const ExecContext& ctx = {},
     const TwoRoundOptions& opt = {});
 
+/// Lower bound on the bytes Round 1's broadcast holds at once: each of m
+/// machines sends its (V, ρ) tables to the m − 1 others, and all m(m − 1)
+/// messages live until Round 2 reads them.  In double, so any m compares.
+[[nodiscard]] double round1_broadcast_bytes(int machines, std::int64_t z);
+
 }  // namespace kc::mpc

@@ -9,6 +9,19 @@
 
 namespace kc::stream {
 
+bool parse_threshold_policy(const std::string& name,
+                            ThresholdPolicy* out) noexcept {
+  if (name == "ours") {
+    *out = ThresholdPolicy::Ours;
+    return true;
+  }
+  if (name == "ceccarello") {
+    *out = ThresholdPolicy::Ceccarello;
+    return true;
+  }
+  return false;
+}
+
 std::size_t stream_threshold(int k, std::int64_t z, double eps, int dim,
                              ThresholdPolicy policy) {
   // Saturate in double before each cast: at tiny ε, k(16/ε)^d is past the

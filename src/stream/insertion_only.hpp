@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 
 #include "core/mbc.hpp"
 #include "core/types.hpp"
@@ -44,6 +45,10 @@ enum class ThresholdPolicy : std::uint8_t {
   Ours,        ///< k(16/ε)^d + z   (Algorithm 3)
   Ceccarello,  ///< (k+z)(16/ε)^d   (baseline shape, multiplicative z)
 };
+
+/// Parses "ours" / "ceccarello"; returns false (out untouched) otherwise.
+[[nodiscard]] bool parse_threshold_policy(const std::string& name,
+                                          ThresholdPolicy* out) noexcept;
 
 class InsertionOnlyStream {
  public:

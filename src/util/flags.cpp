@@ -1,5 +1,6 @@
 #include "util/flags.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 
 namespace kc {
@@ -31,16 +32,11 @@ std::string Flags::get_string(const std::string& name,
   return it == values_.end() ? def : it->second;
 }
 
-long long Flags::get_int(const std::string& name, long long def) const {
-  const auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
-double Flags::get_double(const std::string& name, double def) const {
-  const auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
+void Flags::bad_number(const std::string& name, const std::string& value,
+                       const std::string& expects) {
+  std::fprintf(stderr, "error: --%s expects %s, got '%s'\n", name.c_str(),
+               expects.c_str(), value.c_str());
+  std::exit(2);
 }
 
 std::vector<std::string> Flags::unknown_flags(

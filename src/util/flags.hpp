@@ -1,17 +1,24 @@
-// Tiny command-line flag parser for the example and bench binaries.
+// Tiny command-line flag parser for the example, bench and tool binaries.
 //
 // Usage:
 //   kc::Flags flags(argc, argv);
-//   int n   = flags.get_int("n", 10000);
-//   double e = flags.get_double("eps", 0.25);
+//   auto n   = flags.get<std::size_t>("n", 10000);
+//   double e = flags.get<double>("eps", 0.25);
 //   bool quick = flags.has("quick");
 //
 // Accepted syntaxes: --name=value, --name value, --flag (boolean presence).
+// A numeric value parses whole into the requested type: "300x", "abc", an
+// empty value, a negative value for an unsigned type and a value past the
+// type's range are errors, never a prefix or a wrapped cast.
 
 #pragma once
 
+#include <charconv>
+#include <limits>
 #include <map>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace kc {
@@ -23,8 +30,28 @@ class Flags {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& def) const;
-  [[nodiscard]] long long get_int(const std::string& name, long long def) const;
-  [[nodiscard]] double get_double(const std::string& name, double def) const;
+
+  /// Numeric flag `name` as a T (an arithmetic type), or `def` when the flag
+  /// is absent.  A value that does not parse whole into T prints
+  /// "error: --name expects …" and exits with status 2: Flags serves only
+  /// `main`s, and each of them would otherwise need the same handler.
+  template <typename T>
+  [[nodiscard]] T get(const std::string& name, T def) const {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return def;
+    const std::string& v = it->second;
+    T value{};
+    const char* last = v.data() + v.size();
+    const auto [end, ec] = std::from_chars(v.data(), last, value);
+    if (ec == std::errc{} && end == last) return value;
+    if constexpr (std::is_integral_v<T>) {
+      bad_number(name, v,
+                 "an integer in [" +
+                     std::to_string(std::numeric_limits<T>::min()) + ", " +
+                     std::to_string(std::numeric_limits<T>::max()) + "]");
+    }
+    bad_number(name, v, "a number in double range");
+  }
 
   /// Positional (non-flag) arguments, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
@@ -38,6 +65,11 @@ class Flags {
       const std::vector<std::string>& known) const;
 
  private:
+  /// Prints "error: --name expects <expects>, got '<value>'"; exits 2.
+  [[noreturn]] static void bad_number(const std::string& name,
+                                      const std::string& value,
+                                      const std::string& expects);
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

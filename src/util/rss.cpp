@@ -3,9 +3,9 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #include <unistd.h>
-
-#include <cstdio>
 #endif
+
+#include <cstdint>
 
 namespace kc {
 
@@ -25,19 +25,17 @@ std::size_t peak_rss_bytes() {
 #endif
 }
 
-std::size_t current_rss_bytes() {
-#if defined(__linux__)
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  unsigned long long vm_pages = 0, rss_pages = 0;
-  const int got = std::fscanf(f, "%llu %llu", &vm_pages, &rss_pages);
-  std::fclose(f);
-  if (got != 2) return 0;
-  return static_cast<std::size_t>(rss_pages) *
-         static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-#else
-  return 0;
+std::size_t memory_budget_bytes() {
+#if defined(__unix__) || defined(__APPLE__)
+  struct rlimit lim {};
+  if (getrlimit(RLIMIT_AS, &lim) == 0 && lim.rlim_cur != RLIM_INFINITY)
+    return static_cast<std::size_t>(lim.rlim_cur);
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page = sysconf(_SC_PAGESIZE);
+  if (pages > 0 && page > 0)
+    return static_cast<std::size_t>(pages) * static_cast<std::size_t>(page);
 #endif
+  return SIZE_MAX;
 }
 
 }  // namespace kc

@@ -1,4 +1,5 @@
-// Portable process-memory probes for the bench harnesses.
+// Portable process-memory probes for the bench harnesses, and the memory
+// budget the engine sizes its largest allocations against.
 //
 // The out-of-core dataset layer's contract is "peak RSS independent of n";
 // the scale harness (bench/bench_scale.cpp) records the high-water mark to
@@ -19,8 +20,9 @@ namespace kc {
 /// 0 when the platform provides no probe.
 [[nodiscard]] std::size_t peak_rss_bytes();
 
-/// Current resident set size in bytes (Linux: /proc/self/statm), 0 when
-/// unavailable.  Spot probe only — prefer `peak_rss_bytes` for budgets.
-[[nodiscard]] std::size_t current_rss_bytes();
+/// Bytes this process may allocate at most: the RLIMIT_AS soft limit when
+/// one is set, else physical RAM (SIZE_MAX where neither is known).  The
+/// engine rejects a configuration whose allocations provably exceed it.
+[[nodiscard]] std::size_t memory_budget_bytes();
 
 }  // namespace kc

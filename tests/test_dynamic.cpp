@@ -183,6 +183,28 @@ TEST(DynamicCoreset, WordsGrowWithLogDelta) {
             4.0 * static_cast<double>(a.words()));
 }
 
+// predicted_words() sizes a run before anything is allocated; it must be
+// exactly the words() the constructed sketch then reports, on both
+// recovery paths and across Δ, d, ε and the F0 accuracy.
+TEST(DynamicCoreset, PredictedWordsEqualWordsAfterConstruction) {
+  for (const bool det : {false, true}) {
+    for (const std::int64_t delta : {2, 64, 1000}) {
+      for (const int dim : {1, 2, 3}) {
+        DynamicCoresetOptions opt = small_opts(7);
+        opt.delta = delta;
+        opt.dim = dim;
+        opt.eps = dim == 3 ? 1.0 : 0.5;
+        opt.f0_eps = delta == 1000 ? 0.3 : 0.5;
+        opt.deterministic_recovery = det;
+        const DynamicCoreset dc(opt);
+        EXPECT_EQ(DynamicCoreset::predicted_words(opt),
+                  static_cast<double>(dc.words()))
+            << "det=" << det << " delta=" << delta << " dim=" << dim;
+      }
+    }
+  }
+}
+
 // Exact query outputs of seeded runs, pinned so that changes to the sketch
 // internals (evaluation points, row hashing, bucket reduction, cell layout)
 // cannot move the chosen level, the recovered cells, their weights or the

@@ -10,8 +10,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/cost.hpp"
 #include "core/solver.hpp"
@@ -274,6 +277,175 @@ TEST(EngineConfig, SameWorkloadDrivesDifferentMetrics) {
     EXPECT_GT(res.report.radius, 0.0) << cfg.metric().name();
     EXPECT_FALSE(res.coreset.empty()) << cfg.metric().name();
   }
+}
+
+// The parameter contract.  For every registered pipeline and every field
+// config_error checks, a value just inside the range is accepted and one
+// just outside is rejected, by config_error and by execute, which throws
+// ConfigError before anything runs.
+struct ContractCase {
+  std::string what;
+  std::function<void(PipelineConfig&)> set;
+  bool valid;
+};
+
+std::vector<ContractCase> contract_cases() {
+  const double above_one = std::nextafter(1.0, 2.0);
+  const double below_zero = -std::numeric_limits<double>::denorm_min();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<ContractCase> cases{
+      {"k=1", [](PipelineConfig& c) { c.k = 1; }, true},
+      {"k=0", [](PipelineConfig& c) { c.k = 0; }, false},
+      {"z=0", [](PipelineConfig& c) { c.z = 0; }, true},
+      {"z=-1", [](PipelineConfig& c) { c.z = -1; }, false},
+      {"eps=1", [](PipelineConfig& c) { c.eps = 1.0; }, true},
+      {"eps>1", [=](PipelineConfig& c) { c.eps = above_one; }, false},
+      {"eps=0", [](PipelineConfig& c) { c.eps = 0.0; }, false},
+      {"eps=nan", [=](PipelineConfig& c) { c.eps = nan; }, false},
+      {"dim=0", [](PipelineConfig& c) { c.dim = 0; }, false},
+      {"dim>max", [](PipelineConfig& c) { c.dim = Point::kMaxDim + 1; },
+       false},
+      {"dim!=workload", [](PipelineConfig& c) { c.dim = 3; }, false},
+      {"threads=0", [](PipelineConfig& c) { c.num_threads = 0; }, true},
+      {"threads=max",
+       [](PipelineConfig& c) { c.num_threads = PipelineConfig::kMaxThreads; },
+       true},
+      {"threads=-1", [](PipelineConfig& c) { c.num_threads = -1; }, false},
+      {"threads>max",
+       [](PipelineConfig& c) {
+         c.num_threads = PipelineConfig::kMaxThreads + 1;
+       },
+       false},
+      {"machines=1", [](PipelineConfig& c) { c.machines = 1; }, true},
+      {"machines=0", [](PipelineConfig& c) { c.machines = 0; }, false},
+      {"rounds=1", [](PipelineConfig& c) { c.rounds = 1; }, true},
+      {"rounds=max",
+       [](PipelineConfig& c) { c.rounds = PipelineConfig::kMaxRounds; }, true},
+      {"rounds=0", [](PipelineConfig& c) { c.rounds = 0; }, false},
+      {"rounds>max",
+       [](PipelineConfig& c) { c.rounds = PipelineConfig::kMaxRounds + 1; },
+       false},
+      {"window=0", [](PipelineConfig& c) { c.window = 0; }, true},
+      {"window=-1", [](PipelineConfig& c) { c.window = -1; }, false},
+      {"delta=2", [](PipelineConfig& c) { c.delta = 2; }, true},
+      {"delta=1", [](PipelineConfig& c) { c.delta = 1; }, false},
+      {"retries=0", [](PipelineConfig& c) { c.fault_retries = 0; }, true},
+      {"retries=max",
+       [](PipelineConfig& c) {
+         c.fault_retries = PipelineConfig::kMaxFaultRetries;
+       },
+       true},
+      {"retries=-1", [](PipelineConfig& c) { c.fault_retries = -1; }, false},
+      {"retries>max",
+       [](PipelineConfig& c) {
+         c.fault_retries = PipelineConfig::kMaxFaultRetries + 1;
+       },
+       false},
+  };
+  const std::pair<const char*, double PipelineConfig::*> probs[] = {
+      {"fault_crash", &PipelineConfig::fault_crash},
+      {"fault_drop", &PipelineConfig::fault_drop},
+      {"fault_truncate", &PipelineConfig::fault_truncate},
+      {"fault_straggle", &PipelineConfig::fault_straggle}};
+  for (const auto& [field, member] : probs) {
+    for (const double p : {0.0, 1.0, below_zero, above_one, nan}) {
+      cases.push_back({std::string(field) + "=" + std::to_string(p),
+                       [m = member, p](PipelineConfig& c) { c.*m = p; },
+                       p >= 0.0 && p <= 1.0});
+    }
+  }
+  return cases;
+}
+
+// Checks one (pipeline, config, workload) against the expected verdict.
+void expect_verdict(const Pipeline& pipeline, const PipelineConfig& cfg,
+                    const Workload& w, bool valid) {
+  const std::string err = config_error(pipeline, cfg, w);
+  if (valid) {
+    EXPECT_EQ(err, "");
+  } else {
+    EXPECT_NE(err, "");
+    EXPECT_THROW((void)pipeline.execute(w, cfg), ConfigError);
+  }
+}
+
+TEST_P(EnginePipelineTest, ConfigContractAtEveryFieldEdge) {
+  const auto pipeline = registry().make(GetParam());
+  const Workload w = make_workload(kSmallN, small_config());
+  for (const ContractCase& c : contract_cases()) {
+    SCOPED_TRACE(c.what);
+    PipelineConfig cfg = small_config();
+    c.set(cfg);
+    expect_verdict(*pipeline, cfg, w, c.valid);
+  }
+  // dim's edges, on workloads of that dimension.  The dynamic sketch packs
+  // d·⌈log2 Δ⌉ ≤ 62 cell-id bits, so d = 8 at Δ = 1024 is past its own
+  // sizing limit while inside the shared range.
+  for (const int dim : {1, Point::kMaxDim}) {
+    SCOPED_TRACE(dim);
+    PipelineConfig cfg = small_config();
+    cfg.dim = dim;
+    expect_verdict(*pipeline, cfg, make_workload(kSmallN, cfg),
+                   GetParam() != "dynamic" || dim == 1);
+  }
+}
+
+TEST(EngineConfig, SizingLimitsOfEachPipeline) {
+  PipelineConfig cfg = small_config();
+  const Workload w = make_workload(kSmallN, cfg);
+  // stream-mk runs ⌈ln 2 / ln(1+ε)⌉ ≤ 65536 instances: ε = 1.1e-5 gives
+  // 63013 of them, ε = 1e-5 gives 69315.
+  const auto mk = registry().make("stream-mk");
+  cfg.eps = 1.1e-5;
+  expect_verdict(*mk, cfg, w, true);
+  cfg.eps = 1e-5;
+  expect_verdict(*mk, cfg, w, false);
+  // mpc-2round's Round 1 holds m(m−1) table messages at once: about 1e10
+  // at m = 1e5, past any memory budget.
+  cfg = small_config();
+  const auto two_round = registry().make("mpc-2round");
+  cfg.machines = 1000;
+  expect_verdict(*two_round, cfg, w, true);
+  cfg.machines = 100000;
+  expect_verdict(*two_round, cfg, w, false);
+  EXPECT_NE(config_error(*two_round, cfg, w).find("memory budget"),
+            std::string::npos);
+  expect_verdict(*registry().make("mpc-1round"), cfg, w, true);
+}
+
+TEST(EngineConfig, DynamicSketchPastTheMemoryBudgetIsRejectedUpFront) {
+  // At ε = 1e-3 and d = 3 the sample budget k(4√d/ε)^d + z is ~1e12 cells,
+  // a representable sketch of ~190 TB per grid level: the check rejects it
+  // from the options alone, and execute throws before the constructor
+  // allocates anything.
+  PipelineConfig cfg = small_config();
+  cfg.dim = 3;
+  const Workload w = make_workload(kSmallN, cfg);
+  cfg.eps = 1e-3;
+  const auto dynamic = registry().make("dynamic");
+  const std::string err = config_error(*dynamic, cfg, w);
+  EXPECT_NE(err.find("memory budget"), std::string::npos) << err;
+  EXPECT_THROW((void)dynamic->execute(w, cfg), ConfigError);
+  // A budget past any representable sketch and a cell id past 62 bits.
+  cfg.eps = 1e-7;
+  EXPECT_NE(config_error(*dynamic, cfg, w).find("representable"),
+            std::string::npos);
+  cfg.eps = 0.5;
+  cfg.delta = 1 << 21;
+  EXPECT_NE(config_error(*dynamic, cfg, w).find("62"), std::string::npos);
+}
+
+TEST(EngineWorkload, MakeWorkloadRejectsWhatItCannotPlant) {
+  PipelineConfig cfg = small_config();  // k = 3, z = 8: n >= 3·9 + 8 = 35
+  EXPECT_EQ(make_workload(35, cfg).n(), 35u);
+  EXPECT_THROW((void)make_workload(34, cfg), ConfigError);
+  // More points than memory can hold: rejected before any allocation.
+  EXPECT_THROW((void)make_workload(std::size_t{1} << 60, cfg), ConfigError);
+  cfg.k = 0;
+  EXPECT_THROW((void)make_workload(kSmallN, cfg), ConfigError);
+  cfg = small_config();
+  cfg.dim = Point::kMaxDim + 1;
+  EXPECT_THROW((void)make_workload(kSmallN, cfg), ConfigError);
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/csv.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
+#include "util/rss.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -150,14 +154,55 @@ TEST(Flags, ParsesAllSyntaxes) {
   // --flag, otherwise the next token is consumed as its value.
   const char* argv[] = {"prog", "pos", "--n=100", "--eps", "0.5", "--quick"};
   Flags f(6, const_cast<char**>(argv));
-  EXPECT_EQ(f.get_int("n", 0), 100);
-  EXPECT_DOUBLE_EQ(f.get_double("eps", 0.0), 0.5);
+  EXPECT_EQ(f.get<int>("n", 0), 100);
+  EXPECT_DOUBLE_EQ(f.get<double>("eps", 0.0), 0.5);
   EXPECT_TRUE(f.has("quick"));
   EXPECT_FALSE(f.has("missing"));
-  EXPECT_EQ(f.get_int("missing", 42), 42);
+  EXPECT_EQ(f.get<int>("missing", 42), 42);
   ASSERT_EQ(f.positional().size(), 1u);
   EXPECT_EQ(f.positional()[0], "pos");
 }
+
+// Flags over `args`, with a program name in front.
+Flags flags_of(std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  return Flags(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(Flags, NumbersParseWholeIntoTheirType) {
+  const Flags f = flags_of({"--n", "300", "--k=-7", "--eps", "1e-3", "--seed",
+                            "18446744073709551615"});
+  EXPECT_EQ(f.get<std::size_t>("n", 0), 300u);
+  EXPECT_EQ(f.get<int>("k", 0), -7);
+  EXPECT_DOUBLE_EQ(f.get<double>("eps", 0.0), 1e-3);
+  EXPECT_EQ(f.get<std::uint64_t>("seed", 0), UINT64_MAX);
+  // An absent flag keeps its default, whatever the type.
+  EXPECT_EQ(f.get<std::int64_t>("absent", -3), -3);
+  EXPECT_DOUBLE_EQ(f.get<double>("absent", 0.25), 0.25);
+}
+
+// A value that does not parse whole into its type is an error, exit 2: a
+// trailing suffix, a value past the type's range, a negative value for an
+// unsigned type and an empty value.
+TEST(FlagsDeathTest, MalformedNumbersExitTwo) {
+  const auto exits = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT((void)flags_of({"--n", "300x"}).get<std::size_t>("n", 0), exits,
+              "error: --n expects an integer");
+  EXPECT_EXIT((void)flags_of({"--eps", "0.5x"}).get<double>("eps", 0.0), exits,
+              "error: --eps expects a number");
+  EXPECT_EXIT((void)flags_of({"--k", "4294967297"}).get<int>("k", 0), exits,
+              "error: --k expects an integer in \\[-2147483648, 2147483647\\]");
+  EXPECT_EXIT((void)flags_of({"--eps", "1e400"}).get<double>("eps", 0.0),
+              exits, "error: --eps expects a number");
+  EXPECT_EXIT((void)flags_of({"--n", "-5"}).get<std::size_t>("n", 0), exits,
+              "error: --n expects an integer in \\[0, ");
+  EXPECT_EXIT((void)flags_of({"--x="}).get<int>("x", 0), exits,
+              "error: --x expects an integer");
+}
+
+TEST(MemoryBudget, IsPositive) { EXPECT_GT(memory_budget_bytes(), 0u); }
 
 }  // namespace
 }  // namespace kc

@@ -81,14 +81,13 @@ int cmd_verify(const std::string& path) {
 
 int cmd_generate(const std::string& path, const Flags& flags) {
   dataset::GeneratedConfig cfg;
-  cfg.n = static_cast<std::uint64_t>(flags.get_int("n", 1'000'000));
-  cfg.dim = static_cast<int>(flags.get_int("dim", 2));
-  cfg.k = static_cast<int>(flags.get_int("k", 3));
-  cfg.cluster_radius = flags.get_double("radius", 1.0);
-  cfg.separation = flags.get_double("separation", 40.0);
-  cfg.outlier_permille =
-      static_cast<std::uint32_t>(flags.get_int("outlier-permille", 2));
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  cfg.n = flags.get<std::uint64_t>("n", 1'000'000);
+  cfg.dim = flags.get<int>("dim", 2);
+  cfg.k = flags.get<int>("k", 3);
+  cfg.cluster_radius = flags.get<double>("radius", 1.0);
+  cfg.separation = flags.get<double>("separation", 40.0);
+  cfg.outlier_permille = flags.get<std::uint32_t>("outlier-permille", 2);
+  cfg.seed = flags.get<std::uint64_t>("seed", 1);
 
   dataset::GeneratedSource src(cfg);
   Timer timer;

@@ -11,17 +11,15 @@
 //
 // Unknown flags are an error (usage text + exit 2), so a typo'd flag in a
 // CI smoke step fails the job instead of silently running the defaults.
-// So is a numeric flag whose value does not parse whole into its type.
+// So are a numeric flag whose value does not parse whole into its type, an
+// unknown enum name, and a configuration some selected pipeline rejects
+// (engine::config_error, checked for every pipeline before any runs).
 
-#include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <exception>
 #include <memory>
 #include <new>
 #include <string>
-#include <system_error>
-#include <type_traits>
 #include <vector>
 
 #include "kcenter.hpp"
@@ -42,7 +40,8 @@ constexpr const char kUsage[] =
     "                                and batch kernels, in [0, 256];\n"
     "                                0 = hardware [1]\n"
     "  --m/--partition/--rounds      MPC knobs [8/adversarial/2]; --rounds\n"
-    "                                is the R of mpc-rround, in [1, 31]\n"
+    "                                is the R of mpc-rround, in [1, 31];\n"
+    "                                partition adversarial|random|roundrobin\n"
     "  --machines <m>                alias for --m\n"
     "  --backend local|wire          MPC message transport [local].\n"
     "                                wire delivers every message through an\n"
@@ -68,8 +67,11 @@ constexpr const char kUsage[] =
     "  --fault-crash/--fault-drop    per-attempt crash / message-drop\n"
     "                                probabilities [0/0]\n"
     "  --fault-truncate <p>          point-message truncation probability [0]\n"
-    "  --fault-straggle <p>          per machine-round straggler prob [0]\n"
-    "  --fault-retries <r>           transport retry budget [2]\n"
+    "  --fault-straggle <p>          per machine-round straggler prob [0];\n"
+    "                                every probability is in [0, 1]\n"
+    "  --fault-retries <r>           transport retry budget, in [0, 1000]:\n"
+    "                                a lost message costs one attempt per\n"
+    "                                retry, so run time grows with it [2]\n"
     "  --fault-policy retry|reassign|degrade\n"
     "                                recovery past the retry budget [retry]\n"
     "  --no-direct                   skip the direct solve (radius only)\n"
@@ -88,48 +90,17 @@ const std::vector<std::string>& known_flags() {
   return flags;
 }
 
-Norm parse_norm(const std::string& name) {
-  if (name == "l1") return Norm::L1;
-  if (name == "linf") return Norm::Linf;
-  if (name != "l2")
-    std::fprintf(stderr, "warning: unknown norm '%s', using l2\n",
-                 name.c_str());
-  return Norm::L2;
-}
-
-mpc::PartitionKind parse_partition(const std::string& name) {
-  if (name == "random") return mpc::PartitionKind::Random;
-  if (name == "roundrobin") return mpc::PartitionKind::RoundRobin;
-  if (name != "adversarial")
-    std::fprintf(stderr, "warning: unknown partition '%s', using adversarial\n",
-                 name.c_str());
-  return mpc::PartitionKind::EvenSorted;
-}
-
-// Parses numeric flag `name` into `out`, which keeps its value when the
-// flag is absent.  The whole value must parse as a T ("300x", "abc" and a
-// value past T's range are errors, not a prefix or a wrapped cast).
-template <typename T>
-bool parse_number(const Flags& flags, const char* name, T& out) {
+// Reads enum flag `name` through the library's `parse` (keeping *out when
+// the flag is absent); an unknown value prints an error and returns false.
+template <typename E>
+bool parse_enum(const Flags& flags, const char* name, const char* choices,
+                bool (*parse)(const std::string&, E*) noexcept, E* out) {
   if (!flags.has(name)) return true;
-  const std::string v = flags.get_string(name, "");
-  const char* end = v.data() + v.size();
-  T value{};
-  const auto [ptr, ec] = std::from_chars(v.data(), end, value);
-  if (ec == std::errc::result_out_of_range) {
-    std::fprintf(stderr, "error: --%s %s is out of range\n", name, v.c_str());
-    return false;
-  }
-  if (ec != std::errc{} || ptr != end || v.empty()) {
-    std::fprintf(stderr, "error: --%s expects %s, got '%s'\n", name,
-                 !std::is_integral_v<T>   ? "a number"
-                 : std::is_unsigned_v<T> ? "a non-negative integer"
-                                         : "an integer",
-                 v.c_str());
-    return false;
-  }
-  out = value;
-  return true;
+  const std::string value = flags.get_string(name, "");
+  if (parse(value, out)) return true;
+  std::fprintf(stderr, "error: unknown --%s '%s' (%s)\n", name, value.c_str(),
+               choices);
+  return false;
 }
 
 void print_catalogue() {
@@ -166,131 +137,47 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Every numeric flag parses whole into its own type; the defaults are
-  // PipelineConfig's.  --machines is the transport-era alias of --m; given
-  // both, --machines wins (it is the more explicit spelling).
+  // Every numeric flag parses whole into its own type (Flags exits 2
+  // otherwise); the defaults are PipelineConfig's.  --machines is the
+  // transport-era alias of --m; given both, --machines wins (it is the more
+  // explicit spelling).  Ranges are the engine's: config_error below.
   engine::PipelineConfig cfg;
-  std::size_t n = 4000;
-  const bool numbers_ok =
-      parse_number(flags, "n", n) && parse_number(flags, "k", cfg.k) &&
-      parse_number(flags, "z", cfg.z) && parse_number(flags, "eps", cfg.eps) &&
-      parse_number(flags, "dim", cfg.dim) &&
-      parse_number(flags, "seed", cfg.seed) &&
-      parse_number(flags, "threads", cfg.num_threads) &&
-      parse_number(flags, "m", cfg.machines) &&
-      parse_number(flags, "machines", cfg.machines) &&
-      parse_number(flags, "rounds", cfg.rounds) &&
-      parse_number(flags, "window", cfg.window) &&
-      parse_number(flags, "delta", cfg.delta) &&
-      parse_number(flags, "fault-seed", cfg.fault_seed) &&
-      parse_number(flags, "fault-crash", cfg.fault_crash) &&
-      parse_number(flags, "fault-drop", cfg.fault_drop) &&
-      parse_number(flags, "fault-truncate", cfg.fault_truncate) &&
-      parse_number(flags, "fault-straggle", cfg.fault_straggle) &&
-      parse_number(flags, "fault-retries", cfg.fault_retries);
-  if (!numbers_ok) {
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
-  cfg.norm = parse_norm(flags.get_string("norm", "l2"));
-  cfg.with_direct_solve = !flags.has("no-direct");
-  if (cfg.machines < 1) {
-    std::fprintf(stderr, "error: --machines must be >= 1 (got %d)\n",
-                 cfg.machines);
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
-  if (cfg.k < 1) {
-    std::fprintf(stderr, "error: --k must be >= 1 (got %d)\n", cfg.k);
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
-  if (cfg.z < 0) {
-    std::fprintf(stderr, "error: --z must be >= 0 (got %lld)\n",
-                 static_cast<long long>(cfg.z));
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
-  // The generator and Point hold at most kMaxDim coordinates.
-  if (cfg.dim < 1 || cfg.dim > Point::kMaxDim) {
-    std::fprintf(stderr, "error: --dim must be in [1, %d] (got %d)\n",
-                 Point::kMaxDim, cfg.dim);
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
-  // The pool starts this many OS threads up front.
-  constexpr int kMaxThreads = 256;
-  if (cfg.num_threads < 0 || cfg.num_threads > kMaxThreads) {
-    std::fprintf(stderr, "error: --threads must be in [0, %d] (got %d)\n",
-                 kMaxThreads, cfg.num_threads);
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
-  if (!mpc::parse_backend(flags.get_string("backend", "local"),
-                          &cfg.backend)) {
-    std::fprintf(stderr, "error: unknown --backend '%s' (local|wire)\n",
-                 flags.get_string("backend", "local").c_str());
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
-  // ε ∈ (0, 1] (the negated test also rejects NaN), R ≥ 1, W ≥ 0 and
-  // Δ ≥ 2 are contracts of the structures these flags configure: reject a
-  // value outside them here instead of aborting inside a pipeline.
-  if (!(cfg.eps > 0.0 && cfg.eps <= 1.0)) {
-    std::fprintf(stderr, "error: --eps must be in (0, 1] (got %g)\n", cfg.eps);
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
-  // β = max(2, ⌈m^{1/R}⌉) at least halves the active machines per stage, so
-  // any int m is down to one machine after 31 stages; every later stage is
-  // one more lone recompression at machine 0 (about a millisecond each).
-  constexpr int kMaxRounds = 31;
-  if (cfg.rounds < 1 || cfg.rounds > kMaxRounds) {
-    std::fprintf(stderr, "error: --rounds must be in [1, %d] (got %d)\n",
-                 kMaxRounds, cfg.rounds);
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
-  if (cfg.window < 0) {
-    std::fprintf(stderr, "error: --window must be >= 0 (got %lld)\n",
-                 static_cast<long long>(cfg.window));
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
-  if (cfg.delta < 2) {
-    std::fprintf(stderr, "error: --delta must be >= 2 (got %lld)\n",
-                 static_cast<long long>(cfg.delta));
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
-  cfg.partition = parse_partition(flags.get_string("partition", "adversarial"));
+  const auto n = flags.get<std::size_t>("n", 4000);
+  cfg.k = flags.get("k", cfg.k);
+  cfg.z = flags.get("z", cfg.z);
+  cfg.eps = flags.get("eps", cfg.eps);
+  cfg.dim = flags.get("dim", cfg.dim);
+  cfg.seed = flags.get("seed", cfg.seed);
+  cfg.num_threads = flags.get("threads", cfg.num_threads);
+  cfg.machines = flags.get("machines", flags.get("m", cfg.machines));
+  cfg.rounds = flags.get("rounds", cfg.rounds);
+  cfg.window = flags.get("window", cfg.window);
+  cfg.delta = flags.get("delta", cfg.delta);
+  cfg.fault_seed = flags.get("fault-seed", cfg.fault_seed);
+  cfg.fault_crash = flags.get("fault-crash", cfg.fault_crash);
+  cfg.fault_drop = flags.get("fault-drop", cfg.fault_drop);
+  cfg.fault_truncate = flags.get("fault-truncate", cfg.fault_truncate);
+  cfg.fault_straggle = flags.get("fault-straggle", cfg.fault_straggle);
+  cfg.fault_retries = flags.get("fault-retries", cfg.fault_retries);
   cfg.partition_seed = cfg.seed;
-  cfg.policy = flags.get_string("policy", "ours") == "ceccarello"
-                   ? stream::ThresholdPolicy::Ceccarello
-                   : stream::ThresholdPolicy::Ours;
+  cfg.with_direct_solve = !flags.has("no-direct");
   cfg.deterministic_recovery = flags.has("det-recovery");
-  if (!mpc::parse_recovery_policy(flags.get_string("fault-policy", "retry"),
-                                  &cfg.fault_policy)) {
-    std::fprintf(stderr,
-                 "error: unknown --fault-policy '%s' (retry|reassign|"
-                 "degrade)\n",
-                 flags.get_string("fault-policy", "retry").c_str());
+  const bool names_ok =
+      parse_enum(flags, "norm", "l2|l1|linf", parse_norm, &cfg.norm) &&
+      parse_enum(flags, "partition", "adversarial|random|roundrobin",
+                 mpc::parse_partition, &cfg.partition) &&
+      parse_enum(flags, "policy", "ours|ceccarello",
+                 stream::parse_threshold_policy, &cfg.policy) &&
+      parse_enum(flags, "backend", "local|wire", mpc::parse_backend,
+                 &cfg.backend) &&
+      parse_enum(flags, "fault-policy", "retry|reassign|degrade",
+                 mpc::parse_recovery_policy, &cfg.fault_policy);
+  if (!names_ok) {
+    std::fputs(kUsage, stderr);
     return 2;
   }
   const bool faults_active = cfg.fault_config().active();
 
-  // A generated (planted) instance holds k clusters of at least z+1 points
-  // plus z outliers: n ≥ k(z+1) + z, checked without overflow.
-  const auto zu = static_cast<std::size_t>(cfg.z);
-  if (!flags.has("input") &&
-      (n < zu || (n - zu) / (zu + 1) < static_cast<std::size_t>(cfg.k))) {
-    std::fprintf(stderr,
-                 "error: --n %zu is too small for --k %d --z %lld: a "
-                 "generated instance needs n >= k(z+1)+z\n",
-                 n, cfg.k, static_cast<long long>(cfg.z));
-    std::fputs(kUsage, stderr);
-    return 2;
-  }
   const std::string which = flags.get_string("pipeline", "all");
   std::vector<std::string> names;
   if (which == "all") {
@@ -300,19 +187,8 @@ int main(int argc, char** argv) {
   } else {
     std::fprintf(stderr, "error: unknown pipeline '%s'; --list shows the "
                          "catalogue\n", which.c_str());
-    return 1;
-  }
-
-  // stream-mk runs one instance per (1+ε) ladder offset below 2.
-  if (std::find(names.begin(), names.end(), "stream-mk") != names.end()) {
-    const double ladder = stream::McCutchenKhuller::ladder_size(cfg.eps);
-    if (!(ladder <= stream::McCutchenKhuller::kMaxLadder)) {
-      std::fprintf(stderr,
-                   "error: --eps %g gives stream-mk a ladder of %.0f "
-                   "instances; it runs at most %.0f\n",
-                   cfg.eps, ladder, stream::McCutchenKhuller::kMaxLadder);
-      return 2;
-    }
+    std::fputs(kUsage, stderr);
+    return 2;
   }
 
   // The transport flags only mean something to the MPC model.  Asking for
@@ -333,25 +209,19 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The workload comes first: an --input file sets n and dim.
   const bench::JsonLog json = bench::JsonLog::from_flags(flags);
   engine::Workload workload;
-  if (flags.has("input")) {
-    // External instance: no certified optimum bracket, so quality-bound
-    // enforcement below is skipped (quality vs the direct solve remains).
-    const std::string input = flags.get_string("input", "");
-    const bool is_kcb =
-        input.size() >= 4 && input.compare(input.size() - 4, 4, ".kcb") == 0;
-    try {
+  try {
+    if (flags.has("input")) {
+      // External instance: no certified optimum bracket, so quality-bound
+      // enforcement below is skipped (quality vs the direct solve remains).
+      const std::string input = flags.get_string("input", "");
+      const bool is_kcb = input.size() >= 4 &&
+                          input.compare(input.size() - 4, 4, ".kcb") == 0;
       if (is_kcb) {
-        auto src = std::make_shared<dataset::KcbSource>(input);
-        if (src->dim() > Point::kMaxDim) {
-          std::fprintf(stderr,
-                       "error: %s: dim %d exceeds the Point limit of %d\n",
-                       input.c_str(), src->dim(), Point::kMaxDim);
-          return 2;
-        }
-        cfg.dim = src->dim();
-        workload = engine::make_dataset_workload(std::move(src));
+        workload = engine::make_dataset_workload(
+            std::make_shared<dataset::KcbSource>(input));
         if (cfg.with_direct_solve) {
           // The direct solve needs the full set in memory — the very thing
           // the out-of-core path avoids.  Radius stays exact (chunked
@@ -363,43 +233,34 @@ int main(int argc, char** argv) {
       } else {
         WeightedSet pts =
             dataset::read_csv_points(input, flags.has("weighted"));
-        cfg.dim = pts.front().p.dim();
         workload.planted.buffer = kernels::PointBuffer(pts);
         workload.planted.points = std::move(pts);
         workload.planted.config.n = workload.planted.points.size();
         workload.order = shuffled_order(workload.n(), cfg.seed + 1);
       }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
+      cfg.dim = workload.dim();
+    } else {
+      workload = engine::make_workload(n, cfg);
     }
-  } else {
-    workload = engine::make_workload(n, cfg);
+  } catch (const engine::ConfigError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::fputs(kUsage, stderr);
+    return 2;
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "error: out of memory building the workload\n");
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 
-  // The dynamic sketch's sizing inputs, checked once the dimension is
-  // known (an --input file sets it): its cell ids pack d·⌈log2 Δ⌉ bits into
-  // 62, and its sample budget s = k(4√d/ε)^d + z, evaluated in double
-  // before any integer conversion, must give a representable sketch.
-  if (std::find(names.begin(), names.end(), "dynamic") != names.end()) {
-    if (!GridHierarchy::fits(cfg.delta, cfg.dim)) {
-      std::fprintf(stderr,
-                   "error: --delta %lld in %d dimensions needs %lld bits "
-                   "of grid cell id; the dynamic sketch packs at most 62\n",
-                   static_cast<long long>(cfg.delta), cfg.dim,
-                   static_cast<long long>(cfg.dim) *
-                       GridHierarchy::axis_bits(cfg.delta));
-      return 2;
-    }
-    const double s = dynamic::dynamic_sample_budget_real(cfg.k, cfg.z,
-                                                         cfg.eps, cfg.dim);
-    if (!(s <= static_cast<double>(dynamic::kMaxSampleBudget))) {
-      std::fprintf(stderr,
-                   "error: --k %d --z %lld --eps %g --dim %d give a dynamic "
-                   "sample budget of %g cells; the largest representable "
-                   "sketch holds %lld\n",
-                   cfg.k, static_cast<long long>(cfg.z), cfg.eps, cfg.dim, s,
-                   static_cast<long long>(dynamic::kMaxSampleBudget));
+  // Every selected pipeline accepts the configuration before any runs.
+  for (const auto& name : names) {
+    const std::string err =
+        engine::config_error(*engine::registry().make(name), cfg, workload);
+    if (!err.empty()) {
+      std::fprintf(stderr, "error: %s: %s\n", name.c_str(), err.c_str());
+      std::fputs(kUsage, stderr);
       return 2;
     }
   }
