@@ -15,7 +15,7 @@
 
 #include "bench_support.hpp"
 #include "mpc/ceccarello.hpp"
-#include "mpc/guha.hpp"
+#include "mpc/one_round.hpp"
 #include "mpc/partition.hpp"
 #include "mpc/two_round.hpp"
 #include "util/timer.hpp"
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
                  fmt(timer.millis(), 0)});
     }
     {
-      GuhaOptions opt;
+      OneRoundOptions opt;
       opt.eps = eps;
       Timer timer;
       const auto res = guha_local_z_coreset(parts, k, z, metric, {}, opt);

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <deque>
 
+#include "example_support.hpp"
 #include "kcenter.hpp"
 
 int main(int argc, char** argv) {
@@ -20,13 +21,21 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const int batches = flags.get<int>("batches", 20);
   const int batch = flags.get<int>("batch", 400);
+  engine::PipelineConfig cfg;
+  cfg.delta = flags.get<std::int64_t>("delta", 1024);
+  cfg.k = flags.get<int>("k", 3);
+  cfg.z = flags.get<std::int64_t>("z", 16);
+  cfg.eps = flags.get<double>("eps", 0.5);
+  cfg.dim = 2;
+  cfg.seed = flags.get<std::uint64_t>("seed", 5);
+  examples::check_config("dynamic", cfg);
   DynamicCoresetOptions opt;
-  opt.delta = flags.get<std::int64_t>("delta", 1024);
-  opt.k = flags.get<int>("k", 3);
-  opt.z = flags.get<std::int64_t>("z", 16);
-  opt.eps = flags.get<double>("eps", 0.5);
-  opt.dim = 2;
-  opt.seed = flags.get<std::uint64_t>("seed", 5);
+  opt.delta = cfg.delta;
+  opt.k = cfg.k;
+  opt.z = cfg.z;
+  opt.eps = cfg.eps;
+  opt.dim = cfg.dim;
+  opt.seed = cfg.seed;
 
   std::printf("dynamic inventory on [%lld]^2: %d batches x %d updates, k=%d "
               "z=%lld eps=%g\n",

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "example_support.hpp"
 #include "kcenter.hpp"
 
 namespace {
@@ -30,23 +31,17 @@ kc::WeightedSet read_csv_points(const std::string& path) {
   try {
     return kc::dataset::read_csv_points(path, /*weighted=*/false);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    std::exit(1);
+    kc::examples::reject(e.what());
   }
 }
 
-void generate_demo(const std::string& path, std::size_t n, int k,
-                   std::int64_t z, std::uint64_t seed) {
-  kc::PlantedConfig cfg;
-  cfg.n = n;
-  cfg.k = k;
-  cfg.z = z;
-  cfg.dim = 2;
-  cfg.seed = seed;
-  const auto inst = kc::make_planted(cfg);
+void generate_demo(const std::string& path, std::size_t n,
+                   const kc::engine::PipelineConfig& cfg) {
+  const auto inst = kc::examples::checked_workload("offline", n, cfg).planted;
   std::ofstream out(path);
-  out << "# generated by kcoreset_cli: n=" << n << " k=" << k << " z=" << z
-      << " (planted opt in [" << inst.opt_lo << ", " << inst.opt_hi << "])\n";
+  out << "# generated by kcoreset_cli: n=" << n << " k=" << cfg.k
+      << " z=" << cfg.z << " (planted opt in [" << inst.opt_lo << ", "
+      << inst.opt_hi << "])\n";
   for (const auto& wp : inst.points) {
     for (int i = 0; i < wp.p.dim(); ++i) {
       if (i) out << ',';
@@ -63,12 +58,14 @@ int main(int argc, char** argv) {
   using namespace kc;
   const Flags flags(argc, argv);
 
+  engine::PipelineConfig cfg;
+  cfg.dim = 2;
   if (flags.has("generate")) {
+    cfg.k = flags.get<int>("k", 4);
+    cfg.z = flags.get<std::int64_t>("z", 60);
+    cfg.seed = flags.get<std::uint64_t>("seed", 1);
     generate_demo(flags.get_string("generate", "demo.csv"),
-                  flags.get<std::size_t>("n", 20000),
-                  flags.get<int>("k", 4),
-                  flags.get<std::int64_t>("z", 60),
-                  flags.get<std::uint64_t>("seed", 1));
+                  flags.get<std::size_t>("n", 20000), cfg);
     return 0;
   }
   if (flags.positional().empty()) {
@@ -80,17 +77,21 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const int k = flags.get<int>("k", 4);
-  const std::int64_t z = flags.get<std::int64_t>("z", 0);
-  const double eps = flags.get<double>("eps", 0.25);
-  Norm norm = Norm::L2;
-  if (!parse_norm(flags.get_string("norm", "l2"), &norm)) {
+  cfg.k = flags.get<int>("k", 4);
+  cfg.z = flags.get<std::int64_t>("z", 0);
+  cfg.eps = std::min(1.0, flags.get<double>("eps", 0.25));
+  if (!parse_norm(flags.get_string("norm", "l2"), &cfg.norm)) {
     std::fprintf(stderr, "error: unknown --norm '%s' (l2|l1|linf)\n",
                  flags.get_string("norm", "").c_str());
     return 2;
   }
-  const Metric metric{norm};
   const std::string pipeline = flags.get_string("pipeline", "offline");
+  examples::check_config(pipeline == "stream" ? "stream-insertion" : "offline",
+                         cfg);
+  const int k = cfg.k;
+  const std::int64_t z = cfg.z;
+  const double eps = cfg.eps;
+  const Metric metric{cfg.norm};
 
   const WeightedSet pts = read_csv_points(flags.positional().front());
   const int dim = pts.front().p.dim();
@@ -102,11 +103,11 @@ int main(int argc, char** argv) {
   Timer timer;
   WeightedSet coreset;
   if (pipeline == "stream") {
-    stream::InsertionOnlyStream s(k, z, std::min(1.0, eps), dim, metric);
+    stream::InsertionOnlyStream s(k, z, eps, dim, metric);
     for (const auto& wp : pts) s.insert_weighted(wp.p, wp.w);
     coreset = s.coreset();
   } else {
-    coreset = mbc_construct(pts, k, z, std::min(1.0, eps), metric).reps;
+    coreset = mbc_construct(pts, k, z, eps, metric).reps;
   }
   const double build_ms = timer.millis();
 

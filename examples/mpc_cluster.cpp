@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string>
 
+#include "example_support.hpp"
 #include "kcenter.hpp"
 
 int main(int argc, char** argv) {
@@ -27,16 +28,18 @@ int main(int argc, char** argv) {
   cfg.with_direct_solve = false;  // report the bracket, not a direct solve
   const auto n = flags.get<std::size_t>("n", 40000);
   const std::string part_name = flags.get_string("partition", "adversarial");
-  cfg.partition = part_name == "random"       ? PartitionKind::Random
-                  : part_name == "roundrobin" ? PartitionKind::RoundRobin
-                                              : PartitionKind::EvenSorted;
+  if (!parse_partition(part_name, &cfg.partition))
+    examples::reject(("unknown --partition '" + part_name +
+                      "' (adversarial|random|roundrobin)")
+                         .c_str());
+  const engine::Workload workload =
+      examples::checked_workload("mpc-2round", n, cfg);
 
   std::printf("MPC 2-round coreset: n=%zu on m=%d machines (%s partition), "
               "k=%d z=%lld eps=%g\n\n",
               n, cfg.machines, partition_name(cfg.partition), cfg.k,
               static_cast<long long>(cfg.z), cfg.eps);
 
-  const engine::Workload workload = engine::make_workload(n, cfg);
   const engine::PipelineResult res = engine::run("mpc-2round", workload, cfg);
   const auto& r = res.report;
 

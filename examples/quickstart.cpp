@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "example_support.hpp"
 #include "kcenter.hpp"
 
 int main(int argc, char** argv) {
@@ -23,10 +24,11 @@ int main(int argc, char** argv) {
   cfg.dim = 2;
   cfg.seed = flags.get<std::uint64_t>("seed", 1);
   const auto n = flags.get<std::size_t>("n", 20000);
+  const engine::Workload workload =
+      examples::checked_workload("offline", n, cfg);
 
   std::printf("kcoreset quickstart: n=%zu k=%d z=%lld eps=%g\n", n, cfg.k,
               static_cast<long long>(cfg.z), cfg.eps);
-  const engine::Workload workload = engine::make_workload(n, cfg);
   std::printf("  planted optimum bracket: [%.4f, %.4f]\n",
               workload.planted.opt_lo, workload.planted.opt_hi);
 

@@ -5,21 +5,32 @@
 // O((kz/ε^d)·log σ) space the paper's Theorem 30 proves necessary.
 //
 //   ./sliding_window_monitor [--n 20000] [--window 2000] [--k 3] [--z 8]
-//                            [--eps 0.5]
+//                            [--eps 0.5]   (--window 0 = the whole stream)
 
+#include <algorithm>
 #include <cstdio>
 
+#include "example_support.hpp"
 #include "kcenter.hpp"
 
 int main(int argc, char** argv) {
   using namespace kc;
   const Flags flags(argc, argv);
   const auto n = flags.get<std::int64_t>("n", 20000);
-  const auto W = flags.get<std::int64_t>("window", 2000);
-  const int k = flags.get<int>("k", 3);
-  const std::int64_t z = flags.get<std::int64_t>("z", 8);
-  const double eps = flags.get<double>("eps", 0.5);
+  engine::PipelineConfig cfg;
+  cfg.window = flags.get<std::int64_t>("window", 2000);
+  cfg.k = flags.get<int>("k", 3);
+  cfg.z = flags.get<std::int64_t>("z", 8);
+  cfg.eps = flags.get<double>("eps", 0.5);
+  cfg.dim = 2;
+  examples::check_config("stream-sliding", cfg);
+  const std::int64_t W =
+      cfg.window > 0 ? cfg.window : std::max<std::int64_t>(n, 1);
+  const int k = cfg.k;
+  const std::int64_t z = cfg.z;
+  const double eps = cfg.eps;
   const Metric metric{Norm::L2};
+  const std::int64_t report_every = std::max<std::int64_t>(n / 8, 1);
 
   std::printf("sliding-window monitor: %lld events, window %lld, k=%d z=%lld "
               "eps=%g\n\n",
@@ -45,7 +56,7 @@ int main(int argc, char** argv) {
       p[1] = 100.0 + rng.normal() * 2.0;
     }
     sw.insert(p, t);
-    if (t % (n / 8) == 0) {
+    if (t % report_every == 0) {
       const auto q = sw.query(t);
       std::string radius = "-";
       if (q.level >= 0 && !q.coreset.empty()) {

@@ -5,29 +5,31 @@
 // radius — without ever storing the stream.
 //
 //   ./streaming_sensors [--n 50000] [--k 4] [--z 60] [--eps 0.5]
-//                       [--report 10000]
+//                       [--report 10000]   (0 = only after the last arrival)
 
 #include <cstdio>
 
+#include "example_support.hpp"
 #include "kcenter.hpp"
 
 int main(int argc, char** argv) {
   using namespace kc;
   const Flags flags(argc, argv);
   const auto n = flags.get<std::size_t>("n", 50000);
-  const int k = flags.get<int>("k", 4);
-  const std::int64_t z = flags.get<std::int64_t>("z", 60);
-  const double eps = flags.get<double>("eps", 0.5);
-  const auto report = flags.get<std::size_t>("report", 10000);
-  const Metric metric{Norm::L2};
-
-  PlantedConfig cfg;
-  cfg.n = n;
-  cfg.k = k;
-  cfg.z = z;
+  engine::PipelineConfig cfg;
+  cfg.k = flags.get<int>("k", 4);
+  cfg.z = flags.get<std::int64_t>("z", 60);
+  cfg.eps = flags.get<double>("eps", 0.5);
   cfg.dim = 2;
   cfg.seed = flags.get<std::uint64_t>("seed", 3);
-  const PlantedInstance inst = make_planted(cfg);
+  const auto report = flags.get<std::size_t>("report", 10000);
+  const int k = cfg.k;
+  const std::int64_t z = cfg.z;
+  const double eps = cfg.eps;
+  const Metric metric{Norm::L2};
+
+  const PlantedInstance inst =
+      examples::checked_workload("stream-insertion", n, cfg).planted;
   const auto order = shuffled_order(n, 11);
 
   std::printf("streaming sensors: n=%zu arrivals, k=%d clusters, z=%lld "
@@ -43,7 +45,7 @@ int main(int argc, char** argv) {
   for (auto idx : order) {
     s.insert(inst.points[idx].p);
     ++seen;
-    if (seen % report == 0 || seen == n) {
+    if ((report > 0 && seen % report == 0) || seen == n) {
       const double secs = timer.seconds();
       const Solution sol = solve_kcenter_outliers(s.coreset(), k, z, metric);
       table.add_row({fmt_count(static_cast<long long>(seen)),

@@ -8,10 +8,4 @@ double compose_eps_rounds(double eps, int rounds) noexcept {
   return std::pow(1.0 + eps, rounds) - 1.0;
 }
 
-MiniBallCovering recompress(const WeightedSet& merged, int k, std::int64_t z,
-                            double eps, const Metric& metric,
-                            const OracleOptions& oracle) {
-  return mbc_construct(merged, k, z, eps, metric, oracle);
-}
-
 }  // namespace kc

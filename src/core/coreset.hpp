@@ -3,19 +3,15 @@
 // Lemma 4 (union): mini-ball coverings of disjoint parts, built with outlier
 // budgets z_i satisfying optk,zi(P_i) ≤ optk,z(P), union into an
 // (ε,k,z)-mini-ball covering of P.  Concatenation is `merge_coresets` in
-// mbc.hpp; this header adds the re-compression step and error-composition
-// arithmetic used by the MPC coordinator and the R-round algorithm.
+// mbc.hpp; this header adds the error-composition arithmetic used by the
+// MPC coordinator and the R-round algorithm.
 //
 // Lemma 5 (transitivity): an (ε,·)-covering of a (γ,·)-covering of P is an
-// (ε+γ+εγ,·)-covering of P.  `compose_eps` computes that error, and
-// `recompress` applies a fresh MBCConstruction on top of an existing
-// coreset (what the coordinator does with ∪P*_i).
+// (ε+γ+εγ,·)-covering of P.  `compose_eps` computes that error; a fresh
+// MBCConstruction on top of an existing coreset (what the coordinator does
+// with ∪P*_i) is plain `mbc_construct`.
 
 #pragma once
-
-#include <cstdint>
-
-#include "core/mbc.hpp"
 
 namespace kc {
 
@@ -27,14 +23,5 @@ namespace kc {
 
 /// Error after R rounds of ε-compositions (Theorem 35): (1+ε)^R − 1.
 [[nodiscard]] double compose_eps_rounds(double eps, int rounds) noexcept;
-
-/// Coordinator-side re-compression: MBCConstruction(Q, k, z, ε) on an
-/// already-merged coreset Q.  Returns the covering together with metadata;
-/// by Lemma 5 the result is a (compose_eps(ε, γ_in), k, z)-covering of the
-/// original point set when Q was a γ_in-covering of it.
-[[nodiscard]] MiniBallCovering recompress(const WeightedSet& merged, int k,
-                                          std::int64_t z, double eps,
-                                          const Metric& metric,
-                                          const OracleOptions& oracle = {});
 
 }  // namespace kc

@@ -14,7 +14,6 @@
 #include "engine/registry.hpp"
 #include "mpc/ceccarello.hpp"
 #include "mpc/faults.hpp"
-#include "mpc/guha.hpp"
 #include "mpc/multi_round.hpp"
 #include "mpc/one_round.hpp"
 #include "mpc/partition.hpp"
@@ -265,7 +264,7 @@ class GuhaPipeline final : public MpcPipeline {
                                       PipelineResult& res,
                                       const mpc::ExecContext& ctx)
       const override {
-    mpc::GuhaOptions opt;
+    mpc::OneRoundOptions opt;
     opt.eps = cfg.eps;
     auto out =
         mpc::guha_local_z_coreset(parts, cfg.k, cfg.z, cfg.metric(), ctx, opt);

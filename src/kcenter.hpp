@@ -32,7 +32,6 @@
 #include "util/flags.hpp"
 #include "util/jsonlog.hpp"
 #include "util/parallel.hpp"
-#include "util/retry.hpp"
 #include "util/rng.hpp"
 #include "util/rss.hpp"
 #include "util/stats.hpp"
@@ -79,7 +78,6 @@
 // deterministic fault injection and recovery.
 #include "mpc/ceccarello.hpp"
 #include "mpc/faults.hpp"
-#include "mpc/guha.hpp"
 #include "mpc/multi_round.hpp"
 #include "mpc/one_round.hpp"
 #include "mpc/partition.hpp"

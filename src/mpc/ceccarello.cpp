@@ -2,9 +2,7 @@
 
 #include <cmath>
 
-#include "core/coreset.hpp"
 #include "core/gonzalez.hpp"
-#include "core/mbc.hpp"
 #include "util/check.hpp"
 
 namespace kc::mpc {
@@ -40,15 +38,9 @@ CeccarelloResult ceccarello_coreset(const std::vector<WeightedSet>& parts,
       });
 
   CeccarelloResult result;
+  static_cast<Coordinated&>(result) =
+      coordinate(sim, parts[0].size(), shipments, k, z, opt.eps, metric);
   result.tau = tau;
-  for (const auto& shipment : shipments)
-    result.local_coreset_sizes.push_back(shipment.size());
-  result.merged = merge_coresets(shipments);
-  const MiniBallCovering final_mbc =
-      recompress(result.merged, k, z, opt.eps, metric, opt.oracle);
-  sim.record_storage(0, sim.point_words(parts[0].size() + result.merged.size() +
-                                        final_mbc.reps.size()));
-  result.coreset = final_mbc.reps;
   result.stats = sim.stats();
   return result;
 }

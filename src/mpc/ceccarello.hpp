@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/radius_oracle.hpp"
 #include "core/types.hpp"
 #include "mpc/simulator.hpp"
 
@@ -25,14 +24,10 @@ namespace kc::mpc {
 
 struct CeccarelloOptions {
   double eps = 0.5;
-  OracleOptions oracle;  ///< used only for the coordinator recompression
 };
 
-struct CeccarelloResult {
-  WeightedSet coreset;
-  WeightedSet merged;
+struct CeccarelloResult : Coordinated {
   std::int64_t tau = 0;  ///< per-machine center budget (k+z)⌈4/ε⌉^d + 1
-  std::vector<std::size_t> local_coreset_sizes;
   MpcStats stats;
 };
 

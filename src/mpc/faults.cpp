@@ -2,22 +2,11 @@
 
 #include <utility>
 
+#include "core/mbc.hpp"
 #include "mpc/simulator.hpp"
 #include "util/check.hpp"
 
 namespace kc::mpc {
-
-const char* to_string(RecoveryPolicy policy) noexcept {
-  switch (policy) {
-    case RecoveryPolicy::Retry:
-      return "retry";
-    case RecoveryPolicy::Reassign:
-      return "reassign";
-    case RecoveryPolicy::Degrade:
-      return "degrade";
-  }
-  return "retry";
-}
 
 bool parse_recovery_policy(const std::string& name,
                            RecoveryPolicy* out) noexcept {
@@ -125,9 +114,7 @@ std::vector<WeightedSet> fan_in(Simulator& sim,
   KC_ENSURES(faults != nullptr);
 
   if (faults->config().policy == RecoveryPolicy::Reassign) {
-    const FaultConfig& fc = faults->config();
-    for (int pass = 0; pass < fc.max_recovery_rounds && !miss.empty();
-         ++pass) {
+    for (int pass = 0; pass < kMaxRecoveryRounds && !miss.empty(); ++pass) {
       ++faults->stats().recovery_rounds;
       // Adopters are fixed deterministically before the round; the round
       // itself still runs under the fault plan (an adopter may crash, a
@@ -163,6 +150,19 @@ std::vector<WeightedSet> fan_in(Simulator& sim,
       sim, holdings, senders, beta,
       [&](int id, const std::vector<Message>& /*inbox*/) { return build(id); },
       build);
+}
+
+Coordinated coordinate(Simulator& sim, std::size_t own_points,
+                       const std::vector<WeightedSet>& shipments, int k,
+                       std::int64_t z, double eps, const Metric& metric) {
+  Coordinated out;
+  for (const auto& shipment : shipments)
+    out.local_coreset_sizes.push_back(shipment.size());
+  out.merged = merge_coresets(shipments);
+  out.coreset = mbc_construct(out.merged, k, z, eps, metric).reps;
+  sim.record_storage(0, sim.point_words(own_points + out.merged.size() +
+                                        out.coreset.size()));
+  return out;
 }
 
 }  // namespace kc::mpc

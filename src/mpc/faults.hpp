@@ -25,17 +25,19 @@
 //    lives in `Simulator::round`;
 //  * semantic recovery (reassigning a dead machine's partition, degrading
 //    to the surviving union) lives in `fan_in` below: the one stage through
-//    which every MPC algorithm ships and gathers its coverings.
+//    which every MPC algorithm ships and gathers its coverings;
+//  * `coordinate` is the one-round algorithms' coordinator step on what
+//    `fan_in` gathered: merge (Lemma 4) and cover once more (Lemma 5).
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "core/types.hpp"
-#include "util/retry.hpp"
 #include "util/rng.hpp"
 
 namespace kc::mpc {
@@ -50,7 +52,6 @@ enum class RecoveryPolicy : std::uint8_t {
   Degrade,   ///< no retries at all: accept every fault, degrade immediately
 };
 
-[[nodiscard]] const char* to_string(RecoveryPolicy policy) noexcept;
 /// Parses "retry" / "reassign" / "degrade"; returns false on anything else.
 [[nodiscard]] bool parse_recovery_policy(const std::string& name,
                                          RecoveryPolicy* out) noexcept;
@@ -61,11 +62,8 @@ struct FaultConfig {
   double drop_prob = 0.0;      ///< per message-attempt drop probability
   double truncate_prob = 0.0;  ///< per point-message-attempt truncation prob
   double straggle_prob = 0.0;  ///< per machine-round straggler probability
-  double straggle_ms = 5.0;    ///< simulated delay per straggle event
   int retry_budget = 2;        ///< re-attempts past the first (crash & resend)
-  int max_recovery_rounds = 2; ///< Reassign: extra rounds before degrading
   RecoveryPolicy policy = RecoveryPolicy::Retry;
-  Backoff backoff{};           ///< simulated retry latency accounting
 
   /// Injection is active iff any fault has nonzero probability.  Inactive
   /// configs take exactly the pre-fault code paths (byte-identical runs).
@@ -80,6 +78,19 @@ struct FaultConfig {
     return policy == RecoveryPolicy::Degrade ? 0 : retry_budget;
   }
 };
+
+/// Simulated delay of one straggle event.
+inline constexpr double kStraggleMs = 5.0;
+/// Reassign: extra adopter rounds before the rest is written off.
+inline constexpr int kMaxRecoveryRounds = 2;
+
+/// Simulated wait before re-attempt `attempt` (1-based) of a crashed
+/// machine or a failed message: 1 ms · 2^(attempt−1), capped at 64 ms.  No
+/// clock and no randomness, so every run and thread count accounts the
+/// same latency.
+[[nodiscard]] constexpr double backoff_ms(int attempt) noexcept {
+  return attempt >= 7 ? 64.0 : attempt <= 1 ? 1.0 : 1 << (attempt - 1);
+}
 
 /// The pure fault schedule: every query is a counter-based splitmix64 hash
 /// of its coordinates, so the schedule is a function of the seed alone —
@@ -216,7 +227,7 @@ using RebuildFn = std::function<WeightedSet(int id)>;
 /// movement, never faulted); the stage then collects one shipment per
 /// sender.  A shipment missing from a nonempty holding (dead machine, lost
 /// message) is recovered per the injector's policy — Reassign runs up to
-/// `max_recovery_rounds` extra rounds in which deterministic adopters
+/// `kMaxRecoveryRounds` extra rounds in which deterministic adopters
 /// `rebuild` orphan shipments from the durable holdings, tagged with the
 /// orphan's id (storage and communication honestly re-accounted, the fault
 /// plan still active) — and anything still missing (or under
@@ -232,5 +243,23 @@ using RebuildFn = std::function<WeightedSet(int id)>;
 [[nodiscard]] std::vector<WeightedSet> fan_in(
     Simulator& sim, const std::vector<WeightedSet>& holdings, int senders,
     int beta, const RebuildFn& build);
+
+/// What the coordinator of a one-round algorithm holds: the union of the
+/// shipments and the coreset covering it, plus each shipment's size.
+struct Coordinated {
+  WeightedSet coreset;  ///< MBCConstruction(merged, k, z, ε)
+  WeightedSet merged;   ///< ∪ shipments before the final cover (diagnostics)
+  std::vector<std::size_t> local_coreset_sizes;  ///< per sender, in order
+};
+
+/// The coordinator step on machine 0, which also holds `own_points` input
+/// points: merges the gathered coverings (Lemma 4) and covers the union
+/// once more with MBCConstruction(·, k, z, ε), giving a
+/// compose_eps(ε, γ)-covering of the input when the shipments were
+/// γ-coverings (Lemma 5).  Records the coordinator's peak storage.
+[[nodiscard]] Coordinated coordinate(Simulator& sim, std::size_t own_points,
+                                     const std::vector<WeightedSet>& shipments,
+                                     int k, std::int64_t z, double eps,
+                                     const Metric& metric);
 
 }  // namespace kc::mpc

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/radius_oracle.hpp"
 #include "core/types.hpp"
 #include "mpc/simulator.hpp"
 
@@ -21,7 +20,6 @@ namespace kc::mpc {
 struct MultiRoundOptions {
   double eps = 0.25;
   int rounds = 2;  ///< R ≥ 1
-  OracleOptions oracle;
 };
 
 struct MultiRoundResult {

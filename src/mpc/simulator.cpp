@@ -36,8 +36,6 @@ Simulator::Simulator(int m, int dim, const ExecContext& ctx)
   transport_ = ctx.transport != nullptr ? ctx.transport : &owned_transport_;
   transport_->open(m, dim);
   inboxes_.resize(static_cast<std::size_t>(m));
-  stats_.machines = m;
-  stats_.dim = dim;
   stats_.threads = pool_ ? pool_->num_threads() : 1;
   stats_.peak_words.assign(static_cast<std::size_t>(m), 0);
 }
@@ -56,7 +54,6 @@ std::vector<Message>& Simulator::inbox(int id) {
 MpcStats Simulator::stats() const {
   MpcStats out = stats_;
   if (faults_ != nullptr) out.faults = faults_->stats();
-  out.backend = transport_->backend();
   out.wire = transport_->wire();
   return out;
 }
@@ -75,8 +72,7 @@ void Simulator::round(const RoundFn& fn) {
   if (faults_ != nullptr) {
     auto& fs = faults_->stats();
     const FaultPlan& plan = faults_->plan();
-    const FaultConfig& fc = faults_->config();
-    const int budget = fc.effective_retry_budget();
+    const int budget = faults_->config().effective_retry_budget();
     for (int id = 0; id < m_; ++id) {
       const auto uid = static_cast<std::size_t>(id);
       if (!faults_->alive(id)) {
@@ -93,12 +89,12 @@ void Simulator::round(const RoundFn& fn) {
           break;
         }
         ++fs.retries;
-        fs.backoff_ms += fc.backoff.delay_ms(attempt + 1);
+        fs.backoff_ms += backoff_ms(attempt + 1);
         ++attempt;
       }
       if (runs[uid] != 0 && plan.straggle(round_idx, id)) {
         ++fs.straggles;
-        fs.straggle_ms += fc.straggle_ms;
+        fs.straggle_ms += kStraggleMs;
       }
     }
   }
@@ -153,15 +149,14 @@ void Simulator::round(const RoundFn& fn) {
       }
       auto& fs = faults_->stats();
       const FaultPlan& plan = faults_->plan();
-      const FaultConfig& fc = faults_->config();
-      const int budget = fc.effective_retry_budget();
+      const int budget = faults_->config().effective_retry_budget();
       bool delivered = false;
       for (int attempt = 0; attempt <= budget; ++attempt) {
         round_words += wire_words;
         if (attempt > 0) {
           ++fs.resends;
           fs.resent_words += wire_words;
-          fs.backoff_ms += fc.backoff.delay_ms(attempt);
+          fs.backoff_ms += backoff_ms(attempt);
         }
         const bool inj_drop = plan.drop(round_idx, from, to, attempt);
         bool inj_trunc_retry = false;

@@ -60,8 +60,6 @@
 namespace kc::mpc {
 
 struct MpcStats {
-  int machines = 0;
-  int dim = 0;
   int rounds = 0;  ///< communication rounds executed
   int threads = 1;     ///< pool threads the map phases ran on
   double map_ms = 0.0; ///< total wall time of the map phases (all rounds)
@@ -70,7 +68,6 @@ struct MpcStats {
   std::vector<std::size_t> comm_words_per_round;
   std::size_t total_comm_words = 0;
   FaultStats faults;  ///< injected faults; all-zero when none
-  Backend backend = Backend::Local;  ///< transport the messages rode
   WireStats wire;  ///< measured transport bytes; all-zero on local
 
   /// Peak storage over worker machines (ids ≥ 1).
@@ -95,7 +92,6 @@ class Simulator {
   explicit Simulator(int m, int dim, const ExecContext& ctx = {});
 
   [[nodiscard]] int machines() const noexcept { return m_; }
-  [[nodiscard]] int dim() const noexcept { return dim_; }
 
   /// The attached injector when it is active, else nullptr.
   [[nodiscard]] FaultInjector* faults() const noexcept { return faults_; }

@@ -4,16 +4,6 @@
 
 namespace kc::mpc {
 
-const char* to_string(Backend b) noexcept {
-  switch (b) {
-    case Backend::Local:
-      return "local";
-    case Backend::Wire:
-      return "wire";
-  }
-  return "?";
-}
-
 bool parse_backend(const std::string& s, Backend* out) noexcept {
   if (s == "local") {
     *out = Backend::Local;

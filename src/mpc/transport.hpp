@@ -30,7 +30,6 @@ namespace kc::mpc {
 
 enum class Backend : std::uint8_t { Local = 0, Wire = 1 };
 
-[[nodiscard]] const char* to_string(Backend b) noexcept;
 /// Parses "local" / "wire"; returns false (out untouched) otherwise.
 [[nodiscard]] bool parse_backend(const std::string& s, Backend* out) noexcept;
 
@@ -47,8 +46,6 @@ class Transport {
       : backend_(backend) {}
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
-
-  [[nodiscard]] Backend backend() const noexcept { return backend_; }
 
   /// Sets the topology: `machines` machines in dimension `dim`.  Every
   /// later delivery must address a machine in [0, machines).  Re-opening

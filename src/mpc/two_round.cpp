@@ -7,6 +7,7 @@
 
 #include "core/coreset.hpp"
 #include "core/mbc.hpp"
+#include "core/radius_oracle.hpp"
 #include "util/check.hpp"
 
 namespace kc::mpc {
@@ -113,7 +114,7 @@ TwoRoundResult two_round_coreset(const std::vector<WeightedSet>& parts, int k,
     sim.record_storage(id, sim.point_words(mine.size()));
 
     const std::vector<RadiusEstimate> ests =
-        estimate_radius_ladder(mine, k, guesses, metric, opt.oracle);
+        estimate_radius_ladder(mine, k, guesses, metric);
     auto& V = v_table[uid];
     auto& R = rho_table[uid];
     V.resize(ests.size());
@@ -202,23 +203,15 @@ TwoRoundResult two_round_coreset(const std::vector<WeightedSet>& parts, int k,
         }
       }
     }
-    return mbc_construct(parts[ui], k, z, opt.eps, metric, opt.oracle).reps;
+    return mbc_construct(parts[ui], k, z, opt.eps, metric).reps;
   };
   const std::vector<WeightedSet> shipments =
       fan_in(sim, parts, m, m, summarize, rebuild);
 
   // ---- Coordinator: merge and recompress. ------------------------------
   TwoRoundResult result;
-  for (const auto& shipment : shipments)
-    result.local_coreset_sizes.push_back(shipment.size());
-  result.merged = merge_coresets(shipments);
-  const MiniBallCovering final_mbc =
-      recompress(result.merged, k, z, opt.eps, metric, opt.oracle);
-  sim.record_storage(
-      0, sim.point_words(parts[0].size() + result.merged.size() +
-                         final_mbc.reps.size()));
-
-  result.coreset = final_mbc.reps;
+  static_cast<Coordinated&>(result) =
+      coordinate(sim, parts[0].size(), shipments, k, z, opt.eps, metric);
   result.eps_effective = compose_eps(opt.eps, opt.eps);
   result.r_hat = r_hat_seen[0];
   for (auto g : guess_of) result.sum_outlier_guesses += g;

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/radius_oracle.hpp"
 #include "core/types.hpp"
 #include "mpc/simulator.hpp"
 
@@ -36,16 +35,13 @@ namespace kc::mpc {
 
 struct TwoRoundOptions {
   double eps = 0.5;
-  OracleOptions oracle;  ///< radius oracle used for the V_i tables
 };
 
-struct TwoRoundResult {
-  WeightedSet coreset;        ///< final coreset at the coordinator
-  WeightedSet merged;         ///< ∪_i P*_i before recompression (diagnostics)
+/// `coreset` is the final coreset at the coordinator, `merged` = ∪_i P*_i.
+struct TwoRoundResult : Coordinated {
   double eps_effective = 0.0; ///< 2ε + ε² after the coordinator recompression
   double r_hat = 0.0;         ///< the agreed radius threshold
   std::int64_t sum_outlier_guesses = 0;  ///< Σ_i (2^{ĵ_i} − 1), must be ≤ 2z
-  std::vector<std::size_t> local_coreset_sizes;
   MpcStats stats;
 };
 

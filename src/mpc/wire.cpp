@@ -70,18 +70,6 @@ std::vector<std::uint8_t> encode(const Message& msg) {
   return buf;
 }
 
-const char* to_string(DecodeStatus s) noexcept {
-  switch (s) {
-    case DecodeStatus::Ok:
-      return "ok";
-    case DecodeStatus::Truncated:
-      return "truncated";
-    case DecodeStatus::Corrupt:
-      return "corrupt";
-  }
-  return "?";
-}
-
 DecodeStatus decode(const std::uint8_t* data, std::size_t len, Message* out) {
   if (len < kHeaderBytes + kChecksumBytes) return DecodeStatus::Truncated;
   if (get<std::uint32_t>(data) != kMagic) return DecodeStatus::Corrupt;

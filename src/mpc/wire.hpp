@@ -53,8 +53,6 @@ enum class DecodeStatus : std::uint8_t {
   Corrupt = 2,    ///< bad magic, inconsistent lengths, or checksum mismatch
 };
 
-[[nodiscard]] const char* to_string(DecodeStatus s) noexcept;
-
 /// Parses one frame.  On Ok, `*out` holds the reconstructed message; on
 /// any failure `*out` is untouched.  A frame longer than its header
 /// claims is Corrupt (a caller hands over whole frames, so trailing

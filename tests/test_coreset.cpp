@@ -7,6 +7,7 @@
 
 #include "core/coreset.hpp"
 #include "core/cost.hpp"
+#include "core/mbc.hpp"
 #include "core/solver.hpp"
 #include "core/verify.hpp"
 #include "test_support.hpp"
@@ -30,7 +31,7 @@ TEST(TransitiveProperty, RecompressKeepsCoveringWithComposedEps) {
   const double gamma = 0.5, eps = 0.5;
   const MiniBallCovering first =
       mbc_construct(inst.points, 3, 4, gamma, kL2);
-  const MiniBallCovering second = recompress(first.reps, 3, 4, eps, kL2);
+  const MiniBallCovering second = mbc_construct(first.reps, 3, 4, eps, kL2);
 
   EXPECT_EQ(total_weight(second.reps), total_weight(inst.points));
 

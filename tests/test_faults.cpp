@@ -1,5 +1,5 @@
 // Tests of the deterministic fault-injection and recovery layer
-// (mpc/faults.hpp, util/retry.hpp, the fault-aware Simulator, and the
+// (mpc/faults.hpp, the fault-aware Simulator, and the
 // recovery threading through the engine's MPC pipelines).
 //
 // The acceptance sweep encodes the PR's contract: under a seeded fault
@@ -27,7 +27,6 @@
 #include "mpc/partition.hpp"
 #include "mpc/simulator.hpp"
 #include "test_support.hpp"
-#include "util/retry.hpp"
 
 namespace kc::mpc {
 namespace {
@@ -43,13 +42,12 @@ FaultConfig chaos_config() {
 }
 
 TEST(Backoff, CappedExponentialSchedule) {
-  const Backoff b{1.0, 2.0, 8.0};
-  EXPECT_DOUBLE_EQ(b.delay_ms(1), 1.0);
-  EXPECT_DOUBLE_EQ(b.delay_ms(2), 2.0);
-  EXPECT_DOUBLE_EQ(b.delay_ms(3), 4.0);
-  EXPECT_DOUBLE_EQ(b.delay_ms(4), 8.0);
-  EXPECT_DOUBLE_EQ(b.delay_ms(10), 8.0);  // capped
-  EXPECT_DOUBLE_EQ(b.total_ms(4), 15.0);
+  // 1 ms · 2^(a−1) for attempt a, capped at 64 ms.
+  double expected = 1.0;
+  for (int attempt = 1; attempt <= 7; ++attempt, expected *= 2.0)
+    EXPECT_DOUBLE_EQ(backoff_ms(attempt), expected) << attempt;
+  EXPECT_DOUBLE_EQ(backoff_ms(8), 64.0);     // capped
+  EXPECT_DOUBLE_EQ(backoff_ms(1001), 64.0);  // the largest --fault-retries + 1
 }
 
 TEST(FaultPlan, IsAPureFunctionOfItsCoordinates) {
@@ -234,7 +232,7 @@ struct SweepCase {
 // include the string's heap address: the test names would change from run
 // to run.  Print the fields instead.
 void PrintTo(const SweepCase& c, std::ostream* os) {
-  *os << c.pipeline << '/' << to_string(c.policy);
+  *os << c.pipeline << '/' << kc::testing::policy_name(c.policy);
 }
 
 class FaultSweepTest : public ::testing::TestWithParam<SweepCase> {};
@@ -310,7 +308,7 @@ INSTANTIATE_TEST_SUITE_P(
     }()),
     [](const ::testing::TestParamInfo<SweepCase>& info) {
       std::string name = info.param.pipeline + "_" +
-                         to_string(info.param.policy);
+                         kc::testing::policy_name(info.param.policy);
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
@@ -632,7 +630,8 @@ TEST(FaultGolden, EveryPipelinePolicyAndScheduleMatchesTheBaseline) {
     for (const RecoveryPolicy policy :
          {RecoveryPolicy::Retry, RecoveryPolicy::Reassign,
           RecoveryPolicy::Degrade}) {
-      const std::string label = name + '/' + to_string(policy);
+      const std::string label =
+          name + '/' + kc::testing::policy_name(policy);
       actual.push_back(golden_line(
           label + "/chaos", engine::run(name, w, chaos(policy)).report));
       actual.push_back(golden_line(

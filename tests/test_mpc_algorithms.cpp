@@ -9,7 +9,6 @@
 #include "core/cost.hpp"
 #include "core/solver.hpp"
 #include "mpc/ceccarello.hpp"
-#include "mpc/guha.hpp"
 #include "mpc/multi_round.hpp"
 #include "mpc/one_round.hpp"
 #include "mpc/partition.hpp"
@@ -220,7 +219,7 @@ TEST(Guha, LocalZBaselineValid) {
   const auto inst = medium_planted(31, 1500, 3, 10);
   const auto parts =
       partition_points(inst.points, 6, PartitionKind::EvenSorted, 0);
-  GuhaOptions gopt;
+  OneRoundOptions gopt;
   gopt.eps = 0.5;
   const auto res = guha_local_z_coreset(parts, 3, 10, kL2, {}, gopt);
   validate_coreset(inst, res.coreset, 3.0 * gopt.eps, 10);
@@ -259,7 +258,7 @@ TEST(AblationShape, TwoRoundBeatsGuhaOnOutlierVolume) {
 
   TwoRoundOptions topt;
   topt.eps = 0.5;
-  GuhaOptions gopt;
+  OneRoundOptions gopt;
   gopt.eps = 0.5;
   const auto ours = two_round_coreset(parts, 2, z, kL2, {}, topt);
   const auto guha = guha_local_z_coreset(parts, 2, z, kL2, {}, gopt);

@@ -38,4 +38,16 @@ std::vector<SweepParam> default_sweep() {
   return grid;
 }
 
+const char* policy_name(mpc::RecoveryPolicy policy) {
+  switch (policy) {
+    case mpc::RecoveryPolicy::Retry:
+      return "retry";
+    case mpc::RecoveryPolicy::Reassign:
+      return "reassign";
+    case mpc::RecoveryPolicy::Degrade:
+      return "degrade";
+  }
+  return "?";
+}
+
 }  // namespace kc::testing

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/types.hpp"
+#include "mpc/faults.hpp"
 #include "workload/generators.hpp"
 
 namespace kc::testing {
@@ -30,5 +31,8 @@ struct SweepParam {
 /// Canonical sweep used across modules (kept modest so the full suite runs
 /// in seconds).
 [[nodiscard]] std::vector<SweepParam> default_sweep();
+
+/// The `--fault-policy` spelling of a recovery policy, for test names.
+[[nodiscard]] const char* policy_name(mpc::RecoveryPolicy policy);
 
 }  // namespace kc::testing

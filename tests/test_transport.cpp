@@ -241,7 +241,8 @@ struct DiffCase {
     std::string out = pipeline;
     for (auto& c : out)
       if (c == '-') c = '_';
-    return out + (chaos ? std::string("_chaos_") + to_string(policy)
+    return out + (chaos ? std::string("_chaos_") +
+                              kc::testing::policy_name(policy)
                         : std::string("_healthy"));
   }
 };

@@ -12,6 +12,7 @@
 // a pure function of (seed, i), so the same flags reproduce the same bytes
 // on any machine).
 
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -35,9 +36,13 @@ constexpr const char kUsage[] =
     "    --n/--dim/--k/--seed        size and shape [1000000/2/3/1]\n"
     "    --radius/--separation       cluster radius / spacing x radius [1/40]\n"
     "    --outlier-permille <p>      ~p/1000 points are far outliers [2]\n"
+    "                                (n, dim, k >= 1; radius, separation\n"
+    "                                finite and > 0; p <= 1000)\n"
     "  info <file.kcb>               print header + bounding box (O(1))\n"
     "  verify <file.kcb>             recompute the data checksum (reads the\n"
     "                                whole file); exit 1 on mismatch\n"
+    "  an out-of-range flag or an unreadable or malformed input file is\n"
+    "  'error: ...', exit 2\n"
     "  --help                        print this text and exit\n";
 
 const std::vector<std::string>& known_flags() {
@@ -88,6 +93,20 @@ int cmd_generate(const std::string& path, const Flags& flags) {
   cfg.separation = flags.get<double>("separation", 40.0);
   cfg.outlier_permille = flags.get<std::uint32_t>("outlier-permille", 2);
   cfg.seed = flags.get<std::uint64_t>("seed", 1);
+  // GeneratedSource's preconditions, checked at the edge (ranges in kUsage).
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  const char* bad = cfg.n < 1                       ? "n"
+                    : cfg.dim < 1                   ? "dim"
+                    : cfg.k < 1                     ? "k"
+                    : !positive(cfg.cluster_radius) ? "radius"
+                    : !positive(cfg.separation)     ? "separation"
+                    : cfg.outlier_permille > 1000   ? "outlier-permille"
+                                                    : nullptr;
+  if (bad != nullptr) {
+    std::fprintf(stderr, "error: --%s %s is out of range (see --help)\n", bad,
+                 flags.get_string(bad, "").c_str());
+    return 2;
+  }
 
   dataset::GeneratedSource src(cfg);
   Timer timer;
@@ -134,7 +153,7 @@ int main(int argc, char** argv) {
     if (mode == "verify" && pos.size() == 2) return cmd_verify(pos[1]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return 2;
   }
 
   std::fprintf(stderr, "error: unrecognized mode/arguments\n");
