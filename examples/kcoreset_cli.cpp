@@ -12,7 +12,9 @@
 //                               path; only if the search space is small)
 //
 // Input: one point per line, comma-separated coordinates (2–8 columns).
-// Output: the input columns plus a `label` column (−1 = outlier).
+// Output: the input columns plus a `label` column (−1 = outlier).  An
+// output file (`--out`, `--generate`) that cannot be written is
+// `error: …`, exit 2.
 
 #include <cstdio>
 #include <exception>
@@ -35,10 +37,24 @@ kc::WeightedSet read_csv_points(const std::string& path) {
   }
 }
 
+// Opens `path` for writing, or exits 2.
+std::ofstream open_output(const std::string& path) {
+  std::ofstream out(path);
+  if (!out)
+    kc::examples::reject(("cannot open " + path + " for writing").c_str());
+  return out;
+}
+
+// Flushes and closes `out`; exits 2 if any write to it failed.
+void close_output(std::ofstream& out, const std::string& path) {
+  out.close();
+  if (out.fail()) kc::examples::reject(("failed writing " + path).c_str());
+}
+
 void generate_demo(const std::string& path, std::size_t n,
                    const kc::engine::PipelineConfig& cfg) {
   const auto inst = kc::examples::checked_workload("offline", n, cfg).planted;
-  std::ofstream out(path);
+  std::ofstream out = open_output(path);
   out << "# generated by kcoreset_cli: n=" << n << " k=" << cfg.k
       << " z=" << cfg.z << " (planted opt in [" << inst.opt_lo << ", "
       << inst.opt_hi << "])\n";
@@ -49,6 +65,7 @@ void generate_demo(const std::string& path, std::size_t n,
     }
     out << '\n';
   }
+  close_output(out, path);
   std::printf("wrote %zu points to %s\n", inst.points.size(), path.c_str());
 }
 
@@ -134,11 +151,12 @@ int main(int argc, char** argv) {
 
   if (flags.has("out")) {
     const std::string out_path = flags.get_string("out", "labels.csv");
-    std::ofstream out(out_path);
+    std::ofstream out = open_output(out_path);
     for (std::size_t i = 0; i < pts.size(); ++i) {
       for (int d = 0; d < dim; ++d) out << pts[i].p[d] << ',';
       out << lab.labels[i] << '\n';
     }
+    close_output(out, out_path);
     std::printf("labels written to %s\n", out_path.c_str());
   }
   return 0;

@@ -14,6 +14,9 @@ namespace kc {
 
 namespace {
 
+// Ladder length: candidates hi/(1+β)^j for j = 0..kMaxLadder.
+constexpr int kMaxLadder = 96;
+
 // Grid-accelerated greedy pass.  Invariant maintained across rounds:
 //   cand[i] = total weight of the *uncovered* points within distance r of
 //             point i  (exactly the wsum the reference recomputes per
@@ -140,11 +143,10 @@ CharikarRun charikar_run(const WeightedSet& pts, int k, std::int64_t z,
 
 CharikarResult charikar_oracle(const WeightedSet& pts, int k, std::int64_t z,
                                const Metric& metric,
-                               const CharikarOptions& opt) {
+                               const mpc::ExecContext& exec) {
   KC_EXPECTS(k >= 1);
   KC_EXPECTS(z >= 0);
   CharikarResult res;
-  res.rho = 6.0 * (1.0 + opt.beta);
   if (pts.empty()) return res;
 
   std::int64_t total_w = 0;
@@ -169,28 +171,28 @@ CharikarResult charikar_oracle(const WeightedSet& pts, int k, std::int64_t z,
     return res;
   }
 
-  // Candidate ladder: c_j = hi / (1+β)^j, j = 0..max_ladder.  Success is
+  // Candidate ladder: c_j = hi / (1+β)^j, j = 0..kMaxLadder.  Success is
   // monotone (larger radius keeps succeeding), so the predicate is true on
   // a prefix of j; binary-search the boundary.
-  const double growth = 1.0 + opt.beta;
+  const double growth = 1.0 + kCharikarBeta;
   auto candidate = [&](int j) { return hi / std::pow(growth, j); };
 
   // One SoA pack shared by every ladder guess: use the caller's prebuilt
   // buffer when it matches, else pack here — never once per guess.
   kernels::PointBuffer local;
   const kernels::PointBuffer* buffer =
-      &kernels::mirror_or_pack(pts, opt.exec.buffer, local);
+      &kernels::mirror_or_pack(pts, exec.buffer, local);
 
   CharikarRun best_run = charikar_run(pts, k, z, candidate(0), metric,
-                                      opt.exec.pool, buffer);
+                                      exec.pool, buffer);
   KC_ENSURES(best_run.success);  // r = hi ≥ opt always succeeds
   int best_j = 0;
 
-  int lo_j = 0, hi_j = opt.max_ladder;
+  int lo_j = 0, hi_j = kMaxLadder;
   while (lo_j < hi_j) {
     const int mid = lo_j + (hi_j - lo_j + 1) / 2;
     CharikarRun run = charikar_run(pts, k, z, candidate(mid), metric,
-                                   opt.exec.pool, buffer);
+                                   exec.pool, buffer);
     if (run.success) {
       lo_j = mid;
       best_run = std::move(run);

@@ -9,20 +9,23 @@
 // succeeds, and success is monotone in r.
 //
 // Oracle: we binary-search the smallest successful guess r₀ over a
-// (1+β)-dense geometric ladder of candidate radii.  The returned value
-// r_out = 3·r₀ then satisfies the two-sided bound the mini-ball
-// constructions need:
+// (1+β)-dense geometric ladder of candidate radii hi/(1+β)^j, j = 0..96
+// (`kMaxLadder` in charikar.cpp), hi = the 1-center radius around pts[0].
+// The returned value r_out = 3·r₀ then satisfies the two-sided bound the
+// mini-ball constructions need:
 //
-//    optk,z(P)  ≤  r_out  ≤  ρ · optk,z(P),       ρ = 3(1+β)·c_disc
+//    optk,z(P)  ≤  r_out  ≤  ρ · opt_disc(P),     ρ = 3(1+β) = kCharikarRho
 //
-// The lower bound is unconditional (success at r₀ exhibits k balls of
-// radius 3r₀ covering all but ≤ z weight).  For the upper bound, the ladder
-// contains a candidate within factor (1+β) above any value in its range and
-// in R^d a pairwise distance d* with optk,z ∈ [d*/2, d*] always exists, so
-// the smallest successful candidate is ≤ 2(1+β)·opt in the worst case
-// (c_disc = 2); on the instances of interest success at the first candidate
-// ≥ opt makes c_disc = 1.  We report ρ conservatively as 6(1+β); tests
-// verify the bound empirically with planted-opt instances.
+// with β = kCharikarBeta = 0.25.  Why 3(1+β): every guess at or above the
+// discrete optimum opt_disc (centers drawn from the input) succeeds, and
+// the ladder holds a candidate within a factor (1+β) above any value in
+// its range, so r₀ ≤ (1+β)·opt_disc and r_out = 3r₀.  The lower bound is
+// unconditional (success at r₀ exhibits k balls of radius 3r₀ covering all
+// but ≤ z weight).  This ρ is the one factor the library states for
+// Charikar (RadiusEstimate::rho, core/radius_oracle.hpp).  Against the
+// continuous optimum, opt_disc ≤ 2·opt in R^d, so the worst case is 2ρ; on
+// the instances of interest success at the first candidate ≥ opt makes it
+// ρ.  Tests verify the bound empirically with planted-opt instances.
 
 #pragma once
 
@@ -59,29 +62,26 @@ struct CharikarRun {
                                        const kernels::PointBuffer* buffer =
                                            nullptr);
 
+/// Ladder density β: consecutive guesses differ by a factor (1+β).
+inline constexpr double kCharikarBeta = 0.25;
+/// The oracle's stated factor ρ = 3(1+β) (see the top of this header).
+inline constexpr double kCharikarRho = 3.0 * (1.0 + kCharikarBeta);
+
 struct CharikarResult {
   double radius = 0.0;   ///< r_out = 3·r₀ (two-sided opt estimate, see above)
-  double rho = 0.0;      ///< stated approximation factor of `radius`
   PointSet centers;      ///< centers of the successful run (balls radius r_out)
-};
-
-struct CharikarOptions {
-  double beta = 0.25;    ///< ladder density; ρ grows with (1+β)
-  int max_ladder = 96;   ///< ladder length cap (range 2^{-max_ladder}·hi .. hi)
-  /// Execution environment (mpc/context.hpp): `exec.pool` is forwarded to
-  /// every charikar_run; `exec.buffer` is a prebuilt SoA buffer of `pts`
-  /// in the same order — when null the oracle builds one itself, once,
-  /// shared by every ladder guess (ignored when stale; results are
-  /// identical either way).  Fault/transport members are unused here.
-  mpc::ExecContext exec;
 };
 
 /// Full oracle: ladder construction + binary search for the smallest
 /// successful guess.  Handles degenerate cases (n ≤ z total weight → radius
-/// 0 with arbitrary centers; all points equal → radius 0).
+/// 0 with arbitrary centers; all points equal → radius 0).  `exec.pool` is
+/// forwarded to every charikar_run; `exec.buffer` is a prebuilt SoA buffer
+/// of `pts` in the same order — when null (or stale) the oracle packs one
+/// itself, once, shared by every ladder guess.  Results are identical
+/// either way.  Fault/transport members are unused here.
 [[nodiscard]] CharikarResult charikar_oracle(const WeightedSet& pts, int k,
                                              std::int64_t z,
                                              const Metric& metric,
-                                             const CharikarOptions& opt = {});
+                                             const mpc::ExecContext& exec = {});
 
 }  // namespace kc

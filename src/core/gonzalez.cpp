@@ -17,8 +17,8 @@ namespace {
 using PrefixHook = std::function<void(const GonzalezResult&)>;
 
 GonzalezResult traverse(const WeightedSet& pts, int max_centers,
-                        const Metric& metric, double stop_radius,
-                        ThreadPool* pool, const kernels::PointBuffer* buffer,
+                        const Metric& metric, ThreadPool* pool,
+                        const kernels::PointBuffer* buffer,
                         const PrefixHook& on_prefix) {
   KC_EXPECTS(max_centers >= 1);
   if (pts.empty()) return {};
@@ -44,7 +44,6 @@ GonzalezResult traverse(const WeightedSet& pts, int max_centers,
       res.delta.push_back(radius);
       next = rr.far_idx;
       if (on_prefix) on_prefix(res);
-      if (stop_radius > 0.0 && radius <= stop_radius) break;
       // kc-lint-allow(numerics): a max of exact distances is 0.0 only when
       // every remaining point coincides with a selected center.
       if (radius == 0.0) break;  // all points coincide with selected centers
@@ -56,10 +55,9 @@ GonzalezResult traverse(const WeightedSet& pts, int max_centers,
 }  // namespace
 
 GonzalezResult gonzalez(const WeightedSet& pts, int max_centers,
-                        const Metric& metric, double stop_radius,
-                        ThreadPool* pool,
+                        const Metric& metric, ThreadPool* pool,
                         const kernels::PointBuffer* buffer) {
-  return traverse(pts, max_centers, metric, stop_radius, pool, buffer, {});
+  return traverse(pts, max_centers, metric, pool, buffer, {});
 }
 
 std::vector<GonzalezPrefix> gonzalez_prefixes(
@@ -82,8 +80,8 @@ std::vector<GonzalezPrefix> gonzalez_prefixes(
                g.center_indices.size())
       out[order[done++]] = {gonzalez_summary(pts, g), g.delta.back()};
   };
-  const GonzalezResult g = traverse(pts, budgets[order.back()], metric,
-                                    /*stop_radius=*/0.0, pool, buffer, record);
+  const GonzalezResult g =
+      traverse(pts, budgets[order.back()], metric, pool, buffer, record);
   // An early stop leaves the larger budgets at the final prefix.
   while (done < order.size())
     out[order[done++]] = {gonzalez_summary(pts, g), g.delta.back()};

@@ -51,18 +51,17 @@ struct GonzalezResult {
   }
 };
 
-/// Runs the traversal until `max_centers` centers are selected or the
-/// covering radius drops to ≤ `stop_radius` (pass 0 to disable the radius
-/// stop).  O(n · #centers) time, O(n) extra space.  `pool` (optional) runs
-/// the relaxation sweeps through the chunk-parallel kernel for large n —
+/// Runs the traversal until `max_centers` centers are selected (or the
+/// covering radius reaches 0).  O(n · #centers) time, O(n) extra space.
+/// `pool` (optional) runs the relaxation sweeps through the chunk-parallel
+/// kernel for large n —
 /// selected centers and assignments are bit-identical at every thread
 /// count (ordered first-max-wins reduction).  `buffer` (optional) is a
 /// prebuilt SoA buffer of `pts` in the same order; when null the traversal
 /// packs one itself.  Results are identical either way.
 [[nodiscard]] GonzalezResult gonzalez(
     const WeightedSet& pts, int max_centers, const Metric& metric,
-    double stop_radius = 0.0, ThreadPool* pool = nullptr,
-    const kernels::PointBuffer* buffer = nullptr);
+    ThreadPool* pool = nullptr, const kernels::PointBuffer* buffer = nullptr);
 
 /// Weighted summary induced by a traversal: one point per center, weight =
 /// total weight of the points assigned to it.  Every input point is within

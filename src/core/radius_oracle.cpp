@@ -1,6 +1,7 @@
 #include "core/radius_oracle.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "core/charikar.hpp"
 #include "core/gonzalez.hpp"
@@ -17,20 +18,6 @@ std::int64_t summary_center_budget(int k, std::int64_t z, double gamma,
   return static_cast<std::int64_t>(k) * per_center + z + 1;
 }
 
-namespace {
-
-RadiusEstimate charikar_estimate(const WeightedSet& pts, int k, std::int64_t z,
-                                 const Metric& metric, double beta,
-                                 const mpc::ExecContext& exec) {
-  CharikarOptions copt;
-  copt.beta = beta;
-  copt.exec = exec;
-  const CharikarResult res = charikar_oracle(pts, k, z, metric, copt);
-  return {res.radius, 3.0 * (1.0 + beta)};
-}
-
-}  // namespace
-
 std::vector<RadiusEstimate> estimate_radius_ladder(
     const WeightedSet& pts, int k, std::span<const std::int64_t> zs,
     const Metric& metric, const OracleOptions& opt) {
@@ -42,7 +29,7 @@ std::vector<RadiusEstimate> estimate_radius_ladder(
   exec.buffer = &kernels::mirror_or_pack(pts, exec.buffer, local);
   const bool summary =
       opt.kind == OracleKind::Summary ||
-      (opt.kind == OracleKind::Auto && pts.size() > opt.auto_threshold);
+      (opt.kind == OracleKind::Auto && pts.size() > kAutoThreshold);
   if (summary && pts.empty()) return out;  // {0, 1} per guess
 
   // Guesses whose summary is smaller than the input share one traversal;
@@ -53,14 +40,15 @@ std::vector<RadiusEstimate> estimate_radius_ladder(
   for (std::size_t i = 0; i < zs.size(); ++i) {
     if (summary) {
       const std::int64_t tau =
-          summary_center_budget(k, zs[i], opt.gamma, pts.front().p.dim());
+          summary_center_budget(k, zs[i], kSummaryGamma, pts.front().p.dim());
       if (static_cast<std::int64_t>(pts.size()) > tau) {
         via_summary.push_back(i);
         budgets.push_back(static_cast<int>(tau));
         continue;
       }
     }
-    out[i] = charikar_estimate(pts, k, zs[i], metric, opt.beta, exec);
+    CharikarResult res = charikar_oracle(pts, k, zs[i], metric, exec);
+    out[i] = {res.radius, kCharikarRho, std::move(res.centers)};
   }
   if (budgets.empty()) return out;
 
@@ -72,12 +60,13 @@ std::vector<RadiusEstimate> estimate_radius_ladder(
   summary_exec.buffer = nullptr;
   for (std::size_t s = 0; s < via_summary.size(); ++s) {
     const std::size_t i = via_summary[s];
-    const RadiusEstimate rs = charikar_estimate(
-        prefixes[s].summary, k, zs[i], metric, opt.beta, summary_exec);
+    CharikarResult rs = charikar_oracle(prefixes[s].summary, k, zs[i], metric,
+                                        summary_exec);
     // δ ≤ γ·opt by the packing bound.  opt(P) ≤ opt(S) + δ ≤ r_S + δ, and
     // r_S + δ ≤ ρ_C·opt(S) + δ ≤ ρ_C(opt+δ) + δ ≤ (ρ_C(1+γ) + γ)·opt.
     out[i] = {rs.radius + prefixes[s].delta,
-              rs.rho * (1.0 + opt.gamma) + opt.gamma};
+              kCharikarRho * (1.0 + kSummaryGamma) + kSummaryGamma,
+              std::move(rs.centers)};
   }
   return out;
 }

@@ -7,14 +7,23 @@
 // and provide three implementations:
 //
 //  * Charikar      — the paper's choice: ladder-searched Charikar greedy,
-//                    ρ = 3(1+β) with respect to the discrete-center optimum
-//                    (see charikar.hpp for the discretisation discussion).
-//  * Summary       — fast path: Gonzalez summary of size k(4/γ)^d + z + 1
-//                    (covering radius δ ≤ γ·opt by the packing bound),
-//                    Charikar on the summary, r = r_S + δ.  Factor
-//                    ρ = ρ_C(1+γ) + γ; cost O(n·(k(4/γ)^d+z)) instead of
-//                    the ladder of greedy passes over the full input.
-//  * Auto          — Summary when the input is large, Charikar otherwise.
+//                    ρ = kCharikarRho = 3(1+β), β = kCharikarBeta = 0.25,
+//                    with respect to the discrete-center optimum (see
+//                    charikar.hpp for why, and for the discretisation).
+//  * Summary       — fast path: Gonzalez summary of τ = k·⌈4/γ⌉^d + z + 1
+//                    centers, γ = kSummaryGamma = 0.5 (covering radius
+//                    δ ≤ γ·opt by the packing bound), Charikar on the
+//                    summary, r = r_S + δ.  Factor ρ = ρ_C(1+γ) + γ; cost
+//                    O(n·τ) instead of the ladder of greedy passes over the
+//                    full input.
+//  * Auto          — Summary when the input has more than kAutoThreshold
+//                    = 600 points, Charikar otherwise.
+//
+// Every estimate keeps the centers of the Charikar run it came from (on
+// the input, or on its summary).  The end-of-pipeline solver
+// (core/solver.hpp) evaluates those centers instead of deciding a second
+// time whether to compress; this file is the one place that decision is
+// made.
 //
 // Outlier-guess ladder.  Round 1 of the 2-round MPC algorithm needs the
 // estimate for every guess z_j = 2^j − 1 on the same local set.  The
@@ -49,15 +58,20 @@ namespace kc {
 struct RadiusEstimate {
   double radius = 0.0;  ///< estimate r with opt ≤ r ≤ rho·opt
   double rho = 1.0;     ///< stated approximation factor of `radius`
+  /// Centers of the Charikar run behind `radius` (≤ k points, taken from
+  /// the input or its Gonzalez summary); empty for an empty input.
+  PointSet centers;
 };
 
 enum class OracleKind : std::uint8_t { Charikar, Summary, Auto };
 
+/// Summary oracle's target δ/opt ratio γ.
+inline constexpr double kSummaryGamma = 0.5;
+/// Auto oracle: input size above which the Summary path is taken.
+inline constexpr std::size_t kAutoThreshold = 600;
+
 struct OracleOptions {
   OracleKind kind = OracleKind::Auto;
-  double beta = 0.25;      ///< Charikar ladder density
-  double gamma = 0.5;      ///< Summary oracle target δ/opt ratio
-  std::size_t auto_threshold = 600;  ///< Auto: input size above which Summary is used
   /// Execution environment (mpc/context.hpp): `exec.pool` runs the
   /// chunk-parallel batch kernels (results are bit-identical with or
   /// without); `exec.buffer` is a prebuilt SoA buffer of the input in the

@@ -1,11 +1,11 @@
 #include "core/solver.hpp"
 
+#include <utility>
 #include <vector>
 
 #include "core/brute_force.hpp"
-#include "core/charikar.hpp"
 #include "core/cost.hpp"
-#include "core/gonzalez.hpp"
+#include "geometry/point_buffer.hpp"
 #include "util/check.hpp"
 
 namespace kc {
@@ -14,41 +14,15 @@ Solution solve_kcenter_outliers(const WeightedSet& pts, int k, std::int64_t z,
                                 const Metric& metric,
                                 const OracleOptions& oracle) {
   KC_EXPECTS(!pts.empty());
-  // One pack of `pts` (the oracle's buffer when it mirrors them) feeds the
-  // Gonzalez compression, the Charikar ladder (when uncompressed), and the
-  // final evaluation.
+  // One pack of `pts` (the caller's buffer when it mirrors them) feeds the
+  // oracle's working set and the final evaluation.
   kernels::PointBuffer local;
-  const kernels::PointBuffer* buffer =
-      &kernels::mirror_or_pack(pts, oracle.exec.buffer, local);
-  CharikarOptions copt;
-  copt.beta = oracle.beta;
-  copt.exec = oracle.exec;
-  copt.exec.buffer = buffer;
-
-  // The Charikar greedy is O(ladder · k · n²); above the threshold we first
-  // compress with a Gonzalez summary (covering radius ≤ γ·opt by the
-  // packing bound), which perturbs the optimum by ≤ γ·opt — a constant
-  // absorbed into the solver's approximation factor.
-  const WeightedSet* work = &pts;
-  WeightedSet summary;
-  if (pts.size() > oracle.auto_threshold) {
-    const int dim = pts.front().p.dim();
-    const std::int64_t tau = summary_center_budget(k, z, oracle.gamma, dim);
-    if (static_cast<std::int64_t>(pts.size()) > tau) {
-      const GonzalezResult g = gonzalez(pts, static_cast<int>(tau), metric,
-                                        /*stop_radius=*/0.0, oracle.exec.pool,
-                                        buffer);
-      summary = gonzalez_summary(pts, g);
-      work = &summary;
-      copt.exec.buffer = nullptr;  // the buffer mirrors pts, not the summary
-    }
-  }
-
-  const CharikarResult res = charikar_oracle(*work, k, z, metric, copt);
-  PointSet centers = res.centers;
+  OracleOptions opt = oracle;
+  opt.exec.buffer = &kernels::mirror_or_pack(pts, oracle.exec.buffer, local);
+  RadiusEstimate est = estimate_radius(pts, k, z, metric, opt);
   // The radius we report is the exact outlier-aware radius of the chosen
   // centers on the *original* weighted set.
-  return evaluate(pts, std::move(centers), z, metric, buffer);
+  return evaluate(pts, std::move(est.centers), z, metric, opt.exec.buffer);
 }
 
 Solution solve_kcenter_outliers_exact(const WeightedSet& pts, int k,
@@ -92,20 +66,6 @@ Labeling classify(const WeightedSet& pts, const Solution& sol,
     }
   }
   return out;
-}
-
-PipelineQuality compare_on_full(const WeightedSet& full,
-                                const WeightedSet& coreset, int k,
-                                std::int64_t z, const Metric& metric,
-                                const OracleOptions& oracle) {
-  PipelineQuality q;
-  const Solution via = solve_kcenter_outliers(coreset, k, z, metric, oracle);
-  q.radius_via_coreset =
-      radius_with_outliers(full, via.centers, z, metric);
-  const Solution direct = solve_kcenter_outliers(full, k, z, metric, oracle);
-  q.radius_direct = direct.radius;
-  q.ratio = q.radius_direct > 0 ? q.radius_via_coreset / q.radius_direct : 1.0;
-  return q;
 }
 
 }  // namespace kc

@@ -5,6 +5,12 @@
 // factor"): run an offline algorithm on the coreset; its factor multiplies
 // into the final (1±ε) guarantee.  We use the Charikar greedy as that
 // offline algorithm, giving a 3(1+ε)-style end-to-end approximation.
+//
+// The solver reads the radius oracle's working set: it takes the centers
+// of the Charikar run behind `estimate_radius` (core/radius_oracle.hpp) —
+// on the input, or above the Auto threshold on its Gonzalez summary — and
+// evaluates them on the input.  Whether to compress first is decided only
+// there.
 
 #pragma once
 
@@ -16,7 +22,9 @@
 namespace kc {
 
 /// Solves k-center with z outliers on `pts` (typically a coreset) and
-/// returns centers with their exact radius on `pts`.
+/// returns centers with their exact radius on `pts`.  `oracle` selects the
+/// oracle path and carries the pool and an optional prebuilt buffer of
+/// `pts`.
 [[nodiscard]] Solution solve_kcenter_outliers(const WeightedSet& pts, int k,
                                               std::int64_t z,
                                               const Metric& metric,
@@ -41,21 +49,5 @@ struct Labeling {
 };
 [[nodiscard]] Labeling classify(const WeightedSet& pts, const Solution& sol,
                                 const Metric& metric);
-
-/// Quality of a coreset pipeline: solve on the coreset, evaluate the same
-/// centers on the full set, and compare with solving on the full set
-/// directly.  ratio = radius(via coreset, on full) / radius(direct, on
-/// full); ≤ 1+O(ε) for a valid coreset.
-struct PipelineQuality {
-  double radius_via_coreset = 0.0;  ///< coreset centers evaluated on full P
-  double radius_direct = 0.0;       ///< direct solve evaluated on full P
-  double ratio = 0.0;
-};
-
-[[nodiscard]] PipelineQuality compare_on_full(const WeightedSet& full,
-                                              const WeightedSet& coreset,
-                                              int k, std::int64_t z,
-                                              const Metric& metric,
-                                              const OracleOptions& oracle = {});
 
 }  // namespace kc

@@ -12,6 +12,11 @@
 //    `classify_aos` — the AoS nearest-center sweep, the sort-and-walk
 //    outlier objective and the labelling loop that core/cost.cpp's sweep
 //    and (z+1)-tail selector replaced (tests/test_cost.cpp).
+//  * `solve_kcenter_outliers_inline` — the end-of-pipeline solver with its
+//    own copy of the Auto oracle's decision (above 600 points, and when
+//    the τ(γ = 0.5) budget is below n, Charikar on a Gonzalez τ-summary),
+//    as `solve_kcenter_outliers` (core/solver.cpp) was written before it
+//    read the radius oracle's working set (tests/test_coreset.cpp).
 
 #pragma once
 
@@ -22,7 +27,10 @@
 #include <vector>
 
 #include "core/charikar.hpp"
+#include "core/cost.hpp"
+#include "core/gonzalez.hpp"
 #include "core/mbc.hpp"
+#include "core/radius_oracle.hpp"
 #include "core/solver.hpp"
 #include "core/types.hpp"
 #include "util/check.hpp"
@@ -163,6 +171,28 @@ inline Labeling classify_aos(const WeightedSet& pts, const Solution& sol,
     }
   }
   return out;
+}
+
+/// Charikar on `pts`, or above 600 points on its Gonzalez τ-summary when
+/// τ = summary_center_budget(k, z, 0.5, d) < n; the centers are evaluated
+/// on `pts`.
+inline Solution solve_kcenter_outliers_inline(const WeightedSet& pts, int k,
+                                              std::int64_t z,
+                                              const Metric& metric) {
+  KC_EXPECTS(!pts.empty());
+  const WeightedSet* work = &pts;
+  WeightedSet summary;
+  if (pts.size() > 600) {
+    const int dim = pts.front().p.dim();
+    const std::int64_t tau = summary_center_budget(k, z, 0.5, dim);
+    if (static_cast<std::int64_t>(pts.size()) > tau) {
+      const GonzalezResult g = gonzalez(pts, static_cast<int>(tau), metric);
+      summary = gonzalez_summary(pts, g);
+      work = &summary;
+    }
+  }
+  return evaluate(pts, charikar_oracle(*work, k, z, metric).centers, z,
+                  metric);
 }
 
 }  // namespace kc::reference

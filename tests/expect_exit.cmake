@@ -5,8 +5,13 @@
 # Optional: MATCH, a regex stderr must also match (the rejection's own
 # reason, not just any error); LIMIT_KB, an address-space limit
 # (ulimit -v, POSIX sh) to run PROG under, so that a case which would
-# allocate past it cannot take the host's memory.
+# allocate past it cannot take the host's memory; ABSENT, a path that
+# must not exist after PROG exits (removed first): a rejected run leaves
+# no output file behind.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
+if(DEFINED ABSENT)
+  file(REMOVE "${ABSENT}")
+endif()
 set(cmd ${PROG} ${args})
 if(DEFINED LIMIT_KB)
   set(cmd sh -c "ulimit -v ${LIMIT_KB} && exec \"$0\" \"$@\"" ${cmd})
@@ -21,4 +26,7 @@ if(NOT EXPECT STREQUAL "0" AND NOT err MATCHES "error: ")
 endif()
 if(DEFINED MATCH AND NOT err MATCHES "${MATCH}")
   message(FATAL_ERROR "stderr does not match '${MATCH}':\n${err}")
+endif()
+if(DEFINED ABSENT AND EXISTS "${ABSENT}")
+  message(FATAL_ERROR "left '${ABSENT}' behind")
 endif()

@@ -3,14 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "core/coreset.hpp"
 #include "core/cost.hpp"
 #include "core/mbc.hpp"
 #include "core/solver.hpp"
 #include "core/verify.hpp"
+#include "core_reference.hpp"
+#include "geometry/point_buffer.hpp"
 #include "test_support.hpp"
+#include "util/parallel.hpp"
 
 namespace kc {
 namespace {
@@ -78,12 +84,79 @@ TEST(Solver, FindsPlantedStructure) {
   EXPECT_GE(sol.radius, 0.0);
 }
 
+std::string hex(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+// The solver reads the oracle's working set; it must pick the same centers
+// and report the same radius, bit for bit, as the solver that decided on
+// its own whether to compress (tests/core_reference.hpp), in all three
+// regimes, with unit and non-unit weights, with and without a caller
+// buffer, and at pool sizes 1 and 8.
+TEST(Solver, MatchesInlineCompressionReferenceBitForBit) {
+  struct Regime {
+    const char* name;
+    std::size_t n;
+    std::int64_t z;
+  };
+  // k = 3, d = 2: τ = 3·8² + z + 1.
+  const Regime regimes[] = {
+      {"n <= 600", 500, 10},         // Charikar on the input
+      {"600 < n <= tau", 700, 600},  // τ = 793: Charikar on the input
+      {"n > tau", 3000, 20},         // τ = 213: Charikar on a summary
+  };
+  ASSERT_LE(regimes[0].n, 600u);
+  ASSERT_GT(regimes[1].n, 600u);
+  ASSERT_LE(static_cast<std::int64_t>(regimes[1].n),
+            summary_center_budget(3, regimes[1].z, 0.5, 2));
+  ASSERT_GT(static_cast<std::int64_t>(regimes[2].n),
+            summary_center_budget(3, regimes[2].z, 0.5, 2));
+  ThreadPool pool1(1);
+  ThreadPool pool8(8);
+  for (const Regime& r : regimes) {
+    PlantedConfig cfg;
+    cfg.n = r.n;
+    cfg.k = 3;
+    cfg.z = 20;
+    cfg.dim = 2;
+    cfg.seed = 31;
+    WeightedSet unit = make_planted(cfg).points;
+    WeightedSet weighted = unit;
+    for (std::size_t i = 0; i < weighted.size(); ++i)
+      weighted[i].w = 1 + static_cast<std::int64_t>(i % 7);
+    for (const WeightedSet* pts : {&unit, &weighted}) {
+      const std::string weights = pts == &unit ? "unit" : "weighted";
+      const Solution want =
+          reference::solve_kcenter_outliers_inline(*pts, 3, r.z, kL2);
+      const kernels::PointBuffer buf(*pts);
+      for (ThreadPool* pool : {&pool1, &pool8}) {
+        for (const bool with_buffer : {false, true}) {
+          SCOPED_TRACE(std::string(r.name) + ", " + weights + ", threads " +
+                       std::to_string(pool->num_threads()) +
+                       (with_buffer ? ", buffer" : ", no buffer"));
+          OracleOptions oracle;
+          oracle.exec.pool = pool;
+          oracle.exec.buffer = with_buffer ? &buf : nullptr;
+          const Solution got =
+              solve_kcenter_outliers(*pts, 3, r.z, kL2, oracle);
+          EXPECT_EQ(got.centers, want.centers);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.radius),
+                    std::bit_cast<std::uint64_t>(want.radius))
+              << hex(got.radius) << " vs " << hex(want.radius);
+        }
+      }
+    }
+  }
+}
+
 TEST(Solver, PipelineQualityNearOne) {
   const auto inst = testing::tiny_planted(3, 4, 2, 109);
   const double eps = 0.25;
   const MiniBallCovering mbc = mbc_construct(inst.points, 3, 4, eps, kL2);
-  const PipelineQuality q =
-      compare_on_full(inst.points, mbc.reps, 3, 4, kL2);
+  const testing::PipelineQuality q =
+      testing::compare_on_full(inst.points, mbc.reps, 3, 4, kL2);
   // Solving on the coreset must cost at most (1+O(ε)) of solving directly.
   // The end solver itself is a ~3-approx, so allow generous but bounded
   // slack; the QUALITY bench tracks the tight ratios.

@@ -63,15 +63,6 @@ TEST(Gonzalez, TwoApproxOfKCenterNoOutliers) {
   EXPECT_LE(g.delta.back(), 2.0 * opt + 1e-9);
 }
 
-TEST(Gonzalez, StopRadiusHonored) {
-  const auto inst = testing::tiny_planted(4, 0, 2, 3);
-  const GonzalezResult g = gonzalez(inst.points, 1000, kL2, 0.5);
-  // Stops as soon as covering radius ≤ 0.5 (well before 1000 centers for a
-  // clustered instance).
-  EXPECT_LE(g.delta.back(), 0.5);
-  EXPECT_LT(g.center_indices.size(), inst.points.size());
-}
-
 TEST(Gonzalez, SummaryPreservesWeight) {
   auto inst = testing::tiny_planted(3, 4, 2, 29);
   inst.points[0].w = 7;  // exercise non-unit weights
@@ -154,7 +145,7 @@ void expect_prefixes_match(const WeightedSet& pts,
   ASSERT_EQ(prefixes.size(), budgets.size());
   for (std::size_t i = 0; i < budgets.size(); ++i) {
     SCOPED_TRACE("budget " + std::to_string(budgets[i]));
-    const GonzalezResult g = gonzalez(pts, budgets[i], metric, 0.0, pool);
+    const GonzalezResult g = gonzalez(pts, budgets[i], metric, pool);
     expect_same_prefix(prefixes[i], gonzalez_summary(pts, g), g.delta.back());
   }
 }

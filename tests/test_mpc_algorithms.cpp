@@ -274,8 +274,8 @@ TEST(EndToEnd, SolveOnTwoRoundCoresetMatchesDirect) {
   TwoRoundOptions opt;
   opt.eps = 0.25;
   const auto res = two_round_coreset(parts, 3, 6, kL2, {}, opt);
-  const PipelineQuality q =
-      compare_on_full(inst.points, res.coreset, 3, 6, kL2);
+  const testing::PipelineQuality q =
+      testing::compare_on_full(inst.points, res.coreset, 3, 6, kL2);
   EXPECT_LE(q.ratio, 3.0 * (1.0 + res.eps_effective) + 1e-9);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/charikar.hpp"
@@ -63,15 +64,21 @@ TEST(SummaryOracle, LargeInstanceStillTwoSided) {
 }
 
 TEST(AutoOracle, SwitchesOnSize) {
-  // Just a smoke check that Auto works below and above the threshold and
-  // produces sane estimates in both regimes.
+  // Auto is the Charikar oracle at or below kAutoThreshold points and the
+  // Summary oracle above it, and gives sane estimates in both regimes.
   OracleOptions opt;
   opt.kind = OracleKind::Auto;
-  opt.auto_threshold = 100;
+  OracleOptions charikar;
+  charikar.kind = OracleKind::Charikar;
+  OracleOptions summary;
+  summary.kind = OracleKind::Summary;
 
   const auto small = testing::tiny_planted(2, 2, 2, 5);
+  ASSERT_LE(small.points.size(), kAutoThreshold);
   const RadiusEstimate a = estimate_radius(small.points, 2, 2, kL2, opt);
   EXPECT_GT(a.radius, 0.0);
+  EXPECT_EQ(a.radius,
+            estimate_radius(small.points, 2, 2, kL2, charikar).radius);
 
   PlantedConfig cfg;
   cfg.n = 1500;
@@ -79,33 +86,36 @@ TEST(AutoOracle, SwitchesOnSize) {
   cfg.z = 2;
   cfg.seed = 6;
   const auto big = make_planted(cfg);
+  ASSERT_GT(big.points.size(), kAutoThreshold);
   const RadiusEstimate b = estimate_radius(big.points, 2, 2, kL2, opt);
   EXPECT_GE(b.radius, big.opt_lo - 1e-9);
   EXPECT_LE(b.radius, b.rho * big.opt_hi + 1e-9);
+  EXPECT_EQ(b.radius, estimate_radius(big.points, 2, 2, kL2, summary).radius);
 }
 
 // The oracle spelled out guess by guess: one fresh Gonzalez run per
-// Summary guess, Charikar on the input otherwise.
+// Summary guess, Charikar on the input otherwise; the estimate keeps the
+// centers of that Charikar run.
 RadiusEstimate reference_estimate(const WeightedSet& pts, int k,
                                   std::int64_t z, const OracleOptions& opt) {
-  CharikarOptions copt;
-  copt.beta = opt.beta;
   auto charikar = [&](const WeightedSet& s) {
-    return RadiusEstimate{charikar_oracle(s, k, z, kL2, copt).radius,
-                          3.0 * (1.0 + opt.beta)};
+    CharikarResult res = charikar_oracle(s, k, z, kL2);
+    return RadiusEstimate{res.radius, 3.0 * (1.0 + kCharikarBeta),
+                          std::move(res.centers)};
   };
   const bool summary =
       opt.kind == OracleKind::Summary ||
-      (opt.kind == OracleKind::Auto && pts.size() > opt.auto_threshold);
+      (opt.kind == OracleKind::Auto && pts.size() > kAutoThreshold);
   if (!summary) return charikar(pts);
-  if (pts.empty()) return {0.0, 1.0};
+  if (pts.empty()) return {0.0, 1.0, {}};
   const std::int64_t tau =
-      summary_center_budget(k, z, opt.gamma, pts.front().p.dim());
+      summary_center_budget(k, z, kSummaryGamma, pts.front().p.dim());
   if (static_cast<std::int64_t>(pts.size()) <= tau) return charikar(pts);
   const GonzalezResult g = gonzalez(pts, static_cast<int>(tau), kL2);
-  const RadiusEstimate rs = charikar(gonzalez_summary(pts, g));
+  RadiusEstimate rs = charikar(gonzalez_summary(pts, g));
   return {rs.radius + g.delta.back(),
-          rs.rho * (1.0 + opt.gamma) + opt.gamma};
+          rs.rho * (1.0 + kSummaryGamma) + kSummaryGamma,
+          std::move(rs.centers)};
 }
 
 // The ladder is the loop of single estimates, bit for bit, for every kind,
@@ -123,6 +133,8 @@ void expect_ladder_matches_loop(const WeightedSet& pts, int k,
     EXPECT_EQ(ladder[j].rho, one.rho) << "z = " << zs[j];
     EXPECT_EQ(ladder[j].radius, ref.radius) << "z = " << zs[j];
     EXPECT_EQ(ladder[j].rho, ref.rho) << "z = " << zs[j];
+    EXPECT_EQ(ladder[j].centers, one.centers) << "z = " << zs[j];
+    EXPECT_EQ(ladder[j].centers, ref.centers) << "z = " << zs[j];
   }
 }
 
@@ -145,8 +157,8 @@ TEST_P(OracleKinds, LadderMatchesSingleEstimates) {
   // τ_j = 3·8² + z_j + 1: guesses up to z = 255 (τ = 448) take the Summary
   // path, z = 511 (τ = 704 ≥ n) falls back to Charikar on the input.
   const auto zs = outlier_guesses(10);
-  ASSERT_LT(summary_center_budget(3, zs[8], opt.gamma, 2), 700);
-  ASSERT_GE(summary_center_budget(3, zs[9], opt.gamma, 2), 700);
+  ASSERT_LT(summary_center_budget(3, zs[8], kSummaryGamma, 2), 700);
+  ASSERT_GE(summary_center_budget(3, zs[9], kSummaryGamma, 2), 700);
   expect_ladder_matches_loop(inst.points, 3, zs, opt);
   // Unsorted guesses with a repeat, on a tiny instance.
   expect_ladder_matches_loop(testing::tiny_planted(2, 3, 2, 8).points, 2,

@@ -2,6 +2,9 @@
 
 #include <sstream>
 
+#include "core/cost.hpp"
+#include "core/solver.hpp"
+
 namespace kc::testing {
 
 PlantedInstance tiny_planted(int k, std::int64_t z, int dim,
@@ -14,6 +17,18 @@ PlantedInstance tiny_planted(int k, std::int64_t z, int dim,
   cfg.n = static_cast<std::size_t>(k) * (static_cast<std::size_t>(z) + 6) +
           static_cast<std::size_t>(z) + 20;
   return make_planted(cfg);
+}
+
+PipelineQuality compare_on_full(const WeightedSet& full,
+                                const WeightedSet& coreset, int k,
+                                std::int64_t z, const Metric& metric) {
+  PipelineQuality q;
+  const Solution via = solve_kcenter_outliers(coreset, k, z, metric);
+  q.radius_via_coreset = radius_with_outliers(full, via.centers, z, metric);
+  const Solution direct = solve_kcenter_outliers(full, k, z, metric);
+  q.radius_direct = direct.radius;
+  q.ratio = q.radius_direct > 0 ? q.radius_via_coreset / q.radius_direct : 1.0;
+  return q;
 }
 
 std::string SweepParam::name() const {

@@ -32,6 +32,21 @@ struct SweepParam {
 /// in seconds).
 [[nodiscard]] std::vector<SweepParam> default_sweep();
 
+/// Quality of a coreset pipeline: solve on the coreset, evaluate the same
+/// centers on the full set, and compare with solving on the full set
+/// directly.  ratio = radius(via coreset, on full) / radius(direct, on
+/// full); ≤ 1+O(ε) for a valid coreset.
+struct PipelineQuality {
+  double radius_via_coreset = 0.0;  ///< coreset centers evaluated on full P
+  double radius_direct = 0.0;       ///< direct solve evaluated on full P
+  double ratio = 0.0;
+};
+
+[[nodiscard]] PipelineQuality compare_on_full(const WeightedSet& full,
+                                              const WeightedSet& coreset,
+                                              int k, std::int64_t z,
+                                              const Metric& metric);
+
 /// The `--fault-policy` spelling of a recovery policy, for test names.
 [[nodiscard]] const char* policy_name(mpc::RecoveryPolicy policy);
 

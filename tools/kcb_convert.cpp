@@ -37,7 +37,8 @@ constexpr const char kUsage[] =
     "    --radius/--separation       cluster radius / spacing x radius [1/40]\n"
     "    --outlier-permille <p>      ~p/1000 points are far outliers [2]\n"
     "                                (n, dim, k >= 1; radius, separation\n"
-    "                                finite and > 0; p <= 1000)\n"
+    "                                finite and > 0; p <= 1000; every\n"
+    "                                coordinate within +-1e150)\n"
     "  info <file.kcb>               print header + bounding box (O(1))\n"
     "  verify <file.kcb>             recompute the data checksum (reads the\n"
     "                                whole file); exit 1 on mismatch\n"
@@ -109,6 +110,23 @@ int cmd_generate(const std::string& path, const Flags& flags) {
   }
 
   dataset::GeneratedSource src(cfg);
+  // A radius or lattice pitch (radius × separation) too large for the
+  // coordinate bound puts points past it, or at ±inf or NaN.  The exact
+  // box is known before the output file is opened, so nothing is written.
+  for (int j = 0; j < cfg.dim; ++j) {
+    const double lo = src.box_lo()[static_cast<std::size_t>(j)];
+    const double hi = src.box_hi()[static_cast<std::size_t>(j)];
+    if (!(lo >= -Point::kMaxAbsCoordinate && hi <= Point::kMaxAbsCoordinate &&
+          lo <= hi)) {
+      std::fprintf(stderr,
+                   "error: --radius %s --separation %s puts axis %d of the "
+                   "points at [%g, %g], past the coordinate bound %g\n",
+                   flags.get_string("radius", "1").c_str(),
+                   flags.get_string("separation", "40").c_str(), j, lo, hi,
+                   Point::kMaxAbsCoordinate);
+      return 2;
+    }
+  }
   Timer timer;
   const std::uint64_t written = dataset::write_kcb(path, src);
   const double ms = timer.millis();
