@@ -14,7 +14,9 @@
 // Input: one point per line, comma-separated coordinates (2–8 columns).
 // Output: the input columns plus a `label` column (−1 = outlier).  An
 // output file (`--out`, `--generate`) that cannot be written is
-// `error: …`, exit 2.
+// `error: …`, exit 2; `--out` is opened before the input is read, so an
+// unwritable path costs no clustering run.  No input file is an error
+// too (usage, exit 2).
 
 #include <cstdio>
 #include <exception>
@@ -87,11 +89,12 @@ int main(int argc, char** argv) {
   }
   if (flags.positional().empty()) {
     std::fprintf(stderr,
+                 "error: missing <points.csv>\n"
                  "usage: kcoreset_cli <points.csv> [--k K] [--z Z] "
                  "[--eps E] [--pipeline offline|stream] [--norm l2|linf|l1] "
                  "[--exact] [--out labels.csv]\n"
                  "       kcoreset_cli --generate demo.csv [--n N] ...\n");
-    return 1;
+    return 2;
   }
 
   cfg.k = flags.get<int>("k", 4);
@@ -109,6 +112,10 @@ int main(int argc, char** argv) {
   const std::int64_t z = cfg.z;
   const double eps = cfg.eps;
   const Metric metric{cfg.norm};
+  // An unwritable --out fails before any work, not after the report.
+  const std::string out_path = flags.get_string("out", "labels.csv");
+  std::ofstream out;
+  if (flags.has("out")) out = open_output(out_path);
 
   const WeightedSet pts = read_csv_points(flags.positional().front());
   const int dim = pts.front().p.dim();
@@ -149,9 +156,7 @@ int main(int argc, char** argv) {
   for (const auto& c : final_sol.centers)
     std::printf("  %s\n", c.to_string().c_str());
 
-  if (flags.has("out")) {
-    const std::string out_path = flags.get_string("out", "labels.csv");
-    std::ofstream out = open_output(out_path);
+  if (out.is_open()) {
     for (std::size_t i = 0; i < pts.size(); ++i) {
       for (int d = 0; d < dim; ++d) out << pts[i].p[d] << ',';
       out << lab.labels[i] << '\n';

@@ -17,11 +17,16 @@
 //    the τ(γ = 0.5) budget is below n, Charikar on a Gonzalez τ-summary),
 //    as `solve_kcenter_outliers` (core/solver.cpp) was written before it
 //    read the radius oracle's working set (tests/test_coreset.cpp).
+//  * `gonzalez_full` — the full-scan farthest-point traversal: every new
+//    center relaxes all n keys through the chunk-parallel relax kernel, as
+//    `traverse` (core/gonzalez.cpp) did before it pruned the clusters a
+//    new center cannot reach (tests/test_gonzalez.cpp).
 
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -33,7 +38,9 @@
 #include "core/radius_oracle.hpp"
 #include "core/solver.hpp"
 #include "core/types.hpp"
+#include "geometry/kernels.hpp"
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 
 namespace kc::reference {
 
@@ -193,6 +200,40 @@ inline Solution solve_kcenter_outliers_inline(const WeightedSet& pts, int k,
   }
   return evaluate(pts, charikar_oracle(*work, k, z, metric).centers, z,
                   metric);
+}
+
+/// Full-scan Gonzalez: after each center, `on_prefix` (when set) sees the
+/// traversal so far.  Each step relaxes every point's nearest-center key
+/// against the new center and moves to the farthest point under the
+/// relaxed keys (first max wins).
+inline GonzalezResult gonzalez_full(
+    const WeightedSet& pts, int max_centers, const Metric& metric,
+    ThreadPool* pool = nullptr, const kernels::PointBuffer* buffer = nullptr,
+    const std::function<void(const GonzalezResult&)>& on_prefix = {}) {
+  KC_EXPECTS(max_centers >= 1);
+  if (pts.empty()) return {};
+  const std::size_t n = pts.size();
+  std::vector<double> key(n, std::numeric_limits<double>::infinity());
+  kernels::PointBuffer local;
+  const kernels::PointBuffer& buf = kernels::mirror_or_pack(pts, buffer, local);
+  std::vector<double> scratch(n);
+  return kernels::with_norm(metric.norm(), [&]<Norm N>() {
+    GonzalezResult res;
+    res.assignment.assign(n, 0);
+    std::size_t next = 0;
+    for (int t = 0; t < max_centers && static_cast<std::size_t>(t) < n; ++t) {
+      res.center_indices.push_back(next);
+      const kernels::RelaxResult rr = kernels::relax_min_keys_parallel<N>(
+          buf, pts[next].p.coords().data(), static_cast<std::uint32_t>(t),
+          key.data(), res.assignment.data(), scratch.data(), pool);
+      const double radius = metric.key_to_dist(rr.far_key);
+      res.delta.push_back(radius);
+      next = rr.far_idx;
+      if (on_prefix) on_prefix(res);
+      if (rr.far_key <= 0.0) break;  // every point is a selected center
+    }
+    return res;
+  });
 }
 
 }  // namespace kc::reference

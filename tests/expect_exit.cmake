@@ -7,7 +7,8 @@
 # (ulimit -v, POSIX sh) to run PROG under, so that a case which would
 # allocate past it cannot take the host's memory; ABSENT, a path that
 # must not exist after PROG exits (removed first): a rejected run leaves
-# no output file behind.
+# no output file behind; NOT_STDOUT, a regex stdout must not match (a
+# rejected run did no work: it printed no report).
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 if(DEFINED ABSENT)
   file(REMOVE "${ABSENT}")
@@ -17,7 +18,7 @@ if(DEFINED LIMIT_KB)
   set(cmd sh -c "ulimit -v ${LIMIT_KB} && exec \"$0\" \"$@\"" ${cmd})
 endif()
 execute_process(COMMAND ${cmd} RESULT_VARIABLE status
-                OUTPUT_QUIET ERROR_VARIABLE err)
+                OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT status STREQUAL "${EXPECT}")
   message(FATAL_ERROR "expected exit ${EXPECT}, got '${status}'\n${err}")
 endif()
@@ -29,4 +30,7 @@ if(DEFINED MATCH AND NOT err MATCHES "${MATCH}")
 endif()
 if(DEFINED ABSENT AND EXISTS "${ABSENT}")
   message(FATAL_ERROR "left '${ABSENT}' behind")
+endif()
+if(DEFINED NOT_STDOUT AND out MATCHES "${NOT_STDOUT}")
+  message(FATAL_ERROR "stdout matches '${NOT_STDOUT}':\n${out}")
 endif()

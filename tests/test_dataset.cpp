@@ -5,6 +5,7 @@
 // column for column).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -24,8 +25,11 @@
 namespace kc::dataset {
 namespace {
 
+// Per process: suites of two build trees running at once must not
+// remove or overwrite each other's files.
 std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "kc_dataset_" + name;
+  return ::testing::TempDir() + "kc_dataset_" + std::to_string(::getpid()) +
+         "_" + name;
 }
 
 /// A small deterministic buffer with spread-out values in every column.

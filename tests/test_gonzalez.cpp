@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/brute_force.hpp"
 #include "core/gonzalez.hpp"
+#include "core_reference.hpp"
 #include "test_support.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -104,16 +109,18 @@ TEST(Gonzalez, PackingBoundDrivesDeltaBelowEpsOpt) {
 
 // ---- gonzalez_prefixes: one checkpointed traversal ----------------------
 
-// Points on a small integer grid with weights 1..5: repeated points and
-// tied distances exercise first-max-wins and the strict-< reassignment.
-WeightedSet grid_points(std::size_t n, std::uint64_t seed) {
+// Points on the integer grid [0, side)^dim with weights 1..5: repeated
+// points and tied distances exercise first-max-wins and the strict-<
+// reassignment.
+WeightedSet grid_points(std::size_t n, std::uint64_t seed, int dim = 2,
+                        std::uint64_t side = 40) {
   Rng rng(seed);
   WeightedSet pts;
   pts.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto x = static_cast<double>(rng.uniform(40));
-    const auto y = static_cast<double>(rng.uniform(40));
-    pts.push_back({Point{x, y}, 1 + static_cast<std::int64_t>(rng.uniform(5))});
+    Point p(dim);
+    for (int j = 0; j < dim; ++j) p[j] = static_cast<double>(rng.uniform(side));
+    pts.push_back({p, 1 + static_cast<std::int64_t>(rng.uniform(5))});
   }
   return pts;
 }
@@ -213,6 +220,152 @@ TEST(GonzalezPrefixes, EmptyInputsGiveEmptyPrefixes) {
   ASSERT_EQ(prefixes.size(), 1u);
   EXPECT_TRUE(prefixes.front().summary.empty());
   EXPECT_EQ(prefixes.front().delta, 0.0);
+}
+
+// ---- Pruned traversal vs the full scan ----------------------------------
+//
+// `gonzalez` skips the key bands a new center cannot reach; the full scan
+// (reference::gonzalez_full) relaxes every point.  They must agree bit for
+// bit: centers, delta and assignment, at every prefix and thread count.
+// Too small a skip factor (2 instead of 4 under L2, 1 instead of 2 under
+// L1/L∞) skips points that do move and fails these cases.
+
+void expect_same_traversal(const GonzalezResult& got,
+                           const GonzalezResult& want) {
+  ASSERT_EQ(got.center_indices, want.center_indices);
+  ASSERT_EQ(got.delta.size(), want.delta.size());
+  for (std::size_t t = 0; t < want.delta.size(); ++t)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.delta[t]),
+              std::bit_cast<std::uint64_t>(want.delta[t]))
+        << "delta[" << t << "]";
+  EXPECT_EQ(got.assignment, want.assignment);
+}
+
+// Planted clusters and outliers (unit-weight points re-weighted 1..5).
+// The clusters are L2 balls whatever the norm the traversal runs under (the
+// generator's L1 ball sampler is slow at d = 8).
+WeightedSet planted(std::size_t n, int dim, OutlierPattern outliers,
+                    std::uint64_t seed) {
+  PlantedConfig cfg;
+  cfg.n = n;
+  cfg.k = 4;
+  cfg.z = 12;
+  cfg.dim = dim;
+  cfg.seed = seed;
+  cfg.outliers = outliers;
+  cfg.skew = 0.5;
+  WeightedSet pts = make_planted(cfg).points;
+  for (std::size_t i = 0; i < pts.size(); ++i)
+    pts[i].w = 1 + static_cast<std::int64_t>(i % 5);
+  return pts;
+}
+
+// A planted set whose every point appears `copies` times, interleaved.
+WeightedSet duplicated(const WeightedSet& base, std::size_t copies) {
+  WeightedSet pts;
+  pts.reserve(base.size() * copies);
+  for (std::size_t c = 0; c < copies; ++c)
+    for (std::size_t i = 0; i < base.size(); ++i)
+      pts.push_back(base[(i * 7 + c) % base.size()]);
+  return pts;
+}
+
+struct TraversalCase {
+  std::string name;
+  WeightedSet pts;
+};
+
+std::vector<TraversalCase> traversal_cases(int dim, Norm norm) {
+  const auto seed =
+      static_cast<std::uint64_t>(dim * 10 + static_cast<int>(norm));
+  const WeightedSet base = planted(300, dim, OutlierPattern::Spread, seed + 3);
+  return {
+      {"spread", planted(900, dim, OutlierPattern::Spread, seed)},
+      {"burst", planted(900, dim, OutlierPattern::Burst, seed + 1)},
+      {"grid", grid_points(800, seed + 2, dim, dim <= 2 ? 24 : 6)},
+      {"duplicates", duplicated(base, 3)},
+  };
+}
+
+// The full scan's checkpoint at each budget, taken from its prefix hook.
+std::vector<GonzalezPrefix> reference_prefixes(const WeightedSet& pts,
+                                               const std::vector<int>& budgets,
+                                               const Metric& metric) {
+  std::vector<GonzalezPrefix> out(budgets.size());
+  std::vector<bool> seen(budgets.size(), false);
+  const int top = *std::max_element(budgets.begin(), budgets.end());
+  const GonzalezResult g = reference::gonzalez_full(
+      pts, top, metric, nullptr, nullptr, [&](const GonzalezResult& r) {
+        for (std::size_t i = 0; i < budgets.size(); ++i)
+          if (static_cast<std::size_t>(budgets[i]) == r.center_indices.size()) {
+            out[i] = {gonzalez_summary(pts, r), r.delta.back()};
+            seen[i] = true;
+          }
+      });
+  for (std::size_t i = 0; i < budgets.size(); ++i)
+    if (!seen[i]) out[i] = {gonzalez_summary(pts, g), g.delta.back()};
+  return out;
+}
+
+void expect_matches_full_scan(const WeightedSet& pts, int budget,
+                              const Metric& metric, ThreadPool* pool) {
+  const GonzalezResult want = reference::gonzalez_full(pts, budget, metric);
+  expect_same_traversal(gonzalez(pts, budget, metric, pool), want);
+  const kernels::PointBuffer buf(pts);
+  expect_same_traversal(gonzalez(pts, budget, metric, pool, &buf), want);
+}
+
+TEST(GonzalezPruned, MatchesFullScanOverNormsDimsAndInstances) {
+  ThreadPool pool1(1);
+  for (const Norm norm : {Norm::L1, Norm::L2, Norm::Linf}) {
+    const Metric metric(norm);
+    for (const int dim : {1, 2, 3, 4, 5, 8}) {
+      for (const auto& c : traversal_cases(dim, norm)) {
+        SCOPED_TRACE(std::string(metric.name()) + " d=" +
+                     std::to_string(dim) + " " + c.name);
+        // The 300 distinct points of "duplicates" (and the grid's 24
+        // cells at d = 1) reach the radius-0 stop within this budget.
+        expect_matches_full_scan(c.pts, 320, metric, &pool1);
+      }
+    }
+  }
+}
+
+TEST(GonzalezPruned, PrefixCheckpointsMatchFullScan) {
+  const std::vector<int> budgets{1, 2, 17, 5, 120, 17, 600, 4000};
+  for (const Norm norm : {Norm::L1, Norm::L2, Norm::Linf}) {
+    const Metric metric(norm);
+    for (const int dim : {2, 5}) {
+      for (const auto& c : traversal_cases(dim, norm)) {
+        SCOPED_TRACE(std::string(metric.name()) + " d=" +
+                     std::to_string(dim) + " " + c.name);
+        const auto want = reference_prefixes(c.pts, budgets, metric);
+        const auto got = gonzalez_prefixes(c.pts, budgets, metric);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < budgets.size(); ++i) {
+          SCOPED_TRACE("budget " + std::to_string(budgets[i]));
+          expect_same_prefix(got[i], want[i].summary, want[i].delta);
+        }
+      }
+    }
+  }
+}
+
+TEST(GonzalezPruned, MatchesFullScanOnEightThreadPool) {
+  // Above the relax kernel's parallel grain, so the first center's sweep
+  // really splits across the pool.
+  ThreadPool pool(8);
+  for (const Norm norm : {Norm::L1, Norm::L2, Norm::Linf}) {
+    const Metric metric(norm);
+    for (const int dim : {2, 5}) {
+      SCOPED_TRACE(std::string(metric.name()) + " d=" + std::to_string(dim));
+      const WeightedSet pts =
+          planted(20000, dim, OutlierPattern::Burst, 41 + dim);
+      expect_matches_full_scan(pts, 300, metric, &pool);
+      const WeightedSet grid = grid_points(20000, 43 + dim, dim, 12);
+      expect_matches_full_scan(grid, 300, metric, &pool);
+    }
+  }
 }
 
 }  // namespace
