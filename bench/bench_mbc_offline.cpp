@@ -12,9 +12,11 @@
 // (size / covering radius / oracle factor / time).
 //
 // Part 4 is the HOTPATH timing: the radius oracle, the covering pass, and
-// the full construction at n=50k (8k under --quick), recorded to the JSON
-// bench log (--json <path>) so the perf trajectory has committed points —
-// see BENCH_hotpaths.json at the repo root.
+// the full construction at n=50k (8k under --quick), then the covering
+// pass and an insertion-only stream ingest at d = 8, n=20k (4k under
+// --quick), recorded to the JSON bench log (--json <path>) so the perf
+// trajectory has committed points — see BENCH_hotpaths.json at the repo
+// root.
 
 #include <algorithm>
 #include <cstdio>
@@ -25,6 +27,7 @@
 #include "core/mbc.hpp"
 #include "core/verify.hpp"
 #include "geometry/kernels.hpp"
+#include "stream/insertion_only.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -340,6 +343,61 @@ int main(int argc, char** argv) {
                                           {"oracle", "charikar"},
                                           {"eps", eps},
                                           {"wall_ms", total_ms}});
+  }
+
+  // ---- Part 4b: the cover and the stream ingest at d = 8 -------------------
+  // A grid probe visits 3^8 = 6561 cells, so where the cover switches from
+  // its scan to the grid matters most here.  Drifting (time-ordered)
+  // arrivals, as a stream sees them; the cover runs at the stream's final
+  // join radius (ε/2)·r.
+  {
+    PlantedConfig pc;
+    pc.n = quick ? 4000 : 20000;
+    pc.k = 3;
+    pc.z = 100;
+    pc.dim = 8;
+    pc.seed = seed + 8;
+    const double eps = 0.5;
+    std::printf("\n[HOTPATH] insertion-only stream ingest + covering pass at "
+                "n=%zu, d=8 (drifting):\n", pc.n);
+    const PlantedInstance inst = make_drifting(pc);
+
+    Timer t_stream;
+    stream::InsertionOnlyStream s(pc.k, pc.z, eps, pc.dim, metric);
+    for (const auto& wp : inst.points) s.insert_weighted(wp.p, wp.w);
+    const double stream_ms = t_stream.millis();
+
+    const double cover_r = (eps / 2.0) * s.r();
+    Timer t_cover;
+    const MiniBallCovering cover =
+        mbc_with_radius(inst.points, cover_r, metric);
+    const double cover_ms = t_cover.millis();
+
+    Table t({"stage", "ms", "detail"});
+    t.add_row({"InsertionOnlyStream ingest", fmt(stream_ms, 1),
+               "peak=" + fmt_count(static_cast<long long>(s.peak_size())) +
+                   " doublings=" + fmt_count(s.doublings())});
+    t.add_row({"mbc_with_radius", fmt(cover_ms, 1),
+               "reps=" + fmt_count(static_cast<long long>(cover.reps.size()))});
+    t.print();
+    const auto n_ll = static_cast<long long>(pc.n);
+    json.record("hotpath_stream_insert",
+                {{"n", n_ll},
+                 {"k", pc.k},
+                 {"z", static_cast<long long>(pc.z)},
+                 {"d", pc.dim},
+                 {"eps", eps},
+                 {"peak_size", static_cast<long long>(s.peak_size())},
+                 {"doublings", s.doublings()},
+                 {"wall_ms", stream_ms}});
+    json.record("hotpath_mbc_cover",
+                {{"n", n_ll},
+                 {"k", pc.k},
+                 {"z", static_cast<long long>(pc.z)},
+                 {"d", pc.dim},
+                 {"radius", cover_r},
+                 {"reps", static_cast<long long>(cover.reps.size())},
+                 {"wall_ms", cover_ms}});
   }
 
   // ---- Part 5: kernel throughput (points/sec, scalar vs SIMD) --------------

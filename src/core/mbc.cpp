@@ -2,99 +2,100 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <optional>
+#include <span>
 
 #include "core/gonzalez.hpp"
-#include "geometry/grid_index.hpp"
 #include "geometry/kernels.hpp"
 #include "util/check.hpp"
 
 namespace kc {
 
-namespace {
-
-// Rep count at which the covering pass switches from the early-exit linear
-// scan to grid probes.  The scan touches first-hit-position inline
-// distances per point (cheap, and small while reps are few); a grid probe
-// costs 3^d hash lookups regardless, so it only wins once the rep set is
-// large.  Switching mid-pass is output-invariant: both sides assign to the
-// lowest-index representative within the radius.
-constexpr std::size_t kGridSwitchReps = 256;
-
-// Covering pass with grid acceleration: once the rep set reaches
-// kGridSwitchReps, representatives are indexed in a hash grid with cell
-// width = radius, so each point probes only the 3^d neighboring cells
-// instead of scanning every representative.  Both phases assign to the
-// *lowest-index* representative within the radius — the first hit of a
-// scan in rep order.  At radius 0 the grid never switches on (it needs a
-// positive width) and the scan joins exact duplicates only.
-template <Norm N>
-MiniBallCovering mbc_hybrid_impl(const WeightedSet& pts, double radius) {
-  MiniBallCovering out;
-  out.cover_radius = radius;
-  if (pts.empty()) return out;
-  out.assignment.reserve(pts.size());
-  const double key = kernels::dist_to_key(N, radius);
-  const int dim = pts.front().p.dim();
-  const bool use_grid = radius > 0.0;
-
-  // SoA mirror of the rep coordinates for the pre-grid phase: the
-  // "first rep within radius" probe runs through the blocked vectorized
-  // scan.  Not maintained once the grid takes over.
-  kernels::PointBuffer repbuf(dim);
-  repbuf.reserve(std::min(kGridSwitchReps, pts.size()));
-
-  std::optional<GridIndex> grid;
-  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-  for (const auto& wp : pts) {
-    KC_EXPECTS(wp.w > 0);
-    const double* q = wp.p.coords().data();
-    std::uint32_t best = kNone;
-    if (grid) {
-      grid->for_each_candidate(q, 1,
-                               [&](std::span<const std::uint32_t> cell) {
-                                 for (const std::uint32_t r : cell) {
-                                   if (r < best &&
-                                       kernels::raw_key<N>(
-                                           q, out.reps[r].p.coords().data(),
-                                           dim) <= key)
-                                     best = r;
-                                 }
-                               });
-    } else {
-      const std::size_t hit = kernels::first_within<N>(repbuf, q, key);
-      if (hit < repbuf.size()) best = static_cast<std::uint32_t>(hit);
-    }
-    if (best != kNone) {
-      out.reps[best].w += wp.w;
-      out.assignment.push_back(best);
-      continue;
-    }
-    const auto id = static_cast<std::uint32_t>(out.reps.size());
-    out.assignment.push_back(id);
-    out.reps.push_back(wp);
-    if (grid) {
-      grid->insert(q, id);
-    } else if (use_grid && out.reps.size() >= kGridSwitchReps) {
-      grid.emplace(radius, dim);
-      for (std::size_t r = 0; r < out.reps.size(); ++r)
-        grid->insert(out.reps[r].p, static_cast<std::uint32_t>(r));
-    } else {
-      repbuf.append(q);
-    }
-  }
-  return out;
+GreedyCover::GreedyCover(double radius, int dim, const Metric& metric)
+    : dim_(dim), norm_(metric.norm()) {
+  set_radius(radius);
 }
 
-}  // namespace
+std::size_t GreedyCover::grid_switch(int dim) noexcept {
+  std::size_t cells = 1;
+  for (int j = 0; j < dim; ++j) cells *= 3;
+  return kCoverGridFactor * cells;
+}
+
+void GreedyCover::set_radius(double radius) {
+  KC_EXPECTS(radius >= 0.0);
+  radius_ = radius;
+  key_ = kernels::dist_to_key(norm_, radius);
+  rebuild_probe();
+}
+
+void GreedyCover::rebuild_probe() {
+  grid_.reset();
+  scan_ = kernels::PointBuffer(dim_);
+  if (grid_due()) {
+    grid_.emplace(radius_, dim_);
+    grid_->reserve(reps_.size());
+    for (std::size_t i = 0; i < reps_.size(); ++i)
+      grid_->insert(reps_[i].p, static_cast<std::uint32_t>(i));
+  } else {
+    scan_.reserve(reps_.size());
+    for (const auto& rep : reps_) scan_.append(rep.p);
+  }
+}
+
+// Lowest rep index within the radius of q, or reps_.size().  A grid cell
+// lists its reps in ascending index order, so the scan of a cell stops at
+// its first hit or at the best index found so far.
+template <Norm N>
+std::uint32_t GreedyCover::probe(const double* q) const {
+  if (!grid_) {
+    return static_cast<std::uint32_t>(
+        kernels::first_within<N>(scan_, q, key_));
+  }
+  auto best = static_cast<std::uint32_t>(reps_.size());
+  grid_->for_each_candidate(q, 1, [&](std::span<const std::uint32_t> cell) {
+    for (const std::uint32_t i : cell) {
+      if (i >= best) break;
+      if (kernels::raw_key<N>(q, reps_[i].p.coords().data(), dim_) <= key_) {
+        best = i;
+        break;
+      }
+    }
+  });
+  return best;
+}
+
+std::uint32_t GreedyCover::add(const Point& p, std::int64_t w) {
+  KC_EXPECTS(w > 0);
+  KC_DCHECK(p.dim() == dim_);
+  const double* q = p.coords().data();
+  const std::uint32_t hit =
+      kernels::with_norm(norm_, [&]<Norm N>() { return probe<N>(q); });
+  if (hit < reps_.size()) {
+    reps_[hit].w += w;
+    return hit;
+  }
+  reps_.push_back({p, w});
+  if (grid_) {
+    grid_->insert(q, hit);
+  } else if (grid_due()) {
+    rebuild_probe();
+  } else {
+    scan_.append(q);
+  }
+  return hit;
+}
 
 MiniBallCovering mbc_with_radius(const WeightedSet& pts, double radius,
                                  const Metric& metric) {
   KC_EXPECTS(radius >= 0.0);
-  return kernels::with_norm(metric.norm(), [&]<Norm N>() {
-    return mbc_hybrid_impl<N>(pts, radius);
-  });
+  MiniBallCovering out;
+  out.cover_radius = radius;
+  if (pts.empty()) return out;
+  GreedyCover cover(radius, pts.front().p.dim(), metric);
+  out.assignment.reserve(pts.size());
+  for (const auto& wp : pts) out.assignment.push_back(cover.add(wp.p, wp.w));
+  out.reps = std::move(cover).reps();
+  return out;
 }
 
 MiniBallCovering mbc_construct(const WeightedSet& pts, int k, std::int64_t z,

@@ -2,27 +2,12 @@
 
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "geometry/metric.hpp"
 #include "geometry/point.hpp"
 
 namespace kc {
-
-/// Problem parameters: number of centers k, outlier weight budget z, and
-/// coreset error parameter ε ∈ (0, 1].
-struct ParamsKZ {
-  int k = 1;
-  std::int64_t z = 0;
-  double eps = 0.5;
-};
-
-/// A ball b(center, radius).
-struct Ball {
-  Point center;
-  double radius = 0.0;
-};
 
 /// A k-center solution: k centers plus the common radius.  `radius` is the
 /// radius needed to cover all but (weight ≤ z) points of the instance the

@@ -167,7 +167,7 @@ class PointBuffer {
   }
 
   /// Drops all rows, keeping dim and capacity (for rebuild-in-place
-  /// consumers like the streaming recompression).
+  /// consumers like the dataset chunk readers).
   void clear() noexcept { n_ = 0; }
 
   /// Row i unpacked to the AoS boundary type (requires dim ≤ kMaxDim).

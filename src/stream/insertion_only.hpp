@@ -12,16 +12,12 @@
 //    (Algorithm 4) at radius (ε/2)·r.  Reassignment errors telescope:
 //    Σ (ε/2)·r/2^i ≤ ε·r (Lemma 16).
 //
-// Per-insert cost: the "join the first rep within (ε/2)·r" probe, plus an
+// Per-insert cost: one add to a GreedyCover (core/mbc.hpp) at the join
+// radius (ε/2)·r — the probe for the lowest-index rep within it, plus an
 // append or a weight bump; recompressions are amortized over the arrivals
-// that filled P*.  Once r > 0 and |P*| ≥ 3^d the probe looks up a hash
-// grid over P* (geometry/grid_index.hpp) whose cells are (ε/2)·r wide:
-// only the 3^d cells around the point can hold a rep within the join
-// radius, each cell lists its reps in index order, and the smallest
-// qualifying index over those cells is the same first hit a scan of P* in
-// index order returns.  New reps are appended to the grid; a doubling or
-// an absorb rebuilds it.  While r == 0 (only exact duplicates join) and
-// while |P*| < 3^d, the probe scans P* instead.
+// that filled P*.  A recompression re-covers P* with a fresh cover at the
+// doubled join radius; the bootstrap and an absorb only change the radius
+// of the cover in place.
 //
 // Space: |P*| ≤ k(16/ε)^d + z — optimal by the paper's Theorem 11 lower
 // bound.  The same class also implements the Ceccarello-et-al.-style
@@ -32,12 +28,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "core/mbc.hpp"
 #include "core/types.hpp"
-#include "geometry/grid_index.hpp"
 
 namespace kc::stream {
 
@@ -74,7 +68,9 @@ class InsertionOnlyStream {
   void absorb(const InsertionOnlyStream& other);
 
   /// Current coreset P*(t) — an (ε,k,z)-mini-ball covering of P(t).
-  [[nodiscard]] const WeightedSet& coreset() const noexcept { return reps_; }
+  [[nodiscard]] const WeightedSet& coreset() const noexcept {
+    return cover_.reps();
+  }
 
   /// Current lower-bound radius r ≤ optk,z(P(t)).
   [[nodiscard]] double r() const noexcept { return r_; }
@@ -96,31 +92,13 @@ class InsertionOnlyStream {
   [[nodiscard]] std::size_t points_seen() const noexcept { return seen_; }
 
  private:
-  /// First rep index with dist_key(q, rep) ≤ join_key (built-in norms), or
-  /// reps_.size(): a probe of grid_ or the blocked vectorized scan of
-  /// geometry/kernels.hpp, with the same first hit either way.
-  [[nodiscard]] std::size_t first_rep_within(const double* q, double join,
-                                             double join_key);
-  /// Re-packs reps_buf_ from reps_ and drops grid_ (after a recompression
-  /// replaced reps_).
-  void rebuild_reps_buf();
-
   int k_;
   std::int64_t z_;
   double eps_;
   int dim_;
   Metric metric_;
   std::size_t threshold_;
-  WeightedSet reps_;
-  /// SoA mirror of the rep coordinates, maintained incrementally (append on
-  /// new rep, rebuild after recompression) so the per-arrival "join an
-  /// existing rep" probe runs through the blocked vectorized scan instead
-  /// of re-packing — identical first hit, see geometry/kernels.hpp.
-  kernels::PointBuffer reps_buf_;
-  /// Hash grid over the reps with cell width = the join radius (ε/2)·r,
-  /// present while the probe is in use; see first_rep_within.
-  std::optional<GridIndex> grid_;
-  std::size_t probe_cells_ = 1;  ///< cells one probe visits: 3^d
+  GreedyCover cover_;  ///< P*, at join radius (ε/2)·r
   double r_ = 0.0;
   std::size_t peak_ = 0;
   std::size_t seen_ = 0;

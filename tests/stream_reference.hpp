@@ -5,14 +5,16 @@
 //    members in a plain oldest-first vector (`erase(begin())` on overflow)
 //    and the record count recomputed over every level after each insert;
 //  * `InsertionOnlyStream` is Algorithm 3 with the linear-scan rep probe:
-//    a plain in-order `Metric::dist_key` loop over every rep (no grid and
-//    no kernels::first_within, so the reference does not check the kernel
-//    against itself).
+//    a plain in-order `Metric::dist_key` loop over every rep, and a
+//    recompression through `reference::mbc_with_radius_scalar`
+//    (core_reference.hpp), so no library covering code (grid, the
+//    first-within kernel, `GreedyCover`) is checked against itself.
 //
-// Both are verbatim apart from `inline`, that probe, and one test: the
-// bootstrap check `r_ == 0.0` is written `!(r_ > 0.0)` (the same, as
-// r_ ≥ 0), so the copy needs no lint suppression.  The library's versions
-// must match them output for output (tests/test_stream_differential.cpp).
+// Both otherwise follow the library's algorithms line for line, apart from
+// `inline` and one test: the bootstrap check `r_ == 0.0` is written
+// `!(r_ > 0.0)` (the same, as r_ ≥ 0), so the copy needs no lint
+// suppression.  The library's versions must match them output for output
+// (tests/test_stream_differential.cpp).
 
 #pragma once
 
@@ -22,8 +24,8 @@
 #include <limits>
 #include <vector>
 
-#include "core/mbc.hpp"
 #include "core/types.hpp"
+#include "core_reference.hpp"
 #include "stream/insertion_only.hpp"
 #include "util/check.hpp"
 
@@ -305,9 +307,9 @@ inline void InsertionOnlyStream::insert_weighted(const Point& p,
     KC_EXPECTS(r_ > 0.0);
     r_ *= 2.0;
     ++doublings_;
-    const MiniBallCovering mbc =
-        mbc_with_radius(reps_, (eps_ / 2.0) * r_, metric_);
-    reps_ = mbc.reps;
+    reps_ = kc::reference::mbc_with_radius_scalar(reps_, (eps_ / 2.0) * r_,
+                                                  metric_)
+                .reps;
   }
 }
 

@@ -178,26 +178,46 @@ void expect_same_covering(const MiniBallCovering& got,
 }
 
 TEST(GridEquivalence, MbcWithRadiusMatchesScalarReference) {
-  // Rep count at which mbc_with_radius switches from the scan to the grid
-  // (kGridSwitchReps, core/mbc.cpp).  Each d gets a lattice wide enough
-  // that every radius > 0 grows the covering past it, so both phases run.
-  constexpr std::size_t kGridSwitchReps = 256;
-  const int half_by_dim[] = {0, 3200, 160, 64};
+  // Each d up to 4 gets sparse points wide enough that every radius > 0
+  // grows the covering past the cover's scan→grid switch, then a dense
+  // block whose points each lie within the radius of several
+  // representatives in different grid cells, so the grid probe must pick
+  // the lowest index among them.  At d = 5 and 8 the switch (31104 and
+  // 839808 reps) is out of reach, so these run the scan alone.
+  struct Case {
+    int dim;
+    std::size_t n;
+    int half;
+    std::uint64_t seeds;
+    std::vector<double> radii;
+  };
+  // 0.25-quantized coordinates make 0.5 / 1.0 exact-boundary radii; r = 0
+  // joins exact duplicates only and never builds a grid.  d = 3 and 4 run
+  // one seed and fewer radii: their reference passes are the slow ones.
+  const std::vector<double> all = {0.0, 0.5, 1.0, 2.75};
+  const Case cases[] = {{1, 1200, 40000, 3, all},
+                        {2, 1600, 1000, 3, all},
+                        {3, 4000, 400, 1, {0.5, 2.75}},
+                        {4, 11000, 400, 1, {2.75}},
+                        {5, 1200, 160, 1, all},
+                        {8, 1200, 160, 1, all}};
   for (const Norm norm : kNorms) {
     const Metric metric{norm};
-    for (int dim = 1; dim <= 3; ++dim) {
-      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        const WeightedSet pts =
-            lattice_points(1200, dim, seed * 101, half_by_dim[dim]);
-        // 0.25-quantized coordinates make 0.5 / 1.0 exact-boundary radii;
-        // r = 0 joins exact duplicates only and never builds a grid.
-        for (const double radius : {0.0, 0.5, 1.0, 2.75}) {
+    for (const Case& c : cases) {
+      const std::size_t grid_switch = GreedyCover::grid_switch(c.dim);
+      for (std::uint64_t seed = 1; seed <= c.seeds; ++seed) {
+        WeightedSet pts = lattice_points(c.n, c.dim, seed * 101, c.half);
+        const WeightedSet dense = lattice_points(400, c.dim, seed * 103, 12);
+        pts.insert(pts.end(), dense.begin(), dense.end());
+        for (const double radius : c.radii) {
           SCOPED_TRACE(std::string(metric.name()) + " d=" +
-                       std::to_string(dim) + " r=" + std::to_string(radius));
+                       std::to_string(c.dim) + " r=" + std::to_string(radius));
           const MiniBallCovering ref =
               reference::mbc_with_radius_scalar(pts, radius, metric);
-          if (radius > 0.0) {
-            EXPECT_GT(ref.reps.size(), kGridSwitchReps);
+          if (c.dim >= 5) {
+            EXPECT_LT(ref.reps.size(), grid_switch);
+          } else if (radius > 0.0) {
+            EXPECT_GT(ref.reps.size(), grid_switch);
           }
           expect_same_covering(mbc_with_radius(pts, radius, metric), ref);
         }

@@ -1,8 +1,8 @@
 // Differential tests of the constant-time streaming insert paths against the
 // reference copies in stream_reference.hpp: the ring-buffered sliding-window
-// clusters with their running record count, and the grid-indexed first-rep
-// probe of the insertion-only coreset.  After every arrival the library and
-// the reference must agree on every output, bit for bit.
+// clusters with their running record count, and the insertion-only
+// coreset's GreedyCover (its scan and its grid probe).  After every arrival
+// the library and the reference must agree on every output, bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -212,41 +212,49 @@ TEST(StreamDifferential, SlidingWindowMatchesReferenceOnJoinRadiusLattice) {
         }
 }
 
+/// k by dimension for the insertion-only differentials: at ε = 1 the
+/// thresholds k·16^d + z are 400 + z, 1280 + z and 4096 + z, past the
+/// cover's scan→grid switch (384, 1152 and 3456 reps), so a stream that
+/// recompresses has run both probes.
+constexpr int kStreamK[] = {0, 25, 5, 1};
+
 TEST(StreamDifferential, InsertionOnlyMatchesReferenceOnRandomStreams) {
-  // k = 1, ε = 1: thresholds 16 + z, 256 + z and 4096 + z, so every stream
-  // recompresses, and the grid probe (3^d ≤ |P*|) and the scan both run.
   for (const Norm norm : kNorms)
     for (int dim = 1; dim <= 3; ++dim)
       for (const std::int64_t z : {0, 1, 7}) {
         SCOPED_TRACE(label(norm, dim, z));
         const Metric metric{norm};
-        InsertionOnlyStream s(1, z, 1.0, dim, metric);
-        reference::InsertionOnlyStream ref(1, z, 1.0, dim, metric);
+        const int k = kStreamK[dim];
+        InsertionOnlyStream s(k, z, 1.0, dim, metric);
+        reference::InsertionOnlyStream ref(k, z, 1.0, dim, metric);
         const std::size_t n = dim == 3 ? 5000 : 2000;
         drive_streams(s, ref, random_stream(n, dim, 100.0, 41 + dim), 7);
         if (HasFailure()) return;
         EXPECT_GT(s.doublings(), 0);
+        EXPECT_GT(s.peak_size(), GreedyCover::grid_switch(dim));
       }
 }
 
 TEST(StreamDifferential, InsertionOnlyMatchesReferenceOnJoinRadiusLattice) {
   // The bootstrap distance is s, so with ε = 1 the join radius is
   // s·2^(doublings − 2): lattice neighbours tie with it exactly once two
-  // doublings have happened, and the lattice points sit on cell boundaries
-  // throughout.
+  // doublings have happened, and the lattice points sit on the grid
+  // probe's cell boundaries throughout.
   for (const Norm norm : kNorms)
     for (int dim = 1; dim <= 3; ++dim)
       for (const double s : {1.0, 0.1, 3.0}) {
         SCOPED_TRACE(label(norm, dim, 0) + " s=" + std::to_string(s));
         const Metric metric{norm};
-        InsertionOnlyStream st(1, 0, 1.0, dim, metric);
-        reference::InsertionOnlyStream ref(1, 0, 1.0, dim, metric);
-        // d = 3 needs 4096 distinct sites before its first recompression.
-        const int side = dim == 1 ? 400 : dim == 2 ? 60 : 17;
+        InsertionOnlyStream st(kStreamK[dim], 0, 1.0, dim, metric);
+        reference::InsertionOnlyStream ref(kStreamK[dim], 0, 1.0, dim, metric);
+        // Each d needs its threshold's worth of distinct sites before its
+        // first recompression.
+        const int side = dim == 1 ? 1000 : dim == 2 ? 60 : 17;
         const std::size_t n = dim == 3 ? 4400 : 2000;
         drive_streams(st, ref, lattice_stream(n, dim, s, side, 51), 9);
         if (HasFailure()) return;
         EXPECT_GE(st.doublings(), 2);
+        EXPECT_GT(st.peak_size(), GreedyCover::grid_switch(dim));
       }
 }
 

@@ -11,9 +11,9 @@ namespace kc {
 namespace {
 
 TEST(Umbrella, ExposesCoreTypes) {
-  ParamsKZ params;
-  EXPECT_EQ(params.k, 1);
-  EXPECT_EQ(params.z, 0);
+  const Solution sol;
+  EXPECT_TRUE(sol.centers.empty());
+  EXPECT_EQ(sol.radius, 0.0);
 
   const Point p{1.0, 2.0};
   EXPECT_EQ(p.dim(), 2);
