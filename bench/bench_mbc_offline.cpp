@@ -17,6 +17,10 @@
 // --quick), recorded to the JSON bench log (--json <path>) so the perf
 // trajectory has committed points — see BENCH_hotpaths.json at the repo
 // root.
+//
+// Part 6 is the HOTPATH timing of the MPC input partition: EvenSorted and
+// Random `partition_points` of n = 1e6 planted points (1e5 under --quick)
+// over m = 16 machines, the median of 5 calls each.
 
 #include <algorithm>
 #include <cstdio>
@@ -27,6 +31,7 @@
 #include "core/mbc.hpp"
 #include "core/verify.hpp"
 #include "geometry/kernels.hpp"
+#include "mpc/partition.hpp"
 #include "stream/insertion_only.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -455,6 +460,40 @@ int main(int argc, char** argv) {
     shape_note("the fused SoA path sustains the highest points/sec; the "
                "gap to scalar_aos widens with dimension (contiguous "
                "columns amortize the query broadcast)");
+  }
+
+  // ---- Part 6: the MPC input partition --------------------------------------
+  {
+    const std::size_t n = quick ? 100000 : 1000000;
+    const int m = 16;
+    constexpr int kReps = 5;
+    std::printf("\n[HOTPATH] partition_points at n=%zu, m=%d (median of "
+                "%d calls):\n", n, m, kReps);
+    const auto inst = standard_instance(n, 3, 16, seed + 6);
+    Table t({"partition", "ms", "largest part"});
+    for (const mpc::PartitionKind kind :
+         {mpc::PartitionKind::EvenSorted, mpc::PartitionKind::Random}) {
+      std::vector<double> ms;
+      std::size_t largest = 0;
+      for (int rep = 0; rep < kReps; ++rep) {
+        Timer timer;
+        const auto parts = mpc::partition_points(inst.points, m, kind, seed);
+        ms.push_back(timer.millis());
+        for (const auto& part : parts)
+          largest = std::max(largest, part.size());
+      }
+      std::sort(ms.begin(), ms.end());
+      const double median_ms = ms[kReps / 2];
+      t.add_row({mpc::partition_name(kind), fmt(median_ms, 1),
+                 fmt_count(static_cast<long long>(largest))});
+      json.record("hotpath_partition",
+                  {{"n", static_cast<long long>(n)},
+                   {"m", m},
+                   {"partition", mpc::partition_name(kind)},
+                   {"reps", kReps},
+                   {"wall_ms", median_ms}});
+    }
+    t.print();
   }
   return 0;
 }

@@ -13,29 +13,25 @@
 #include <vector>
 
 #include "geometry/point.hpp"
-#include "util/rng.hpp"
 
 namespace kc::mpc {
 
 enum class PartitionKind : std::uint8_t {
   Random,       ///< each point to a uniform machine (1-round assumption)
-  EvenSorted,   ///< sort by first coordinate, equal contiguous blocks —
-                ///< clusters and outliers concentrate (adversarial)
+  EvenSorted,   ///< equal contiguous blocks of the points in (x, index)
+                ///< order — clusters and outliers concentrate (adversarial)
   RoundRobin,   ///< deterministic even spread in input order
 };
 
-/// Index-level split of `pts` over m machines: part r lists the indices of
-/// the points machine r receives, in that machine's arrival order.  The
-/// copy-free layer under `partition_points` — consumers that hold the
-/// points in a SoA buffer gather slices from these instead of materializing
-/// per-machine AoS sets.
-[[nodiscard]] std::vector<std::vector<std::uint32_t>> partition_indices(
-    const WeightedSet& pts, int m, PartitionKind kind, std::uint64_t seed);
-
-/// Splits `pts` over m machines.  EvenSorted and RoundRobin yield sizes
-/// differing by at most 1 ("evenly"); Random is even in expectation.
-/// Implemented as a gather over `partition_indices` — the two views of a
-/// partition always agree.
+/// Splits `pts` (at most 2^32 − 1 points) over m machines; part r is what
+/// machine r receives, in its arrival order.
+///  * Random: each point, in input order, to machine `Rng(seed).uniform(m)`;
+///    even in expectation.
+///  * EvenSorted: sort the points by first coordinate x, ties by input
+///    index, with −0.0 equal to +0.0; machine r takes the sorted ranks
+///    [⌈r·n/m⌉, ⌈(r+1)·n/m⌉).
+///  * RoundRobin: point i to machine i mod m.
+/// EvenSorted and RoundRobin part sizes differ by at most 1 ("evenly").
 [[nodiscard]] std::vector<WeightedSet> partition_points(
     const WeightedSet& pts, int m, PartitionKind kind, std::uint64_t seed);
 

@@ -21,6 +21,10 @@
 //    center relaxes all n keys through the chunk-parallel relax kernel, as
 //    `traverse` (core/gonzalez.cpp) did before it pruned the clusters a
 //    new center cannot reach (tests/test_gonzalez.cpp).
+//  * `even_sorted_partition` — the EvenSorted split as a comparison sort:
+//    a stable sort of the indices by x (so −0.0 and +0.0 tie), then equal
+//    contiguous blocks, which `mpc::partition_points` (mpc/partition.cpp)
+//    computes with a radix sort of x's key bits (tests/test_mpc_simulator.cpp).
 
 #pragma once
 
@@ -39,6 +43,7 @@
 #include "core/solver.hpp"
 #include "core/types.hpp"
 #include "geometry/kernels.hpp"
+#include "geometry/point.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 
@@ -234,6 +239,24 @@ inline GonzalezResult gonzalez_full(
     }
     return res;
   });
+}
+
+/// Machine r's points under EvenSorted: the indices stably sorted by first
+/// coordinate (`<` ties −0.0 with +0.0), then machine ⌊rank·m/n⌋.
+inline std::vector<WeightedSet> even_sorted_partition(const WeightedSet& pts,
+                                                      int m) {
+  KC_EXPECTS(m >= 1);
+  const std::size_t n = pts.size();
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return pts[a].p[0] < pts[b].p[0];
+                   });
+  std::vector<WeightedSet> parts(static_cast<std::size_t>(m));
+  for (std::size_t rank = 0; rank < n; ++rank)
+    parts[rank * static_cast<std::size_t>(m) / n].push_back(pts[order[rank]]);
+  return parts;
 }
 
 }  // namespace kc::reference
