@@ -55,6 +55,8 @@ struct CharikarRun {
 /// fans the initial candidate-weight pass out over deterministic chunks —
 /// same results at every thread count. `buffer` (optional) is a prebuilt SoA
 /// buffer of `pts` in the same order; when null the pass packs one.
+// kc-lint-allow(exports): GridEquivalence.CharikarRunMatchesScalarReference
+// (tests/test_kernels.cpp) compares it with reference::charikar_run_scalar.
 [[nodiscard]] CharikarRun charikar_run(const WeightedSet& pts, int k,
                                        std::int64_t z, double r,
                                        const Metric& metric,

@@ -65,6 +65,8 @@ class OutlierTail {
 /// `buf` (optional) is a prebuilt SoA buffer of `pts` in the same order
 /// (e.g. the workload's canonical buffer); when null or stale (size
 /// mismatch) `pts` is packed into one here.
+// kc-lint-allow(exports): Cost.NearestCenterDist and
+// CostReference.SweepAndClassifyMatchAosReference pin the per-point sweep.
 [[nodiscard]] std::vector<double> nearest_center_dist(
     const WeightedSet& pts, const PointSet& centers, const Metric& metric,
     const kernels::PointBuffer* buf = nullptr);

@@ -97,6 +97,9 @@ class GreedyCover {
 
   /// Representative count at which the probe switches from the scan to the
   /// grid: kCoverGridFactor·3^dim.
+  // kc-lint-allow(exports): the cover and stream differentials
+  // (GridEquivalence.MbcWithRadiusMatchesScalarReference,
+  // StreamDifferential.*) size their inputs to cross the scan→grid switch.
   [[nodiscard]] static std::size_t grid_switch(int dim) noexcept;
 
  private:

@@ -17,6 +17,8 @@ namespace kc {
 ///  * total weight is preserved,
 ///  * every representative is an input point (subset property).
 /// Returns true iff all hold.
+// kc-lint-allow(exports): PAPER.md row for Definition 2, checked by
+// tests/test_mbc.cpp.
 [[nodiscard]] bool check_mbc_structure(const WeightedSet& input,
                                        const MiniBallCovering& mbc);
 
@@ -30,6 +32,8 @@ namespace kc {
 /// Representatives pairwise strictly farther than `radius` apart — the
 /// separation invariant the greedy pass maintains (drives the Lemma-6/7
 /// size bounds).
+// kc-lint-allow(exports): PAPER.md row for Definition 2, checked by
+// tests/test_mbc.cpp.
 [[nodiscard]] bool check_separation(const WeightedSet& reps, double radius,
                                     const Metric& metric);
 
@@ -37,6 +41,8 @@ namespace kc {
 /// radius r) feasible on the coreset (uncovered coreset weight ≤ z), the
 /// expanded balls with radius r + slack must leave uncovered weight ≤ z on
 /// the original set.  Returns true iff that holds.
+// kc-lint-allow(exports): PAPER.md row for Definition 1, checked by
+// tests/test_mbc.cpp and tests/test_engine.cpp.
 [[nodiscard]] bool check_expansion_property(const WeightedSet& original,
                                             const WeightedSet& coreset,
                                             const PointSet& centers,

@@ -106,6 +106,8 @@ class KcbSource final : public DataSource {
   }
   [[nodiscard]] std::string describe() const override { return path_; }
 
+  // kc-lint-allow(exports): KcbFormatTest.ChunksAliasTheMappingPointerIdentity
+  // checks that chunks point into this mapping, not into a copy.
   [[nodiscard]] const MappedKcb& mapped() const noexcept { return map_; }
 
  private:
@@ -144,10 +146,10 @@ class GeneratedSource final : public DataSource {
       std::uint64_t offset, std::size_t count) override;
   [[nodiscard]] std::string describe() const override;
 
+ private:
   /// Point i's coordinates (length dim) — the pure per-index function.
   void point_at(std::uint64_t i, double* out) const;
 
- private:
   GeneratedConfig cfg_;
   std::vector<double> centers_;  ///< k lattice centers, row-major k×dim
   std::vector<double> box_lo_, box_hi_;
@@ -189,8 +191,6 @@ class ChunkedReader {
     pos_ = 0;
     last_count_ = old_count_ = 0;
   }
-
-  [[nodiscard]] std::size_t chunk_points() const noexcept { return chunk_; }
 
  private:
   DataSource& src_;

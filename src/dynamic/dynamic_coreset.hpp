@@ -120,10 +120,16 @@ class DynamicCoreset {
 
   /// Every non-empty cell of `level` with its exact count, or nullopt when
   /// S(G_level) does not decode.
+  // kc-lint-allow(exports): the update_batch differential
+  // (DynamicCoreset.UpdateBatchMatchesUpdateOnRandomSplits) compares the
+  // sketch state level by level.
   [[nodiscard]] std::optional<std::vector<std::pair<std::uint64_t, std::int64_t>>>
   recover_level(int level) const;
 
   /// F(G_level)'s estimate of the number of non-empty cells of `level`.
+  // kc-lint-allow(exports): the update_batch differential
+  // (DynamicCoreset.UpdateBatchMatchesUpdateOnRandomSplits) compares the
+  // sketch state level by level.
   [[nodiscard]] double f0_estimate(int level) const {
     return f0_[static_cast<std::size_t>(level)].estimate();
   }
@@ -164,6 +170,8 @@ inline constexpr std::int64_t kMaxSampleBudget =
                                             sizeof(sketch::OneSparseCell));
 
 /// s = k(4√d/ε)^d + z as an integer; requires s ≤ kMaxSampleBudget.
+// kc-lint-allow(exports): DynamicCoreset.SampleBudgetBound checks the
+// int64 result at ~1.2e16, past any budget a DynamicCoreset can allocate.
 [[nodiscard]] std::int64_t dynamic_sample_budget(int k, std::int64_t z,
                                                  double eps, int dim);
 

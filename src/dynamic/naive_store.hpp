@@ -1,8 +1,8 @@
 // Baseline for the fully dynamic model: an exact multiset point store.
 //
 // This is what the Ω(n)-space dynamic algorithms the paper compares against
-// ([28], [6]) fundamentally keep: every live point.  Queries are exact
-// (the store *is* the live set), updates are O(log n), but storage grows
+// ([28], [6]) fundamentally keep: every live point.  The store holds the
+// exact live multiset, updates are O(log n), but storage grows
 // linearly with the live-set size — the row against which Algorithm 5's
 // polylog(Δ) sketch words are compared in the T1-DYN bench.
 
@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "geometry/grid.hpp"
 #include "geometry/point.hpp"
@@ -31,19 +30,6 @@ class NaivePointStore {
     if (cnt == 0) counts_.erase(key);
     live_ += sign;
     peak_entries_ = std::max(peak_entries_, counts_.size());
-  }
-
-  /// The exact live multiset as a weighted set.
-  [[nodiscard]] WeightedSet live_set() const {
-    WeightedSet out;
-    out.reserve(counts_.size());
-    for (const auto& [key, cnt] : counts_) {
-      Point p(dim_);
-      for (int i = 0; i < dim_; ++i)
-        p[i] = static_cast<double>(key[static_cast<std::size_t>(i)]);
-      out.push_back({p, cnt});
-    }
-    return out;
   }
 
   [[nodiscard]] std::int64_t live_points() const noexcept { return live_; }

@@ -53,13 +53,6 @@ double Box::diameter(const Metric& metric) const {
   return metric.dist(lo_, hi_);
 }
 
-Box bounding_box(const PointSet& pts) {
-  KC_EXPECTS(!pts.empty());
-  Box b = Box::empty(pts.front().dim());
-  for (const auto& p : pts) b.extend(p);
-  return b;
-}
-
 Spread compute_spread(const PointSet& pts, const Metric& metric) {
   Spread s;
   s.d_min = std::numeric_limits<double>::infinity();

@@ -33,9 +33,6 @@ class Box {
   bool empty_ = true;
 };
 
-/// Bounding box of a point set.
-[[nodiscard]] Box bounding_box(const PointSet& pts);
-
 /// Spread statistics of a point set: the largest and smallest non-zero
 /// pairwise distance (brute force — intended for tests and the lower-bound
 /// constructions, whose sizes are modest).

@@ -88,10 +88,10 @@ class GridHierarchy {
   /// (the representative used by the relaxed coreset).
   [[nodiscard]] Point cell_center(std::uint64_t id, int level) const;
 
-  /// Lower corner (integer) of the cell — used in tests.
+ private:
+  /// Lower corner (integer) of the cell.
   [[nodiscard]] GridPoint cell_corner(std::uint64_t id, int level) const;
 
- private:
   std::int64_t delta_;
   int dim_;
   int levels_;

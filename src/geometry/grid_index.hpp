@@ -41,7 +41,6 @@ class GridIndex {
   /// cell_width must be > 0; dim in [1, Point::kMaxDim].
   GridIndex(double cell_width, int dim);
 
-  [[nodiscard]] double cell_width() const noexcept { return width_; }
   [[nodiscard]] int dim() const noexcept { return dim_; }
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
 

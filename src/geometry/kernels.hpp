@@ -238,8 +238,6 @@ inline void min_keys_fixed(const Buf& buf, const double* q, double* keys,
 #pragma GCC diagnostic pop
 #endif
 
-}  // namespace detail
-
 /// `compute_keys_generic` restricted to the index range [begin, end): the
 /// retained column-at-a-time reference pass (the historical PR-2 kernel).
 /// Per-point accumulation is dimension-ascending regardless of the range
@@ -271,12 +269,6 @@ inline void compute_keys_generic_range(const Buf& buf, const double* q,
   }
 }
 
-template <Norm N, typename Buf>
-inline void compute_keys_generic(const Buf& buf, const double* q,
-                                 double* out) noexcept {
-  compute_keys_generic_range<N>(buf, q, out, 0, buf.size());
-}
-
 /// Writes the distance key of every buffered point to `q` into out[begin,
 /// end).  Dispatches on the buffer's dimension to the fused vectorized
 /// bodies; bit-identical to `compute_keys_generic_range` for every
@@ -285,19 +277,27 @@ template <Norm N, typename Buf>
 inline void compute_keys_range(const Buf& buf, const double* q, double* out,
                                std::size_t begin, std::size_t end) noexcept {
   switch (buf.dim()) {
-    case 1: detail::compute_keys_fixed<N, 1>(buf, q, out, begin, end); return;
-    case 2: detail::compute_keys_fixed<N, 2>(buf, q, out, begin, end); return;
-    case 3: detail::compute_keys_fixed<N, 3>(buf, q, out, begin, end); return;
-    case 4: detail::compute_keys_fixed<N, 4>(buf, q, out, begin, end); return;
-    case 8: detail::compute_keys_fixed<N, 8>(buf, q, out, begin, end); return;
+    case 1: compute_keys_fixed<N, 1>(buf, q, out, begin, end); return;
+    case 2: compute_keys_fixed<N, 2>(buf, q, out, begin, end); return;
+    case 3: compute_keys_fixed<N, 3>(buf, q, out, begin, end); return;
+    case 4: compute_keys_fixed<N, 4>(buf, q, out, begin, end); return;
+    case 8: compute_keys_fixed<N, 8>(buf, q, out, begin, end); return;
     default: compute_keys_generic_range<N>(buf, q, out, begin, end); return;
   }
+}
+
+}  // namespace detail
+
+template <Norm N, typename Buf>
+inline void compute_keys_generic(const Buf& buf, const double* q,
+                                 double* out) noexcept {
+  detail::compute_keys_generic_range<N>(buf, q, out, 0, buf.size());
 }
 
 template <Norm N, typename Buf>
 inline void compute_keys(const Buf& buf, const double* q,
                          double* out) noexcept {
-  compute_keys_range<N>(buf, q, out, 0, buf.size());
+  detail::compute_keys_range<N>(buf, q, out, 0, buf.size());
 }
 
 struct RelaxResult {
@@ -408,7 +408,7 @@ inline void min_keys(const Buf& buf, const double* q, double* keys,
     case 8: detail::min_keys_fixed<N, 8>(buf, q, keys, 0, n); return;
     default: break;
   }
-  compute_keys_generic_range<N>(buf, q, scratch, 0, n);
+  detail::compute_keys_generic_range<N>(buf, q, scratch, 0, n);
   for (std::size_t i = 0; i < n; ++i)
     if (scratch[i] < keys[i]) keys[i] = scratch[i];
 }
@@ -437,7 +437,7 @@ template <Norm N, typename Buf>
   double tmp[kFirstWithinBlock];
   for (std::size_t b = p; b < n; b += kFirstWithinBlock) {
     const std::size_t len = std::min(kFirstWithinBlock, n - b);
-    compute_keys_range<N>(buf.view(b, len), q, tmp, 0, len);
+    detail::compute_keys_range<N>(buf.view(b, len), q, tmp, 0, len);
     for (std::size_t i = 0; i < len; ++i)
       if (tmp[i] <= key_thresh) return b + i;
   }
@@ -462,9 +462,9 @@ template <Norm N, typename Buf>
   return sum;
 }
 
-/// Marks every uncovered candidate within the key threshold as covered,
-/// invoking `on_covered(j)` once per newly covered index, and returns the
-/// total weight removed (the Charikar 3r-ball removal).
+namespace detail {
+
+/// The serial body of `mark_within_parallel`.
 template <Norm N, typename Buf, typename F>
 inline std::int64_t mark_within(const Buf& buf, const std::uint32_t* idx,
                                 std::size_t m, const double* q,
@@ -482,6 +482,8 @@ inline std::int64_t mark_within(const Buf& buf, const std::uint32_t* idx,
   }
   return removed;
 }
+
+}  // namespace detail
 
 // Default chunk grain of the parallel kernels: below this many points the
 // serial kernel wins (chunk dispatch costs more than the scan).
@@ -514,13 +516,15 @@ inline RelaxResult relax_min_keys_parallel(const Buf& buf, const double* q,
   return res;
 }
 
-/// Chunk-parallel `mark_within`.  The candidate filter (the distance scan)
-/// runs concurrently with `covered` read-only; the mutation — marking,
-/// weight removal, `on_covered` — is applied on the calling thread in
-/// ascending chunk order, with the already-covered re-check preserved, so
-/// the covered set, the removed weight, and the `on_covered` invocation
-/// order all match the serial kernel exactly (even when idx holds
-/// duplicates).
+/// Marks every uncovered candidate within the key threshold as covered,
+/// invoking `on_covered(j)` once per newly covered index, and returns the
+/// total weight removed (the Charikar 3r-ball removal).  The candidate
+/// filter (the distance scan) runs concurrently with `covered` read-only;
+/// the mutation — marking, weight removal, `on_covered` — is applied on the
+/// calling thread in ascending chunk order, with the already-covered
+/// re-check preserved, so the covered set, the removed weight, and the
+/// `on_covered` invocation order all match the serial kernel exactly (even
+/// when idx holds duplicates).
 template <Norm N, typename Buf, typename F>
 inline std::int64_t mark_within_parallel(const Buf& buf,
                                          const std::uint32_t* idx,
@@ -531,8 +535,8 @@ inline std::int64_t mark_within_parallel(const Buf& buf,
                                          ThreadPool* pool,
                                          std::size_t grain = kParallelGrain) {
   if (pool == nullptr || pool->num_threads() <= 1 || m <= grain)
-    return mark_within<N>(buf, idx, m, q, key_thresh, w, covered,
-                          std::forward<F>(on_covered));
+    return detail::mark_within<N>(buf, idx, m, q, key_thresh, w, covered,
+                                  std::forward<F>(on_covered));
   const std::size_t chunks = pool->chunk_count(m, grain);
   std::vector<std::vector<std::uint32_t>> hits(chunks);
   pool->parallel_for_chunks(

@@ -7,8 +7,7 @@
 // trivially copyable wrapper around a `Norm`; its distance calls are the
 // inline kernels of geometry/kernels.hpp, so a per-item call pays no
 // out-of-line call and no branch beyond the norm dispatch.  The doubling
-// dimension of R^d is Θ(d) under each norm; `doubling_dimension` returns
-// the constant the size bounds use.
+// dimension of R^d is Θ(d) under each norm.
 
 #pragma once
 
@@ -50,12 +49,6 @@ class Metric {
   [[nodiscard]] double dist_to_key(double r) const noexcept {
     return kernels::dist_to_key(norm_, r);
   }
-
-  /// Doubling dimension of (R^d, norm): the smallest D such that every ball
-  /// is covered by 2^D balls of half the radius.  For L∞ it is exactly d;
-  /// for L2/L1 it is Θ(d) (we return d as the conventional parameter of the
-  /// size bounds).
-  [[nodiscard]] static int doubling_dimension(int dim) noexcept { return dim; }
 
   [[nodiscard]] const char* name() const noexcept;
 

@@ -48,11 +48,4 @@ WeightedSet with_unit_weights(const PointSet& s) {
   return out;
 }
 
-PointSet strip_weights(const WeightedSet& s) {
-  PointSet out;
-  out.reserve(s.size());
-  for (const auto& wp : s) out.push_back(wp.p);
-  return out;
-}
-
 }  // namespace kc

@@ -106,7 +106,4 @@ using WeightedSet = std::vector<WeightedPoint>;
 /// Lifts an unweighted set to unit weights.
 [[nodiscard]] WeightedSet with_unit_weights(const PointSet& s);
 
-/// Drops weights (used where only geometry matters, e.g. plotting extents).
-[[nodiscard]] PointSet strip_weights(const WeightedSet& s);
-
 }  // namespace kc

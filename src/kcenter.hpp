@@ -102,7 +102,6 @@
 #include "lowerbound/sliding_lb.hpp"
 
 // workload — reproducible instance generators and stream drivers.
-#include "workload/adversarial.hpp"
 #include "workload/generators.hpp"
 #include "workload/streams.hpp"
 

@@ -176,10 +176,6 @@ struct FaultStats {
   /// valid (k, z + lost_weight) solution, but the pipeline's registered
   /// quality bound is no longer certified.  Reports must carry this flag.
   bool degraded = false;
-
-  [[nodiscard]] bool injected_any() const noexcept {
-    return crashes > 0 || drops > 0 || truncations > 0 || straggles > 0;
-  }
 };
 
 /// Plan + policy + accounting + the permanent dead set, shared by one

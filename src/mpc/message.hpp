@@ -75,14 +75,10 @@ class PointPayload {
   /// Delivered rows unpacked to the AoS boundary type.
   [[nodiscard]] WeightedSet unpack() const {
     WeightedSet out;
-    append_to(out);
-    return out;
-  }
-
-  void append_to(WeightedSet& out) const {
-    out.reserve(out.size() + shipped_);
+    out.reserve(shipped_);
     for (std::size_t i = 0; i < shipped_; ++i)
       out.push_back({coords_.point(i), weights_[i]});
+    return out;
   }
 
   /// Serialization access (mpc/wire.hpp): every packed row, including the

@@ -37,8 +37,7 @@ T get(const std::uint8_t* p) noexcept {
   return v;
 }
 
-}  // namespace
-
+/// Exact frame size of `encode(msg)` in bytes.
 std::size_t encoded_size(const Message& msg) noexcept {
   const std::size_t full = msg.payload.full_size();
   const auto dim =
@@ -47,6 +46,8 @@ std::size_t encoded_size(const Message& msg) noexcept {
          sizeof(double) * dim * full + sizeof(std::int64_t) * full +
          kChecksumBytes;
 }
+
+}  // namespace
 
 std::vector<std::uint8_t> encode(const Message& msg) {
   const auto& payload = msg.payload;

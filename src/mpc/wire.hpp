@@ -41,9 +41,6 @@ namespace kc::mpc::wire {
 
 inline constexpr std::uint32_t kMagic = 0x4B435731u;  // 'KCW1'
 
-/// Exact frame size of `encode(msg)` in bytes.
-[[nodiscard]] std::size_t encoded_size(const Message& msg) noexcept;
-
 /// Serializes a message into one checksummed frame.
 [[nodiscard]] std::vector<std::uint8_t> encode(const Message& msg);
 

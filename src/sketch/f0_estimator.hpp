@@ -58,7 +58,6 @@ class F0Estimator {
   [[nodiscard]] double estimate() const;
 
   [[nodiscard]] std::uint64_t point() const noexcept { return point_; }
-  [[nodiscard]] std::size_t sample_capacity() const noexcept { return s0_; }
   [[nodiscard]] std::size_t words() const;
 
  private:

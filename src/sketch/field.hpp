@@ -13,6 +13,8 @@ namespace kc::sketch {
 
 inline constexpr std::uint64_t kPrime = (std::uint64_t{1} << 61) - 1;
 
+namespace detail {
+
 /// Reduction of a 128-bit value modulo 2^61−1.
 [[nodiscard]] constexpr std::uint64_t reduce128(__uint128_t x) noexcept {
   // Fold twice: x = hi·2^61 + lo ≡ hi + lo (mod p).
@@ -23,6 +25,8 @@ inline constexpr std::uint64_t kPrime = (std::uint64_t{1} << 61) - 1;
   if (r >= kPrime) r -= kPrime;
   return r;
 }
+
+}  // namespace detail
 
 [[nodiscard]] constexpr std::uint64_t add_mod(std::uint64_t a,
                                               std::uint64_t b) noexcept {
@@ -38,7 +42,7 @@ inline constexpr std::uint64_t kPrime = (std::uint64_t{1} << 61) - 1;
 
 [[nodiscard]] constexpr std::uint64_t mul_mod(std::uint64_t a,
                                               std::uint64_t b) noexcept {
-  return reduce128(static_cast<__uint128_t>(a) * b);
+  return detail::reduce128(static_cast<__uint128_t>(a) * b);
 }
 
 [[nodiscard]] constexpr std::uint64_t pow_mod(std::uint64_t base,

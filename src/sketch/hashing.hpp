@@ -58,15 +58,6 @@ class PolyHash {
     return eval(embed_key(key));
   }
 
-  /// The polynomial at an already embedded key x = embed_key(key).
-  [[nodiscard]] std::uint64_t eval(std::uint64_t x) const noexcept;
-
-  /// Hash value in [0, range), range ≥ 1 (negligible modulo bias: p ≫ range).
-  [[nodiscard]] std::uint64_t bucket(std::uint64_t key,
-                                     std::uint64_t range) const noexcept {
-    return (*this)(key) % range;
-  }
-
   /// Hash value in [0, 1).
   [[nodiscard]] double unit(std::uint64_t key) const noexcept {
     return static_cast<double>((*this)(key)) /
@@ -83,10 +74,6 @@ class PolyHash {
   /// level() at an already embedded key.
   [[nodiscard]] int level_at(std::uint64_t x, int max_level) const noexcept;
 
-  [[nodiscard]] int independence() const noexcept {
-    return static_cast<int>(coeffs_.size());
-  }
-
   /// Coefficients, highest degree first (the Horner order).
   [[nodiscard]] std::span<const std::uint64_t> coefficients() const noexcept {
     return coeffs_;
@@ -94,6 +81,9 @@ class PolyHash {
 
  private:
   std::vector<std::uint64_t> coeffs_;  // degree t−1 … 0
+
+  /// The polynomial at an already embedded key x = embed_key(key).
+  [[nodiscard]] std::uint64_t eval(std::uint64_t x) const noexcept;
 };
 
 }  // namespace kc::sketch

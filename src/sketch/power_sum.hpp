@@ -47,6 +47,8 @@ class PowerSumSketch {
 
   /// Decode against an explicit candidate key list (when the caller knows a
   /// superset of the support — avoids the universe scan).
+  // kc-lint-allow(exports): PowerSum.CandidateDecodeAvoidsUniverseScan and
+  // PowerSum.CandidateDecodeFailsIfSupportMissing.
   [[nodiscard]] std::optional<std::vector<Item>> decode_candidates(
       const std::vector<std::uint64_t>& candidates) const;
 

@@ -84,6 +84,8 @@ class SparseRecovery {
   [[nodiscard]] DecodeResult decode() const;
 
   /// The row hash values PolyHash(7, seed_r)(key) at x = embed_key(key).
+  // kc-lint-allow(exports): SparseRecovery.LockstepRowHashesMatchPolyHash
+  // checks the lockstep rows against PolyHash.
   [[nodiscard]] std::array<std::uint64_t, kRows> row_hashes(
       std::uint64_t x) const noexcept {
     std::array<std::uint64_t, kRows> acc{};

@@ -63,7 +63,6 @@ InsertionOnlyStream::InsertionOnlyStream(int k, std::int64_t z, double eps,
 }
 
 void InsertionOnlyStream::insert_weighted(const Point& p, std::int64_t w) {
-  ++seen_;
   // Join a representative within (ε/2)·r, or become one.  While r == 0
   // this absorbs exact duplicates only.
   cover_.add(p, w);
@@ -96,24 +95,6 @@ void InsertionOnlyStream::insert_weighted(const Point& p, std::int64_t w) {
     for (const auto& rep : cover_.reps()) next.add(rep.p, rep.w);
     cover_ = std::move(next);
   }
-}
-
-void InsertionOnlyStream::absorb(const InsertionOnlyStream& other) {
-  KC_EXPECTS(other.k_ == k_ && other.z_ == z_);
-  KC_EXPECTS(other.eps_ == eps_ && other.dim_ == dim_);
-  // max of two valid lower bounds is a valid lower bound for the union.
-  if (other.r_ > r_) {
-    r_ = other.r_;
-    cover_.set_radius((eps_ / 2.0) * r_);
-  }
-  seen_ += other.seen_;
-  for (const auto& rep : other.cover_.reps()) {
-    // Re-cover at the merged radius; weights ride along.  Reuse the
-    // insertion path minus the seen_ accounting (already added above).
-    --seen_;
-    insert_weighted(rep.p, rep.w);
-  }
-  peak_ = std::max(peak_, cover_.reps().size());
 }
 
 }  // namespace kc::stream

@@ -57,16 +57,6 @@ class InsertionOnlyStream {
   /// weights; the outlier budget z bounds outlier *weight*).
   void insert_weighted(const Point& p, std::int64_t w);
 
-  /// Mergeable-summaries extension (Lemma 4 applied to streams): absorbs
-  /// another summary built with the same (k, z, ε, metric).  The merged
-  /// lower bound is max(r, other.r) — valid because optk,z of a union
-  /// dominates optk,z of each part — and the absorbed representatives are
-  /// re-covered at radius (ε/2)·r.  The covering guarantee right after a
-  /// merge is (3/2)·ε·opt (one extra ε/2·r hop); it telescopes back to
-  /// ε·opt after subsequent doublings exactly as in Lemma 16.  Callers that
-  /// need a strict ε merge should construct the summaries with (2/3)·ε.
-  void absorb(const InsertionOnlyStream& other);
-
   /// Current coreset P*(t) — an (ε,k,z)-mini-ball covering of P(t).
   [[nodiscard]] const WeightedSet& coreset() const noexcept {
     return cover_.reps();
@@ -89,8 +79,6 @@ class InsertionOnlyStream {
   /// Number of r-doublings performed (diagnostics).
   [[nodiscard]] int doublings() const noexcept { return doublings_; }
 
-  [[nodiscard]] std::size_t points_seen() const noexcept { return seen_; }
-
  private:
   int k_;
   std::int64_t z_;
@@ -101,7 +89,6 @@ class InsertionOnlyStream {
   GreedyCover cover_;  ///< P*, at join radius (ε/2)·r
   double r_ = 0.0;
   std::size_t peak_ = 0;
-  std::size_t seen_ = 0;
   int doublings_ = 0;
 };
 

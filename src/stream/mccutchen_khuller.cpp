@@ -81,7 +81,6 @@ void McCutchenKhuller::maybe_double(Instance& inst) {
 }
 
 void McCutchenKhuller::insert(const Point& p) {
-  ++seen_;
   for (auto& inst : instances_) {
     insert_into(inst, p, 1);
     maybe_double(inst);

@@ -42,9 +42,8 @@ class McCutchenKhuller {
   /// on the stored summary; callers evaluate on ground truth for quality).
   [[nodiscard]] Solution query() const;
 
-  /// Stored points across all instances right now.
-  [[nodiscard]] std::size_t stored_points() const noexcept;
-  /// Peak over the stream so far (the measured O(kz/ε) space).
+  /// Peak stored points over the stream so far (the measured O(kz/ε)
+  /// space).
   [[nodiscard]] std::size_t peak_points() const noexcept { return peak_; }
   [[nodiscard]] int instances() const noexcept {
     return static_cast<int>(instances_.size());
@@ -66,6 +65,8 @@ class McCutchenKhuller {
   void insert_into(Instance& inst, const Point& p, std::int64_t weight);
   void maybe_double(Instance& inst);
   [[nodiscard]] WeightedSet stored_weighted(const Instance& inst) const;
+  /// Stored points across all instances right now.
+  [[nodiscard]] std::size_t stored_points() const noexcept;
 
   int k_;
   std::int64_t z_;
@@ -73,7 +74,6 @@ class McCutchenKhuller {
   Metric metric_;
   std::vector<Instance> instances_;
   std::size_t peak_ = 0;
-  std::size_t seen_ = 0;
 };
 
 }  // namespace kc::stream

@@ -59,15 +59,13 @@ JsonLog JsonLog::from_flags(const Flags& flags) {
   return log;
 }
 
-namespace {
-
-template <typename Range>
-void record_impl(const std::string& path, const std::string& tag,
-                 const std::string& experiment, const Range& fields) {
-  std::ofstream out(path, std::ios::app);
+void JsonLog::record(const std::string& experiment,
+                     const std::vector<JsonField>& fields) const {
+  if (!enabled()) return;
+  std::ofstream out(path_, std::ios::app);
   if (!out) {
     std::fprintf(stderr, "warning: cannot append bench record to %s\n",
-                 path.c_str());
+                 path_.c_str());
     return;
   }
   out << "{" << JsonField("experiment", experiment).to_json();
@@ -78,22 +76,8 @@ void record_impl(const std::string& path, const std::string& tag,
       << JsonField("peak_rss_mb",
                    static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0))
              .to_json();
-  if (!tag.empty()) out << ", " << JsonField("tag", tag).to_json();
+  if (!tag_.empty()) out << ", " << JsonField("tag", tag_).to_json();
   out << "}\n";
-}
-
-}  // namespace
-
-void JsonLog::record(const std::string& experiment,
-                     std::initializer_list<JsonField> fields) const {
-  if (!enabled()) return;
-  record_impl(path_, tag_, experiment, fields);
-}
-
-void JsonLog::record(const std::string& experiment,
-                     const std::vector<JsonField>& fields) const {
-  if (!enabled()) return;
-  record_impl(path_, tag_, experiment, fields);
 }
 
 }  // namespace kc::bench

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -33,10 +32,12 @@ class JsonField {
   JsonField(std::string key, const char* v)
       : JsonField(std::move(key), std::string(v)) {}
 
+ private:
+  friend class JsonLog;
+
   /// Serializes as `"key": value`.
   [[nodiscard]] std::string to_json() const;
 
- private:
   enum class Kind { Int, Double, Str };
   std::string key_;
   Kind kind_;
@@ -60,12 +61,8 @@ class JsonLog {
   [[nodiscard]] bool enabled() const noexcept { return !path_.empty(); }
 
   /// Appends one record: `{"experiment": ..., <fields>..., "tag": ...}`.
-  /// No-op when disabled.
-  void record(const std::string& experiment,
-              std::initializer_list<JsonField> fields) const;
-
-  /// Same, for field sets assembled at runtime (the engine reports carry a
-  /// variable number of model-specific metrics).
+  /// `fields` may be a braced list, `{{"n", n}, {"ms", ms}}`.  No-op when
+  /// disabled.
   void record(const std::string& experiment,
               const std::vector<JsonField>& fields) const;
 

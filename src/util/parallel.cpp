@@ -30,13 +30,14 @@ std::pair<std::size_t, std::size_t> chunk_range(std::size_t n,
   return {begin, begin + per + (c < rem ? 1 : 0)};
 }
 
-}  // namespace
-
+/// Values <= 0 mean "use the hardware" (`hardware_concurrency`, at least 1).
 int resolve_num_threads(int num_threads) noexcept {
   if (num_threads > 0) return num_threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(resolve_num_threads(num_threads)) {

@@ -37,16 +37,13 @@
 
 namespace kc {
 
-/// Resolves a user-facing thread-count knob: values <= 0 mean "use the
-/// hardware" (`hardware_concurrency`, at least 1).
-[[nodiscard]] int resolve_num_threads(int num_threads) noexcept;
-
 class ThreadPool {
  public:
-  /// `num_threads <= 0` resolves to `hardware_concurrency`.  The pool owns
-  /// `num_threads - 1` worker threads; the caller of `parallel_for`
-  /// participates as the remaining executor, so `num_threads == 1` is a
-  /// pure inline (sequential) pool with no threads and no locking.
+  /// `num_threads <= 0` resolves to `hardware_concurrency` (at least 1).
+  /// The pool owns `num_threads - 1` worker threads; the caller of
+  /// `parallel_for` participates as the remaining executor, so
+  /// `num_threads == 1` is a pure inline (sequential) pool with no threads
+  /// and no locking.
   explicit ThreadPool(int num_threads = 0);
   ~ThreadPool();
 
@@ -79,17 +76,6 @@ class ThreadPool {
   /// order.  Chunk `c` always covers the same range for a given
   /// (n, grain, num_threads()).
   void parallel_for_chunks(std::size_t n, std::size_t grain, const ChunkFn& fn);
-
-  /// Maps i -> fn(i) over [0, n), returning results in index order.
-  template <typename T, typename Fn>
-  [[nodiscard]] std::vector<T> parallel_map(std::size_t n, std::size_t grain,
-                                            Fn&& fn) {
-    std::vector<T> out(n);
-    parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) out[i] = fn(i);
-    });
-    return out;
-  }
 
  private:
   void worker_loop();

@@ -29,9 +29,7 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x853c49e6748fea9bULL) noexcept { reseed(seed); }
-
-  void reseed(std::uint64_t seed) noexcept {
+  explicit Rng(std::uint64_t seed = 0x853c49e6748fea9bULL) noexcept {
     std::uint64_t sm = seed;
     for (auto& s : state_) {
       sm += 0x9e3779b97f4a7c15ULL;
@@ -77,11 +75,6 @@ class Rng {
                     uniform(static_cast<std::uint64_t>(hi - lo) + 1));
   }
 
-  /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform01() noexcept {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-  }
-
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform_real(double lo, double hi) noexcept {
     return lo + (hi - lo) * uniform01();
@@ -93,11 +86,12 @@ class Rng {
   /// true with probability p.
   [[nodiscard]] bool bernoulli(double p) noexcept { return uniform01() < p; }
 
-  /// Derives an independent child generator; used to hand sub-seeds to
-  /// machines / sketches without correlating their streams.
-  [[nodiscard]] Rng fork() noexcept { return Rng(splitmix64((*this)())); }
-
  private:
+  /// Uniform double in [0, 1).
+  [[nodiscard]] double uniform01() noexcept {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }

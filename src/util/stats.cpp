@@ -12,28 +12,6 @@ void Summary::add(double x) {
   sorted_valid_ = false;
 }
 
-double Summary::mean() const {
-  KC_EXPECTS(!values_.empty());
-  double s = 0.0;
-  for (double v : values_) s += v;
-  return s / static_cast<double>(values_.size());
-}
-
-double Summary::sum() const {
-  double s = 0.0;
-  for (double v : values_) s += v;
-  return s;
-}
-
-double Summary::stddev() const {
-  KC_EXPECTS(!values_.empty());
-  if (values_.size() < 2) return 0.0;
-  const double m = mean();
-  double acc = 0.0;
-  for (double v : values_) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(values_.size() - 1));
-}
-
 void Summary::ensure_sorted() const {
   if (!sorted_valid_) {
     sorted_ = values_;

@@ -1,5 +1,5 @@
 // Small summary-statistics accumulator used by the bench harnesses to
-// aggregate repeated trials (mean / stddev / min / max / percentiles).
+// aggregate repeated trials (min / max / percentiles).
 
 #pragma once
 
@@ -14,14 +14,11 @@ class Summary {
 
   [[nodiscard]] std::size_t count() const noexcept { return values_.size(); }
   [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double stddev() const;  ///< sample standard deviation
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
   /// q in [0,1]; linear interpolation between order statistics.
   [[nodiscard]] double percentile(double q) const;
   [[nodiscard]] double median() const { return percentile(0.5); }
-  [[nodiscard]] double sum() const;
 
  private:
   std::vector<double> values_;

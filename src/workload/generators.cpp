@@ -319,20 +319,6 @@ PlantedInstance make_drifting(const PlantedConfig& cfg) {
   return inst;
 }
 
-WeightedSet make_uniform(std::size_t n, int dim, double side,
-                         std::uint64_t seed) {
-  KC_EXPECTS(std::isfinite(side) && "non-finite extent");
-  Rng rng(seed);
-  WeightedSet out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Point p(dim);
-    for (int d = 0; d < dim; ++d) p[d] = rng.uniform_real(0.0, side);
-    out.push_back({p, 1});
-  }
-  return out;
-}
-
 std::vector<GridPoint> discretize(const WeightedSet& pts, std::int64_t delta) {
   KC_EXPECTS(!pts.empty());
   Box box = Box::empty(pts.front().p.dim());

@@ -92,11 +92,6 @@ struct PlantedInstance {
 /// point); consume it with an empty arrival order.
 [[nodiscard]] PlantedInstance make_drifting(const PlantedConfig& cfg);
 
-/// Uniform noise in [0, side]^dim — used where no optimum certificate is
-/// needed (sketch stress tests, spread sweeps).
-[[nodiscard]] WeightedSet make_uniform(std::size_t n, int dim, double side,
-                                       std::uint64_t seed);
-
 /// Discretizes a real instance onto the integer grid [Δ]^dim: coordinates
 /// scaled so the bounding box fits, then rounded.  Returns grid points in
 /// the same order.  Collisions (distinct points mapping to one cell of G_0)

@@ -1,6 +1,6 @@
 #include "workload/streams.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -59,26 +59,6 @@ std::vector<std::size_t> shuffled_order(std::size_t n, std::uint64_t seed) {
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
   for (std::size_t i = n; i > 1; --i) std::swap(order[i - 1], order[rng.uniform(i)]);
-  return order;
-}
-
-std::vector<std::size_t> adversarial_order(
-    const std::vector<Point>& pts, const std::vector<std::size_t>& outliers) {
-  std::vector<bool> is_outlier(pts.size(), false);
-  for (auto i : outliers) is_outlier[i] = true;
-
-  std::vector<std::size_t> order;
-  order.reserve(pts.size());
-  for (auto i : outliers) order.push_back(i);
-
-  std::vector<std::size_t> rest;
-  rest.reserve(pts.size() - outliers.size());
-  for (std::size_t i = 0; i < pts.size(); ++i)
-    if (!is_outlier[i]) rest.push_back(i);
-  std::sort(rest.begin(), rest.end(), [&](std::size_t a, std::size_t b) {
-    return pts[a][0] < pts[b][0];
-  });
-  order.insert(order.end(), rest.begin(), rest.end());
   return order;
 }
 

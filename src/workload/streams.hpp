@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "geometry/grid.hpp"
-#include "geometry/point.hpp"
 #include "util/rng.hpp"
 
 namespace kc {
@@ -29,11 +28,5 @@ using DynamicScript = std::vector<GridUpdate>;
 /// 0..n-1 (indices into the caller's point set).
 [[nodiscard]] std::vector<std::size_t> shuffled_order(std::size_t n,
                                                       std::uint64_t seed);
-
-/// Adversarial arrival order for the streaming algorithm: outliers first
-/// (forces the algorithm to hold them), then cluster points sorted along
-/// the first axis (keeps re-clustering pressure high).
-[[nodiscard]] std::vector<std::size_t> adversarial_order(
-    const std::vector<Point>& pts, const std::vector<std::size_t>& outliers);
 
 }  // namespace kc

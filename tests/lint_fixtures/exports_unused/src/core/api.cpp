@@ -1,0 +1,15 @@
+#include "core/api.hpp"
+
+namespace fixture {
+
+int own_helper() { return 1; }
+int tool_entry() { return own_helper() + detail::internal(); }
+int bench_only() { return 2; }
+int test_only() { return 3; }
+int allowed_probe() { return 4; }
+int Widget::used() const { return hidden(); }
+int Widget::unused_member() const { return 5; }
+int Widget::hidden() const { return 6; }
+int detail::internal() { return 7; }
+
+}  // namespace fixture

@@ -211,16 +211,6 @@ class InsertionOnlyStream {
   /// weights; the outlier budget z bounds outlier *weight*).
   void insert_weighted(const Point& p, std::int64_t w);
 
-  /// Mergeable-summaries extension (Lemma 4 applied to streams): absorbs
-  /// another summary built with the same (k, z, ε, metric).  The merged
-  /// lower bound is max(r, other.r) — valid because optk,z of a union
-  /// dominates optk,z of each part — and the absorbed representatives are
-  /// re-covered at radius (ε/2)·r.  The covering guarantee right after a
-  /// merge is (3/2)·ε·opt (one extra ε/2·r hop); it telescopes back to
-  /// ε·opt after subsequent doublings exactly as in Lemma 16.  Callers that
-  /// need a strict ε merge should construct the summaries with (2/3)·ε.
-  void absorb(const InsertionOnlyStream& other);
-
   /// Current coreset P*(t) — an (ε,k,z)-mini-ball covering of P(t).
   [[nodiscard]] const WeightedSet& coreset() const noexcept { return reps_; }
 
@@ -241,8 +231,6 @@ class InsertionOnlyStream {
   /// Number of r-doublings performed (diagnostics).
   [[nodiscard]] int doublings() const noexcept { return doublings_; }
 
-  [[nodiscard]] std::size_t points_seen() const noexcept { return seen_; }
-
  private:
   int k_;
   std::int64_t z_;
@@ -253,7 +241,6 @@ class InsertionOnlyStream {
   WeightedSet reps_;
   double r_ = 0.0;
   std::size_t peak_ = 0;
-  std::size_t seen_ = 0;
   int doublings_ = 0;
 };
 
@@ -273,7 +260,6 @@ inline InsertionOnlyStream::InsertionOnlyStream(int k, std::int64_t z,
 inline void InsertionOnlyStream::insert_weighted(const Point& p,
                                                  std::int64_t w) {
   KC_EXPECTS(w > 0);
-  ++seen_;
   // Try to assign p to the first representative within (ε/2)·r.  While
   // r == 0 this absorbs exact duplicates only.
   const double join = (eps_ / 2.0) * r_;
@@ -311,21 +297,6 @@ inline void InsertionOnlyStream::insert_weighted(const Point& p,
                                                   metric_)
                 .reps;
   }
-}
-
-inline void InsertionOnlyStream::absorb(const InsertionOnlyStream& other) {
-  KC_EXPECTS(other.k_ == k_ && other.z_ == z_);
-  KC_EXPECTS(other.eps_ == eps_ && other.dim_ == dim_);
-  // max of two valid lower bounds is a valid lower bound for the union.
-  r_ = std::max(r_, other.r_);
-  seen_ += other.seen_;
-  for (const auto& rep : other.reps_) {
-    // Re-cover at the merged radius; weights ride along.  Reuse the
-    // insertion path minus the seen_ accounting (already added above).
-    --seen_;
-    insert_weighted(rep.p, rep.w);
-  }
-  peak_ = std::max(peak_, reps_.size());
 }
 
 }  // namespace kc::stream::reference

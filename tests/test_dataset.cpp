@@ -230,14 +230,14 @@ TEST(GeneratedSourceTest, BboxIsExactMinMax) {
   cfg.dim = 2;
   cfg.seed = 5;
   GeneratedSource src(cfg);
-  std::vector<double> row(2), lo(2, 1e300), hi(2, -1e300);
+  std::vector<double> lo(2, 1e300), hi(2, -1e300);
+  const auto view = src.chunk(0, cfg.n);
   for (std::uint64_t i = 0; i < cfg.n; ++i) {
-    src.point_at(i, row.data());
     for (int j = 0; j < 2; ++j) {
       lo[static_cast<std::size_t>(j)] =
-          std::min(lo[static_cast<std::size_t>(j)], row[j]);
+          std::min(lo[static_cast<std::size_t>(j)], view.col(j)[i]);
       hi[static_cast<std::size_t>(j)] =
-          std::max(hi[static_cast<std::size_t>(j)], row[j]);
+          std::max(hi[static_cast<std::size_t>(j)], view.col(j)[i]);
     }
   }
   EXPECT_EQ(src.box_lo(), lo);
@@ -301,11 +301,9 @@ TEST(ChunkedRadiusTest, MatchesInMemoryEvaluationAtEveryChunkSize) {
 
   // Materialize once for the in-memory reference.
   WeightedSet pts;
-  std::vector<double> row(2);
-  for (std::uint64_t i = 0; i < gcfg.n; ++i) {
-    src.point_at(i, row.data());
-    pts.push_back({Point(std::span<const double>(row)), 1});
-  }
+  const auto view = src.chunk(0, gcfg.n);
+  for (std::uint64_t i = 0; i < gcfg.n; ++i)
+    pts.push_back({Point{view.col(0)[i], view.col(1)[i]}, 1});
   PointSet centers{Point({0.0, 0.0}), Point({40.0, 0.0}), Point({0.0, 40.0})};
   for (const Norm norm : {Norm::L2, Norm::Linf, Norm::L1}) {
     const Metric metric{norm};
@@ -335,12 +333,10 @@ TEST(SourceWriteTest, GeneratedToKcbRoundTripsExactly) {
   EXPECT_EQ(disk.box_lo(), gen.box_lo());
   EXPECT_EQ(disk.box_hi(), gen.box_hi());
   const auto view = disk.mapped().view();
-  std::vector<double> row(2);
-  for (std::uint64_t i = 0; i < cfg.n; ++i) {
-    gen.point_at(i, row.data());
+  const auto want = gen.chunk(0, cfg.n);
+  for (std::uint64_t i = 0; i < cfg.n; ++i)
     for (int j = 0; j < 2; ++j)
-      ASSERT_EQ(view.col(j)[i], row[j]) << "row " << i;
-  }
+      ASSERT_EQ(view.col(j)[i], want.col(j)[i]) << "row " << i;
   std::remove(path.c_str());
 }
 

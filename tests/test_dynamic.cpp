@@ -96,7 +96,7 @@ TEST(DynamicCoreset, WeightsMatchLiveMultiset) {
 TEST(DynamicCoreset, ScriptEquivalentToFinalSet) {
   // Run a full insert/delete script; the final coreset must equal the one
   // obtained by inserting only the surviving points.
-  const WeightedSet pts = make_uniform(60, 2, 50.0, 5);
+  const WeightedSet pts = testing::make_uniform(60, 2, 50.0, 5);
   const auto final_set = discretize(pts, 64);
   const auto script = make_dynamic_script(final_set, 50, 64, 2, 6);
 
@@ -301,7 +301,8 @@ TEST(DynamicCoreset, GoldenQueriesAfterDeleteHeavyScripts) {
     SCOPED_TRACE(::testing::Message() << "seed " << g.seed << " delta "
                                       << g.delta << " dim " << g.dim);
     const std::size_t n = g.dim == 1 ? 20 : (g.delta == 64 ? 48 : 96);
-    auto final_set = discretize(make_uniform(n, g.dim, 1.0, g.seed), g.delta);
+    auto final_set =
+        discretize(testing::make_uniform(n, g.dim, 1.0, g.seed), g.delta);
     for (std::size_t i = 0; i < 8; ++i) final_set.push_back(final_set[i]);
     const auto script =
         make_dynamic_script(final_set, 112, g.delta, g.dim, g.seed + 100);
@@ -331,7 +332,8 @@ TEST(DynamicCoreset, GoldenQueriesThroughUpdateBatch) {
     SCOPED_TRACE(::testing::Message() << "seed " << g.seed << " delta "
                                       << g.delta << " dim " << g.dim);
     const std::size_t n = g.dim == 1 ? 20 : (g.delta == 64 ? 48 : 96);
-    auto final_set = discretize(make_uniform(n, g.dim, 1.0, g.seed), g.delta);
+    auto final_set =
+        discretize(testing::make_uniform(n, g.dim, 1.0, g.seed), g.delta);
     for (std::size_t i = 0; i < 8; ++i) final_set.push_back(final_set[i]);
     const auto script =
         make_dynamic_script(final_set, 112, g.delta, g.dim, g.seed + 100);

@@ -21,7 +21,6 @@
 #include "core/verify.hpp"
 #include "engine/registry.hpp"
 #include "test_support.hpp"
-#include "workload/adversarial.hpp"
 
 namespace kc::engine {
 namespace {
@@ -129,14 +128,14 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Robustness sweep: every registered pipeline must survive every
-// adversarial workload generator (outlier burst, near-duplicate flood,
-// heavy-tailed cluster masses) and stay within its certified quality bound
+// adversarial scenario (outlier burst, near-duplicate flood, heavy-tailed
+// cluster masses, drifting centers) and stay within its certified quality bound
 // against the scenario's still-certified planted bracket.
 TEST_P(EnginePipelineTest, SurvivesAdversarialWorkloads) {
   const std::string name = GetParam();
   const auto pipeline = registry().make(name);
   const PipelineConfig cfg = small_config();
-  for (const auto& scenario : adversarial_scenarios()) {
+  for (const auto& scenario : testing::adversarial_scenarios()) {
     SCOPED_TRACE(scenario.name);
     Workload w;
     w.planted =
@@ -163,7 +162,8 @@ TEST(AdversarialGenerators, BracketsStayCertified) {
   // The scenario families keep the certified optimum bracket structure:
   // outliers stay declared, opt_lo ≤ opt_hi, and the heavy tail plants its
   // exact mass split.
-  for (const auto& scenario : adversarial_scenarios()) {
+  const auto& scenarios = testing::adversarial_scenarios();
+  for (const auto& scenario : scenarios) {
     SCOPED_TRACE(scenario.name);
     const PlantedInstance inst =
         scenario.make(500, 4, 10, 2, Norm::L2, 7);
@@ -173,7 +173,8 @@ TEST(AdversarialGenerators, BracketsStayCertified) {
     EXPECT_LE(inst.opt_lo, inst.opt_hi * (1.0 + 1e-12));
   }
   // Burst: the z outliers form one clump of diameter ≤ 2R.
-  const PlantedInstance burst = make_outlier_burst(500, 4, 10, 2, Norm::L2, 7);
+  ASSERT_STREQ(scenarios[0].name, "outlier-burst");
+  const PlantedInstance burst = scenarios[0].make(500, 4, 10, 2, Norm::L2, 7);
   const Metric metric{Norm::L2};
   double diam = 0.0;
   for (std::size_t a : burst.outlier_indices)
@@ -181,7 +182,8 @@ TEST(AdversarialGenerators, BracketsStayCertified) {
       diam = std::max(diam, metric.dist(burst.points[a].p, burst.points[b].p));
   EXPECT_LE(diam, 2.0 * burst.config.cluster_radius + 1e-12);
   // Heavy tail: first cluster dominates (more than a third of all mass).
-  const PlantedInstance heavy = make_heavy_tailed(600, 4, 10, 2, Norm::L2, 7);
+  ASSERT_STREQ(scenarios[2].name, "heavy-tailed");
+  const PlantedInstance heavy = scenarios[2].make(600, 4, 10, 2, Norm::L2, 7);
   EXPECT_GT(heavy.config.cluster_sizes[0], (600 - 10) / 3u);
 }
 

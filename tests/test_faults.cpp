@@ -190,7 +190,11 @@ TEST(Simulator, InactiveInjectorIsNoInjector) {
     }
   });
   EXPECT_EQ(sim.inbox(0).size(), 2u);
-  EXPECT_FALSE(sim.stats().faults.injected_any());
+  const FaultStats& fs = sim.stats().faults;
+  EXPECT_EQ(fs.crashes, 0);
+  EXPECT_EQ(fs.drops, 0);
+  EXPECT_EQ(fs.truncations, 0);
+  EXPECT_EQ(fs.straggles, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -100,41 +100,6 @@ TEST(Fuzz, SlidingWindowCoversBruteForceWindowAcrossSeeds) {
   }
 }
 
-TEST(Fuzz, AbsorbedShardsMatchSingleStreamGuarantees) {
-  for (std::uint64_t seed = 2; seed <= 6; ++seed) {
-    PlantedConfig cfg;
-    cfg.n = 800;
-    cfg.k = 2;
-    cfg.z = 6;
-    cfg.dim = 1;
-    cfg.seed = seed;
-    const auto inst = make_planted(cfg);
-    const double eps = 1.0;
-
-    // Shard the stream 3 ways, absorb into one summary.
-    stream::InsertionOnlyStream shards[3] = {
-        {2, 6, eps, 1, kL2}, {2, 6, eps, 1, kL2}, {2, 6, eps, 1, kL2}};
-    for (std::size_t i = 0; i < inst.points.size(); ++i)
-      shards[i % 3].insert(inst.points[i].p);
-    stream::InsertionOnlyStream merged = shards[0];
-    merged.absorb(shards[1]);
-    merged.absorb(shards[2]);
-
-    EXPECT_EQ(total_weight(merged.coreset()),
-              static_cast<std::int64_t>(inst.points.size()))
-        << "seed " << seed;
-    EXPECT_LE(merged.r(), inst.opt_hi + 1e-9) << "seed " << seed;
-    EXPECT_LT(merged.coreset().size(), merged.threshold() + 1);
-    // Merged covering: every input within 1.5·ε·opt of some rep.
-    for (const auto& wp : inst.points) {
-      double best = 1e300;
-      for (const auto& rep : merged.coreset())
-        best = std::min(best, kL2.dist(wp.p, rep.p));
-      EXPECT_LE(best, 1.5 * eps * inst.opt_hi + 1e-9) << "seed " << seed;
-    }
-  }
-}
-
 TEST(Fuzz, WeightedPointEquivalentToDuplicates) {
   // MBC of (p, w) must equal MBC of w consecutive unit copies of p.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {

@@ -5,6 +5,7 @@
 #include "geometry/box.hpp"
 #include "geometry/metric.hpp"
 #include "geometry/point.hpp"
+#include "test_support.hpp"
 
 namespace kc {
 namespace {
@@ -35,7 +36,7 @@ TEST(WeightedSetHelpers, RoundTrip) {
   EXPECT_EQ(total_weight(ws), 2);
   ws[0].w = 5;
   EXPECT_EQ(total_weight(ws), 6);
-  EXPECT_EQ(strip_weights(ws), ps);
+  EXPECT_EQ(testing::strip_weights(ws), ps);
 }
 
 class MetricNorms : public ::testing::TestWithParam<Norm> {};
@@ -77,11 +78,6 @@ TEST(Metric, KnownValues) {
   EXPECT_DOUBLE_EQ(Metric{Norm::L1}.dist(a, b), 7.0);
 }
 
-TEST(Metric, DoublingDimensionIsDim) {
-  EXPECT_EQ(Metric::doubling_dimension(2), 2);
-  EXPECT_EQ(Metric::doubling_dimension(3), 3);
-}
-
 TEST(Box, ExtendAndContain) {
   Box b = Box::empty(2);
   EXPECT_TRUE(b.is_empty());
@@ -92,13 +88,6 @@ TEST(Box, ExtendAndContain) {
   EXPECT_FALSE(b.contains({2.0, 2.0}));
   EXPECT_DOUBLE_EQ(b.side(0), 2.0);
   EXPECT_DOUBLE_EQ(b.max_side(), 2.0);
-}
-
-TEST(Box, BoundingBoxOfSet) {
-  const PointSet pts{{0.0, 0.0}, {2.0, -1.0}, {1.0, 5.0}};
-  const Box b = bounding_box(pts);
-  EXPECT_DOUBLE_EQ(b.lo()[1], -1.0);
-  EXPECT_DOUBLE_EQ(b.hi()[1], 5.0);
 }
 
 TEST(Spread, MinMaxPairwise) {

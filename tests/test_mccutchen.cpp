@@ -55,8 +55,8 @@ TEST(McCutchenKhuller, SpaceIsBoundedByKZShape) {
   cfg.seed = 83;
   const auto inst = make_planted(cfg);
   McCutchenKhuller mk(2, 8, 0.5, kL2);
-  const auto order =
-      adversarial_order(strip_weights(inst.points), inst.outlier_indices);
+  const auto order = testing::adversarial_order(
+      testing::strip_weights(inst.points), inst.outlier_indices);
   for (auto idx : order) mk.insert(inst.points[idx].p);
   const auto cap = static_cast<std::size_t>(mk.instances()) *
                    static_cast<std::size_t>((2 + 8)) *

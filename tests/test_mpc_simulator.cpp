@@ -7,6 +7,7 @@
 #include "core_reference.hpp"
 #include "mpc/partition.hpp"
 #include "mpc/simulator.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 #include "workload/generators.hpp"
 
@@ -97,7 +98,7 @@ TEST(Simulator, InboxClearedEachRound) {
 }
 
 TEST(Partition, RoundRobinEven) {
-  const WeightedSet pts = make_uniform(103, 2, 10.0, 1);
+  const WeightedSet pts = testing::make_uniform(103, 2, 10.0, 1);
   const auto parts = partition_points(pts, 10, PartitionKind::RoundRobin, 0);
   ASSERT_EQ(parts.size(), 10u);
   std::size_t total = 0;
@@ -110,7 +111,7 @@ TEST(Partition, RoundRobinEven) {
 }
 
 TEST(Partition, EvenSortedIsContiguousAndEven) {
-  const WeightedSet pts = make_uniform(100, 2, 10.0, 2);
+  const WeightedSet pts = testing::make_uniform(100, 2, 10.0, 2);
   const auto parts = partition_points(pts, 4, PartitionKind::EvenSorted, 0);
   std::size_t total = 0;
   double prev = -std::numeric_limits<double>::infinity();
@@ -127,7 +128,7 @@ TEST(Partition, EvenSortedIsContiguousAndEven) {
 }
 
 TEST(Partition, RandomCoversAllPoints) {
-  WeightedSet pts = make_uniform(500, 2, 10.0, 3);
+  WeightedSet pts = testing::make_uniform(500, 2, 10.0, 3);
   for (std::size_t i = 0; i < pts.size(); ++i)
     pts[i].w = static_cast<std::int64_t>(i) + 1;
   const auto parts = partition_points(pts, 7, PartitionKind::Random, 42);

@@ -18,6 +18,7 @@
 
 #include "engine/registry.hpp"
 #include "geometry/kernels.hpp"
+#include "test_support.hpp"
 #include "util/parallel.hpp"
 #include "workload/generators.hpp"
 
@@ -34,9 +35,9 @@ namespace {
 }
 
 TEST(ThreadPool, ResolveNumThreads) {
-  EXPECT_EQ(resolve_num_threads(3), 3);
-  EXPECT_GE(resolve_num_threads(0), 1);
-  EXPECT_GE(resolve_num_threads(-5), 1);
+  EXPECT_EQ(ThreadPool(3).num_threads(), 3);
+  EXPECT_GE(ThreadPool(0).num_threads(), 1);
+  EXPECT_GE(ThreadPool(-5).num_threads(), 1);
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
@@ -121,15 +122,6 @@ TEST(ThreadPool, ExceptionFromLowestChunkPropagatesAndPoolSurvives) {
   EXPECT_EQ(count.load(), n);
 }
 
-TEST(ThreadPool, ParallelMapPreservesIndexOrder) {
-  ThreadPool pool(4);
-  const auto out = pool.parallel_map<int>(
-      257, 8, [](std::size_t i) { return static_cast<int>(i * 2); });
-  ASSERT_EQ(out.size(), 257u);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    EXPECT_EQ(out[i], static_cast<int>(i * 2));
-}
-
 TEST(ThreadPool, NestedParallelForRunsInline) {
   ThreadPool pool(4);
   std::atomic<std::size_t> total{0};
@@ -164,7 +156,7 @@ class ParallelKernelTest : public ::testing::TestWithParam<Norm> {};
 
 TEST_P(ParallelKernelTest, RelaxMinKeysMatchesScalarBitForBit) {
   const Norm norm = GetParam();
-  const WeightedSet pts = make_uniform(5000, 3, 10.0, 7);
+  const WeightedSet pts = testing::make_uniform(5000, 3, 10.0, 7);
   const kernels::PointBuffer buf(pts);
   const std::size_t n = pts.size();
   ThreadPool pool(4);
@@ -200,7 +192,7 @@ TEST_P(ParallelKernelTest, RelaxMinKeysMatchesScalarBitForBit) {
 
 TEST_P(ParallelKernelTest, CountAndMarkWithinMatchScalar) {
   const Norm norm = GetParam();
-  const WeightedSet pts = make_uniform(4000, 2, 10.0, 11);
+  const WeightedSet pts = testing::make_uniform(4000, 2, 10.0, 11);
   const kernels::PointBuffer buf(pts);
   const std::size_t n = pts.size();
   ThreadPool pool(4);
@@ -225,9 +217,9 @@ TEST_P(ParallelKernelTest, CountAndMarkWithinMatchScalar) {
   std::vector<std::uint8_t> covered_a(n, 0), covered_b(n, 0);
   std::vector<std::uint32_t> order_a, order_b;
   const std::int64_t removed_a = run([&]<Norm N>() {
-    return kernels::mark_within<N>(buf, idx.data(), n, q, thresh, w.data(),
-                                   covered_a.data(),
-                                   [&](std::uint32_t j) { order_a.push_back(j); });
+    return kernels::detail::mark_within<N>(
+        buf, idx.data(), n, q, thresh, w.data(), covered_a.data(),
+        [&](std::uint32_t j) { order_a.push_back(j); });
   });
   const std::int64_t removed_b = run([&]<Norm N>() {
     return kernels::mark_within_parallel<N>(

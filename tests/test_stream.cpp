@@ -140,8 +140,8 @@ TEST(InsertionOnly, AdversarialOrderSameGuarantees) {
   cfg.dim = 1;
   cfg.seed = 71;
   const auto inst = make_planted(cfg);
-  const auto order =
-      adversarial_order(strip_weights(inst.points), inst.outlier_indices);
+  const auto order = testing::adversarial_order(
+      testing::strip_weights(inst.points), inst.outlier_indices);
   const auto s = feed(inst, order, 2, 10, 1.0, 1);
   EXPECT_LE(s.peak_size(), s.threshold());
   EXPECT_LE(s.r(), inst.opt_hi + 1e-9);

@@ -53,7 +53,7 @@ TEST(Rng, UniformIsRoughlyUniform) {
 TEST(Rng, Uniform01InRange) {
   Rng rng(3);
   for (int i = 0; i < 10000; ++i) {
-    const double v = rng.uniform01();
+    const double v = rng.uniform_real(0.0, 1.0);
     EXPECT_GE(v, 0.0);
     EXPECT_LT(v, 1.0);
   }
@@ -72,15 +72,6 @@ TEST(Rng, NormalMomentsReasonable) {
   EXPECT_NEAR(sq / n, 1.0, 0.03);
 }
 
-TEST(Rng, ForkDecorrelates) {
-  Rng a(9);
-  Rng b = a.fork();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i)
-    if (a() == b()) ++equal;
-  EXPECT_LT(equal, 3);
-}
-
 TEST(Splitmix, KnownFixedPointFree) {
   // splitmix64 must not be the identity on small values.
   for (std::uint64_t v = 0; v < 64; ++v) EXPECT_NE(splitmix64(v), v);
@@ -89,19 +80,16 @@ TEST(Splitmix, KnownFixedPointFree) {
 TEST(Summary, MeanStdDevPercentiles) {
   Summary s;
   for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
   EXPECT_DOUBLE_EQ(s.max(), 100.0);
   EXPECT_NEAR(s.median(), 50.5, 1e-9);
   EXPECT_NEAR(s.percentile(0.9), 90.1, 0.5);
-  EXPECT_NEAR(s.stddev(), 29.011, 0.01);
 }
 
 TEST(Summary, SingleValue) {
   Summary s;
   s.add(3.5);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
+  EXPECT_DOUBLE_EQ(s.median(), 3.5);
   EXPECT_DOUBLE_EQ(s.percentile(0.99), 3.5);
 }
 

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/cost.hpp"
+#include "test_support.hpp"
 #include "workload/generators.hpp"
 #include "workload/streams.hpp"
 
@@ -237,7 +238,7 @@ TEST(Drifting, GoldenFingerprints) {
 }
 
 TEST(Uniform, InBounds) {
-  const WeightedSet pts = make_uniform(200, 3, 10.0, 5);
+  const WeightedSet pts = testing::make_uniform(200, 3, 10.0, 5);
   EXPECT_EQ(pts.size(), 200u);
   for (const auto& wp : pts)
     for (int i = 0; i < 3; ++i) {
@@ -247,7 +248,7 @@ TEST(Uniform, InBounds) {
 }
 
 TEST(Discretize, FitsUniverse) {
-  const WeightedSet pts = make_uniform(300, 2, 7.0, 6);
+  const WeightedSet pts = testing::make_uniform(300, 2, 7.0, 6);
   const auto grid = discretize(pts, 64);
   ASSERT_EQ(grid.size(), pts.size());
   for (const auto& g : grid)
@@ -271,7 +272,7 @@ TEST(Discretize, PreservesRelativeGeometry) {
 TEST(DynamicScript, TurnstileValidAndFinalSetCorrect) {
   // Build final set, run the script, confirm multiset equality and strict
   // turnstile validity (no negative counts at any prefix).
-  const WeightedSet pts = make_uniform(120, 2, 50.0, 7);
+  const WeightedSet pts = testing::make_uniform(120, 2, 50.0, 7);
   const auto final_set = discretize(pts, 64);
   const DynamicScript script =
       make_dynamic_script(final_set, /*chaff=*/80, 64, 2, 11);
@@ -307,8 +308,8 @@ TEST(AdversarialOrder, OutliersFirst) {
   cfg.z = 6;
   cfg.seed = 21;
   const auto inst = make_planted(cfg);
-  const auto order =
-      adversarial_order(strip_weights(inst.points), inst.outlier_indices);
+  const auto order = testing::adversarial_order(
+      testing::strip_weights(inst.points), inst.outlier_indices);
   ASSERT_EQ(order.size(), inst.points.size());
   std::set<std::size_t> outliers(inst.outlier_indices.begin(),
                                  inst.outlier_indices.end());

@@ -45,6 +45,14 @@ syscalls      statement-position (return-value-discarding) calls to
               ``read``/``write``/``fsync``/``posix_madvise``/``waitpid``
               and friends in ``src/dataset/`` are flagged; check the
               return or allowlist with a reason.
+exports       every function a ``src/**/*.hpp`` exports (free functions
+              at namespace scope outside ``namespace detail``, and public
+              member functions) has a caller outside ``tests/``: its name
+              appears as an identifier in ``tools/``, ``examples/``,
+              ``bench/``, ``perfbench/`` (read as caller evidence only,
+              never linted) or a ``src/`` file other than its own header
+              and the ``.cpp`` of the same stem.  Test-only API is
+              deleted, moved into ``tests/``, or made file-local/private.
 allowlist     allow annotations must carry a non-empty reason and must
               actually suppress something (stale annotations rot).
 
@@ -134,12 +142,19 @@ CHECKED_SYSCALLS = (
 )
 SYSCALL_SCOPES = ("src/dataset/",)
 
+# exports: trees whose sources count as callers of src/ exports.  perfbench/
+# is read for this only; it is frozen and never linted.
+CALLER_DIRS = ("tools", "examples", "bench", "perfbench")
+# exports: identifiers that precede "(" without naming a declared function.
+NOT_FUNCTION_NAMES = {"alignas", "decltype", "noexcept", "operator",
+                      "requires", "static_assert", "void", "int", "double"}
+
 FASTMATH_FLAGS = re.compile(
     r"-ffast-math|-Ofast\b|-funsafe-math-optimizations|"
     r"-fassociative-math|-freciprocal-math|-ffinite-math-only")
 
 RULES = ("layering", "determinism", "numerics", "api", "syscalls",
-         "allowlist")
+         "exports", "allowlist")
 
 ALLOW_RE = re.compile(r"//\s*kc-lint-allow\(([a-z]+)\)\s*:?\s*(.*?)\s*$")
 
@@ -593,6 +608,111 @@ class Linter:
                               f"and process-control failures on this path "
                               f"must be handled or explicitly allowlisted")
 
+    # -- rule 6: exports without a caller outside tests/ ------------------
+
+    TOKEN_RE = re.compile(r"[A-Za-z_]\w*|::|\S")
+    IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+
+    def check_exports(self):
+        src_users, callers = {}, set()
+        for rel, f in self.files.items():
+            if f.in_src:
+                for name in set(self.IDENT_RE.findall(f.stripped)):
+                    src_users.setdefault(name, set()).add(rel)
+        for top in CALLER_DIRS:
+            for dirpath, dirnames, filenames in os.walk(
+                    os.path.join(self.root, top)):
+                dirnames[:] = [x for x in dirnames if x not in EXCLUDE_PARTS]
+                callers.update(*(self.IDENT_RE.findall(SourceFile(
+                    self.root, os.path.relpath(os.path.join(dirpath, fn),
+                                               self.root)).stripped)
+                    for fn in filenames if fn.endswith(CPP_EXTS)))
+        for rel, f in sorted(self.files.items()):
+            if not (f.in_src and rel.endswith(".hpp")):
+                continue
+            own = {rel, rel[:-len(".hpp")] + ".cpp"}
+            for name, no in self._exported_functions(f):
+                if name not in callers and not src_users.get(name, own) - own:
+                    self.diag("exports", rel, no,
+                              f"{name!r} is exported but nothing outside "
+                              f"tests/ calls it: delete it, move it into "
+                              f"tests/, or make it file-local/private")
+
+    def _exported_functions(self, f):
+        """Yields (name, line) for each function declared at namespace scope
+        outside ``detail``/anonymous namespaces, or as a public member of a
+        visible class.  Bodies, initializers and directives are skipped."""
+        # scope: [kind (ns/class/skip), class name, access, visible]
+        scopes, stmt, code, cont = [["ns", "", "public", True]], [], [], False
+        for line in f.lines:  # blank out directives and their continuations
+            directive = cont or line.lstrip().startswith("#")
+            cont = directive and line.rstrip().endswith("\\")
+            code.append("" if directive else line)
+        for tok, no in ((t, no) for no, line in enumerate(code, 1)
+                        for t in self.TOKEN_RE.findall(line)):
+            top = scopes[-1]
+            if top[0] == "skip":
+                if tok in ("{", "}"):
+                    scopes.append(top) if tok == "{" else scopes.pop()
+                continue
+            words = [t for t, _ in stmt]
+            if tok == ":" and words in (["public"], ["private"],
+                                        ["protected"]):
+                top[2], stmt = words[0], []
+                continue
+            if (tok not in ("{", ";", "}")
+                    or words.count("(") > words.count(")")):
+                stmt.append((tok, no))
+                continue
+            if tok == "}":
+                scopes.pop()
+            decl = tok != "}" and self._function_decl(words, top[1])
+            visible = top[3] and top[2] == "public"
+            if decl and visible:
+                yield decl, stmt[0][1]  # the line the declaration starts on
+            keys = [i for i, w in enumerate(words)
+                    if w in ("class", "struct", "union")]
+            if tok == "{" and (decl or "enum" in words or "=" in words):
+                scopes.append(["skip", "", None, False])
+            elif tok == "{" and ("namespace" in words or "extern" in words):
+                name = words[-1] if words[-1] != "namespace" else ""
+                scopes.append(["ns", "", "public",
+                               visible and name not in ("", "detail")])
+            elif tok == "{" and keys:
+                key, after = words[keys[-1]], words[keys[-1] + 1:]
+                scopes.append(["class", after[0] if after else "",
+                               "private" if key == "class" else "public",
+                               visible])
+            elif tok == "{":
+                scopes.append(["skip", "", None, False])
+            stmt = []
+
+    def _function_decl(self, toks, class_name):
+        """The function name if ``toks`` declares or defines a function (not
+        a constructor, destructor or operator), else None."""
+        if {"friend", "using", "typedef"} & set(toks):
+            return None
+        depth = angle = 0
+        for i, t in enumerate(toks):
+            if depth == 0 and t in ("<", ">"):
+                angle += 1 if t == "<" else -1
+            elif depth == 0 and angle == 0 and t == "=":
+                return None
+            elif depth == 0 and angle == 0 and t == "(":
+                prev = toks[i - 1] if i else ""
+                before = toks[i - 2] if i > 1 else ""
+                if prev in ("decltype", "alignas", "noexcept"):
+                    pass
+                elif (self.IDENT_RE.fullmatch(prev)
+                      and prev not in NOT_FUNCTION_NAMES
+                      and prev != class_name
+                      and before not in ("~", "::", "operator")):
+                    return prev
+                else:
+                    return None
+            depth += (t == "(") - (t == ")")
+        return None
+
     # -- allowlist resolution ---------------------------------------------
 
     @staticmethod
@@ -664,6 +784,7 @@ class Linter:
         self.check_numerics()
         self.check_api()
         self.check_syscalls()
+        self.check_exports()
         # Dedup (two patterns may fire on one line).
         seen = set()
         unique = []
