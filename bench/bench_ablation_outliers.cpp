@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   using namespace kc::bench;
   using namespace kc::mpc;
   const Flags flags(argc, argv);
+  flags.require_known({"quick", "seed"});
   const bool quick = flags.has("quick");
   const std::uint64_t seed = flags.get<std::uint64_t>("seed", 1);
   const int k = 2;

@@ -16,7 +16,11 @@
 // pass and an insertion-only stream ingest at d = 8, n=20k (4k under
 // --quick), recorded to the JSON bench log (--json <path>) so the perf
 // trajectory has committed points — see BENCH_hotpaths.json at the repo
-// root.
+// root.  Part 4c times both stream inserts at d = 2 on the drifting
+// n = 1e6 instance (1e5 under --quick) of the perfbench `stream` workload:
+// the insertion-only ingest, whose P* peaks at 3172 reps and so probes the
+// cover's grid, and the sliding window at W = n/8 — the median of 5 runs
+// each.
 //
 // Part 6 is the HOTPATH timing of the MPC input partition: EvenSorted and
 // Random `partition_points` of n = 1e6 planted points (1e5 under --quick)
@@ -32,7 +36,9 @@
 #include "core/verify.hpp"
 #include "geometry/kernels.hpp"
 #include "mpc/partition.hpp"
+#include "geometry/box.hpp"
 #include "stream/insertion_only.hpp"
+#include "stream/sliding_window.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -108,6 +114,7 @@ int main(int argc, char** argv) {
   using namespace kc;
   using namespace kc::bench;
   const Flags flags(argc, argv);
+  flags.require_known({"quick", "seed", "hot-n", "json", "json-tag"});
   const bool quick = flags.has("quick");
   const std::uint64_t seed = flags.get<std::uint64_t>("seed", 1);
   const Metric metric{Norm::L2};
@@ -403,6 +410,80 @@ int main(int argc, char** argv) {
                  {"radius", cover_r},
                  {"reps", static_cast<long long>(cover.reps.size())},
                  {"wall_ms", cover_ms}});
+  }
+
+  // ---- Part 4c: both stream inserts at d = 2 --------------------------------
+  {
+    PlantedConfig pc;
+    pc.n = quick ? 100000 : 1000000;
+    pc.k = 3;
+    pc.z = 100;
+    pc.dim = 2;
+    pc.seed = seed;
+    const double eps = 0.5;
+    const auto window = static_cast<std::int64_t>(pc.n / 8);
+    constexpr int kReps = 5;
+    std::printf("\n[HOTPATH] insertion-only and sliding-window ingest at "
+                "n=%zu, d=2, W=%lld (drifting, median of %d runs):\n",
+                pc.n, static_cast<long long>(window), kReps);
+    const PlantedInstance inst = make_drifting(pc);
+    // The sliding window's radius ladder, as stream-sliding sets it.
+    Box box = Box::empty(pc.dim);
+    for (const auto& wp : inst.points) box.extend(wp.p);
+    const double r_max = box.diameter(metric);
+    const double r_min = r_max / 4096.0;
+
+    std::vector<double> stream_ms, window_ms;
+    std::size_t peak_size = 0, peak_records = 0;
+    int doublings = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      Timer t_stream;
+      stream::InsertionOnlyStream s(pc.k, pc.z, eps, pc.dim, metric);
+      for (const auto& wp : inst.points) s.insert_weighted(wp.p, wp.w);
+      stream_ms.push_back(t_stream.millis());
+      peak_size = s.peak_size();
+      doublings = s.doublings();
+
+      Timer t_window;
+      stream::SlidingWindow sw(pc.k, pc.z, eps, pc.dim, window, r_min, r_max,
+                               metric);
+      std::int64_t t = 0;
+      for (const auto& wp : inst.points) sw.insert(wp.p, ++t);
+      window_ms.push_back(t_window.millis());
+      peak_records = sw.peak_records();
+    }
+    std::sort(stream_ms.begin(), stream_ms.end());
+    std::sort(window_ms.begin(), window_ms.end());
+
+    Table t({"stage", "ms", "detail"});
+    t.add_row({"InsertionOnlyStream ingest", fmt(stream_ms[kReps / 2], 1),
+               "peak=" + fmt_count(static_cast<long long>(peak_size)) +
+                   " doublings=" + fmt_count(doublings)});
+    t.add_row({"SlidingWindow ingest", fmt(window_ms[kReps / 2], 1),
+               "peak records=" +
+                   fmt_count(static_cast<long long>(peak_records))});
+    t.print();
+    const auto n_ll = static_cast<long long>(pc.n);
+    json.record("hotpath_stream_insert",
+                {{"n", n_ll},
+                 {"k", pc.k},
+                 {"z", static_cast<long long>(pc.z)},
+                 {"d", pc.dim},
+                 {"eps", eps},
+                 {"peak_size", static_cast<long long>(peak_size)},
+                 {"doublings", doublings},
+                 {"reps", kReps},
+                 {"wall_ms", stream_ms[kReps / 2]}});
+    json.record("hotpath_window_insert",
+                {{"n", n_ll},
+                 {"k", pc.k},
+                 {"z", static_cast<long long>(pc.z)},
+                 {"d", pc.dim},
+                 {"eps", eps},
+                 {"window", static_cast<long long>(window)},
+                 {"peak_records", static_cast<long long>(peak_records)},
+                 {"reps", kReps},
+                 {"wall_ms", window_ms[kReps / 2]}});
   }
 
   // ---- Part 5: kernel throughput (points/sec, scalar vs SIMD) --------------

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   using namespace kc::bench;
   using namespace kc::mpc;
   const Flags flags(argc, argv);
+  flags.require_known({"quick", "seed", "eps", "k", "z", "m"});
   const bool quick = flags.has("quick");
   const std::uint64_t seed = flags.get<std::uint64_t>("seed", 1);
   const double eps = flags.get<double>("eps", 0.25);

@@ -81,6 +81,8 @@ void record_run(const bench::JsonLog& json, Table& table,
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
+  flags.require_known(
+      {"quick", "seed", "json", "json-tag", "k", "z", "eps", "dir", "keep"});
   const bool quick = flags.has("quick");
   const auto seed = flags.get<std::uint64_t>("seed", 1);
   const bench::JsonLog json = bench::JsonLog::from_flags(flags);

@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   using namespace kc::bench;
   using namespace kc::stream;
   const Flags flags(argc, argv);
+  flags.require_known({"quick", "seed", "k", "eps", "window"});
   const bool quick = flags.has("quick");
   const std::uint64_t seed = flags.get<std::uint64_t>("seed", 1);
   const int k = flags.get<int>("k", 2);

@@ -40,6 +40,7 @@ Table1Setup table1_setup(int argc, char** argv,
                          const std::string& description, int default_k,
                          double default_eps) {
   const Flags flags(argc, argv);
+  flags.require_known({"quick", "seed", "k", "eps", "csv", "json", "json-tag"});
   Table1Setup setup;
   setup.quick = flags.has("quick");
   setup.seed = flags.get<std::uint64_t>("seed", 1);

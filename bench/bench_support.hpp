@@ -35,8 +35,9 @@ void shape_note(const std::string& text);
                                                 int dim = 2);
 
 /// The shared preamble of the bench_table1_* harnesses: parse the common
-/// flags (--quick, --seed, --k, --eps, --json, --json-tag), print the
-/// banner, and hand back everything the sweeps need.  Deduplicates the
+/// flags (--quick, --seed, --k, --eps, --csv, --json, --json-tag), exit 2
+/// on any other, print the banner, and hand back everything the sweeps
+/// need.  Deduplicates the
 /// copy-pasted setup blocks the three harnesses used to carry.
 struct Table1Setup {
   bool quick = false;

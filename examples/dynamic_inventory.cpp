@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
   using namespace kc;
   using namespace kc::dynamic;
   const Flags flags(argc, argv);
-  examples::check_flags(
-      flags, {"batches", "batch", "delta", "k", "z", "eps", "seed"});
+  flags.require_known({"batches", "batch", "delta", "k", "z", "eps", "seed"});
   const int batches = flags.get<int>("batches", 20);
   const int batch = flags.get<int>("batch", 400);
   engine::PipelineConfig cfg;

@@ -1,15 +1,15 @@
-// The examples' input boundary: each rejects a flag it does not read, then
-// builds an engine::PipelineConfig from its flags and asks the registered
-// pipeline of its model whether it can run it, before any call into a
-// layer.  The ranges live in the engine (engine::config_error); a config
-// outside them prints `error: …` and exits 2, as kcenter_cli does.
+// The examples' input boundary: each rejects a flag it does not read
+// (`Flags::require_known`), then builds an engine::PipelineConfig from its
+// flags and asks the registered pipeline of its model whether it can run
+// it, before any call into a layer.  The ranges live in the engine
+// (engine::config_error); a config outside them prints `error: …` and
+// exits 2, as kcenter_cli does.
 
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "kcenter.hpp"
 
@@ -18,21 +18,6 @@ namespace kc::examples {
 [[noreturn]] inline void reject(const char* why) {
   std::fprintf(stderr, "error: %s\n", why);
   std::exit(2);
-}
-
-/// Exits 2, naming each offender, on a flag not in `known` or on more than
-/// `max_positional` positional arguments: a typo such as `--esp 0.1` must
-/// not run silently with the default.
-inline void check_flags(const Flags& flags,
-                        const std::vector<std::string>& known,
-                        std::size_t max_positional = 0) {
-  const auto unknown = flags.unknown_flags(known);
-  for (const auto& name : unknown)
-    std::fprintf(stderr, "error: unknown flag '--%s'\n", name.c_str());
-  const auto& pos = flags.positional();
-  for (std::size_t i = max_positional; i < pos.size(); ++i)
-    std::fprintf(stderr, "error: unexpected argument '%s'\n", pos[i].c_str());
-  if (!unknown.empty() || pos.size() > max_positional) std::exit(2);
 }
 
 /// Exits 2 unless the registered `pipeline` can run `cfg` on `w`.

@@ -76,10 +76,9 @@ void generate_demo(const std::string& path, std::size_t n,
 int main(int argc, char** argv) {
   using namespace kc;
   const Flags flags(argc, argv);
-  examples::check_flags(flags,
-                        {"generate", "n", "k", "z", "seed", "eps", "norm",
-                         "pipeline", "exact", "out"},
-                        /*max_positional=*/1);
+  flags.require_known({"generate", "n", "k", "z", "seed", "eps", "norm",
+                       "pipeline", "exact", "out"},
+                      /*max_positional=*/1);
 
   engine::PipelineConfig cfg;
   cfg.dim = 2;

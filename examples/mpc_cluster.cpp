@@ -17,8 +17,7 @@ int main(int argc, char** argv) {
   using namespace kc;
   using namespace kc::mpc;
   const Flags flags(argc, argv);
-  examples::check_flags(flags,
-                        {"k", "z", "seed", "eps", "m", "n", "partition"});
+  flags.require_known({"k", "z", "seed", "eps", "m", "n", "partition"});
   engine::PipelineConfig cfg;
   cfg.k = flags.get<int>("k", 5);
   cfg.z = flags.get<std::int64_t>("z", 100);

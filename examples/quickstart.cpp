@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace kc;
   const Flags flags(argc, argv);
-  examples::check_flags(flags, {"k", "z", "eps", "seed", "n"});
+  flags.require_known({"k", "z", "eps", "seed", "n"});
   engine::PipelineConfig cfg;
   cfg.k = flags.get<int>("k", 4);
   cfg.z = flags.get<std::int64_t>("z", 50);

@@ -16,7 +16,7 @@
 int main(int argc, char** argv) {
   using namespace kc;
   const Flags flags(argc, argv);
-  examples::check_flags(flags, {"n", "window", "k", "z", "eps"});
+  flags.require_known({"n", "window", "k", "z", "eps"});
   const auto n = flags.get<std::int64_t>("n", 20000);
   engine::PipelineConfig cfg;
   cfg.window = flags.get<std::int64_t>("window", 2000);

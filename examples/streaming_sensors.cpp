@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   using namespace kc;
   const Flags flags(argc, argv);
-  examples::check_flags(flags, {"n", "k", "z", "eps", "seed", "report"});
+  flags.require_known({"n", "k", "z", "eps", "seed", "report"});
   const auto n = flags.get<std::size_t>("n", 50000);
   engine::PipelineConfig cfg;
   cfg.k = flags.get<int>("k", 4);

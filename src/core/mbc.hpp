@@ -43,6 +43,12 @@
 // representatives, stream ingests of 1e5–1e6 points); C = 8 made covers
 // of 200–5000 representatives 2–8× slower.  No fixed count suits every d:
 // one low enough for d = 2 switches at d = 8 long before 6561 lookups pay.
+// Those measurements priced a lookup in a node-based hash map; a lookup in
+// the grid's flat cell table costs about 20–35 scanned distances at d = 2
+// and 3, against 30–50 for the map (random probes of 3172–9000 greedy
+// representatives).  That moves the break-even down by less than 2×, and
+// C = 32 showed no reliable win on a d = 2 stream ingest of 1e6 drifting
+// points, so C stays 128 until a probe of its own re-decides it.
 
 #pragma once
 

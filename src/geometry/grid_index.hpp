@@ -14,14 +14,17 @@
 // only prunes, never decides.
 //
 // Cells are keyed by their exact integer coordinates (no lossy packing):
-// hash collisions are resolved by the map, so distinct cells are never
-// merged and a neighbor enumeration visits each bucket exactly once — the
-// incremental-weight bookkeeping in core/charikar.cpp relies on that.
-// Extreme coordinate/width ratios are clamped to ±2^61 before the cast;
-// clamping is monotone and contracts index differences, so the superset
-// guarantee survives even degenerate inputs.  The width must be positive:
-// a zero radius (exact duplicates only) takes any positive width, since
-// duplicates share a cell.
+// each cell stores its dim int64 key words, a flat open-addressing table of
+// cell ids (linear probing, load ≤ 1/2, doubled on growth) resolves hash
+// collisions by probing on, and a lookup matches only a slot whose dim key
+// words are all equal.  So distinct cells are never merged and a neighbor
+// enumeration visits each cell exactly once — the incremental-weight
+// bookkeeping in core/charikar.cpp relies on that.  A cell lists its points
+// in insertion order.  Extreme coordinate/width ratios are clamped to
+// ±2^61 before the cast; clamping is monotone and contracts index
+// differences, so the superset guarantee survives even degenerate inputs.
+// The width must be positive: a zero radius (exact duplicates only) takes
+// any positive width, since duplicates share a cell.
 
 #pragma once
 
@@ -29,7 +32,6 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "geometry/point.hpp"
@@ -44,6 +46,7 @@ class GridIndex {
   [[nodiscard]] int dim() const noexcept { return dim_; }
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
 
+  /// Sizes the table for n cells without further growth.
   void reserve(std::size_t n);
 
   /// Registers point `idx` at the given coordinates (length dim()).
@@ -65,69 +68,81 @@ class GridIndex {
   /// L1, L2, and L∞), with no index repeated.
   template <typename F>
   void for_each_candidate(const double* q, int reach, F&& f) const {
-    CellKey key = key_for(q);
-    const CellKey base = key;
+    Key key = key_for(q);
+    const Key base = key;
     // Odometer over the (2·reach+1)^dim offset box.
     std::array<int, Point::kMaxDim> off{};
     for (int j = 0; j < dim_; ++j) {
       off[static_cast<std::size_t>(j)] = -reach;
-      key.c[static_cast<std::size_t>(j)] =
-          base.c[static_cast<std::size_t>(j)] - reach;
+      key[static_cast<std::size_t>(j)] =
+          base[static_cast<std::size_t>(j)] - reach;
     }
     for (;;) {
-      const auto it = cells_.find(key);
-      if (it != cells_.end())
-        f(std::span<const std::uint32_t>(it->second));
+      const std::uint32_t cell = find(key.data());
+      if (cell != kNone)
+        f(std::span<const std::uint32_t>(members_[cell]));
       int j = 0;
       for (; j < dim_; ++j) {
         const auto sj = static_cast<std::size_t>(j);
         if (off[sj] < reach) {
           ++off[sj];
-          key.c[sj] = base.c[sj] + off[sj];
+          key[sj] = base[sj] + off[sj];
           break;
         }
         off[sj] = -reach;
-        key.c[sj] = base.c[sj] - reach;
+        key[sj] = base[sj] - reach;
       }
       if (j == dim_) break;
     }
   }
 
  private:
-  struct CellKey {
-    std::array<std::int64_t, Point::kMaxDim> c{};
+  using Key = std::array<std::int64_t, Point::kMaxDim>;
+  static constexpr std::uint32_t kNone = UINT32_MAX;  ///< an empty slot
 
-    friend bool operator==(const CellKey& a, const CellKey& b) noexcept {
-      return a.c == b.c;
+  // Only the first dim_ words carry information, so mixing just those
+  // keeps the per-lookup cost proportional to the actual dimension.
+  [[nodiscard]] std::uint64_t hash(const std::int64_t* k) const noexcept {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (int j = 0; j < dim_; ++j) {
+      std::uint64_t x = static_cast<std::uint64_t>(k[j]) + h;
+      x ^= x >> 30;
+      x *= 0xbf58476d1ce4e5b9ULL;
+      x ^= x >> 27;
+      h = x;
     }
-  };
+    return h;
+  }
 
-  // Stateful (dim-aware) hasher: only the first dim_ slots carry
-  // information (the rest stay zero), so mixing just those keeps the
-  // per-lookup cost proportional to the actual dimension.
-  struct CellKeyHash {
-    int dim = Point::kMaxDim;
-
-    std::size_t operator()(const CellKey& k) const noexcept {
-      std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-      for (int j = 0; j < dim; ++j) {
-        std::uint64_t x =
-            static_cast<std::uint64_t>(k.c[static_cast<std::size_t>(j)]) + h;
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ULL;
-        x ^= x >> 27;
-        h = x;
-      }
-      return static_cast<std::size_t>(h);
+  /// The slot holding the cell keyed by k (dim_ words), or the empty slot
+  /// where that cell would go.  The table is never full, so the probe ends.
+  [[nodiscard]] std::size_t slot_for(const std::int64_t* k) const noexcept {
+    const auto d = static_cast<std::size_t>(dim_);
+    for (std::size_t s = hash(k) & mask_;; s = (s + 1) & mask_) {
+      const std::uint32_t cell = slots_[s];
+      if (cell == kNone) return s;
+      const std::int64_t* ck = &keys_[cell * d];
+      std::size_t j = 0;
+      while (j < d && ck[j] == k[j]) ++j;
+      if (j == d) return s;
     }
-  };
+  }
+  /// The cell id keyed by k, or kNone.
+  [[nodiscard]] std::uint32_t find(const std::int64_t* k) const noexcept {
+    return slots_[slot_for(k)];
+  }
 
-  [[nodiscard]] CellKey key_for(const double* coords) const noexcept;
+  [[nodiscard]] Key key_for(const double* coords) const noexcept;
+  /// Rebuilds the slot array with `slots` (a power of two) slots.
+  void rehash(std::size_t slots);
 
   double width_;
   int dim_;
   std::size_t count_ = 0;
-  std::unordered_map<CellKey, std::vector<std::uint32_t>, CellKeyHash> cells_;
+  std::size_t mask_ = 0;              ///< slots_.size() − 1
+  std::vector<std::uint32_t> slots_;  ///< cell id per slot, or kNone
+  std::vector<std::int64_t> keys_;    ///< dim_ key words per cell id
+  std::vector<std::vector<std::uint32_t>> members_;  ///< points per cell id
 };
 
 }  // namespace kc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "geometry/kernels.hpp"
 #include "stream/insertion_only.hpp"
 #include "util/check.hpp"
 
@@ -26,21 +27,29 @@ SlidingWindow::SlidingWindow(int k, std::int64_t z, double eps, int dim,
 }
 
 void SlidingWindow::insert(const Point& p, std::int64_t t) {
+  kernels::with_norm(metric_.norm(), [&]<Norm N>() { insert_with<N>(p, t); });
+}
+
+template <Norm N>
+void SlidingWindow::insert_with(const Point& p, std::int64_t t) {
   const std::size_t slots = static_cast<std::size_t>(z_) + 1;
+  const double* q = p.coords().data();
+  const int dim = p.dim();
+  const std::int64_t horizon = t - window_;  // expired ⇔ last_join ≤ horizon
   // One cluster's stored records: its representative plus its members.
   const auto records = [](const MiniCluster& c) { return 1 + c.recent.size(); };
   for (auto& lvl : levels_) {
-    const double key = metric_.dist_to_key(lvl.radius);
+    const double key = kernels::dist_to_key(N, lvl.radius);
     bool placed = false;
     for (auto& c : lvl.clusters) {
-      if (metric_.dist_key(p, c.rep) <= key) {
+      if (kernels::raw_key<N>(q, c.rep.coords().data(), dim) <= key) {
         // The ring grows to z+1 slots, then overwrites its oldest.
         if (c.recent.size() < slots) {
           c.recent.push_back({p, t});
           ++records_;
         } else {
           c.recent[c.head] = {p, t};
-          c.head = (c.head + 1) % slots;
+          if (++c.head == slots) c.head = 0;
         }
         c.last_join = t;
         placed = true;
@@ -56,12 +65,20 @@ void SlidingWindow::insert(const Point& p, std::int64_t t) {
       records_ += 2;
     }
     // Drop clusters whose every stored member expired — they cannot matter
-    // for any current or future window.
-    std::erase_if(lvl.clusters, [&](const MiniCluster& c) {
-      if (c.last_join > t - window_) return false;
-      records_ -= records(c);
-      return true;
-    });
+    // for any current or future window.  While the level's oldest last
+    // join is alive nothing can expire, so the sweep runs only once it is
+    // not, and leaves the bound at the oldest survivor's last join.
+    if (lvl.oldest_join <= horizon) {
+      lvl.oldest_join = t;
+      std::erase_if(lvl.clusters, [&](const MiniCluster& c) {
+        if (c.last_join > horizon) {
+          lvl.oldest_join = std::min(lvl.oldest_join, c.last_join);
+          return false;
+        }
+        records_ -= records(c);
+        return true;
+      });
+    }
     // Capacity: evict the stalest cluster and mark the level unsafe until
     // the evicted cluster's members have all left the window.
     while (lvl.clusters.size() > cap_) {

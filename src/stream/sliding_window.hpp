@@ -28,16 +28,22 @@
 // this constant into ε).
 //
 // Per-insert cost, per level: the first-hit scan over the level's clusters
-// in founding order, O(1) to record the member, and the expiry sweep (plus
-// the stalest-cluster search on overflow).  A cluster's members live in a
-// (z+1)-slot ring — it grows to z+1 slots, then overwrites its oldest —
-// so a join moves no other member, and stored_records() is a running count
-// kept on join, founding, expiry and eviction instead of a recount of every
-// level.
+// in founding order (one norm dispatch per insert, then the norm-templated
+// distance key), O(1) to record the member, and the stalest-cluster search
+// on overflow.  A cluster's members live in a (z+1)-slot ring — it grows
+// to z+1 slots, then overwrites its oldest — so a join moves no other
+// member, and stored_records() is a running count kept on join, founding,
+// expiry and eviction instead of a recount of every level.  The expiry
+// sweep over a level's clusters runs only when the level's lower bound on
+// their last-join times has left the window, since before that no cluster
+// can have expired; the sweep resets the bound to the oldest survivor's
+// last join.  Each arrival joins or founds one cluster per level, so a
+// sweep that runs finds exactly what the per-arrival sweep would.
 
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/types.hpp"
@@ -89,7 +95,14 @@ class SlidingWindow {
     double guess = 0.0;               ///< the radius guess 2^ℓ·r_min
     std::vector<MiniCluster> clusters;
     std::int64_t unsafe_until = 0;    ///< queries invalid before this time
+    /// A lower bound on every cluster's last_join (none yet: the lowest
+    /// time), so no cluster can have expired while it is alive.
+    std::int64_t oldest_join = std::numeric_limits<std::int64_t>::min();
   };
+
+  /// insert() for one norm.
+  template <Norm N>
+  void insert_with(const Point& p, std::int64_t t);
 
   int k_;
   std::int64_t z_;

@@ -54,4 +54,15 @@ std::vector<std::string> Flags::unknown_flags(
   return out;
 }
 
+void Flags::require_known(const std::vector<std::string>& known,
+                          std::size_t max_positional) const {
+  const auto unknown = unknown_flags(known);
+  for (const auto& name : unknown)
+    std::fprintf(stderr, "error: unknown flag '--%s'\n", name.c_str());
+  for (std::size_t i = max_positional; i < positional_.size(); ++i)
+    std::fprintf(stderr, "error: unexpected argument '%s'\n",
+                 positional_[i].c_str());
+  if (!unknown.empty() || positional_.size() > max_positional) std::exit(2);
+}
+
 }  // namespace kc

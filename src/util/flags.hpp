@@ -14,6 +14,7 @@
 #pragma once
 
 #include <charconv>
+#include <cstddef>
 #include <limits>
 #include <map>
 #include <string>
@@ -63,6 +64,14 @@ class Flags {
   /// of silently ignoring them.
   [[nodiscard]] std::vector<std::string> unknown_flags(
       const std::vector<std::string>& known) const;
+
+  /// Exits 2 on a flag not in `known` or on more than `max_positional`
+  /// positional arguments, printing "error: unknown flag '--name'" or
+  /// "error: unexpected argument 'word'" for each: a typo such as
+  /// `--esp 0.1` must not run silently with the default.  The examples and
+  /// benches call it before any work.
+  void require_known(const std::vector<std::string>& known,
+                     std::size_t max_positional = 0) const;
 
  private:
   /// Prints "error: --name expects <expects>, got '<value>'"; exits 2.

@@ -25,13 +25,21 @@
 //    a stable sort of the indices by x (so −0.0 and +0.0 tie), then equal
 //    contiguous blocks, which `mpc::partition_points` (mpc/partition.cpp)
 //    computes with a radix sort of x's key bits (tests/test_mpc_simulator.cpp).
+//  * `GridIndexMap` — the hash grid on a node-based `std::unordered_map`
+//    from the full cell key to its member list, as `GridIndex`
+//    (geometry/grid_index.hpp) stood before its flat open-addressing table
+//    (tests/test_kernels.cpp).
 
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -258,5 +266,93 @@ inline std::vector<WeightedSet> even_sorted_partition(const WeightedSet& pts,
     parts[rank * static_cast<std::size_t>(m) / n].push_back(pts[order[rank]]);
   return parts;
 }
+
+/// Same API and enumeration order as `GridIndex`: cells keyed by the
+/// floor(coord / width) per axis clamped to ±2^61, visited by the same
+/// odometer over the (2·reach+1)^d offset box, each listing its points in
+/// insertion order.
+class GridIndexMap {
+ public:
+  GridIndexMap(double cell_width, int dim)
+      : width_(cell_width), dim_(dim), cells_(0, CellKeyHash{dim}) {
+    KC_EXPECTS(cell_width > 0.0);
+    KC_EXPECTS(dim >= 1 && dim <= Point::kMaxDim);
+  }
+
+  void insert(const double* coords, std::uint32_t idx) {
+    cells_[key_for(coords)].push_back(idx);
+  }
+
+  template <typename F>
+  void for_each_candidate(const double* q, int reach, F&& f) const {
+    CellKey key = key_for(q);
+    const CellKey base = key;
+    std::array<int, Point::kMaxDim> off{};
+    for (int j = 0; j < dim_; ++j) {
+      off[static_cast<std::size_t>(j)] = -reach;
+      key.c[static_cast<std::size_t>(j)] =
+          base.c[static_cast<std::size_t>(j)] - reach;
+    }
+    for (;;) {
+      const auto it = cells_.find(key);
+      if (it != cells_.end())
+        f(std::span<const std::uint32_t>(it->second));
+      int j = 0;
+      for (; j < dim_; ++j) {
+        const auto sj = static_cast<std::size_t>(j);
+        if (off[sj] < reach) {
+          ++off[sj];
+          key.c[sj] = base.c[sj] + off[sj];
+          break;
+        }
+        off[sj] = -reach;
+        key.c[sj] = base.c[sj] - reach;
+      }
+      if (j == dim_) break;
+    }
+  }
+
+ private:
+  struct CellKey {
+    std::array<std::int64_t, Point::kMaxDim> c{};
+
+    friend bool operator==(const CellKey& a, const CellKey& b) noexcept {
+      return a.c == b.c;
+    }
+  };
+
+  struct CellKeyHash {
+    int dim = Point::kMaxDim;
+
+    std::size_t operator()(const CellKey& k) const noexcept {
+      std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+      for (int j = 0; j < dim; ++j) {
+        std::uint64_t x =
+            static_cast<std::uint64_t>(k.c[static_cast<std::size_t>(j)]) + h;
+        x ^= x >> 30;
+        x *= 0xbf58476d1ce4e5b9ULL;
+        x ^= x >> 27;
+        h = x;
+      }
+      return static_cast<std::size_t>(h);
+    }
+  };
+
+  [[nodiscard]] CellKey key_for(const double* coords) const noexcept {
+    constexpr double kClamp = 2305843009213693952.0;  // 2^61
+    CellKey key;
+    for (int j = 0; j < dim_; ++j) {
+      double cell = std::floor(coords[j] / width_);
+      if (cell > kClamp) cell = kClamp;
+      if (cell < -kClamp) cell = -kClamp;
+      key.c[static_cast<std::size_t>(j)] = static_cast<std::int64_t>(cell);
+    }
+    return key;
+  }
+
+  double width_;
+  int dim_;
+  std::unordered_map<CellKey, std::vector<std::uint32_t>, CellKeyHash> cells_;
+};
 
 }  // namespace kc::reference

@@ -1,6 +1,7 @@
 // The performance layer's correctness contract (geometry/kernels.hpp,
 // geometry/grid_index.hpp): inline kernels are bit-identical to the Metric
-// scalar path, the grid index yields a superset of every ball query, and
+// scalar path, the grid index yields a superset of every ball query (the
+// same spans, in the same order, as the map-based reference), and
 // the grid-accelerated hot paths (mbc_with_radius, charikar_run) produce
 // exactly the same output as the scalar references (core_reference.hpp)
 // across norms and dimensions.
@@ -9,6 +10,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -146,6 +149,8 @@ TEST(GridIndex, CandidatesAreASupersetOfEveryBall) {
           grid.for_each_candidate(
               pts[qi].p.coords().data(), grid.reach_for(radius),
               [&](std::span<const std::uint32_t> cell) {
+                for (std::size_t c = 1; c < cell.size(); ++c)
+                  EXPECT_LT(cell[c - 1], cell[c]) << "cell not ascending";
                 for (const std::uint32_t j : cell) {
                   EXPECT_FALSE(seen[j]) << "index yielded twice";
                   seen[j] = true;
@@ -163,6 +168,92 @@ TEST(GridIndex, CandidatesAreASupersetOfEveryBall) {
         }
       }
     }
+  }
+}
+
+// Every span a grid yields for one query, in order.
+template <typename Grid>
+std::vector<std::vector<std::uint32_t>> spans_of(const Grid& grid,
+                                                 const double* q, int reach) {
+  std::vector<std::vector<std::uint32_t>> out;
+  grid.for_each_candidate(q, reach, [&](std::span<const std::uint32_t> cell) {
+    out.emplace_back(cell.begin(), cell.end());
+  });
+  return out;
+}
+
+// Indexes `pts` in both grids and compares the exact span sequence of
+// random queries at every reach up to max_reach.
+void expect_same_spans(const std::vector<Point>& pts, double width, int dim,
+                       int max_reach, std::uint64_t seed) {
+  GridIndex grid(width, dim);
+  reference::GridIndexMap ref(width, dim);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    grid.insert(pts[i], static_cast<std::uint32_t>(i));
+    ref.insert(pts[i].coords().data(), static_cast<std::uint32_t>(i));
+  }
+  ASSERT_EQ(grid.size(), pts.size());
+  Rng rng(seed);
+  for (int qi = 0; qi < 40; ++qi) {
+    // Half the queries sit on an indexed point, half anywhere in its box.
+    Point q = pts[rng.uniform(pts.size())];
+    if (qi % 2 == 1)
+      for (int j = 0; j < dim; ++j) q[j] += rng.uniform_real(-2.0, 2.0) * width;
+    for (int reach = 0; reach <= max_reach; ++reach) {
+      const auto got = spans_of(grid, q.coords().data(), reach);
+      ASSERT_EQ(got, spans_of(ref, q.coords().data(), reach))
+          << "d=" << dim << " width=" << width << " query " << qi
+          << " reach " << reach;
+    }
+  }
+}
+
+TEST(GridIndex, YieldsTheSameSpansAsTheMapReference) {
+  // Scattered points give every d at least 10k distinct cells, so the table
+  // doubles from its first 16 slots ten times; a dense block at negative
+  // and positive coordinates puts several points in a cell, and exact
+  // repeats of earlier points land in the cell that holds them.  At
+  // width 1e-150 every coordinate of ±1e150 clamps to a ±2^61 cell, next
+  // to unclamped cells a few widths from the origin.
+  for (const int dim : {1, 2, 3, 5, 8}) {
+    SCOPED_TRACE("d=" + std::to_string(dim));
+    // (2·reach+1)^d lookups per query: d = 8 stops at 3^8.
+    const int max_reach = dim == 8 ? 1 : 3;
+    Rng rng(900 + static_cast<std::uint64_t>(dim));
+    std::vector<Point> pts;
+    for (int i = 0; i < 12000; ++i) {
+      Point p(dim);
+      for (int j = 0; j < dim; ++j) p[j] = rng.uniform_real(-1e5, 1e5);
+      pts.push_back(p);
+    }
+    for (int i = 0; i < 3000; ++i) {
+      Point p(dim);
+      for (int j = 0; j < dim; ++j) p[j] = rng.uniform_real(-3.0, 3.0);
+      pts.push_back(p);
+    }
+    for (int i = 0; i < 1000; ++i) pts.push_back(pts[rng.uniform(pts.size())]);
+    std::set<std::vector<double>> cells;
+    for (const Point& p : pts) {
+      std::vector<double> c;
+      for (int j = 0; j < dim; ++j) c.push_back(std::floor(p[j]));
+      cells.insert(c);
+    }
+    ASSERT_GE(cells.size(), 10000u);
+    expect_same_spans(pts, 1.0, dim, max_reach, 41);
+    if (HasFatalFailure()) return;
+
+    std::vector<Point> extreme;
+    for (int i = 0; i < 600; ++i) {
+      Point p(dim);
+      for (int j = 0; j < dim; ++j) {
+        const std::uint64_t pick = rng.uniform(3);
+        const double near = static_cast<double>(rng.uniform_int(-3, 3));
+        p[j] = pick == 0 ? 1e150 : pick == 1 ? -1e150 : near * 1e-150;
+      }
+      extreme.push_back(p);
+    }
+    expect_same_spans(extreme, 1e-150, dim, max_reach, 43);
+    if (HasFatalFailure()) return;
   }
 }
 

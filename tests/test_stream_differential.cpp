@@ -123,12 +123,15 @@ std::vector<Point> lattice_stream(std::size_t n, int dim, double s, int side,
 }
 
 /// Feeds both windows the same arrivals and compares after each one;
-/// returns the level of the last query.
+/// returns the level of the last query.  Arrival i comes at time i + 1,
+/// and `pause` time units later from arrival `pause_at` on.
 int drive_windows(SlidingWindow& sw, reference::SlidingWindow& ref,
-                  const std::vector<Point>& pts) {
+                  const std::vector<Point>& pts,
+                  std::size_t pause_at = SIZE_MAX, std::int64_t pause = 0) {
   int level = -1;
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    const auto t = static_cast<std::int64_t>(i) + 1;
+    const auto t =
+        static_cast<std::int64_t>(i) + 1 + (i >= pause_at ? pause : 0);
     sw.insert(pts[i], t);
     ref.insert(pts[i], t);
     const auto got = sw.query(t);
@@ -209,6 +212,37 @@ TEST(StreamDifferential, SlidingWindowMatchesReferenceOnJoinRadiusLattice) {
           drive_windows(sw, ref, lattice_stream(300, dim, s, 8, 31));
           if (HasFailure()) return;
         }
+}
+
+TEST(StreamDifferential, SlidingWindowMatchesReferenceOnDriftingStreams) {
+  // Drifting clusters keep founding fresh clusters at the low levels while
+  // older ones fall out of the window, so clusters expire at irregular
+  // times: W = 16 sweeps on most arrivals, W = 2000 rarely.  Halfway
+  // through, time pauses for W + 5 units, so every cluster of every level
+  // expires on one arrival and each level refills from that arrival's
+  // cluster.
+  for (const Norm norm : kNorms)
+    for (int dim = 1; dim <= 3; ++dim) {
+      PlantedConfig cfg;
+      cfg.n = 5000;
+      cfg.k = 3;
+      cfg.z = 10;
+      cfg.dim = dim;
+      cfg.norm = norm;
+      cfg.seed = 70 + static_cast<std::uint64_t>(dim);
+      const PlantedInstance inst = make_drifting(cfg);
+      std::vector<Point> pts;
+      for (const auto& wp : inst.points) pts.push_back(wp.p);
+      for (const std::int64_t window : {16, 300, 2000}) {
+        SCOPED_TRACE(label(norm, dim, cfg.z) + " W=" + std::to_string(window));
+        const Metric metric{norm};
+        SlidingWindow sw(cfg.k, cfg.z, 0.5, dim, window, 0.25, 400.0, metric);
+        reference::SlidingWindow ref(cfg.k, cfg.z, 0.5, dim, window, 0.25,
+                                     400.0, metric);
+        drive_windows(sw, ref, pts, pts.size() / 2, window + 5);
+        if (HasFailure()) return;
+      }
+    }
 }
 
 /// k by dimension for the insertion-only differentials: at ε = 1 the
