@@ -63,7 +63,7 @@ struct Table1Setup {
 
 /// The ABL-GUESS separating workload: k dense planted clusters plus a wide
 /// uniform cloud whose points look like outliers locally but are globally
-/// structured (see DESIGN.md).
+/// structured (PAPER.md, "Documented substitutions").
 [[nodiscard]] WeightedSet cloud_and_clusters(std::size_t n_cluster,
                                              std::size_t n_cloud, int k,
                                              std::uint64_t seed);

@@ -66,6 +66,11 @@ int main(int argc, char** argv) {
         setup.csv_path,
         std::vector<std::string>{"sweep", "algorithm", "z", "eps", "peak",
                                  "bound"});
+    if (!csv->ok()) {
+      std::fprintf(stderr, "error: cannot write --csv %s\n",
+                   setup.csv_path.c_str());
+      return 2;
+    }
   }
 
   // ---- Sweep 1: z --------------------------------------------------------

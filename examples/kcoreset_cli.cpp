@@ -149,7 +149,8 @@ int main(int argc, char** argv) {
   const Labeling lab = classify(pts, final_sol, metric);
 
   Table t({"metric", "value"});
-  t.add_row({"coreset size", fmt_count(static_cast<long long>(coreset.size()))});
+  t.add_row(
+      {"coreset size", fmt_count(static_cast<long long>(coreset.size()))});
   t.add_row({"radius", fmt(radius, 6)});
   t.add_row({"outlier weight", fmt_count(lab.outlier_weight)});
   t.add_row({"coreset build (ms)", fmt(build_ms, 1)});

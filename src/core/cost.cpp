@@ -20,12 +20,12 @@ constexpr std::size_t kEvalBlock = 4096;
 // order, of the key from row i of `view`.
 void nearest_center_keys(const kernels::BufferView& view,
                          const PointSet& centers, const Metric& metric,
-                         double* keys, double* scratch) {
+                         double* keys) {
   KC_EXPECTS(!centers.empty());
   std::fill(keys, keys + view.size(), kInf);
   kernels::with_norm(metric.norm(), [&]<Norm N>() {
     for (const auto& c : centers)
-      kernels::min_keys<N>(view, c.coords().data(), keys, scratch);
+      kernels::min_keys<N>(view, c.coords().data(), keys);
   });
 }
 
@@ -42,12 +42,11 @@ void nearest_center_assign(const kernels::BufferView& view,
   KC_EXPECTS(!centers.empty());
   keys.assign(view.size(), kInf);
   assign.assign(view.size(), kNoCenter);
-  std::vector<double> scratch(view.size());
   kernels::with_norm(metric.norm(), [&]<Norm N>() {
     for (std::size_t c = 0; c < centers.size(); ++c)
       kernels::relax_min_keys<N>(view, centers[c].coords().data(),
                                  static_cast<std::uint32_t>(c), keys.data(),
-                                 assign.data(), scratch.data());
+                                 assign.data());
   });
 }
 
@@ -64,11 +63,10 @@ void OutlierTail::add(const kernels::BufferView& view, const PointSet& centers,
   KC_EXPECTS(w.empty() || w.size() == view.size());
   const std::size_t n = view.size();
   keys_.resize(std::min(n, kEvalBlock));
-  scratch_.resize(keys_.size());
   for (std::size_t lo = 0; lo < n; lo += kEvalBlock) {
     const std::size_t len = std::min(kEvalBlock, n - lo);
-    nearest_center_keys(view.subview(lo, len), centers, metric_, keys_.data(),
-                        scratch_.data());
+    nearest_center_keys(view.subview(lo, len), centers, metric_,
+                        keys_.data());
     for (std::size_t i = 0; i < len; ++i) {
       if (!(keys_[i] > floor_)) continue;
       cand_.emplace_back(keys_[i], w.empty() ? 1 : w[lo + i]);
@@ -107,10 +105,10 @@ std::vector<double> nearest_center_dist(const WeightedSet& pts,
                                         const PointSet& centers,
                                         const Metric& metric,
                                         const kernels::PointBuffer* buf) {
-  std::vector<double> keys(pts.size()), scratch(pts.size());
+  std::vector<double> keys(pts.size());
   kernels::PointBuffer local;
   nearest_center_keys(kernels::mirror_or_pack(pts, buf, local).view(),
-                      centers, metric, keys.data(), scratch.data());
+                      centers, metric, keys.data());
   for (auto& k : keys) k = metric.key_to_dist(k);
   return keys;
 }

@@ -57,7 +57,7 @@ class OutlierTail {
   Metric metric_;
   double floor_;        ///< keys ≤ floor_ cannot change the answer
   std::vector<std::pair<double, std::int64_t>> cand_;
-  std::vector<double> keys_, scratch_;  ///< one sweep block
+  std::vector<double> keys_;  ///< one sweep block
 };
 
 /// Distance from each point of `pts` to its nearest center.

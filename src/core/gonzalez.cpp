@@ -46,7 +46,7 @@ inline double band_reach(std::uint32_t b) noexcept {
 }
 
 // The traversal under norm N over a buffer of dimension D (0: any
-// dimension, through the buffer's runtime-dimension key).
+// dimension read at run time; see kernels::with_dim).
 //
 // Each cluster keeps its members as point indices in one arena, grouped
 // by band in ascending order, with a table of its non-empty bands.  A new
@@ -61,9 +61,9 @@ template <Norm N, int D>
 class PrunedTraversal {
  public:
   PrunedTraversal(const WeightedSet& pts, const kernels::PointBuffer& buf)
-      : pts_(pts), buf_(buf) {
-    if constexpr (D > 0) cols_ = kernels::detail::col_ptrs<D>(buf_, 0);
-  }
+      : pts_(pts),
+        buf_(buf),
+        cols_(kernels::detail::cols<D>(buf, 0, buf.size())) {}
 
   GonzalezResult run(int max_centers, const Metric& metric, ThreadPool* pool,
                      const PrefixHook& on_prefix) {
@@ -113,21 +113,15 @@ class PrunedTraversal {
 
   [[nodiscard]] double point_key(std::uint32_t i,
                                  const double* q) const noexcept {
-    if constexpr (D > 0)
-      return kernels::detail::key_at<N, D>(cols_, q, i);
-    else
-      return buf_.template key_to<N>(i, q);
+    return kernels::detail::key_at<N, D>(cols_, q, i);
   }
 
   // Centre 0: every point joins it, in one pooled sweep of the relax
   // kernel (whose result does not depend on the pool's thread count).
   void first_center(const double* q, ThreadPool* pool) {
     const std::size_t n = buf_.size();
-    // The kernel reads `scratch` only on dimensions without a fused body.
-    std::vector<double> scratch(
-        kernels::detail::has_fixed_dim(buf_.dim()) ? 0 : n);
     const kernels::RelaxResult rr = kernels::relax_min_keys_parallel<N>(
-        buf_, q, 0, key_.data(), assign_, scratch.data(), pool);
+        buf_, q, 0, key_.data(), assign_, pool);
     add_cluster(
         n, [](std::size_t j) { return static_cast<std::uint32_t>(j); },
         [&](std::size_t j) { return band_of(key_[j]); }, rr.far_key,
@@ -280,7 +274,7 @@ class PrunedTraversal {
 
   const WeightedSet& pts_;
   const kernels::PointBuffer& buf_;
-  std::array<const double*, D> cols_{};
+  kernels::detail::Cols<D> cols_;
   std::vector<double> key_;
   std::uint32_t* assign_ = nullptr;
 
@@ -316,18 +310,10 @@ GonzalezResult traverse(const WeightedSet& pts, int max_centers,
   kernels::PointBuffer local;
   const kernels::PointBuffer& buf = kernels::mirror_or_pack(pts, buffer, local);
   return kernels::with_norm(metric.norm(), [&]<Norm N>() {
-    const auto run = [&]<int D>() {
+    return kernels::with_dim(buf.dim(), [&]<int D>() {
       return PrunedTraversal<N, D>(pts, buf).run(max_centers, metric, pool,
                                                  on_prefix);
-    };
-    switch (buf.dim()) {
-      case 1: return run.template operator()<1>();
-      case 2: return run.template operator()<2>();
-      case 3: return run.template operator()<3>();
-      case 4: return run.template operator()<4>();
-      case 8: return run.template operator()<8>();
-      default: return run.template operator()<0>();
-    }
+    });
   });
 }
 

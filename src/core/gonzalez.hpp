@@ -62,17 +62,17 @@
 // relax kernel on `pool`; that sweep is the only work the pool runs, and
 // its result does not depend on the thread count.  Each later step costs
 // O(t·d) for the center keys, O(t) to test each cluster's top band and to
-// find the farthest point, and O(d) per member of the bands it scans.  The worst case stays O(n·τ + τ²·d).  But the
-// centers are pairwise at least δ_{t−1} apart, every cluster radius is at
-// most δ_{t−1}, and a band's bound is below twice its keys, so a step
-// reaches only clusters whose center lies within 2√2·δ_{t−1} (L2) or
-// 4·δ_{t−1} (L1, L∞) of q, up to the margin.  By the packing bound of
-// Lemma 6 there are about 7^d (L2) or 9^d of them at most, a constant in
-// fixed dimension, and in each it scans only the bands whose bound U is
-// at least key(c, q)/(F·(1 + 1e−9)).  Apart from the centers, memory is
-// the n keys and assignments, an arena of 2n uint32 member indices, and
-// the points that move in one step with their bands.  No coordinates are
-// copied.
+// find the farthest point, and O(d) per member of the bands it scans.  The
+// worst case stays O(n·τ + τ²·d).  But the centers are pairwise at least
+// δ_{t−1} apart, every cluster radius is at most δ_{t−1}, and a band's
+// bound is below twice its keys, so a step reaches only clusters whose
+// center lies within 2√2·δ_{t−1} (L2) or 4·δ_{t−1} (L1, L∞) of q, up to
+// the margin.  By the packing bound of Lemma 6 there are about 7^d (L2)
+// or 9^d of them at most, a constant in fixed dimension, and in each it
+// scans only the bands whose bound U is at least key(c, q)/(F·(1 + 1e−9)).
+// Apart from the centers, memory is the n keys and assignments, an arena
+// of 2n uint32 member indices, and the points that move in one step with
+// their bands.  No coordinates are copied.
 
 #pragma once
 
@@ -94,13 +94,6 @@ struct GonzalezResult {
   std::vector<double> delta;
   /// assignment[i] = index into center_indices of the nearest center.
   std::vector<std::uint32_t> assignment;
-
-  [[nodiscard]] PointSet centers(const WeightedSet& pts) const {
-    PointSet out;
-    out.reserve(center_indices.size());
-    for (auto i : center_indices) out.push_back(pts[i].p);
-    return out;
-  }
 };
 
 /// Runs the traversal until `max_centers` centers are selected (or the

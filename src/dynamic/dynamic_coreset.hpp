@@ -51,7 +51,8 @@
 // The `deterministic_recovery` option swaps the randomized peeling sketch
 // for the power-sum (Vandermonde) sketch of power_sum.hpp — the paper's §1
 // determinisation remark — at the cost of a universe scan during decoding
-// (intended for the small-Δ demos; see DESIGN.md).
+// (intended for the small-Δ demos; see PAPER.md, "Documented
+// substitutions").
 
 #pragma once
 

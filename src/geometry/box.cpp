@@ -44,7 +44,7 @@ bool Box::contains(const Point& p) const {
 double Box::max_side() const {
   KC_EXPECTS(!empty_);
   double m = 0.0;
-  for (int i = 0; i < lo_.dim(); ++i) m = std::max(m, side(i));
+  for (int i = 0; i < lo_.dim(); ++i) m = std::max(m, hi_[i] - lo_[i]);
   return m;
 }
 

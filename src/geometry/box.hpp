@@ -20,8 +20,6 @@ class Box {
 
   [[nodiscard]] bool contains(const Point& p) const;
   [[nodiscard]] const Point& lo() const noexcept { return lo_; }
-  [[nodiscard]] const Point& hi() const noexcept { return hi_; }
-  [[nodiscard]] double side(int i) const { return hi_[i] - lo_[i]; }
   [[nodiscard]] double max_side() const;
   [[nodiscard]] bool is_empty() const noexcept { return empty_; }
 

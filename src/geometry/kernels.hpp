@@ -10,25 +10,26 @@
 // its scalar calls here, and the hot paths in core/ call the batch
 // primitives directly.
 //
-// Floating-point contract: for each norm the kernels accumulate in the
-// exact same order as the historical scalar code (dimension-ascending per
-// point), so a kernel-computed distance key is bit-identical to
-// `Metric::dist_key`.  The differential suite in tests/test_simd.cpp pins
-// this down across norms × dimensions × sizes × slice offsets; it is what
-// lets the SoA-migrated paths claim "no behavioral change".
+// Floating-point contract: every key is the one formula `key_of`
+// (geometry/point_buffer.hpp), accumulated dimension-ascending per point,
+// so a kernel-computed distance key is bit-identical to `Metric::dist_key`.
+// The differential suite in tests/test_simd.cpp pins this down across
+// norms × dimensions 1–9 × sizes × slice offsets against its own scalar
+// loop.
 //
-// Vectorization: the batch kernels dispatch on the buffer's dimension to
-// compile-time-specialized bodies for d ∈ {1, 2, 3, 4, 8} that fuse all
-// per-point work into one pass with the dimension loop fully unrolled;
-// the per-lane operation sequence is identical to the scalar reference,
-// so vectorizing *across points* changes no bits.  The hot loops carry a
-// `KC_SIMD_LOOP` pragma (ivdep).  GCC 12 at -O3 vectorizes the key and
-// min bodies at the x86-64 baseline, but the fused relax (a uint32 assign
-// select next to double keys) only with -mavx2 (see docs/ARCHITECTURE.md
-// "Memory layout"; CI additionally runs the differential suite under
-// -msse4.2 and -mavx2).  Other dimensions fall
-// back to `compute_keys_generic`, the retained column-at-a-time reference
-// that doubles as the bit-equality ground truth.
+// Dimension dispatch: `with_dim` is the one place a runtime dimension
+// becomes a template argument D.  d ∈ {1, 2, 3, 4, 8} get bodies that
+// fuse all per-point work into one pass with the dimension loop fully
+// unrolled; every other d runs the same bodies at D = 0, with the
+// dimension read at run time (`compute_keys` alone keeps a column-at-a-
+// time pass there, faster than a per-row loop at d = 5–7); kc_lint's api
+// rule keeps every other dimension dispatch out of src/.  The per-lane
+// operation sequence is the scalar one, so vectorizing *across points*
+// changes no bits.  The hot loops carry a `KC_SIMD_LOOP` pragma (ivdep).
+// GCC 12 at -O3 vectorizes the unrolled key and min bodies at the x86-64
+// baseline, but the fused relax (a uint32 assign select next to double
+// keys) only with -mavx2 (see docs/ARCHITECTURE.md "Memory layout"; CI
+// additionally runs the differential suite under -msse4.2 and -mavx2).
 //
 // Norm dispatch: the kernels are templated on the norm, and `with_norm`
 // is the one place a runtime `Norm` becomes that template argument —
@@ -85,30 +86,29 @@ inline decltype(auto) with_norm(Norm n, F&& f) {
   return f.template operator()<Norm::L2>();
 }
 
-/// Monotone distance key between two coordinate arrays: squared distance
-/// under L2 (avoids the sqrt), the distance itself under L∞/L1.
+/// Calls `f.template operator()<D>()` with D = d for the unrolled
+/// dimensions {1, 2, 3, 4, 8} and D = 0 (dimension read at run time) for
+/// every other d, and returns its result: the only mapping from a runtime
+/// dimension to a kernel instantiation.  Callers pass a template lambda,
+/// `[&]<int D>() { ... }`.
+template <typename F>
+inline decltype(auto) with_dim(int d, F&& f) {
+  switch (d) {
+    case 1: return f.template operator()<1>();
+    case 2: return f.template operator()<2>();
+    case 3: return f.template operator()<3>();
+    case 4: return f.template operator()<4>();
+    case 8: return f.template operator()<8>();
+    default: break;
+  }
+  return f.template operator()<0>();
+}
+
+/// Distance key (`key_of`) between two coordinate arrays of length d.
 template <Norm N>
 [[nodiscard]] inline double raw_key(const double* a, const double* b,
                                     int d) noexcept {
-  if constexpr (N == Norm::L2) {
-    double s = 0.0;
-    for (int i = 0; i < d; ++i) {
-      const double diff = a[i] - b[i];
-      s += diff * diff;
-    }
-    return s;
-  } else if constexpr (N == Norm::Linf) {
-    double m = 0.0;
-    for (int i = 0; i < d; ++i) {
-      const double diff = std::fabs(a[i] - b[i]);
-      if (diff > m) m = diff;
-    }
-    return m;
-  } else {
-    double s = 0.0;
-    for (int i = 0; i < d; ++i) s += std::fabs(a[i] - b[i]);
-    return s;
-  }
+  return key_of<N>([&](int j) { return a[j]; }, b, d);
 }
 
 /// Runtime-norm `raw_key` (for call sites that hold a `Norm` value rather
@@ -137,77 +137,98 @@ template <Norm N>
 
 namespace detail {
 
-// The dimension-dispatch switches below guarantee a fixed-D body only ever
-// runs with D == buf.dim() == the query's length, but after inlining GCC's
-// -Warray-bounds speculates into the dead branches (a d=3 query reaching
-// the unrolled D=8 body it can never take) and warns on q[j], j >= 3.
-// Silence that false positive for the fixed-dimension bodies only.
+// `with_dim` hands a fixed-D body only buffers of dimension D, whose
+// queries have D coordinates, but after inlining GCC's -Warray-bounds
+// speculates into the bodies a call can never take (a d = 3 query reaching
+// the unrolled D = 8 body) and warns on q[j], j >= 3; the D = 0 bodies
+// read only the buffer's own dimension.  Silence that false positive for
+// the kernel bodies only.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Warray-bounds"
 #endif
 
-/// The dimensions with a compile-time-specialized fused kernel body.
-constexpr bool has_fixed_dim(int d) noexcept {
-  return d == 1 || d == 2 || d == 3 || d == 4 || d == 8;
-}
+/// Column access of the kernel bodies: the D column pointers when D > 0,
+/// the slice itself (column j found on each read) when D = 0.
+template <int D>
+struct Cols {
+  std::array<const double*, D> p;
+  [[nodiscard]] const double* col(int j) const noexcept {
+    return p[static_cast<std::size_t>(j)];
+  }
+  [[nodiscard]] static constexpr int dim() noexcept { return D; }
+};
 
+template <>
+struct Cols<0> {
+  BufferView v;
+  [[nodiscard]] const double* col(int j) const noexcept { return v.col(j); }
+  [[nodiscard]] int dim() const noexcept { return v.dim(); }
+};
+
+/// The columns of rows [begin, end) of `buf`.
 template <int D, typename Buf>
-[[nodiscard]] inline std::array<const double*, D> col_ptrs(
-    const Buf& buf, std::size_t offset) noexcept {
-  std::array<const double*, D> c;
-  for (int j = 0; j < D; ++j) c[static_cast<std::size_t>(j)] = buf.col(j) + offset;
-  return c;
-}
-
-/// Per-point key under norm N from D column pointers — the unrolled body
-/// shared by every fixed-dimension kernel.  Accumulation is
-/// dimension-ascending, identical to `raw_key`.
-template <Norm N, int D>
-[[nodiscard]] inline double key_at(const std::array<const double*, D>& c,
-                                   const double* q, std::size_t i) noexcept {
-  if constexpr (N == Norm::L2) {
-    double s = 0.0;
-    for (int j = 0; j < D; ++j) {
-      const double diff = c[static_cast<std::size_t>(j)][i] - q[j];
-      s += diff * diff;
-    }
-    return s;
-  } else if constexpr (N == Norm::Linf) {
-    double m = 0.0;
-    for (int j = 0; j < D; ++j) {
-      const double diff = std::fabs(c[static_cast<std::size_t>(j)][i] - q[j]);
-      if (diff > m) m = diff;
-    }
-    return m;
+[[nodiscard]] inline Cols<D> cols(const Buf& buf, std::size_t begin,
+                                  std::size_t end) noexcept {
+  if constexpr (D == 0) {
+    return {buf.view(begin, end - begin)};
   } else {
-    double s = 0.0;
+    Cols<D> c;
     for (int j = 0; j < D; ++j)
-      s += std::fabs(c[static_cast<std::size_t>(j)][i] - q[j]);
-    return s;
+      c.p[static_cast<std::size_t>(j)] = buf.col(j) + begin;
+    return c;
   }
 }
 
-/// Fixed-dimension `compute_keys`: one fused pass, dimension loop unrolled,
-/// vectorized across points.
+/// Key of row i of `c` to q under norm N.
+template <Norm N, int D>
+[[nodiscard]] inline double key_at(const Cols<D>& c, const double* q,
+                                   std::size_t i) noexcept {
+  return key_of<N, D>([&](int j) { return c.col(j)[i]; }, q, c.dim());
+}
+
+/// `compute_keys` over [begin, end).  D > 0: one fused pass, dimension
+/// loop unrolled, vectorized across points.  D = 0: one pass per column,
+/// still dimension-ascending per point (the bits of `key_of`).
 template <Norm N, int D, typename Buf>
 inline void compute_keys_fixed(const Buf& buf, const double* q, double* out,
                                std::size_t begin, std::size_t end) noexcept {
-  const auto c = col_ptrs<D>(buf, begin);
   double* o = out + begin;
   const std::size_t n = end - begin;
-  KC_SIMD_LOOP
-  for (std::size_t i = 0; i < n; ++i) o[i] = key_at<N, D>(c, q, i);
+  if constexpr (D == 0) {
+    for (std::size_t i = 0; i < n; ++i) o[i] = 0.0;
+    for (int j = 0; j < buf.dim(); ++j) {
+      const double* c = buf.col(j) + begin;
+      const double qj = q[j];
+      if constexpr (N == Norm::L2) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const double diff = c[i] - qj;
+          o[i] += diff * diff;
+        }
+      } else if constexpr (N == Norm::Linf) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const double diff = std::fabs(c[i] - qj);
+          if (diff > o[i]) o[i] = diff;
+        }
+      } else {
+        for (std::size_t i = 0; i < n; ++i) o[i] += std::fabs(c[i] - qj);
+      }
+    }
+  } else {
+    const auto c = cols<D>(buf, begin, end);
+    KC_SIMD_LOOP
+    for (std::size_t i = 0; i < n; ++i) o[i] = key_at<N, D>(c, q, i);
+  }
 }
 
-/// Fixed-dimension fused relax: keys[i] = min(keys[i], key(i, q)) with
-/// assign[i] = label on improvement.  Branchless selects so the loop
-/// vectorizes; the stored values match the branching scalar loop exactly.
+/// Fused relax: keys[i] = min(keys[i], key(i, q)) with assign[i] = label
+/// on improvement.  Branchless selects so the loop vectorizes; the stored
+/// values match the branching scalar loop exactly.
 template <Norm N, int D, typename Buf>
 inline void relax_fixed(const Buf& buf, const double* q, std::uint32_t label,
                         double* keys, std::uint32_t* assign, std::size_t begin,
                         std::size_t end) noexcept {
-  const auto c = col_ptrs<D>(buf, begin);
+  const auto c = cols<D>(buf, begin, end);
   double* k = keys + begin;
   std::uint32_t* a = assign + begin;
   const std::size_t n = end - begin;
@@ -220,11 +241,11 @@ inline void relax_fixed(const Buf& buf, const double* q, std::uint32_t label,
   }
 }
 
-/// Fixed-dimension fused min: keys[i] = min(keys[i], key(i, q)).
+/// Fused min: keys[i] = min(keys[i], key(i, q)).
 template <Norm N, int D, typename Buf>
 inline void min_keys_fixed(const Buf& buf, const double* q, double* keys,
                            std::size_t begin, std::size_t end) noexcept {
-  const auto c = col_ptrs<D>(buf, begin);
+  const auto c = cols<D>(buf, begin, end);
   double* k = keys + begin;
   const std::size_t n = end - begin;
   KC_SIMD_LOOP
@@ -238,61 +259,17 @@ inline void min_keys_fixed(const Buf& buf, const double* q, double* keys,
 #pragma GCC diagnostic pop
 #endif
 
-/// `compute_keys_generic` restricted to the index range [begin, end): the
-/// retained column-at-a-time reference pass (the historical PR-2 kernel).
-/// Per-point accumulation is dimension-ascending regardless of the range
-/// split, so out[i] == key_to<N>(i, q) for every i in the range.  Ground
-/// truth for the fixed-dimension bodies (tests/test_simd.cpp) and the
-/// fallback for dimensions without one.
-template <Norm N, typename Buf>
-inline void compute_keys_generic_range(const Buf& buf, const double* q,
-                                       double* out, std::size_t begin,
-                                       std::size_t end) noexcept {
-  for (std::size_t i = begin; i < end; ++i) out[i] = 0.0;
-  for (int j = 0; j < buf.dim(); ++j) {
-    const double* c = buf.col(j);
-    const double qj = q[j];
-    if constexpr (N == Norm::L2) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const double diff = c[i] - qj;
-        out[i] += diff * diff;
-      }
-    } else if constexpr (N == Norm::Linf) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const double diff = std::fabs(c[i] - qj);
-        if (diff > out[i]) out[i] = diff;
-      }
-    } else {
-      for (std::size_t i = begin; i < end; ++i)
-        out[i] += std::fabs(c[i] - qj);
-    }
-  }
-}
-
 /// Writes the distance key of every buffered point to `q` into out[begin,
-/// end).  Dispatches on the buffer's dimension to the fused vectorized
-/// bodies; bit-identical to `compute_keys_generic_range` for every
-/// dimension (same per-point accumulation order).
+/// end).
 template <Norm N, typename Buf>
 inline void compute_keys_range(const Buf& buf, const double* q, double* out,
                                std::size_t begin, std::size_t end) noexcept {
-  switch (buf.dim()) {
-    case 1: compute_keys_fixed<N, 1>(buf, q, out, begin, end); return;
-    case 2: compute_keys_fixed<N, 2>(buf, q, out, begin, end); return;
-    case 3: compute_keys_fixed<N, 3>(buf, q, out, begin, end); return;
-    case 4: compute_keys_fixed<N, 4>(buf, q, out, begin, end); return;
-    case 8: compute_keys_fixed<N, 8>(buf, q, out, begin, end); return;
-    default: compute_keys_generic_range<N>(buf, q, out, begin, end); return;
-  }
+  with_dim(buf.dim(), [&]<int D>() {
+    compute_keys_fixed<N, D>(buf, q, out, begin, end);
+  });
 }
 
 }  // namespace detail
-
-template <Norm N, typename Buf>
-inline void compute_keys_generic(const Buf& buf, const double* q,
-                                 double* out) noexcept {
-  detail::compute_keys_generic_range<N>(buf, q, out, 0, buf.size());
-}
 
 template <Norm N, typename Buf>
 inline void compute_keys(const Buf& buf, const double* q,
@@ -353,27 +330,14 @@ struct RelaxResult {
 
 namespace detail {
 
-/// Relaxation over [begin, end) without the far reduction: fused fixed-dim
-/// body when available, else the generic pass through `scratch`.
+/// Relaxation over [begin, end) without the far reduction.
 template <Norm N, typename Buf>
 inline void relax_range(const Buf& buf, const double* q, std::uint32_t label,
-                        double* keys, std::uint32_t* assign, double* scratch,
-                        std::size_t begin, std::size_t end) noexcept {
-  switch (buf.dim()) {
-    case 1: relax_fixed<N, 1>(buf, q, label, keys, assign, begin, end); return;
-    case 2: relax_fixed<N, 2>(buf, q, label, keys, assign, begin, end); return;
-    case 3: relax_fixed<N, 3>(buf, q, label, keys, assign, begin, end); return;
-    case 4: relax_fixed<N, 4>(buf, q, label, keys, assign, begin, end); return;
-    case 8: relax_fixed<N, 8>(buf, q, label, keys, assign, begin, end); return;
-    default: break;
-  }
-  compute_keys_generic_range<N>(buf, q, scratch, begin, end);
-  for (std::size_t i = begin; i < end; ++i) {
-    if (scratch[i] < keys[i]) {
-      keys[i] = scratch[i];
-      assign[i] = label;
-    }
-  }
+                        double* keys, std::uint32_t* assign, std::size_t begin,
+                        std::size_t end) noexcept {
+  with_dim(buf.dim(), [&]<int D>() {
+    relax_fixed<N, D>(buf, q, label, keys, assign, begin, end);
+  });
 }
 
 }  // namespace detail
@@ -381,36 +345,22 @@ inline void relax_range(const Buf& buf, const double* q, std::uint32_t label,
 /// One Gonzalez relaxation sweep: keys[i] = min(keys[i], key(i, q)) with
 /// assign[i] = label on improvement, returning the farthest point under the
 /// *relaxed* keys (first max wins, matching the historical scalar loop).
-/// `scratch` must have room for buf.size() doubles (used only on the
-/// generic-dimension fallback; the fixed-dimension bodies fuse the relax
-/// into the key computation and never touch it).
 template <Norm N, typename Buf>
 inline RelaxResult relax_min_keys(const Buf& buf, const double* q,
                                   std::uint32_t label, double* keys,
-                                  std::uint32_t* assign,
-                                  double* scratch) noexcept {
+                                  std::uint32_t* assign) noexcept {
   const std::size_t n = buf.size();
-  detail::relax_range<N>(buf, q, label, keys, assign, scratch, 0, n);
+  detail::relax_range<N>(buf, q, label, keys, assign, 0, n);
   return far_scan(keys, 0, n);
 }
 
 /// keys[i] = min(keys[i], key(i, q)) without assignment tracking — the
 /// nearest-center evaluation sweep (core/cost.cpp).
 template <Norm N, typename Buf>
-inline void min_keys(const Buf& buf, const double* q, double* keys,
-                     double* scratch) noexcept {
-  const std::size_t n = buf.size();
-  switch (buf.dim()) {
-    case 1: detail::min_keys_fixed<N, 1>(buf, q, keys, 0, n); return;
-    case 2: detail::min_keys_fixed<N, 2>(buf, q, keys, 0, n); return;
-    case 3: detail::min_keys_fixed<N, 3>(buf, q, keys, 0, n); return;
-    case 4: detail::min_keys_fixed<N, 4>(buf, q, keys, 0, n); return;
-    case 8: detail::min_keys_fixed<N, 8>(buf, q, keys, 0, n); return;
-    default: break;
-  }
-  detail::compute_keys_generic_range<N>(buf, q, scratch, 0, n);
-  for (std::size_t i = 0; i < n; ++i)
-    if (scratch[i] < keys[i]) keys[i] = scratch[i];
+inline void min_keys(const Buf& buf, const double* q, double* keys) noexcept {
+  with_dim(buf.dim(), [&]<int D>() {
+    detail::min_keys_fixed<N, D>(buf, q, keys, 0, buf.size());
+  });
 }
 
 /// Block size of `first_within`: keys are computed for one block at a time
@@ -497,17 +447,16 @@ template <Norm N, typename Buf>
 inline RelaxResult relax_min_keys_parallel(const Buf& buf, const double* q,
                                            std::uint32_t label, double* keys,
                                            std::uint32_t* assign,
-                                           double* scratch, ThreadPool* pool,
+                                           ThreadPool* pool,
                                            std::size_t grain = kParallelGrain) {
   const std::size_t n = buf.size();
   if (pool == nullptr || pool->num_threads() <= 1 || n <= grain)
-    return relax_min_keys<N>(buf, q, label, keys, assign, scratch);
+    return relax_min_keys<N>(buf, q, label, keys, assign);
   const std::size_t chunks = pool->chunk_count(n, grain);
   std::vector<RelaxResult> part(chunks);
   pool->parallel_for_chunks(
       n, grain, [&](std::size_t c, std::size_t begin, std::size_t end) {
-        detail::relax_range<N>(buf, q, label, keys, assign, scratch, begin,
-                               end);
+        detail::relax_range<N>(buf, q, label, keys, assign, begin, end);
         part[c] = far_scan(keys, begin, end);
       });
   RelaxResult res = part[0];

@@ -38,6 +38,30 @@ enum class Norm : std::uint8_t { L2, Linf, L1 };
 
 namespace kernels {
 
+/// Distance key under norm N between a point whose coordinate j is x(j)
+/// and the query q: the squared distance under L2 (no sqrt), the distance
+/// itself under L∞ and L1.  D > 0 unrolls a D-dimensional loop; D = 0
+/// reads the dimension `d` at run time.  Accumulation is
+/// dimension-ascending, so every caller of this one formula gets the same
+/// bits for the same point and query.
+template <Norm N, int D = 0, typename X>
+[[nodiscard]] inline double key_of(X&& x, const double* q, int d) noexcept {
+  const int dim = D > 0 ? D : d;
+  double s = 0.0;
+  for (int j = 0; j < dim; ++j) {
+    const double diff = x(j) - q[j];
+    if constexpr (N == Norm::L2) {
+      s += diff * diff;
+    } else if constexpr (N == Norm::Linf) {
+      const double a = std::fabs(diff);
+      if (a > s) s = a;
+    } else {
+      s += std::fabs(diff);
+    }
+  }
+  return s;
+}
+
 /// Non-owning slice of a `PointBuffer`: rows [0, size()) map to rows
 /// [offset, offset+count) of the parent, columns keep the parent's stride.
 class BufferView {
@@ -72,31 +96,11 @@ class BufferView {
     return subview(offset, count);
   }
 
-  /// Distance key of row i to query coordinates q, accumulated in
-  /// dimension-ascending order (bit-identical to the scalar AoS loop).
+  /// Distance key of row i to query coordinates q (see `key_of`).
   template <Norm N>
   [[nodiscard]] double key_to(std::size_t i, const double* q) const noexcept {
     KC_DCHECK(i < n_);
-    if constexpr (N == Norm::L2) {
-      double s = 0.0;
-      for (int j = 0; j < dim_; ++j) {
-        const double diff = col(j)[i] - q[j];
-        s += diff * diff;
-      }
-      return s;
-    } else if constexpr (N == Norm::Linf) {
-      double m = 0.0;
-      for (int j = 0; j < dim_; ++j) {
-        const double diff = std::fabs(col(j)[i] - q[j]);
-        if (diff > m) m = diff;
-      }
-      return m;
-    } else {
-      double s = 0.0;
-      for (int j = 0; j < dim_; ++j)
-        s += std::fabs(col(j)[i] - q[j]);
-      return s;
-    }
+    return key_of<N>([&](int j) { return col(j)[i]; }, q, dim_);
   }
 
  private:

@@ -1,7 +1,7 @@
 // Baseline: Ceccarello–Pietracaprina–Pucci 1-round coreset [11]
 // (the "MPC 1-round" rows of Table 1 the paper improves upon).
 //
-// Faithful-in-spirit reconstruction (see DESIGN.md, substitution #5 note):
+// Faithful-in-spirit reconstruction (PAPER.md, "Documented substitutions"):
 // each machine summarises its local set by running Gonzalez until
 // τ = (k+z)·⌈4/ε⌉^d + 1 centers.  By the packing bound applied with (k+z)
 // centers and 0 outliers, the covering radius then satisfies

@@ -1,7 +1,7 @@
 // ℓ0 / F0 estimation for strict-turnstile streams — the stand-in for the
-// Kane–Nelson–Woodruff distinct-elements estimator [32] (DESIGN.md
-// substitution #4; Algorithm 5 uses it through Lemma 24 to pick the finest
-// grid with at most s non-empty cells).
+// Kane–Nelson–Woodruff distinct-elements estimator [32] (PAPER.md,
+// "Documented substitutions"; Algorithm 5 uses it through Lemma 24 to pick
+// the finest grid with at most s non-empty cells).
 //
 // Level sampling: a t-wise-independent hash assigns each key a geometric
 // level (key survives level ℓ with probability 2^{-ℓ}, nested).  Each level

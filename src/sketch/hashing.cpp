@@ -25,7 +25,7 @@ std::uint64_t PolyHash::eval(std::uint64_t x) const noexcept {
 
 int PolyHash::level_at(std::uint64_t x, int max_level) const noexcept {
   const std::uint64_t h = eval(x);
-  // unit(key) < 2^{-ℓ}  ⇔  h < p / 2^ℓ.
+  // h/p < 2^{-ℓ}  ⇔  h < p / 2^ℓ.
   int lvl = 0;
   std::uint64_t threshold = kPrime >> 1;
   while (lvl < max_level && h < threshold) {

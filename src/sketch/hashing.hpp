@@ -58,20 +58,10 @@ class PolyHash {
     return eval(embed_key(key));
   }
 
-  /// Hash value in [0, 1).
-  [[nodiscard]] double unit(std::uint64_t key) const noexcept {
-    return static_cast<double>((*this)(key)) /
-           static_cast<double>(kPrime);
-  }
-
-  /// Number of leading "subsample levels" the key survives: the largest
-  /// ℓ ≥ 0 with unit(key) < 2^{-ℓ}, capped at `max_level`.  Used by the F0
-  /// estimator's nested level sampling.
-  [[nodiscard]] int level(std::uint64_t key, int max_level) const noexcept {
-    return level_at(embed_key(key), max_level);
-  }
-
-  /// level() at an already embedded key.
+  /// Number of leading "subsample levels" the embedded key x =
+  /// embed_key(key) survives: the largest ℓ ≥ 0 with h(key)/p < 2^{-ℓ},
+  /// capped at `max_level`.  Used by the F0 estimator's nested level
+  /// sampling.
   [[nodiscard]] int level_at(std::uint64_t x, int max_level) const noexcept;
 
   /// Coefficients, highest degree first (the Horner order).

@@ -1,6 +1,7 @@
 // s-sparse recovery sketch for strict-turnstile streams — the stand-in for
-// the Barkay–Porat–Shalem s-sample recovery structure [4] (DESIGN.md
-// substitution #3; same black-box guarantee used by the paper's Lemma 22).
+// the Barkay–Porat–Shalem s-sample recovery structure [4] (PAPER.md,
+// "Documented substitutions"; same black-box guarantee used by the paper's
+// Lemma 22).
 //
 // Structure: kRows = 4 independent hash rows, each with 2s buckets of
 // 1-sparse cells; decoding peels singleton buckets (recover → subtract

@@ -1,8 +1,8 @@
 // Baseline: McCutchen–Khuller streaming k-center with outliers [34]
 // ((4+ε)-approximation, O(kz/ε) stored points, general metric spaces).
 //
-// Reconstruction of their phase-doubling structure (documented substitution
-// — see DESIGN.md): we run L = ⌈log2(1+1)/log2(1+ε)⌉-style parallel
+// Reconstruction of their phase-doubling structure (PAPER.md, "Documented
+// substitutions"): we run L = ⌈log2(1+1)/log2(1+ε)⌉-style parallel
 // instances whose radius ladders are offset by (1+ε)^g, the classic trick
 // that turns a doubling algorithm's factor-2 guess granularity into (1+ε).
 // Each instance maintains:

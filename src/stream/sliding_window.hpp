@@ -1,7 +1,7 @@
 // Sliding-window k-center with outliers: the De Berg–Monemizadeh–Zhong
 // structure [18], whose O((kz/ε^d)·log σ) space the paper's Theorem 30
-// proves optimal.  Reconstructed from its interface (documented
-// substitution, DESIGN.md #5):
+// proves optimal.  Reconstructed from its interface (PAPER.md,
+// "Documented substitutions"):
 //
 //  * A ladder of levels ℓ with radius guesses 2^ℓ spanning [r_min, r_max]
 //    (≈ log σ levels).

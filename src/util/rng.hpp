@@ -37,6 +37,8 @@ class Rng {
     }
   }
 
+  // kc-lint-allow(exports): min, max and result_type make Rng a
+  // UniformRandomBitGenerator; no caller needs the concept today.
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept {
     return std::numeric_limits<result_type>::max();

@@ -14,6 +14,8 @@ class Summary {
 
   [[nodiscard]] std::size_t count() const noexcept { return values_.size(); }
   [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
+  // kc-lint-allow(exports): Summary.MeanStdDevPercentiles checks it; the
+  // benches and perfbench read max, the median and percentiles only.
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
   /// q in [0,1]; linear interpolation between order statistics.

@@ -22,7 +22,6 @@ class Table {
   /// Convenience: render straight to stdout.
   void print(int indent = 2) const;
 
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 
  private:
   std::vector<std::string> headers_;

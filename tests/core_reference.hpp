@@ -153,7 +153,8 @@ inline double radius_with_outliers_sorted(const WeightedSet& pts,
                                           const PointSet& centers,
                                           std::int64_t z,
                                           const Metric& metric) {
-  const std::vector<double> keys = nearest_center_keys_aos(pts, centers, metric);
+  const std::vector<double> keys =
+      nearest_center_keys_aos(pts, centers, metric);
   std::vector<std::pair<double, std::int64_t>> dw;
   dw.reserve(pts.size());
   for (std::size_t i = 0; i < pts.size(); ++i)
@@ -229,7 +230,6 @@ inline GonzalezResult gonzalez_full(
   std::vector<double> key(n, std::numeric_limits<double>::infinity());
   kernels::PointBuffer local;
   const kernels::PointBuffer& buf = kernels::mirror_or_pack(pts, buffer, local);
-  std::vector<double> scratch(n);
   return kernels::with_norm(metric.norm(), [&]<Norm N>() {
     GonzalezResult res;
     res.assignment.assign(n, 0);
@@ -238,7 +238,7 @@ inline GonzalezResult gonzalez_full(
       res.center_indices.push_back(next);
       const kernels::RelaxResult rr = kernels::relax_min_keys_parallel<N>(
           buf, pts[next].p.coords().data(), static_cast<std::uint32_t>(t),
-          key.data(), res.assignment.data(), scratch.data(), pool);
+          key.data(), res.assignment.data(), pool);
       const double radius = metric.key_to_dist(rr.far_key);
       res.delta.push_back(radius);
       next = rr.far_idx;

@@ -13,8 +13,11 @@ int allowed_probe();
 
 class Widget {
  public:
-  int used() const;
-  int unused_member() const;  // flagged
+  static Widget make();       // fixture::Widget::make() in tools/
+  int used() const;           // w.used() in tools/
+  int peer() const;           // .peer() in api.cpp only: a member use
+  int unused_member() const;  // flagged: only its definition names it
+  int count() const;          // flagged: tools/ has a variable `count`
 
  private:
   int hidden() const;  // private: not an export

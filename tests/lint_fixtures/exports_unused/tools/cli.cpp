@@ -4,6 +4,7 @@
 int main() {
   const char* name = "own_helper";
   (void)name;
-  fixture::Widget w;
-  return fixture::tool_entry() + w.used();
+  const fixture::Widget w = fixture::Widget::make();
+  const int count = 1;  // a variable, not a use of Widget::count
+  return fixture::tool_entry() + w.used() + count;
 }

@@ -102,7 +102,8 @@ TEST(PolyHash, BucketsRoughlyUniform) {
 TEST(PolyHash, UnitInRange) {
   PolyHash h(3, 4);
   for (std::uint64_t x = 0; x < 1000; ++x) {
-    const double u = h.unit(x);
+    const double u =
+        static_cast<double>(h(x)) / static_cast<double>(kPrime);
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
   }
@@ -113,7 +114,7 @@ TEST(PolyHash, LevelsGeometric) {
   std::array<int, 8> level_counts{};
   const int n = 100000;
   for (int x = 0; x < n; ++x) {
-    const int l = h.level(static_cast<std::uint64_t>(x), 7);
+    const int l = h.level_at(embed_key(static_cast<std::uint64_t>(x)), 7);
     for (int i = 0; i <= l; ++i) ++level_counts[static_cast<std::size_t>(i)];
   }
   // Level ℓ retains ≈ n/2^ℓ keys.

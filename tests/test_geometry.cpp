@@ -86,7 +86,6 @@ TEST(Box, ExtendAndContain) {
   EXPECT_FALSE(b.is_empty());
   EXPECT_TRUE(b.contains({0.0, 2.0}));
   EXPECT_FALSE(b.contains({2.0, 2.0}));
-  EXPECT_DOUBLE_EQ(b.side(0), 2.0);
   EXPECT_DOUBLE_EQ(b.max_side(), 2.0);
 }
 

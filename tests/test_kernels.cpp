@@ -106,13 +106,11 @@ TEST(Kernels, RelaxMinKeysMatchesScalarSweep) {
   std::vector<double> keys(n, std::numeric_limits<double>::infinity());
   std::vector<double> ref_keys = keys;
   std::vector<std::uint32_t> assign(n, 0), ref_assign(n, 0);
-  std::vector<double> scratch(n);
 
   for (std::uint32_t label = 0; label < 5; ++label) {
     const Point& c = pts[label * 37].p;
     const kernels::RelaxResult rr = kernels::relax_min_keys<Norm::L2>(
-        buf, c.coords().data(), label, keys.data(), assign.data(),
-        scratch.data());
+        buf, c.coords().data(), label, keys.data(), assign.data());
     // Scalar reference sweep (the historical gonzalez inner loop).
     double far_key = -1.0;
     std::size_t far_idx = 0;

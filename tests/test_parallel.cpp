@@ -165,19 +165,17 @@ TEST_P(ParallelKernelTest, RelaxMinKeysMatchesScalarBitForBit) {
   std::vector<double> keys_a(n, std::numeric_limits<double>::infinity());
   std::vector<double> keys_b = keys_a;
   std::vector<std::uint32_t> assign_a(n, 0), assign_b(n, 0);
-  std::vector<double> scratch(n);
 
   std::size_t q_idx = 0;
   for (std::uint32_t label = 0; label < 8; ++label) {
     const double* q = pts[q_idx].p.coords().data();
     const auto scalar = kernels::with_norm(norm, [&]<Norm N>() {
       return kernels::relax_min_keys<N>(buf, q, label, keys_a.data(),
-                                        assign_a.data(), scratch.data());
+                                        assign_a.data());
     });
     const auto parallel = kernels::with_norm(norm, [&]<Norm N>() {
       return kernels::relax_min_keys_parallel<N>(buf, q, label, keys_b.data(),
-                                                 assign_b.data(),
-                                                 scratch.data(), &pool,
+                                                 assign_b.data(), &pool,
                                                  /*grain=*/512);
     });
     EXPECT_EQ(scalar.far_idx, parallel.far_idx) << "label " << label;

@@ -1,13 +1,12 @@
 // Differential suite pinning the vectorized SoA kernels to the scalar
 // reference paths (geometry/kernels.hpp, geometry/point_buffer.hpp).
 //
-// The contract under test: the dimension-dispatched fused kernel bodies
-// (compute_keys_range / relax_min_keys / min_keys / first_within) are
-// BIT-IDENTICAL to both the retained column-at-a-time reference
-// (compute_keys_generic) and a freshly written AoS scalar loop, across
-// norms × dimensions (fixed-D specializations AND the generic fallback,
-// including d = 9 > Point::kMaxDim) × sizes covering SIMD lane-width tails
-// × unaligned slice offsets.
+// The contract under test: the dimension-dispatched kernel bodies
+// (compute_keys / relax_min_keys / min_keys / first_within), `raw_key` and
+// `key_to` are BIT-IDENTICAL to a freshly written AoS scalar loop, across
+// norms × every dimension 1–9 (the unrolled D ∈ {1, 2, 3, 4, 8} and the
+// runtime-dimension D = 0 bodies, including d = 9 > Point::kMaxDim) ×
+// sizes covering SIMD lane-width tails × unaligned slice offsets.
 //
 // Sizes are chosen around the interesting boundaries: SSE/AVX lane counts
 // (2/4/8 doubles), the first_within block (kFirstWithinBlock = 128), and
@@ -29,7 +28,9 @@ namespace kc {
 namespace {
 
 const Norm kNorms[] = {Norm::L2, Norm::Linf, Norm::L1};
-const int kDims[] = {1, 2, 3, 4, 8, 9};  // 9 exercises the generic fallback
+// Every dimension: 1–4 and 8 take the unrolled bodies, 5–7 and 9 (past
+// Point::kMaxDim) the runtime-dimension ones.
+const int kDims[] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
 const std::size_t kSizes[] = {1,  2,  3,  5,  7,   8,   15,  16, 17,
                               31, 33, 64, 127, 128, 129, 257};
 
@@ -96,13 +97,13 @@ void check_keys_bitwise(const Buf& buf,
                         const std::vector<std::vector<double>>& rows,
                         const std::vector<double>& q, int dim) {
   const std::size_t n = rows.size();
-  std::vector<double> dispatched(n, -1.0), generic(n, -1.0);
+  std::vector<double> dispatched(n, -1.0);
   kernels::compute_keys<N>(buf, q.data(), dispatched.data());
-  kernels::compute_keys_generic<N>(buf, q.data(), generic.data());
   for (std::size_t i = 0; i < n; ++i) {
     const double ref = scalar_key(N, rows[i].data(), q.data(), dim);
     EXPECT_EQ(dispatched[i], ref) << "dim " << dim << " n " << n << " i " << i;
-    EXPECT_EQ(generic[i], ref) << "dim " << dim << " n " << n << " i " << i;
+    EXPECT_EQ(kernels::raw_key<N>(rows[i].data(), q.data(), dim), ref)
+        << "dim " << dim << " n " << n << " i " << i;
     EXPECT_EQ(buf.template key_to<N>(i, q.data()), ref);
   }
 }
@@ -139,8 +140,8 @@ TEST(Simd, UnalignedViewOffsetsBitIdentical) {
         std::vector<double> out(count, -1.0);
         kernels::compute_keys<Norm::L2>(view, q.data(), out.data());
         for (std::size_t i = 0; i < count; ++i)
-          EXPECT_EQ(out[i],
-                    scalar_key(Norm::L2, rows[offset + i].data(), q.data(), dim))
+          EXPECT_EQ(out[i], scalar_key(Norm::L2, rows[offset + i].data(),
+                                       q.data(), dim))
               << "dim " << dim << " offset " << offset << " i " << i;
         // Nested subview: rows [offset+1, offset+count) through two hops.
         if (count >= 2) {
@@ -167,28 +168,14 @@ TEST(Simd, RelaxMatchesScalarSweepWithTies) {
       std::vector<double> keys(n, std::numeric_limits<double>::infinity());
       std::vector<double> ref_keys = keys;
       std::vector<std::uint32_t> assign(n, 0), ref_assign(n, 0);
-      std::vector<double> scratch(n);
 
       for (std::uint32_t label = 0; label < 6; ++label) {
         const std::vector<double>& c = rows[(label * 41) % n];
-        kernels::RelaxResult rr;
-        switch (norm) {
-          case Norm::L2:
-            rr = kernels::relax_min_keys<Norm::L2>(
-                buf, c.data(), label, keys.data(), assign.data(),
-                scratch.data());
-            break;
-          case Norm::Linf:
-            rr = kernels::relax_min_keys<Norm::Linf>(
-                buf, c.data(), label, keys.data(), assign.data(),
-                scratch.data());
-            break;
-          default:
-            rr = kernels::relax_min_keys<Norm::L1>(
-                buf, c.data(), label, keys.data(), assign.data(),
-                scratch.data());
-            break;
-        }
+        const kernels::RelaxResult rr =
+            kernels::with_norm(norm, [&]<Norm N>() {
+              return kernels::relax_min_keys<N>(buf, c.data(), label,
+                                                keys.data(), assign.data());
+            });
         // Historical scalar sweep: branchy relax + inline first-max-wins
         // far tracking.  Duplicated rows make exact far-key ties real.
         double far_key = -1.0;
@@ -217,31 +204,33 @@ TEST(Simd, RelaxMatchesScalarSweepWithTies) {
 
 TEST(Simd, MinKeysMatchesPerPointScalarMin) {
   for (const int dim : kDims) {
-    const std::size_t n = 129;
-    const auto rows = lattice_rows(n, dim, 53 + dim);
-    const auto buf = pack(rows, dim);
-    const std::size_t centers[] = {0, 3, n / 2, n - 1};
+    for (const Norm norm : kNorms) {
+      const std::size_t n = 129;
+      const auto rows = lattice_rows(n, dim, 53 + dim);
+      const auto buf = pack(rows, dim);
+      const std::size_t centers[] = {0, 3, n / 2, n - 1};
 
-    std::vector<double> keys(n, std::numeric_limits<double>::infinity());
-    std::vector<double> scratch(n);
-    for (const std::size_t c : centers)
-      kernels::min_keys<Norm::L2>(buf, rows[c].data(), keys.data(),
-                                  scratch.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      double ref = std::numeric_limits<double>::infinity();
-      for (const std::size_t c : centers) {
-        const double k2 = scalar_key(Norm::L2, rows[i].data(), rows[c].data(),
-                                     dim);
-        if (k2 < ref) ref = k2;
+      std::vector<double> keys(n, std::numeric_limits<double>::infinity());
+      for (const std::size_t c : centers)
+        kernels::with_norm(norm, [&]<Norm N>() {
+          kernels::min_keys<N>(buf, rows[c].data(), keys.data());
+        });
+      for (std::size_t i = 0; i < n; ++i) {
+        double ref = std::numeric_limits<double>::infinity();
+        for (const std::size_t c : centers) {
+          const double k2 =
+              scalar_key(norm, rows[i].data(), rows[c].data(), dim);
+          if (k2 < ref) ref = k2;
+        }
+        EXPECT_EQ(keys[i], ref) << "dim " << dim << " i " << i;
       }
-      EXPECT_EQ(keys[i], ref) << "dim " << dim << " i " << i;
     }
   }
 }
 
 TEST(Simd, FirstWithinMatchesScalarEarlyExitScan) {
   // Sizes straddle the kFirstWithinBlock = 128 blocking.
-  for (const int dim : {2, 9}) {
+  for (const int dim : kDims) {
     for (const std::size_t n :
          {std::size_t{1}, std::size_t{7}, std::size_t{127}, std::size_t{128},
           std::size_t{129}, std::size_t{255}, std::size_t{256},

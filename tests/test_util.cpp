@@ -106,7 +106,6 @@ TEST(Table, AlignsAndCounts) {
   Table t({"alg", "n", "storage"});
   t.add_row({"ours", "1024", "33"});
   t.add_row({"baseline", "1024", "71"});
-  EXPECT_EQ(t.rows(), 2u);
   const std::string s = t.to_string();
   EXPECT_NE(s.find("baseline"), std::string::npos);
   EXPECT_NE(s.find("---"), std::string::npos);

@@ -40,19 +40,27 @@ api           Options structs in ``src/`` must not regain execution-
               must also take an ``ExecContext``; ``case Norm::`` labels
               appear only under ``src/geometry/`` — everywhere else a
               runtime ``Norm`` reaches its kernels through
-              ``kernels::with_norm``.
+              ``kernels::with_norm``; a dimension dispatch (a ``switch``
+              on ``dim()``, or a ``template operator()<k>()`` call with
+              an integer literal k) appears only in
+              ``src/geometry/kernels.hpp`` — everywhere else a runtime
+              dimension reaches its kernels through ``kernels::with_dim``.
 syscalls      statement-position (return-value-discarding) calls to
               ``read``/``write``/``fsync``/``posix_madvise``/``waitpid``
               and friends in ``src/dataset/`` are flagged; check the
               return or allowlist with a reason.
 exports       every function a ``src/**/*.hpp`` exports (free functions
               at namespace scope outside ``namespace detail``, and public
-              member functions) has a caller outside ``tests/``: its name
-              appears as an identifier in ``tools/``, ``examples/``,
-              ``bench/``, ``perfbench/`` (read as caller evidence only,
-              never linted) or a ``src/`` file other than its own header
-              and the ``.cpp`` of the same stem.  Test-only API is
-              deleted, moved into ``tests/``, or made file-local/private.
+              member functions) has a caller outside ``tests/``.  A free
+              function's name appears as an identifier in ``tools/``,
+              ``examples/``, ``bench/``, ``perfbench/`` (read as caller
+              evidence only, never linted) or a ``src/`` file other than
+              its own header and the ``.cpp`` of the same stem.  A member
+              ``C::name`` is used as a member in any of those files, its
+              own ones included: ``.name(``, ``->name(``, or ``C::name``
+              outside its definition (a bare ``name`` does not count).
+              Test-only API is deleted, moved into ``tests/``, or made
+              file-local/private.
 allowlist     allow annotations must carry a non-empty reason and must
               actually suppress something (stale annotations rot).
 
@@ -133,6 +141,9 @@ API_EXEMPT_MPC_HEADERS = {"src/mpc/context.hpp"}
 # api: the only src/ module that may switch on a Norm (kernels::with_norm
 # and Metric::name live there).
 NORM_DISPATCH_SCOPE = "src/geometry/"
+# api: the only file that may map a runtime dimension to a kernel
+# instantiation (kernels::with_dim).
+DIM_DISPATCH_FILE = "src/geometry/kernels.hpp"
 
 # syscalls: functions whose discarded return hides real I/O failures.
 CHECKED_SYSCALLS = (
@@ -524,6 +535,8 @@ class Linter:
                 self._check_mpc_entry_points(rel, f)
             if not rel.startswith(NORM_DISPATCH_SCOPE):
                 self._check_norm_dispatch(rel, f)
+            if rel != DIM_DISPATCH_FILE:
+                self._check_dim_dispatch(rel, f)
 
     NORM_CASE_RE = re.compile(r"\bcase\s+(?:\w+::)*Norm::")
 
@@ -535,6 +548,20 @@ class Linter:
                           "runtime Norm to its kernel instantiation with "
                           "kernels::with_norm (geometry/kernels.hpp), the "
                           "one Norm dispatch")
+
+    DIM_SWITCH_RE = re.compile(r"\bswitch\s*\([^)]*\bdim\s*\(\s*\)")
+    DIM_LITERAL_RE = re.compile(
+        r"\btemplate\s+operator\s*\(\s*\)\s*<\s*\d+\s*>")
+
+    def _check_dim_dispatch(self, rel, f):
+        for no, line in enumerate(f.lines, 1):
+            if self.DIM_SWITCH_RE.search(line) or \
+                    self.DIM_LITERAL_RE.search(line):
+                self.diag("api", rel, no,
+                          "dimension dispatch outside "
+                          "src/geometry/kernels.hpp: map a runtime "
+                          "dimension to its kernel instantiation with "
+                          "kernels::with_dim, the one dimension dispatch")
 
     def _check_options_members(self, rel, f):
         text = f.stripped
@@ -613,35 +640,85 @@ class Linter:
     TOKEN_RE = re.compile(r"[A-Za-z_]\w*|::|\S")
     IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
+    # A member use: ".name(" or "->name(", template arguments allowed.
+    MEMBER_USE_RE = re.compile(
+        r"(?:\.|->)\s*(?:template\s+)?([A-Za-z_]\w*)\s*"
+        r"(?:<[^;{}()]*>\s*)?\(")
+    # "C::name" and whether "(" follows (a call or a definition).  The
+    # lookahead consumes only C, so "ns::C::name" also yields (C, name).
+    QUALIFIED_RE = re.compile(
+        r"\b([A-Za-z_]\w*)(?=\s*::\s*(?:template\s+)?([A-Za-z_]\w*)\s*"
+        r"(?:<[^;{}()]*>\s*)?(\()?)")
+    # After a definition's parameter list: qualifiers, then its body.
+    DEFINITION_TAIL_RE = re.compile(
+        r"\s*(?:const\s*)?(?:noexcept\s*)?(?:override\s*)?"
+        r"(?:->[^;{]*)?\{")
+
+    def _qualified_uses(self, text):
+        """(class, name) pairs of every ``C::name`` in ``text`` that is not
+        the out-of-class definition of ``C::name``."""
+        uses = set()
+        for m in self.QUALIFIED_RE.finditer(text):
+            if m.group(3):
+                depth, i = 1, m.end(3)
+                while i < len(text) and depth > 0:
+                    depth += (text[i] == "(") - (text[i] == ")")
+                    i += 1
+                if self.DEFINITION_TAIL_RE.match(text, i):
+                    continue
+            uses.add((m.group(1), m.group(2)))
+        return uses
+
     def check_exports(self):
         src_users, callers = {}, set()
+        member_uses, qualified_uses = set(), set()
+        texts = []
         for rel, f in self.files.items():
             if f.in_src:
+                texts.append(f.stripped)
                 for name in set(self.IDENT_RE.findall(f.stripped)):
                     src_users.setdefault(name, set()).add(rel)
         for top in CALLER_DIRS:
             for dirpath, dirnames, filenames in os.walk(
                     os.path.join(self.root, top)):
                 dirnames[:] = [x for x in dirnames if x not in EXCLUDE_PARTS]
-                callers.update(*(self.IDENT_RE.findall(SourceFile(
-                    self.root, os.path.relpath(os.path.join(dirpath, fn),
-                                               self.root)).stripped)
-                    for fn in filenames if fn.endswith(CPP_EXTS)))
+                for fn in filenames:
+                    if not fn.endswith(CPP_EXTS):
+                        continue
+                    text = SourceFile(self.root, os.path.relpath(
+                        os.path.join(dirpath, fn), self.root)).stripped
+                    callers.update(self.IDENT_RE.findall(text))
+                    texts.append(text)
+        for text in texts:
+            member_uses.update(self.MEMBER_USE_RE.findall(text))
+            qualified_uses |= self._qualified_uses(text)
         for rel, f in sorted(self.files.items()):
             if not (f.in_src and rel.endswith(".hpp")):
                 continue
             own = {rel, rel[:-len(".hpp")] + ".cpp"}
-            for name, no in self._exported_functions(f):
-                if name not in callers and not src_users.get(name, own) - own:
+            for name, no, cls in self._exported_functions(f):
+                if cls:
+                    if (name in member_uses
+                            or (cls, name) in qualified_uses):
+                        continue
+                    self.diag("exports", rel, no,
+                              f"{cls}::{name} is exported but nothing "
+                              f"outside tests/ uses it as a member "
+                              f"(.{name}(, ->{name}( or {cls}::{name}): "
+                              f"delete it, move it into tests/, or make "
+                              f"it private")
+                elif name not in callers and \
+                        not src_users.get(name, own) - own:
                     self.diag("exports", rel, no,
                               f"{name!r} is exported but nothing outside "
                               f"tests/ calls it: delete it, move it into "
                               f"tests/, or make it file-local/private")
 
     def _exported_functions(self, f):
-        """Yields (name, line) for each function declared at namespace scope
-        outside ``detail``/anonymous namespaces, or as a public member of a
-        visible class.  Bodies, initializers and directives are skipped."""
+        """Yields (name, line, class) for each function declared at
+        namespace scope outside ``detail``/anonymous namespaces (class
+        None), or as a public member of a visible class.  Bodies,
+        initializers and directives are skipped."""
         # scope: [kind (ns/class/skip), class name, access, visible]
         scopes, stmt, code, cont = [["ns", "", "public", True]], [], [], False
         for line in f.lines:  # blank out directives and their continuations
@@ -669,7 +746,8 @@ class Linter:
             decl = tok != "}" and self._function_decl(words, top[1])
             visible = top[3] and top[2] == "public"
             if decl and visible:
-                yield decl, stmt[0][1]  # the line the declaration starts on
+                # The line the declaration starts on.
+                yield decl, stmt[0][1], top[1] if top[0] == "class" else None
             keys = [i for i, w in enumerate(words)
                     if w in ("class", "struct", "union")]
             if tok == "{" and (decl or "enum" in words or "=" in words):
