@@ -143,7 +143,7 @@ CharikarRun charikar_run(const WeightedSet& pts, int k, std::int64_t z,
 
 CharikarResult charikar_oracle(const WeightedSet& pts, int k, std::int64_t z,
                                const Metric& metric,
-                               const mpc::ExecContext& exec) {
+                               const ExecContext& exec) {
   KC_EXPECTS(k >= 1);
   KC_EXPECTS(z >= 0);
   CharikarResult res;

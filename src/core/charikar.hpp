@@ -33,7 +33,7 @@
 #include <optional>
 
 #include "core/types.hpp"
-#include "mpc/context.hpp"
+#include "util/exec_context.hpp"
 
 namespace kc {
 
@@ -80,10 +80,10 @@ struct CharikarResult {
 /// forwarded to every charikar_run; `exec.buffer` is a prebuilt SoA buffer
 /// of `pts` in the same order — when null (or stale) the oracle packs one
 /// itself, once, shared by every ladder guess.  Results are identical
-/// either way.  Fault/transport members are unused here.
+/// either way.
 [[nodiscard]] CharikarResult charikar_oracle(const WeightedSet& pts, int k,
                                              std::int64_t z,
                                              const Metric& metric,
-                                             const mpc::ExecContext& exec = {});
+                                             const ExecContext& exec = {});
 
 }  // namespace kc

@@ -24,7 +24,7 @@ std::vector<RadiusEstimate> estimate_radius_ladder(
   std::vector<RadiusEstimate> out(zs.size());
   // One SoA pack of the input for the whole ladder: the traversal and
   // every Charikar fallback on `pts` read it.
-  mpc::ExecContext exec = opt.exec;
+  ExecContext exec = opt.exec;
   kernels::PointBuffer local;
   exec.buffer = &kernels::mirror_or_pack(pts, exec.buffer, local);
   const bool summary =
@@ -56,7 +56,7 @@ std::vector<RadiusEstimate> estimate_radius_ladder(
       gonzalez_prefixes(pts, budgets, metric, exec.pool, exec.buffer);
   // The buffer mirrors `pts`, not a summary; the Charikar oracle packs each
   // (small) summary itself, once for its whole ladder.
-  mpc::ExecContext summary_exec = exec;
+  ExecContext summary_exec = exec;
   summary_exec.buffer = nullptr;
   for (std::size_t s = 0; s < via_summary.size(); ++s) {
     const std::size_t i = via_summary[s];

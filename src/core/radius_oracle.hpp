@@ -51,7 +51,7 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "mpc/context.hpp"
+#include "util/exec_context.hpp"
 
 namespace kc {
 
@@ -72,13 +72,13 @@ inline constexpr std::size_t kAutoThreshold = 600;
 
 struct OracleOptions {
   OracleKind kind = OracleKind::Auto;
-  /// Execution environment (mpc/context.hpp): `exec.pool` runs the
+  /// Execution environment (util/exec_context.hpp): `exec.pool` runs the
   /// chunk-parallel batch kernels (results are bit-identical with or
   /// without); `exec.buffer` is a prebuilt SoA buffer of the input in the
   /// same order, letting the Gonzalez and Charikar passes skip their own
   /// AoS→SoA re-pack (ignored when null or stale — results are identical
-  /// either way).  Fault/transport members are unused here.
-  mpc::ExecContext exec;
+  /// either way).
+  ExecContext exec;
 };
 
 /// Computes a two-sided estimate of optk,z(pts).

@@ -94,7 +94,7 @@ class DynamicPipeline final : public Pipeline {
       live.push_back({g.to_point(), 1});
       live_buf.append(live.back().p);
     }
-    mpc::ExecContext tail;
+    ExecContext tail;
     tail.buffer = &live_buf;
     extract_and_evaluate(res, live, cfg, w, tail);
     return res;

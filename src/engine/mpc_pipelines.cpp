@@ -42,9 +42,8 @@ class MpcPipeline : public Pipeline {
     // pipelines are swept over thread counts in tests/test_parallel.cpp).
     ThreadPool pool(cfg.num_threads);
     // One injector per run: plan + policy + accounting + the permanent dead
-    // set.  Inactive (all probabilities zero) makes every simulator path
-    // byte-identical to the fault-free build.
-    mpc::FaultInjector faults(cfg.fault_config());
+    // set.  An inactive plan (all probabilities zero) never fires.
+    mpc::FaultInjector faults(cfg.fault);
     // One transport per run; the simulator opens it on its topology.
     mpc::Transport transport(cfg.backend);
     mpc::ExecContext ctx;
@@ -68,9 +67,7 @@ class MpcPipeline : public Pipeline {
     if (cfg.backend == mpc::Backend::Wire)
       stamp_wire_extras(res.report, stats);
     if (faults.enabled()) stamp_fault_extras(res.report, stats.faults);
-    mpc::ExecContext tail;
-    tail.pool = &pool;
-    extract_and_evaluate(res, w.planted.points, cfg, w, tail);
+    extract_and_evaluate(res, w.planted.points, cfg, w, ctx);
     return res;
   }
 
@@ -109,7 +106,7 @@ class MpcPipeline : public Pipeline {
   }
 
   /// Fault accounting lands in the report only when injection was active,
-  /// keeping fault-free reports byte-identical to the pre-fault ones.
+  /// so fault-free reports carry no fault keys.
   static void stamp_fault_extras(PipelineReport& rep,
                                  const mpc::FaultStats& fs) {
     rep.set("fault_crashes", static_cast<double>(fs.crashes));

@@ -40,7 +40,7 @@ class OfflinePipeline final : public Pipeline {
     res.report.set("cover_radius", mbc.cover_radius);
     res.report.set("oracle_radius", mbc.oracle_radius);
     res.report.set("threads", static_cast<double>(pool.num_threads()));
-    mpc::ExecContext tail;
+    ExecContext tail;
     tail.pool = &pool;
     extract_and_evaluate(res, w.planted.points, cfg, w, tail);
     return res;

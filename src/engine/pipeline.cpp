@@ -40,11 +40,11 @@ std::string field_error(const PipelineConfig& cfg) {
       {"rounds", cfg.rounds, 1, PipelineConfig::kMaxRounds},
       {"window", static_cast<double>(cfg.window), 0, kInf},
       {"delta", static_cast<double>(cfg.delta), 2, kInf},
-      {"fault_crash", cfg.fault_crash, 0, 1},
-      {"fault_drop", cfg.fault_drop, 0, 1},
-      {"fault_truncate", cfg.fault_truncate, 0, 1},
-      {"fault_straggle", cfg.fault_straggle, 0, 1},
-      {"fault_retries", cfg.fault_retries, 0,
+      {"fault_crash", cfg.fault.crash_prob, 0, 1},
+      {"fault_drop", cfg.fault.drop_prob, 0, 1},
+      {"fault_truncate", cfg.fault.truncate_prob, 0, 1},
+      {"fault_straggle", cfg.fault.straggle_prob, 0, 1},
+      {"fault_retries", cfg.fault.retry_budget, 0,
        PipelineConfig::kMaxFaultRetries}};
   // The negated range tests are false for NaN too.
   if (!(cfg.eps > 0.0 && cfg.eps <= 1.0)) {
@@ -179,13 +179,18 @@ double PipelineReport::get(const std::string& key, double def) const {
 
 std::vector<bench::JsonField> PipelineReport::json_fields() const {
   std::vector<bench::JsonField> fields;
-  fields.reserve(extra.size() + 14);
+  fields.reserve(extra.size() + 16);
   fields.emplace_back("pipeline", pipeline);
   fields.emplace_back("model", model);
   fields.emplace_back("n", static_cast<long long>(n));
   fields.emplace_back("k", k);
   fields.emplace_back("z", static_cast<long long>(z));
   fields.emplace_back("eps", eps);
+  fields.emplace_back("dim", dim);
+  const char* norm_name = "l2";  // spelled as --norm takes it
+  if (norm == Norm::L1) norm_name = "l1";
+  if (norm == Norm::Linf) norm_name = "linf";
+  fields.emplace_back("norm", norm_name);
   fields.emplace_back("coreset", static_cast<long long>(coreset_size));
   fields.emplace_back("words", static_cast<long long>(words));
   fields.emplace_back("rounds", rounds);
@@ -217,6 +222,8 @@ PipelineResult Pipeline::execute(const Workload& w,
   res.report.k = cfg.k;
   res.report.z = cfg.z;
   res.report.eps = cfg.eps;
+  res.report.dim = cfg.dim;
+  res.report.norm = cfg.norm;
   res.report.coreset_size = res.coreset.size();
   return res;
 }
@@ -266,7 +273,7 @@ double direct_radius(const WeightedSet& ground_truth,
 
 void extract_and_evaluate(PipelineResult& res, const WeightedSet& ground_truth,
                           const PipelineConfig& cfg, const Workload& w,
-                          const mpc::ExecContext& ctx) {
+                          const ExecContext& ctx) {
   if (!cfg.with_extraction || res.coreset.empty()) return;
   const Metric metric = cfg.metric();
   Timer timer;
@@ -282,7 +289,7 @@ void extract_and_evaluate(PipelineResult& res, const WeightedSet& ground_truth,
 void evaluate_centers(PipelineResult& res, PointSet centers,
                       const WeightedSet& ground_truth,
                       const PipelineConfig& cfg, const Workload& w,
-                      const mpc::ExecContext& ctx) {
+                      const ExecContext& ctx) {
   ThreadPool* pool = ctx.pool;
   const kernels::PointBuffer* gt_buffer = ctx.buffer;
   const Metric metric = cfg.metric();

@@ -32,18 +32,14 @@
 
 #include "core/types.hpp"
 #include "geometry/grid.hpp"
-#include "mpc/context.hpp"
 #include "mpc/faults.hpp"
 #include "mpc/partition.hpp"
 #include "mpc/transport.hpp"
 #include "stream/insertion_only.hpp"
+#include "util/exec_context.hpp"
 #include "util/jsonlog.hpp"
 #include "workload/generators.hpp"
 #include "workload/streams.hpp"
-
-namespace kc {
-class ThreadPool;  // util/parallel.hpp
-}
 
 namespace kc::dataset {
 class DataSource;  // dataset/source.hpp
@@ -103,32 +99,17 @@ struct PipelineConfig {
   /// after 31, and each later stage is a lone recompression at machine 0.
   static constexpr int kMaxRounds = 31;
 
-  // MPC fault-injection knobs (mpc/faults.hpp).  All probabilities default
-  // to 0 — an inactive plan takes exactly the pre-fault code paths, so
-  // fault-free reports are byte-identical with or without these fields.
-  std::uint64_t fault_seed = 0;
-  double fault_crash = 0.0;     ///< per machine-round-attempt crash prob
-  double fault_drop = 0.0;      ///< per message-attempt drop prob
-  double fault_truncate = 0.0;  ///< per point-message-attempt truncation prob
-  double fault_straggle = 0.0;  ///< per machine-round straggler prob
-  int fault_retries = 2;        ///< transport retry budget
+  /// MPC fault plan (mpc/faults.hpp).  All probabilities default to 0: an
+  /// inactive plan never fires, so fault-free reports carry no fault keys
+  /// and equal those of a run without injection.
+  mpc::FaultConfig fault;
   /// Each retry is one more attempt per lost message: at drop probability 1
-  /// run time is linear in the budget (10^7 took 9 s at n = 300, m = 4).
+  /// run time is linear in `fault.retry_budget` (10^7 took 9 s at n = 300,
+  /// m = 4).
   static constexpr int kMaxFaultRetries = 1000;
-  mpc::RecoveryPolicy fault_policy = mpc::RecoveryPolicy::Retry;
 
-  /// The MPC fault plan these knobs describe.
-  [[nodiscard]] mpc::FaultConfig fault_config() const {
-    mpc::FaultConfig fc;
-    fc.seed = fault_seed;
-    fc.crash_prob = fault_crash;
-    fc.drop_prob = fault_drop;
-    fc.truncate_prob = fault_truncate;
-    fc.straggle_prob = fault_straggle;
-    fc.retry_budget = fault_retries;
-    fc.policy = fault_policy;
-    return fc;
-  }
+  /// `fault`, for callers that read the plan through a call.
+  [[nodiscard]] mpc::FaultConfig fault_config() const { return fault; }
 
   // Streaming knobs.
   stream::ThresholdPolicy policy = stream::ThresholdPolicy::Ours;
@@ -252,6 +233,8 @@ struct PipelineReport {
   int k = 0;
   std::int64_t z = 0;
   double eps = 0.0;
+  int dim = 0;
+  Norm norm = Norm::L2;
 
   std::size_t coreset_size = 0;
   std::size_t words = 0;
@@ -316,7 +299,7 @@ class Pipeline {
   [[nodiscard]] virtual bool supports_dataset() const { return false; }
 
   /// Runs the model end to end and fills coreset/solution/report.  The
-  /// common report fields (pipeline/model/n/k/z/eps) are stamped by
+  /// common report fields (pipeline/model/n/k/z/eps/dim/norm) are stamped by
   /// `execute`; implementations fill the measured ones.
   [[nodiscard]] virtual PipelineResult run(const Workload& w,
                                            const PipelineConfig& cfg) const = 0;
@@ -341,7 +324,7 @@ class Pipeline {
 /// Why `pipeline` cannot run `cfg` on `w`, or empty when it can: first the
 /// shared ranges (k ≥ 1, z ≥ 0, ε ∈ (0, 1], dim ∈ [1, Point::kMaxDim] and
 /// the workload's, machines ≥ 1, window ≥ 0, Δ ≥ 2, fault probabilities in
-/// [0, 1], num_threads/rounds/fault_retries within PipelineConfig's kMax*
+/// [0, 1], num_threads/rounds/fault retries within PipelineConfig's kMax*
 /// limits), then the pipeline's own `sizing_error`.  Allocates nothing.
 [[nodiscard]] std::string config_error(const Pipeline& pipeline,
                                        const PipelineConfig& cfg,
@@ -359,7 +342,8 @@ class Pipeline {
 /// empty summary or when `cfg.with_extraction` is off.  `w` is the
 /// workload the run consumes: direct solves are memoized in its cache
 /// when `ground_truth` is the workload's own planted point set.  `ctx`
-/// carries the extraction tail's execution environment (mpc/context.hpp):
+/// carries the extraction tail's execution environment
+/// (util/exec_context.hpp):
 /// `ctx.pool` runs the solver's batch kernels chunk-parallel — results
 /// are bit-identical with or without it — and `ctx.buffer` is a SoA
 /// buffer of `ground_truth` in the same order, for pipelines whose ground
@@ -368,14 +352,14 @@ class Pipeline {
 /// canonical buffer is used automatically.
 void extract_and_evaluate(PipelineResult& res, const WeightedSet& ground_truth,
                           const PipelineConfig& cfg, const Workload& w,
-                          const mpc::ExecContext& ctx = {});
+                          const ExecContext& ctx = {});
 
 /// Variant for solution-only pipelines that already hold centers: evaluate
 /// them on `ground_truth` and fill radius/radius_direct/quality.
 void evaluate_centers(PipelineResult& res, PointSet centers,
                       const WeightedSet& ground_truth,
                       const PipelineConfig& cfg, const Workload& w,
-                      const mpc::ExecContext& ctx = {});
+                      const ExecContext& ctx = {});
 
 /// Out-of-core variant of `extract_and_evaluate`: solve on the summary,
 /// then evaluate the centers against the *source* one chunk at a time

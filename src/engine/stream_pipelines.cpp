@@ -192,7 +192,7 @@ class SlidingWindowPipeline final : public Pipeline {
           w.planted.points[arrival(w, static_cast<std::size_t>(t))]);
       window_buf.append(window.back().p);
     }
-    mpc::ExecContext tail;
+    ExecContext tail;
     tail.buffer = &window_buf;
     extract_and_evaluate(res, window, cfg, w, tail);
     return res;

@@ -1,49 +1,25 @@
-// Shared execution context for algorithm entry points.
-//
-// PRs 4/6/7 grew the same three environment fields — a `ThreadPool*`, a
-// prebuilt SoA `PointBuffer*`, and a `FaultInjector*` — independently on
-// every per-algorithm Options struct (five MPC variants, the radius
-// oracle, Charikar).  `ExecContext` consolidates them, plus the transport
-// backend the MPC simulator routes messages through, into one struct
-// passed by const-ref: the *environment* a call runs in, kept separate
-// from the *knobs* that select algorithm behavior (which stay in the
-// slimmed Options structs).  Every pointer is optional and non-owning;
-// a default-constructed context means "single-threaded, no prebuilt
-// buffer, no fault injection, local transport".
-//
-// This is a leaf header (forward declarations only) so core/ and mpc/
-// can both include it without dragging in the pool, buffer, fault, or
-// transport definitions.
+// Execution context of the MPC algorithms: the core context
+// (util/exec_context.hpp — pool and prebuilt buffer) plus the two
+// resources only a simulated round uses.  Every pointer is optional and
+// non-owning; for each one left null the `Simulator` uses an inert
+// default of its own (a one-thread pool, an injector on an all-zero
+// `FaultConfig`, a local transport), so a round has one code path.
 
 #pragma once
 
-namespace kc {
+#include "util/exec_context.hpp"
 
-class ThreadPool;
-
-namespace kernels {
-class PointBuffer;
-}  // namespace kernels
-
-namespace mpc {
+namespace kc::mpc {
 
 class FaultInjector;
 class Transport;
 
-/// Execution environment shared by the MPC algorithms and the extraction
-/// tail.  All pointers optional, non-owning; callees must outlive the call.
-struct ExecContext {
-  /// Runs parallel phases; nullptr = sequential (bit-identical results).
-  ThreadPool* pool = nullptr;
-  /// Prebuilt SoA coordinates of the working set, when the caller has one
-  /// (avoids a re-pack at the kernel boundary); nullptr = pack on demand.
-  const kernels::PointBuffer* buffer = nullptr;
-  /// Deterministic fault schedule; nullptr (or inactive) = no injection.
+struct ExecContext : kc::ExecContext {
+  /// Deterministic fault schedule; nullptr = no injection.
   FaultInjector* faults = nullptr;
-  /// Message transport for the MPC simulator; nullptr = local hand-off.
-  /// The simulator opens it on its own topology.
+  /// Message transport, opened by the simulator on its own topology;
+  /// nullptr = local hand-off.
   Transport* transport = nullptr;
 };
 
-}  // namespace mpc
-}  // namespace kc
+}  // namespace kc::mpc

@@ -41,10 +41,10 @@ int choose_adopter(const FaultInjector& faults, int machines,
 // Receiver-side accounting for a transport-truncated point payload: the
 // cut rows' weight is gone from the summary, and the registered bound can
 // no longer be certified.
-void account_payload_truncation(FaultInjector* faults, const Message& msg) {
-  if (faults == nullptr || !msg.payload.truncated()) return;
-  faults->stats().lost_weight += msg.payload.cut_weight();
-  faults->stats().degraded = true;
+void account_payload_truncation(FaultInjector& faults, const Message& msg) {
+  if (!msg.payload.truncated()) return;
+  faults.stats().lost_weight += msg.payload.cut_weight();
+  faults.stats().degraded = true;
 }
 
 }  // namespace
@@ -57,7 +57,7 @@ std::vector<WeightedSet> fan_in(Simulator& sim,
   const int m = sim.machines();
   KC_EXPECTS(static_cast<int>(holdings.size()) == m);
   KC_EXPECTS(senders >= 1 && senders <= m && beta >= 1);
-  FaultInjector* faults = sim.faults();
+  FaultInjector& faults = sim.faults();
   const auto held = [&](int id) -> const WeightedSet& {
     return holdings[static_cast<std::size_t>(id)];
   };
@@ -94,7 +94,7 @@ std::vector<WeightedSet> fan_in(Simulator& sim,
         account_payload_truncation(faults, msg);
         shipments[static_cast<std::size_t>(s)] = msg.payload.unpack();
         have[static_cast<std::size_t>(s)] = 1;
-        if (tagged) ++faults->stats().partitions_reassigned;
+        if (tagged) ++faults.stats().partitions_reassigned;
       }
   };
   // Senders with an empty holding legitimately ship nothing of weight;
@@ -108,20 +108,18 @@ std::vector<WeightedSet> fan_in(Simulator& sim,
   };
   collect();
   std::vector<int> miss = missing();
-  // Only an injected fault loses a shipment: without an injector every
-  // machine runs and every message is delivered.
+  // Only an injected fault loses a shipment.
   if (miss.empty()) return shipments;
-  KC_ENSURES(faults != nullptr);
 
-  if (faults->config().policy == RecoveryPolicy::Reassign) {
+  if (faults.config().policy == RecoveryPolicy::Reassign) {
     for (int pass = 0; pass < kMaxRecoveryRounds && !miss.empty(); ++pass) {
-      ++faults->stats().recovery_rounds;
+      ++faults.stats().recovery_rounds;
       // Adopters are fixed deterministically before the round; the round
       // itself still runs under the fault plan (an adopter may crash, a
       // recovered shipment may drop — the next pass tries again).
       std::vector<std::pair<int, int>> tasks;  // (orphan, adopter)
       tasks.reserve(miss.size());
-      for (int s : miss) tasks.emplace_back(s, choose_adopter(*faults, m, s));
+      for (int s : miss) tasks.emplace_back(s, choose_adopter(faults, m, s));
       sim.round([&](int id, std::vector<Message>& /*inbox*/,
                     std::vector<Message>& outbox) {
         for (const auto& [orphan, adopter] : tasks)
@@ -136,8 +134,8 @@ std::vector<WeightedSet> fan_in(Simulator& sim,
   // covering of the surviving points — the result degrades to a
   // (k, z + lost_weight) guarantee instead of failing.
   for (int s : miss) {
-    faults->stats().lost_weight += total_weight(held(s));
-    faults->stats().degraded = true;
+    faults.stats().lost_weight += total_weight(held(s));
+    faults.stats().degraded = true;
   }
   return shipments;
 }

@@ -65,8 +65,9 @@ struct FaultConfig {
   int retry_budget = 2;        ///< re-attempts past the first (crash & resend)
   RecoveryPolicy policy = RecoveryPolicy::Retry;
 
-  /// Injection is active iff any fault has nonzero probability.  Inactive
-  /// configs take exactly the pre-fault code paths (byte-identical runs).
+  /// Injection is active iff any fault has nonzero probability.  An
+  /// inactive plan never fires: every machine runs once and every message
+  /// lands on its first attempt, so its runs equal fault-free ones.
   [[nodiscard]] bool active() const noexcept {
     return crash_prob > 0.0 || drop_prob > 0.0 || truncate_prob > 0.0 ||
            straggle_prob > 0.0;
@@ -229,7 +230,7 @@ using RebuildFn = std::function<WeightedSet(int id)>;
 /// plan still active) — and anything still missing (or under
 /// Retry/Degrade) is written off as lost weight and flags the run
 /// degraded.  Returns the shipments in sender order; a written-off one
-/// stays empty.  Without an active injector nothing is ever missing.
+/// stays empty.  Under an inactive plan nothing is ever missing.
 [[nodiscard]] std::vector<WeightedSet> fan_in(
     Simulator& sim, const std::vector<WeightedSet>& holdings, int senders,
     int beta, const SummarizeFn& summarize, const RebuildFn& rebuild);

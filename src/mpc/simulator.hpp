@@ -20,11 +20,10 @@
 //    re-sends.
 //
 // Machine-local work within a round is embarrassingly parallel and runs on
-// a `kc::ThreadPool` when one is supplied (one machine per task, merged in
-// machine-index order), so the simulated machines occupy real cores.  The
-// map-phase wall time and the thread count are recorded in MpcStats; with
-// no pool (or a single-thread pool) the machines run sequentially with
-// bit-identical results.
+// a `kc::ThreadPool` (one machine per task, merged in machine-index order),
+// so the simulated machines occupy real cores.  The map-phase wall time and
+// the thread count are recorded in MpcStats; a single-thread pool runs the
+// machines sequentially with bit-identical results.
 //
 // Message routing goes through a `Transport` (mpc/transport.hpp): the
 // default `Local` backend is the in-process hand-off, while the `Wire`
@@ -42,8 +41,12 @@
 // and is re-executed (up to the retry budget) from the machine's durable
 // state — its resident partition plus previously delivered messages.  A
 // machine that exhausts the budget is permanently dead and skips all later
-// rounds.  Without an (active) injector every code path below is exactly
-// the pre-fault one.
+// rounds.
+//
+// A round has one code path.  A context that leaves a resource out gets
+// the simulator's own inert default: a one-thread pool (no threads), an
+// injector on an all-zero `FaultConfig` (its plan never fires, so every
+// message lands on its first attempt), a local transport.
 
 #pragma once
 
@@ -85,20 +88,21 @@ class Simulator {
   /// m ≥ 1 machines in dimension dim.  Machine 0 is the coordinator.
   /// The context supplies the (optional, non-owning) environment:
   /// `ctx.pool` runs the per-machine map phase of each round concurrently;
-  /// `ctx.faults` injects the deterministic fault schedule (an inactive
-  /// injector is equivalent to none); `ctx.transport` routes messages
-  /// (nullptr = a simulator-owned local transport).  Everything the
-  /// context points at must outlive the simulator.
+  /// `ctx.faults` injects the deterministic fault schedule; `ctx.transport`
+  /// routes messages.  Each one left null is replaced by the simulator's
+  /// inert default (see the header comment).  Everything the context
+  /// points at must outlive the simulator.
   explicit Simulator(int m, int dim, const ExecContext& ctx = {});
 
   [[nodiscard]] int machines() const noexcept { return m_; }
 
-  /// The attached injector when it is active, else nullptr.
-  [[nodiscard]] FaultInjector* faults() const noexcept { return faults_; }
+  /// The injector the rounds run under: the context's, else the inert
+  /// default.
+  [[nodiscard]] FaultInjector& faults() const noexcept { return *faults_; }
 
   /// False once the machine crashed past its retry budget.
   [[nodiscard]] bool alive(int id) const noexcept {
-    return faults_ == nullptr || faults_->alive(id);
+    return faults_->alive(id);
   }
 
   /// Registers `words` as currently resident on machine `id`; the peak is
@@ -112,17 +116,17 @@ class Simulator {
   }
 
   /// Executes one synchronous round: `fn(id, inbox, outbox)` runs for every
-  /// machine (concurrently on the pool when one was supplied — `fn` may
-  /// freely touch per-machine state indexed by `id`, but nothing shared
-  /// across ids), then outgoing messages are routed in machine-index order
-  /// through the transport and become the next round's inboxes.
-  /// Communication volume is accounted per round; the map phase's wall
-  /// time accumulates in `stats().map_ms`, the routing phase's in
-  /// `stats().route_ms`.  Under an active injector, crashed machines are
-  /// deterministically re-executed up to the retry budget (then skipped
-  /// for good), messages are dropped/truncated/re-sent per the plan, and
-  /// every attempt's bandwidth is accounted — and sent through the
-  /// transport, so the wire-byte measurement matches the words accounting.
+  /// machine (concurrently on the pool — `fn` may freely touch
+  /// per-machine state indexed by `id`, but nothing shared across ids),
+  /// then outgoing messages are routed in machine-index order through the
+  /// transport and become the next round's inboxes.  Communication volume
+  /// is accounted per round; the map phase's wall time accumulates in
+  /// `stats().map_ms`, the routing phase's in `stats().route_ms`.  Crashed
+  /// machines are deterministically re-executed up to the retry budget
+  /// (then skipped for good), messages are dropped/truncated/re-sent per
+  /// the plan, and every attempt's bandwidth is accounted — and sent
+  /// through the transport, so the wire-byte measurement matches the words
+  /// accounting.
   using RoundFn =
       std::function<void(int id, std::vector<Message>& inbox,
                          std::vector<Message>& outbox)>;
@@ -138,10 +142,14 @@ class Simulator {
  private:
   int m_;
   int dim_;
-  ThreadPool* pool_;          ///< not owned; nullptr = sequential map phase
-  FaultInjector* faults_;     ///< not owned; nullptr = no fault injection
-  Transport owned_transport_;  ///< local fallback when ctx has none
-  Transport* transport_;       ///< never null after construction
+  // Inert defaults for the resources the context leaves out.
+  ThreadPool owned_pool_{1};
+  FaultInjector owned_faults_{FaultConfig{}};
+  Transport owned_transport_;
+  // The context's resources, else the defaults above; never null.
+  ThreadPool* pool_;
+  FaultInjector* faults_;
+  Transport* transport_;
   std::vector<std::vector<Message>> inboxes_;
   MpcStats stats_;
 };

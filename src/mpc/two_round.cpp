@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "core/coreset.hpp"
 #include "core/mbc.hpp"
@@ -70,6 +71,13 @@ double compute_r_hat(const std::vector<std::vector<double>>& tables,
   return candidates[lo];
 }
 
+// A Round-2 shipment: the covering and the guess ĵ it was built at (−1 when
+// no guess qualified and nothing was built).
+struct Shipment {
+  int j_hat = -1;
+  WeightedSet reps;
+};
+
 }  // namespace
 
 double round1_broadcast_bytes(int machines, std::int64_t z) {
@@ -100,12 +108,8 @@ TwoRoundResult two_round_coreset(const std::vector<WeightedSet>& parts, int k,
   std::vector<std::int64_t> guesses(static_cast<std::size_t>(levels));
   for (int j = 0; j < levels; ++j)
     guesses[static_cast<std::size_t>(j)] = (std::int64_t{1} << j) - 1;
-  FaultInjector* faults = sim.faults();
-  const auto losses = [&] {
-    return faults == nullptr
-               ? 0
-               : faults->stats().messages_lost + faults->stats().machines_lost;
-  };
+  FaultStats& fs = sim.faults().stats();
+  const auto losses = [&] { return fs.messages_lost + fs.machines_lost; };
   const int losses_before = losses();
   sim.round([&](int id, std::vector<Message>& /*inbox*/,
                 std::vector<Message>& outbox) {
@@ -137,9 +141,26 @@ TwoRoundResult two_round_coreset(const std::vector<WeightedSet>& parts, int k,
   // machines no longer share one table set: each still computes a valid
   // covering from what it holds, but the Σ ≤ 2z size certificate of
   // Theorem 10 is gone — the run must report the degraded bound.
-  if (losses() > losses_before) faults->stats().degraded = true;
+  if (losses() > losses_before) fs.degraded = true;
 
   // ---- Round 2: agree on r̂, build local coverings, ship them. --------
+  // The shipment rule, for a machine's own shipment and an adopter's
+  // rebuild of it alike: ĵ = min{j : V[j] ≤ r̂}, covered by
+  // MBCConstruction(P, k, 2^ĵ−1, ε) reusing the Round-1 radius — mini-balls
+  // of radius ε·V[ĵ]/ρ ≤ ε·r̂/ρ ≤ ε·opt (Lemma 9).
+  const auto ship = [&](int machine, double r_hat, double rho_max) {
+    const auto ui = static_cast<std::size_t>(machine);
+    const std::vector<double>& V = v_table[ui];
+    Shipment out;
+    for (std::size_t j = 0; j < V.size(); ++j)
+      if (V[j] <= r_hat) {
+        out.j_hat = static_cast<int>(j);
+        out.reps =
+            mbc_with_radius(parts[ui], opt.eps * V[j] / rho_max, metric).reps;
+        break;
+      }
+    return out;
+  };
   const auto summarize = [&](int id, const std::vector<Message>& inbox) {
     const auto uid = static_cast<std::size_t>(id);
     const WeightedSet& mine = parts[uid];
@@ -163,47 +184,27 @@ TwoRoundResult two_round_coreset(const std::vector<WeightedSet>& parts, int k,
     r_hat_seen[uid] = r_hat;
     rho_max_seen[uid] = rho_max;
 
-    // ĵ_i = min{j : V_i[j] ≤ r̂}; exists by construction of r̂.
-    int j_hat = -1;
-    for (int j = 0; j < levels; ++j) {
-      if (v_table[uid][static_cast<std::size_t>(j)] <= r_hat) {
-        j_hat = j;
-        break;
-      }
-    }
-    KC_ENSURES(j_hat >= 0);
-    guess_of[uid] = (std::int64_t{1} << j_hat) - 1;
-
-    // MBCConstruction(P_i, k, 2^ĵ−1, ε) reusing the Round-1 radius; the
-    // mini-ball radius ε·V_i[ĵ]/ρ ≤ ε·r̂/ρ ≤ ε·opt (Lemma 9).
-    const double r_i = v_table[uid][static_cast<std::size_t>(j_hat)];
-    WeightedSet reps =
-        mbc_with_radius(mine, opt.eps * r_i / rho_max, metric).reps;
+    Shipment s = ship(id, r_hat, rho_max);
+    KC_ENSURES(s.j_hat >= 0);  // ĵ exists by construction of r̂
+    guess_of[uid] = (std::int64_t{1} << s.j_hat) - 1;
     // Storage at this moment: own points, the covering and m radius tables.
     sim.record_storage(
-        id, sim.point_words(mine.size() + reps.size()) +
+        id, sim.point_words(mine.size() + s.reps.size()) +
                 static_cast<std::size_t>(m) * 2 * static_cast<std::size_t>(levels));
-    return reps;
+    return std::move(s.reps);
   };
 
   // Missing shipments (dead machines, lost messages) are recovered per the
-  // injector's policy.  The rebuild re-derives the machine's deterministic
-  // round-2 computation from its durable partition and the coordinator's
-  // table view; a machine whose V table never existed (dead in round 1)
-  // falls back to the always-valid full-z local covering.
+  // injector's policy.  The rebuild re-runs the machine's shipment rule on
+  // its durable partition and the coordinator's table view; a machine with
+  // no qualifying guess (its V table never existed: dead in round 1) falls
+  // back to the always-valid full-z local covering.
   const auto rebuild = [&](int machine) -> WeightedSet {
-    const auto ui = static_cast<std::size_t>(machine);
-    if (!v_table[ui].empty()) {
-      for (int j = 0; j < levels; ++j) {
-        if (v_table[ui][static_cast<std::size_t>(j)] <= r_hat_seen[0]) {
-          const double r_i = v_table[ui][static_cast<std::size_t>(j)];
-          return mbc_with_radius(parts[ui], opt.eps * r_i / rho_max_seen[0],
-                                 metric)
-              .reps;
-        }
-      }
-    }
-    return mbc_construct(parts[ui], k, z, opt.eps, metric).reps;
+    Shipment s = ship(machine, r_hat_seen[0], rho_max_seen[0]);
+    if (s.j_hat >= 0) return std::move(s.reps);
+    return mbc_construct(parts[static_cast<std::size_t>(machine)], k, z,
+                         opt.eps, metric)
+        .reps;
   };
   const std::vector<WeightedSet> shipments =
       fan_in(sim, parts, m, m, summarize, rebuild);

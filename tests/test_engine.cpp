@@ -331,28 +331,29 @@ std::vector<ContractCase> contract_cases() {
       {"window=-1", [](PipelineConfig& c) { c.window = -1; }, false},
       {"delta=2", [](PipelineConfig& c) { c.delta = 2; }, true},
       {"delta=1", [](PipelineConfig& c) { c.delta = 1; }, false},
-      {"retries=0", [](PipelineConfig& c) { c.fault_retries = 0; }, true},
+      {"retries=0", [](PipelineConfig& c) { c.fault.retry_budget = 0; }, true},
       {"retries=max",
        [](PipelineConfig& c) {
-         c.fault_retries = PipelineConfig::kMaxFaultRetries;
+         c.fault.retry_budget = PipelineConfig::kMaxFaultRetries;
        },
        true},
-      {"retries=-1", [](PipelineConfig& c) { c.fault_retries = -1; }, false},
+      {"retries=-1", [](PipelineConfig& c) { c.fault.retry_budget = -1; },
+       false},
       {"retries>max",
        [](PipelineConfig& c) {
-         c.fault_retries = PipelineConfig::kMaxFaultRetries + 1;
+         c.fault.retry_budget = PipelineConfig::kMaxFaultRetries + 1;
        },
        false},
   };
-  const std::pair<const char*, double PipelineConfig::*> probs[] = {
-      {"fault_crash", &PipelineConfig::fault_crash},
-      {"fault_drop", &PipelineConfig::fault_drop},
-      {"fault_truncate", &PipelineConfig::fault_truncate},
-      {"fault_straggle", &PipelineConfig::fault_straggle}};
+  const std::pair<const char*, double mpc::FaultConfig::*> probs[] = {
+      {"fault_crash", &mpc::FaultConfig::crash_prob},
+      {"fault_drop", &mpc::FaultConfig::drop_prob},
+      {"fault_truncate", &mpc::FaultConfig::truncate_prob},
+      {"fault_straggle", &mpc::FaultConfig::straggle_prob}};
   for (const auto& [field, member] : probs) {
     for (const double p : {0.0, 1.0, below_zero, above_one, nan}) {
       cases.push_back({std::string(field) + "=" + std::to_string(p),
-                       [m = member, p](PipelineConfig& c) { c.*m = p; },
+                       [m = member, p](PipelineConfig& c) { c.fault.*m = p; },
                        p >= 0.0 && p <= 1.0});
     }
   }

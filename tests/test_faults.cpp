@@ -7,8 +7,8 @@
 // pipeline × every recovery policy returns a Definition-1-valid solution
 // that either meets the registered quality bound or carries an explicit
 // degraded (k, z + lost_weight) certificate — bit-identical across thread
-// counts for a fixed fault seed, and byte-identical to the pre-fault
-// reports when injection is off.
+// counts for a fixed fault seed, and byte-identical to fault-free reports
+// when injection is off.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +26,8 @@
 #include "mpc/faults.hpp"
 #include "mpc/partition.hpp"
 #include "mpc/simulator.hpp"
+#include "mpc/transport.hpp"
+#include "util/parallel.hpp"
 #include "test_support.hpp"
 
 namespace kc::mpc {
@@ -176,25 +178,116 @@ TEST(Simulator, CertainDropLosesTheMessageButTerminates) {
   EXPECT_EQ(sim.stats().total_comm_words, 9u);
 }
 
-TEST(Simulator, InactiveInjectorIsNoInjector) {
-  FaultConfig fc;  // all probabilities zero
-  FaultInjector faults(fc);
-  Simulator sim(3, 2, {nullptr, nullptr, &faults, nullptr});
-  EXPECT_EQ(sim.faults(), nullptr);  // nullified: pre-fault code paths
+// One delivered message, in a form that compares with ==.
+struct Delivered {
+  int from = 0;
+  int to = 0;
+  std::vector<double> scalars;
+  std::vector<Point> points;
+  std::vector<std::int64_t> weights;
+  std::size_t packed = 0;
+  bool operator==(const Delivered&) const = default;
+};
+
+struct TwoRoundTrace {
+  std::vector<std::vector<Delivered>> inboxes;  // per round, per machine
+  MpcStats stats;
+};
+
+// Round 1 broadcasts a scalar table from every machine to every other;
+// round 2 fans a weighted point set from every machine in to machine 0.
+TwoRoundTrace broadcast_then_fan_in(const ExecContext& ctx) {
+  constexpr int kMachines = 4;
+  Simulator sim(kMachines, 2, ctx);
+  TwoRoundTrace trace;
+  const auto snapshot = [&] {
+    for (int id = 0; id < kMachines; ++id) {
+      std::vector<Delivered> box;
+      for (const Message& msg : sim.inbox(id)) {
+        Delivered d{msg.from, msg.to, msg.scalars, {}, {}, 0};
+        for (const WeightedPoint& wp : msg.payload.unpack()) {
+          d.points.push_back(wp.p);
+          d.weights.push_back(wp.w);
+        }
+        d.packed = msg.payload.full_size();
+        box.push_back(std::move(d));
+      }
+      trace.inboxes.push_back(std::move(box));
+    }
+  };
   sim.round([&](int id, std::vector<Message>&, std::vector<Message>& out) {
-    if (id != 0) {
+    sim.record_storage(id, 3);
+    for (int to = 0; to < kMachines; ++to) {
+      if (to == id) continue;
       Message m;
-      m.to = 0;
-      m.scalars = {1.0};
+      m.to = to;
+      m.scalars = {static_cast<double>(id), 0.5 * id, -1.0};
       out.push_back(std::move(m));
     }
   });
-  EXPECT_EQ(sim.inbox(0).size(), 2u);
-  const FaultStats& fs = sim.stats().faults;
-  EXPECT_EQ(fs.crashes, 0);
-  EXPECT_EQ(fs.drops, 0);
-  EXPECT_EQ(fs.truncations, 0);
-  EXPECT_EQ(fs.straggles, 0);
+  snapshot();
+  sim.round([&](int id, std::vector<Message>& inbox,
+                std::vector<Message>& out) {
+    WeightedSet pts;
+    for (int i = 0; i <= id; ++i)
+      pts.push_back({Point{static_cast<double>(id), 0.25 * i},
+                     static_cast<std::int64_t>(i + 1)});
+    sim.record_storage(id, sim.point_words(pts.size()) + 3 * inbox.size());
+    Message m;
+    m.to = 0;
+    m.payload = PointPayload(pts);
+    out.push_back(std::move(m));
+  });
+  snapshot();
+  trace.stats = sim.stats();
+  return trace;
+}
+
+// An inactive injector, the simulator's own inert defaults and the
+// engine's per-run context all route the same two rounds identically.
+TEST(Simulator, InactiveInjectorIsNoInjector) {
+  const TwoRoundTrace defaults = broadcast_then_fan_in({});
+
+  ThreadPool one_thread(1);
+  FaultInjector inactive(FaultConfig{});
+  ExecContext explicit_ctx;
+  explicit_ctx.pool = &one_thread;
+  explicit_ctx.faults = &inactive;
+  const TwoRoundTrace explicit_run = broadcast_then_fan_in(explicit_ctx);
+
+  // As MpcPipeline::run builds it from a default PipelineConfig.
+  const engine::PipelineConfig cfg;
+  ThreadPool pool(cfg.num_threads);
+  FaultInjector faults(cfg.fault);
+  Transport transport(cfg.backend);
+  ExecContext engine_ctx;
+  engine_ctx.pool = &pool;
+  engine_ctx.faults = &faults;
+  engine_ctx.transport = &transport;
+  const TwoRoundTrace engine_run = broadcast_then_fan_in(engine_ctx);
+
+  ASSERT_EQ(defaults.inboxes.size(), 8u);
+  EXPECT_EQ(defaults.inboxes[3].size(), 3u);  // round 1: m − 1 tables
+  EXPECT_EQ(defaults.inboxes[4].size(), 4u);  // round 2: all at machine 0
+  EXPECT_EQ(defaults.inboxes[4][3].points.size(), 4u);
+  EXPECT_EQ(defaults.stats.comm_words_per_round,
+            (std::vector<std::size_t>{12 * 3, (2 + 3 + 4) * 3}));
+  for (const TwoRoundTrace* run : {&defaults, &explicit_run, &engine_run}) {
+    EXPECT_EQ(run->inboxes, defaults.inboxes);
+    EXPECT_EQ(run->stats.comm_words_per_round,
+              defaults.stats.comm_words_per_round);
+    EXPECT_EQ(run->stats.peak_words, defaults.stats.peak_words);
+    const FaultStats& fs = run->stats.faults;
+    EXPECT_EQ(fs.crashes + fs.drops + fs.truncations + fs.straggles +
+                  fs.retries + fs.resends + fs.machines_lost +
+                  fs.messages_lost + fs.partitions_reassigned +
+                  fs.recovery_rounds,
+              0);
+    EXPECT_EQ(fs.resent_words + fs.lost_words, 0u);
+    EXPECT_EQ(fs.lost_weight, 0);
+    EXPECT_EQ(fs.backoff_ms + fs.straggle_ms, 0.0);
+    EXPECT_FALSE(fs.degraded);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -211,12 +304,12 @@ engine::PipelineConfig chaos_pipeline_config(RecoveryPolicy policy) {
   cfg.machines = 6;
   cfg.partition_seed = 17;
   cfg.rounds = 2;
-  cfg.fault_seed = 99;
-  cfg.fault_crash = 0.2;
-  cfg.fault_drop = 0.1;
-  cfg.fault_truncate = 0.05;
-  cfg.fault_straggle = 0.1;
-  cfg.fault_policy = policy;
+  cfg.fault.seed = 99;
+  cfg.fault.crash_prob = 0.2;
+  cfg.fault.drop_prob = 0.1;
+  cfg.fault.truncate_prob = 0.05;
+  cfg.fault.straggle_prob = 0.1;
+  cfg.fault.policy = policy;
   return cfg;
 }
 
@@ -330,10 +423,10 @@ INSTANTIATE_TEST_SUITE_P(
 // (no transport retries), on the wire backend.
 engine::PipelineConfig harsh_pipeline_config(RecoveryPolicy policy) {
   engine::PipelineConfig cfg = chaos_pipeline_config(policy);
-  cfg.fault_seed = 11;
-  cfg.fault_crash = 0.6;
-  cfg.fault_drop = cfg.fault_truncate = cfg.fault_straggle = 0.0;
-  cfg.fault_retries = 0;
+  cfg.fault.seed = 11;
+  cfg.fault.crash_prob = 0.6;
+  cfg.fault.drop_prob = cfg.fault.truncate_prob = cfg.fault.straggle_prob = 0.0;
+  cfg.fault.retry_budget = 0;
   cfg.backend = Backend::Wire;
   return cfg;
 }
@@ -624,7 +717,7 @@ TEST(FaultGolden, EveryPipelinePolicyAndScheduleMatchesTheBaseline) {
   // both truncates a shipment and has Reassign rebuild one.
   const auto chaos = [](RecoveryPolicy policy) {
     engine::PipelineConfig cfg = chaos_pipeline_config(policy);
-    cfg.fault_seed = 354;
+    cfg.fault.seed = 354;
     return cfg;
   };
   const engine::Workload w =
@@ -658,7 +751,7 @@ TEST(FaultRecovery, ZeroFaultConfigIsByteIdenticalToBaseline) {
   base.machines = 6;
   base.partition_seed = 17;
   engine::PipelineConfig zero = base;
-  zero.fault_seed = 123;  // a seed alone does not activate injection
+  zero.fault.seed = 123;  // a seed alone does not activate injection
   const engine::Workload w = engine::make_workload(700, base);
   for (const auto& name : mpc_pipeline_names()) {
     SCOPED_TRACE(name);
@@ -684,8 +777,8 @@ TEST(FaultRecovery, TotalCrashDegradesToTheCoordinatorPartition) {
   cfg.seed = 4242;
   cfg.machines = 6;
   cfg.partition_seed = 17;
-  cfg.fault_seed = 5;
-  cfg.fault_crash = 1.0;
+  cfg.fault.seed = 5;
+  cfg.fault.crash_prob = 1.0;
   const engine::Workload w = engine::make_workload(700, cfg);
   const auto parts = partition_points(w.planted.points, cfg.machines,
                                       cfg.partition, cfg.partition_seed);
@@ -710,11 +803,11 @@ TEST(FaultRecovery, ReassignRebuildsWhatRetryWritesOff) {
   retry_cfg.seed = 4242;
   retry_cfg.machines = 6;
   retry_cfg.partition_seed = 17;
-  retry_cfg.fault_seed = 11;
-  retry_cfg.fault_crash = 0.6;
-  retry_cfg.fault_retries = 0;  // first crash is fatal under Retry
+  retry_cfg.fault.seed = 11;
+  retry_cfg.fault.crash_prob = 0.6;
+  retry_cfg.fault.retry_budget = 0;  // first crash is fatal under Retry
   engine::PipelineConfig reassign_cfg = retry_cfg;
-  reassign_cfg.fault_policy = RecoveryPolicy::Reassign;
+  reassign_cfg.fault.policy = RecoveryPolicy::Reassign;
   const engine::Workload w = engine::make_workload(700, retry_cfg);
 
   const auto retry = engine::run("mpc-guha", w, retry_cfg);

@@ -275,11 +275,11 @@ TEST_P(BackendDifferentialTest, WireMatchesLocalByteForByte) {
   cfg.partition_seed = 17;
   cfg.rounds = 2;
   if (param.chaos) {
-    cfg.fault_seed = 99;
-    cfg.fault_crash = 0.2;
-    cfg.fault_drop = 0.1;
-    cfg.fault_truncate = 0.05;
-    cfg.fault_policy = param.policy;
+    cfg.fault.seed = 99;
+    cfg.fault.crash_prob = 0.2;
+    cfg.fault.drop_prob = 0.1;
+    cfg.fault.truncate_prob = 0.05;
+    cfg.fault.policy = param.policy;
   }
   const engine::Workload w = engine::make_workload(650, cfg);
   const auto pipeline = engine::registry().make(param.pipeline);

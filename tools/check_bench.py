@@ -4,18 +4,23 @@
 Compares a candidate JSONL file of ``engine_pipeline`` records (what
 ``kcenter_cli --json`` appends) against a baseline:
 
-* the two files must cover the same set of pipelines;
+* the two files must cover the same set of configurations, one per
+  (pipeline, n, k, z, eps, dim, norm) key — so one file can hold several
+  configurations of a pipeline; a record without dim/norm reads as d = 2,
+  l2 (the kcenter_cli defaults), and the first record per key is kept;
 * the *result* columns must match the baseline — the engine layer is
   deterministic, so any drift in radius/quality/storage is a real
   behavioral change, not noise.  Integer columns (coreset, words, rounds,
   comm_words) compare exactly; float columns (radius, radius_direct,
   quality) compare within a 1e-9 *relative* epsilon, absorbing last-ULP
   libm/FMA differences between the machine that generated the baseline
-  and the CI runner while still catching any real drift.  The bit-exact
-  thread-determinism guarantee is enforced where it is meaningful — same
-  binary, same machine — by tests/test_parallel.cpp and the
-  --threads 8 vs 1 CI step, which passes ``--exact`` so its float columns
-  compare with equality, not the epsilon.
+  and the CI runner while still catching any real drift.  The fault
+  accounting of a chaos run (``fault_*`` and ``degraded``, present only
+  when injection was on) is simulated, not timed, and compares exactly.
+  The bit-exact thread-determinism guarantee is enforced where it is
+  meaningful — same binary, same machine — by tests/test_parallel.cpp and
+  the --threads 8 vs 1 CI step, which passes ``--exact`` so its float
+  columns compare with equality, not the epsilon.
 * the *timing* columns (build_ms, solve_ms) must stay within a generous
   ``--tolerance`` factor (default 3x) of the baseline, ignoring entries
   below an absolute noise floor; ``--ignore-time`` skips this check (used
@@ -72,6 +77,7 @@ import json
 import sys
 
 EXACT_COLUMNS = ("coreset", "words", "rounds", "comm_words")
+FAULT_PREFIX = "fault_"
 FLOAT_COLUMNS = ("radius", "radius_direct", "quality")
 FLOAT_REL_EPS = 1e-9
 TIME_COLUMNS = ("build_ms", "solve_ms")
@@ -82,6 +88,14 @@ TIME_FLOOR_MS = 10.0
 
 def float_close(a, b):
     return abs(a - b) <= FLOAT_REL_EPS * max(abs(a), abs(b), 1.0)
+
+
+def record_key(rec):
+    """The configuration a record ran: pipeline plus its shared problem
+    parameters.  Records written before dim/norm were stamped ran the
+    defaults."""
+    return (rec["pipeline"], rec.get("n"), rec.get("k"), rec.get("z"),
+            rec.get("eps"), rec.get("dim", 2), rec.get("norm", "l2"))
 
 
 def load_records(path):
@@ -97,12 +111,11 @@ def load_records(path):
                 raise SystemExit(f"{path}:{line_no}: not JSON: {exc}")
             if rec.get("experiment") != "engine_pipeline":
                 continue
-            name = rec.get("pipeline")
-            if name is None:
+            if rec.get("pipeline") is None:
                 raise SystemExit(f"{path}:{line_no}: record without 'pipeline'")
-            # Keep the first record per pipeline: the smoke run emits one
-            # per pipeline, and thread-sweep files list threads=1 first.
-            records.setdefault(name, rec)
+            # Keep the first record per key: the smoke run emits one per
+            # pipeline, and thread-sweep files list threads=1 first.
+            records.setdefault(record_key(rec), rec)
     if not records:
         raise SystemExit(f"{path}: no engine_pipeline records found")
     return records
@@ -340,15 +353,16 @@ def main():
     baseline = load_records(args.baseline)
     failures = []
 
-    missing = sorted(set(baseline) - set(candidate))
-    extra = sorted(set(candidate) - set(baseline))
+    missing = sorted(set(baseline) - set(candidate), key=str)
+    extra = sorted(set(candidate) - set(baseline), key=str)
     if missing:
-        failures.append(f"pipelines missing from candidate: {missing}")
+        failures.append(f"configurations missing from candidate: {missing}")
     if extra:
-        failures.append(f"pipelines not in baseline: {extra}")
+        failures.append(f"configurations not in baseline: {extra}")
 
-    for name in sorted(set(candidate) & set(baseline)):
-        cand, base = candidate[name], baseline[name]
+    for key in sorted(set(candidate) & set(baseline), key=str):
+        cand, base = candidate[key], baseline[key]
+        name = " ".join(str(part) for part in key)
         for col in EXACT_COLUMNS:
             if col not in base:
                 continue
@@ -370,6 +384,12 @@ def main():
                     f"{name}: {col} = {cand.get(col)!r}, "
                     f"baseline {base[col]!r} (beyond {FLOAT_REL_EPS:g} "
                     f"relative)")
+        for col in sorted(c for c in base
+                          if c.startswith(FAULT_PREFIX) or c == "degraded"):
+            if cand.get(col) != base[col]:
+                failures.append(
+                    f"{name}: {col} = {cand.get(col)!r}, "
+                    f"baseline {base[col]!r} (fault accounting)")
         if args.wire and cand.get("model") == "mpc":
             ratio = float(cand.get("wire_ratio", 0.0))
             if not 0.0 < ratio <= args.max_wire_ratio:
@@ -400,7 +420,7 @@ def main():
     mode = ("result columns match" +
             ("" if args.ignore_time
              else f", timings within {args.tolerance:g}x"))
-    print(f"check_bench: OK — {len(candidate)} pipelines, {mode}")
+    print(f"check_bench: OK — {len(candidate)} configurations, {mode}")
     return 0
 
 

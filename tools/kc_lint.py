@@ -4,7 +4,7 @@
 The codebase's correctness story rests on conventions no compiler checks:
 determinism by ordered reduction, float64 dimension-ascending accumulation,
 Options structs that hold only algorithmic knobs while execution resources
-live in ``mpc::ExecContext``, and the ``util < geometry < ... < engine``
+live in an ``ExecContext``, and the ``util < geometry < ... < engine``
 module layering.  ``kc_lint`` machine-checks those conventions over
 ``src/ tests/ bench/ tools/ examples/`` and the build files, with
 file:line diagnostics, an inline allowlist, and a JSON report.
@@ -15,9 +15,9 @@ layering      #include edges between src/ modules must follow the
               documented DAG (see ``ALLOWED_INCLUDES`` below); the
               file-level include graph must be acyclic; every public
               ``src/**/*.hpp`` must be reachable from the umbrella header
-              ``src/kcenter.hpp``.  ``LEAF_HEADERS`` (forward-declaration
-              only headers, e.g. ``mpc/context.hpp``) are includable from
-              anywhere but must themselves include nothing.
+              ``src/kcenter.hpp``.  A header every layer uses lives in
+              the lowest module that uses it (``util/exec_context.hpp``
+              for the core context); no header is exempt from the DAG.
 determinism   no ``std::rand``/``srand``/``std::random_device`` and no
               time-seeded engines outside ``src/util/rng``; no iteration
               over ``unordered_{map,set}`` (iteration order feeds results
@@ -35,7 +35,10 @@ numerics      no ``float`` accumulators (``float x; ... x += ...`` —
 api           Options structs in ``src/`` must not regain execution-
               resource members (``pool``/``buffer``/``faults``/
               ``transport``/``injector`` — those live in
-              ``mpc::ExecContext``); MPC entry points (functions declared
+              ``ExecContext``: ``kc::ExecContext`` in
+              ``util/exec_context.hpp`` holds the pool and buffer,
+              ``mpc::ExecContext`` in ``mpc/context.hpp`` adds the
+              injector and transport); MPC entry points (functions declared
               in ``src/mpc/*.hpp`` taking an ``...Options`` parameter)
               must also take an ``ExecContext``; ``case Norm::`` labels
               appear only under ``src/geometry/`` — everywhere else a
@@ -96,13 +99,16 @@ import sys
 
 SCAN_DIRS = ("src", "tests", "bench", "tools", "examples")
 CPP_EXTS = (".hpp", ".cpp")
-# Directories never scanned (fixture trees contain deliberate violations).
-EXCLUDE_PARTS = {"build", ".git", "lint_fixtures", "_deps"}
+# Directories never scanned (fixture trees contain deliberate violations;
+# .bench_build is the build tree perfbench/run.py leaves in the checkout).
+EXCLUDE_PARTS = {"build", ".bench_build", ".git", "lint_fixtures", "_deps"}
 
 # The documented module DAG: each src/ module may include only the modules
-# listed here (plus itself and LEAF_HEADERS).  This is the machine-readable
-# form of  util < geometry < {core, dataset, workload}
-#               < {mpc, stream, sketch, dynamic, lowerbound} < engine
+# listed here (plus itself), with no per-header exemption — a type several
+# layers share lives in the lowest of them (core's ExecContext is in util/,
+# and mpc/context.hpp extends it).  This is the machine-readable form of
+#     util < geometry < {core, dataset, workload}
+#          < {mpc, stream, sketch, dynamic, lowerbound} < engine
 # with the intra-group refinements the code actually uses (core below
 # dataset/workload, sketch below dynamic/lowerbound, dataset below mpc —
 # the wire format reuses the .kcb checksum).
@@ -121,11 +127,6 @@ ALLOWED_INCLUDES = {
                "stream", "sketch", "dynamic", "lowerbound"},
 }
 
-# Forward-declaration-only headers, includable from any module (they carry
-# no dependencies, so they cannot create a real layering edge).  A leaf
-# header including anything project-local is itself a violation.
-LEAF_HEADERS = {"mpc/context.hpp"}
-
 UMBRELLA = "kcenter.hpp"
 
 # determinism: RNG primitives are confined to util/rng.
@@ -135,9 +136,6 @@ WALLCLOCK_EXEMPT = {"src/util/timer.hpp"}
 
 # api: execution-resource member names banned from Options structs.
 BANNED_OPTION_MEMBERS = {"pool", "buffer", "faults", "transport", "injector"}
-# api: mpc headers where Options-taking functions are context plumbing
-# rather than algorithm entry points.
-API_EXEMPT_MPC_HEADERS = {"src/mpc/context.hpp"}
 # api: the only src/ module that may switch on a Norm (kernels::with_norm
 # and Metric::name live there).
 NORM_DISPATCH_SCOPE = "src/geometry/"
@@ -365,12 +363,7 @@ class Linter:
         src_mod = self.module_of(rel)
         dst_mod = self.module_of(dst)
         dst_short = dst[len("src/"):]
-        if rel[len("src/"):] in LEAF_HEADERS:
-            self.diag("layering", rel, no,
-                      f"leaf header includes {dst_short!r}: leaf headers "
-                      f"must stay forward-declaration-only")
-            return
-        if dst_short in LEAF_HEADERS or src_mod == dst_mod:
+        if src_mod == dst_mod:
             return
         if src_mod == "<root>":  # the umbrella may include everything
             return
@@ -530,8 +523,7 @@ class Linter:
             if not f.in_src:
                 continue
             self._check_options_members(rel, f)
-            if (rel.startswith("src/mpc/") and rel.endswith(".hpp")
-                    and rel not in API_EXEMPT_MPC_HEADERS):
+            if rel.startswith("src/mpc/") and rel.endswith(".hpp"):
                 self._check_mpc_entry_points(rel, f)
             if not rel.startswith(NORM_DISPATCH_SCOPE):
                 self._check_norm_dispatch(rel, f)
@@ -585,7 +577,8 @@ class Linter:
                           f"{m.group(1)} holds execution resource "
                           f"{bm.group(1)!r}: Options structs carry "
                           f"algorithmic knobs only — execution resources "
-                          f"live in mpc::ExecContext (mpc/context.hpp)")
+                          f"live in ExecContext (util/exec_context.hpp, "
+                          f"mpc/context.hpp)")
 
     FUNC_OPEN_RE = re.compile(r"\b(\w+)\s*\(")
 
@@ -615,7 +608,7 @@ class Linter:
                           f"MPC entry point {name!r} takes an Options "
                           f"parameter but no ExecContext: execution "
                           f"environment (pool/buffer/faults/transport) is "
-                          f"passed via mpc::ExecContext")
+                          f"passed via mpc::ExecContext (mpc/context.hpp)")
 
     # -- rule 5: unchecked syscall returns --------------------------------
 

@@ -153,12 +153,13 @@ int main(int argc, char** argv) {
   cfg.rounds = flags.get("rounds", cfg.rounds);
   cfg.window = flags.get("window", cfg.window);
   cfg.delta = flags.get("delta", cfg.delta);
-  cfg.fault_seed = flags.get("fault-seed", cfg.fault_seed);
-  cfg.fault_crash = flags.get("fault-crash", cfg.fault_crash);
-  cfg.fault_drop = flags.get("fault-drop", cfg.fault_drop);
-  cfg.fault_truncate = flags.get("fault-truncate", cfg.fault_truncate);
-  cfg.fault_straggle = flags.get("fault-straggle", cfg.fault_straggle);
-  cfg.fault_retries = flags.get("fault-retries", cfg.fault_retries);
+  mpc::FaultConfig& fault = cfg.fault;
+  fault.seed = flags.get("fault-seed", fault.seed);
+  fault.crash_prob = flags.get("fault-crash", fault.crash_prob);
+  fault.drop_prob = flags.get("fault-drop", fault.drop_prob);
+  fault.truncate_prob = flags.get("fault-truncate", fault.truncate_prob);
+  fault.straggle_prob = flags.get("fault-straggle", fault.straggle_prob);
+  fault.retry_budget = flags.get("fault-retries", fault.retry_budget);
   cfg.partition_seed = cfg.seed;
   cfg.with_direct_solve = !flags.has("no-direct");
   cfg.deterministic_recovery = flags.has("det-recovery");
@@ -171,12 +172,12 @@ int main(int argc, char** argv) {
       parse_enum(flags, "backend", "local|wire", mpc::parse_backend,
                  &cfg.backend) &&
       parse_enum(flags, "fault-policy", "retry|reassign|degrade",
-                 mpc::parse_recovery_policy, &cfg.fault_policy);
+                 mpc::parse_recovery_policy, &fault.policy);
   if (!names_ok) {
     std::fputs(kUsage, stderr);
     return 2;
   }
-  const bool faults_active = cfg.fault_config().active();
+  const bool faults_active = fault.active();
 
   const std::string which = flags.get_string("pipeline", "all");
   std::vector<std::string> names;
