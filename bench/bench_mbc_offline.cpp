@@ -25,6 +25,10 @@
 // Part 6 is the HOTPATH timing of the MPC input partition: EvenSorted and
 // Random `partition_points` of n = 1e6 planted points (1e5 under --quick)
 // over m = 16 machines, the median of 5 calls each.
+//
+// Part 7 is the HOTPATH timing of workload generation: `make_planted` and
+// `make_drifting` at n = 1e6 (d = 2, L2) and n = 2e5 (d = 8, L∞), k = 3,
+// z = 200, the median of 5 calls each.  It is skipped under --quick.
 
 #include <algorithm>
 #include <cmath>
@@ -599,6 +603,50 @@ int main(int argc, char** argv) {
                    {"partition", mpc::partition_name(kind)},
                    {"reps", kReps},
                    {"wall_ms", median_ms}});
+    }
+    t.print();
+  }
+
+  // ---- Part 7: workload generation ------------------------------------------
+  if (!quick) {
+    constexpr int kReps = 5;
+    std::printf("\n[HOTPATH] make_planted and make_drifting (median of %d "
+                "calls):\n", kReps);
+    struct Config { std::size_t n; int dim; Norm norm; const char* name; };
+    const Config configs[] = {{1000000, 2, Norm::L2, "l2"},
+                              {200000, 8, Norm::Linf, "linf"}};
+    Table t({"generator", "n", "d", "norm", "ms"});
+    for (const auto& cfg : configs) {
+      PlantedConfig pc;
+      pc.n = cfg.n;
+      pc.k = 3;
+      pc.z = 200;
+      pc.dim = cfg.dim;
+      pc.norm = cfg.norm;
+      pc.seed = seed;
+      for (const bool drifting : {false, true}) {
+        std::vector<double> ms;
+        for (int rep = 0; rep < kReps; ++rep) {
+          Timer timer;
+          const PlantedInstance inst =
+              drifting ? make_drifting(pc) : make_planted(pc);
+          ms.push_back(timer.millis());
+        }
+        std::sort(ms.begin(), ms.end());
+        const double median_ms = ms[kReps / 2];
+        const char* generator = drifting ? "drifting" : "planted";
+        t.add_row({generator, fmt_count(static_cast<long long>(cfg.n)),
+                   fmt_count(cfg.dim), cfg.name, fmt(median_ms, 1)});
+        json.record("hotpath_generate",
+                    {{"generator", generator},
+                     {"n", static_cast<long long>(cfg.n)},
+                     {"k", pc.k},
+                     {"z", static_cast<long long>(pc.z)},
+                     {"d", cfg.dim},
+                     {"norm", cfg.name},
+                     {"reps", kReps},
+                     {"wall_ms", median_ms}});
+      }
     }
     t.print();
   }

@@ -2,25 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <numeric>
+#include <utility>
 
 #include "geometry/box.hpp"
+#include "geometry/kernels.hpp"
 #include "util/check.hpp"
 
 namespace kc {
 
 namespace {
 
-// Uniform sample from the unit ball of the given norm (rejection from the
-// cube works for every norm at the small dimensions we target).
-Point sample_unit_ball(Rng& rng, int dim, Norm norm) {
-  const Metric metric{norm};
-  Point origin(dim, 0.0);
+// Draws u uniformly from the unit ball of `norm` into out[0, dim), by
+// rejection from the cube [−1, 1]^dim (it accepts often at the small
+// dimensions we target; see the table in generators.hpp).
+void draw_in_unit_ball(Rng& rng, int dim, Norm norm, double* out) {
+  static constexpr double kOrigin[Point::kMaxDim] = {};
   for (;;) {
-    Point p(dim);
-    for (int i = 0; i < dim; ++i) p[i] = rng.uniform_real(-1.0, 1.0);
-    if (metric.dist(p, origin) <= 1.0) return p;
+    for (int j = 0; j < dim; ++j) out[j] = rng.uniform_real(-1.0, 1.0);
+    if (kernels::dist(norm, out, kOrigin, dim) <= 1.0) return;
   }
+}
+
+// Draws a point uniformly from the ball of radius r around `center` into
+// out[0, dim): out[j] = center[j] + u[j]·r.
+void draw_in_ball(Rng& rng, int dim, Norm norm, const double* center,
+                  double r, double* out) {
+  draw_in_unit_ball(rng, dim, norm, out);
+  for (int j = 0; j < dim; ++j) out[j] = center[j] + out[j] * r;
 }
 
 // Cluster-center lattice: place k centers on a coarse integer lattice scaled
@@ -46,22 +58,51 @@ PointSet lattice_centers(int k, int dim, double spacing) {
   return out;
 }
 
-// Certified diameter lower bound: double farthest-point probe.
-double diameter_lb(std::span<const Point> pts, const Metric& metric) {
-  if (pts.size() < 2) return 0.0;
-  std::size_t a = 0;
+// Row-major staging for the draw: row i is coordinates [i·dim, (i+1)·dim)
+// of one flat array, so a point costs dim doubles and no `Point`.
+class Rows {
+ public:
+  Rows(std::size_t n, int dim)
+      : dim_(static_cast<std::size_t>(dim)),
+        data_(std::make_unique_for_overwrite<double[]>(n * dim_)) {}
+  [[nodiscard]] double* operator[](std::size_t i) noexcept {
+    return data_.get() + i * dim_;
+  }
+  [[nodiscard]] const double* operator[](std::size_t i) const noexcept {
+    return data_.get() + i * dim_;
+  }
+  void release() noexcept { data_.reset(); }
+
+ private:
+  std::size_t dim_;
+  std::unique_ptr<double[]> data_;  // every row is written before it is read
+};
+
+// Certified diameter lower bound of rows [first, first + count): double
+// farthest-point probe.
+double diameter_lb(const Rows& rows, std::size_t first, std::size_t count,
+                   int dim, Norm norm) {
+  if (count < 2) return 0.0;
+  std::size_t a = first;
   double best = -1.0;
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    const double d = metric.dist(pts[0], pts[i]);
+  for (std::size_t i = first + 1; i < first + count; ++i) {
+    const double d = kernels::dist(norm, rows[first], rows[i], dim);
     if (d > best) {
       best = d;
       a = i;
     }
   }
   double diam = best;
-  for (std::size_t i = 0; i < pts.size(); ++i)
-    diam = std::max(diam, metric.dist(pts[a], pts[i]));
+  for (std::size_t i = first; i < first + count; ++i)
+    diam = std::max(diam, kernels::dist(norm, rows[a], rows[i], dim));
   return diam;
+}
+
+// The AoS boundary view, filled in order from the finished buffer.
+void fill_points(PlantedInstance& inst) {
+  inst.points.reserve(inst.buffer.size());
+  for (std::size_t i = 0; i < inst.buffer.size(); ++i)
+    inst.points.push_back({inst.buffer.point(i), 1});
 }
 
 }  // namespace
@@ -76,11 +117,12 @@ PlantedInstance make_planted(const PlantedConfig& cfg) {
   KC_EXPECTS(cfg.duplicates >= 1);
   const auto z = static_cast<std::size_t>(cfg.z);
   KC_EXPECTS(cfg.n >= static_cast<std::size_t>(cfg.k) * (z + 1) + z);
+  // The shuffle permutes 4-byte row indices.
+  KC_EXPECTS(cfg.n <= std::numeric_limits<std::uint32_t>::max());
 
   PlantedInstance inst;
   inst.config = cfg;
   Rng rng(cfg.seed);
-  const Metric metric{cfg.norm};
   const double spacing = cfg.separation * cfg.cluster_radius;
 
   inst.planted_centers = lattice_centers(cfg.k, cfg.dim, spacing);
@@ -132,79 +174,74 @@ PlantedInstance make_planted(const PlantedConfig& cfg) {
     }
   }
 
-  // Every point goes straight into one array — clusters in order, then the
-  // outliers — and each cluster is certified as soon as it is drawn, so no
-  // per-cluster copy outlives its own loop.  At n = 10^6 that keeps the
-  // transient working set of a rebuild to one array plus the outputs.
-  PointSet all;
-  all.reserve(cfg.n);
+  // Every point is drawn into one row of `rows` — clusters in order, then
+  // the outliers — and each cluster is certified as soon as it is drawn.
+  const int dim = cfg.dim;
+  const double R = cfg.cluster_radius;
+  const std::size_t dups = cfg.duplicates;
+  Rows rows(cfg.n, dim);
+  std::size_t first = 0;  // the cluster's first row
   double hi = 0.0, lo = 0.0;
   for (int c = 0; c < cfg.k; ++c) {
-    const Point& center = inst.planted_centers[static_cast<std::size_t>(c)];
+    const double* center =
+        inst.planted_centers[static_cast<std::size_t>(c)].coords().data();
     const std::size_t size = sizes[static_cast<std::size_t>(c)];
     // Near-duplicate flood: ⌈size/duplicates⌉ distinct samples, each
     // replicated with jitter ≤ 1e-9·R (stress for dedup-hostile summaries).
-    const std::size_t distinct = (size + cfg.duplicates - 1) / cfg.duplicates;
-    PointSet bases;
-    bases.reserve(distinct);
-    for (std::size_t i = 0; i < distinct; ++i) {
-      const Point offset =
-          sample_unit_ball(rng, cfg.dim, cfg.norm) * cfg.cluster_radius;
-      bases.push_back(center + offset);
-    }
-    const std::size_t first = all.size();
-    for (std::size_t i = 0; i < size; ++i) {
-      Point p = bases[i / cfg.duplicates];
-      if (cfg.duplicates > 1 && i % cfg.duplicates != 0)
-        for (int dcoord = 0; dcoord < cfg.dim; ++dcoord)
-          p[dcoord] += rng.uniform_real(-1e-9, 1e-9) * cfg.cluster_radius;
-      all.push_back(p);
+    // Base b goes to the row of its first copy, first + b·duplicates; all
+    // bases are drawn before any jitter.
+    const std::size_t distinct = (size + dups - 1) / dups;
+    for (std::size_t b = 0; b < distinct; ++b)
+      draw_in_ball(rng, dim, cfg.norm, center, R, rows[first + b * dups]);
+    for (std::size_t i = 0; dups > 1 && i < size; ++i) {
+      if (i % dups == 0) continue;
+      const double* base = rows[first + (i / dups) * dups];
+      double* p = rows[first + i];
+      for (int j = 0; j < dim; ++j)
+        p[j] = base[j] + rng.uniform_real(-1e-9, 1e-9) * R;
     }
     // Certify the bracket on this cluster.
-    const std::span<const Point> cluster(all.data() + first, size);
-    double far = 0.0;
-    for (const auto& p : cluster) far = std::max(far, metric.dist(p, center));
-    hi = std::max(hi, far);
-    lo = std::max(lo, diameter_lb(cluster, metric) / 2.0);
+    for (std::size_t i = first; i < first + size; ++i)
+      hi = std::max(hi, kernels::dist(cfg.norm, rows[i], center, dim));
+    lo = std::max(lo, diameter_lb(rows, first, size, dim, cfg.norm) / 2.0);
+    first += size;
   }
-  const std::size_t cluster_points = all.size();
+  const std::size_t cluster_points = first;
 
   // Outliers.  Spread: far along the negative first axis, pairwise
   // ≥ spacing apart.  Burst: one tight clump of diameter ≤ 2R at
   // −2·spacing — any ball covering the clump strands a ≥ z+1 cluster, so
   // the bracket certificate above still holds.
   for (std::size_t i = 0; i < z; ++i) {
-    Point o(cfg.dim, 0.0);
+    double* o = rows[cluster_points + i];
     if (cfg.outliers == OutlierPattern::Burst) {
-      o = sample_unit_ball(rng, cfg.dim, cfg.norm) * cfg.cluster_radius;
+      draw_in_unit_ball(rng, dim, cfg.norm, o);
+      for (int j = 0; j < dim; ++j) o[j] *= R;
       o[0] -= 2.0 * spacing;
     } else {
       o[0] = -spacing * (2.0 + static_cast<double>(i));
       // jitter the remaining axes slightly so outliers are not collinear
-      for (int dcoord = 1; dcoord < cfg.dim; ++dcoord)
-        o[dcoord] = rng.uniform_real(0.0, cfg.cluster_radius);
+      for (int j = 1; j < dim; ++j) o[j] = rng.uniform_real(0.0, R);
     }
-    all.push_back(o);
   }
 
-  // Interleave clusters and outliers (Fisher–Yates with our deterministic
-  // rng), then record the outlier indices.
-  std::vector<char> is_outlier(all.size(), 0);
-  std::fill(is_outlier.begin() + static_cast<std::ptrdiff_t>(cluster_points),
-            is_outlier.end(), 1);
-  for (std::size_t i = all.size(); i > 1; --i) {
-    const std::size_t j = rng.uniform(i);
-    std::swap(all[i - 1], all[j]);
-    std::swap(is_outlier[i - 1], is_outlier[j]);
+  // Interleave clusters and outliers: Fisher–Yates with our deterministic
+  // rng over row indices, so position i holds row perm[i], an outlier iff
+  // perm[i] ≥ cluster_points.  The buffer is gathered in that order, the
+  // staging freed, and the AoS points filled from the buffer.
+  std::vector<std::uint32_t> perm(cfg.n);
+  std::iota(perm.begin(), perm.end(), std::uint32_t{0});
+  for (std::size_t i = cfg.n; i > 1; --i)
+    std::swap(perm[i - 1], perm[rng.uniform(i)]);
+  inst.buffer = kernels::PointBuffer(dim);
+  inst.buffer.reserve(cfg.n);
+  for (std::size_t i = 0; i < cfg.n; ++i) {
+    inst.buffer.append(rows[perm[i]]);
+    if (perm[i] >= cluster_points) inst.outlier_indices.push_back(i);
   }
-  inst.points.reserve(all.size());
-  inst.buffer = kernels::PointBuffer(cfg.dim);
-  inst.buffer.reserve(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    inst.points.push_back({all[i], 1});
-    inst.buffer.append(all[i]);
-    if (is_outlier[i] != 0) inst.outlier_indices.push_back(i);
-  }
+  rows.release();
+  perm = std::vector<std::uint32_t>();
+  fill_points(inst);
   inst.opt_hi = hi;
   inst.opt_lo = lo;
   KC_ENSURES(inst.opt_lo <= inst.opt_hi * (1.0 + 1e-12));
@@ -225,12 +262,15 @@ PlantedInstance make_drifting(const PlantedConfig& cfg) {
   PlantedInstance inst;
   inst.config = cfg;
   Rng rng(cfg.seed);
-  const Metric metric{cfg.norm};
+  const int dim = cfg.dim;
   const double R = cfg.cluster_radius;
   const double spacing = cfg.separation * R;
 
   // Planted centers = drift midpoints on the usual lattice.
-  inst.planted_centers = lattice_centers(cfg.k, cfg.dim, spacing);
+  inst.planted_centers = lattice_centers(cfg.k, dim, spacing);
+  const auto center = [&](std::size_t c) {
+    return inst.planted_centers[c].coords().data();
+  };
 
   // Even split of the n − z cluster points, emitted round-robin (emission
   // u belongs to cluster u mod k), which keeps the per-cluster drift
@@ -246,29 +286,34 @@ PlantedInstance make_drifting(const PlantedConfig& cfg) {
   const auto outlier_pos = [&](std::size_t i) {
     return ((i + 1) * cfg.n) / (z + 1) - 1;
   };
+  // `skip` is the position of the next outlier (n once all are placed),
+  // so an emission costs no division.
   const auto for_each_emission = [&](auto&& f) {
-    std::size_t t = 0;
     std::size_t next_outlier = 0;
-    for (std::size_t u = 0; u < cluster_total; ++u, ++t) {
-      for (; next_outlier < z && t == outlier_pos(next_outlier); ++t)
-        ++next_outlier;
-      f(u % k, t);
+    std::size_t skip = z > 0 ? outlier_pos(0) : cfg.n;
+    std::size_t c = 0;  // u mod k
+    for (std::size_t u = 0, t = 0; u < cluster_total; ++u, ++t) {
+      for (; t == skip; ++t)
+        skip = ++next_outlier < z ? outlier_pos(next_outlier) : cfg.n;
+      f(c, t);
+      if (++c == k) c = 0;
     }
   };
 
-  // Cluster emissions, written straight to their stream positions.  At
-  // stream progress λ ∈ [0, 1] cluster c emits around anchor + (2λ − 1)·2R
-  // along its drift axis: the emission center sweeps 4R end to end, so
-  // every member is within 2R + R = 3R of the anchor and the standard
-  // certificate (separation 40R ≫ 4·3R) holds.  The certificate is
-  // make_planted's, taken in emission order: the farthest member from the
-  // anchor, and `diameter_lb`'s double farthest-point probe — the first
-  // probe (from the cluster's first member, first maximum kept) runs while
-  // the points are drawn, the second in one more pass over the schedule.
+  // Cluster emissions, drawn straight into the rows of their stream
+  // positions.  At stream progress λ ∈ [0, 1] cluster c emits around
+  // anchor + (2λ − 1)·2R along its drift axis: the emission center sweeps
+  // 4R end to end, so every member is within 2R + R = 3R of the anchor and
+  // the standard certificate (separation 40R ≫ 4·3R) holds.  The
+  // certificate is make_planted's, taken in emission order: the farthest
+  // member from the anchor, and `diameter_lb`'s double farthest-point probe
+  // — the first probe (from the cluster's first member, first maximum
+  // kept) runs while the points are drawn, the second in one more pass
+  // over the schedule.
+  Rows rows(cfg.n, dim);
   std::vector<std::size_t> first(k, cfg.n);  // position of the first member
   std::vector<std::size_t> far_from_first(k, 0);
   std::vector<double> diam(k, -1.0);
-  inst.points.resize(cfg.n);
   double hi = 0.0;
   std::size_t u = 0;
   for_each_emission([&](std::size_t c, std::size_t t) {
@@ -277,23 +322,21 @@ PlantedInstance make_drifting(const PlantedConfig& cfg) {
             ? static_cast<double>(u) / static_cast<double>(cluster_total - 1)
             : 0.5;
     ++u;
-    Point p = sample_unit_ball(rng, cfg.dim, cfg.norm) * R +
-              inst.planted_centers[c];
-    p[static_cast<int>(c) % cfg.dim] += (2.0 * lambda - 1.0) * 2.0 * R;
-    hi = std::max(hi, metric.dist(p, inst.planted_centers[c]));
+    double* p = rows[t];
+    draw_in_ball(rng, dim, cfg.norm, center(c), R, p);
+    p[static_cast<int>(c) % dim] += (2.0 * lambda - 1.0) * 2.0 * R;
+    hi = std::max(hi, kernels::dist(cfg.norm, p, center(c), dim));
     if (first[c] == cfg.n) {
       first[c] = far_from_first[c] = t;
-    } else if (const double d = metric.dist(inst.points[first[c]].p, p);
+    } else if (const double d = kernels::dist(cfg.norm, rows[first[c]], p, dim);
                d > diam[c]) {
       diam[c] = d;
       far_from_first[c] = t;
     }
-    inst.points[t] = {p, 1};
   });
   for_each_emission([&](std::size_t c, std::size_t t) {
-    diam[c] = std::max(
-        diam[c], metric.dist(inst.points[far_from_first[c]].p,
-                             inst.points[t].p));
+    diam[c] = std::max(diam[c], kernels::dist(cfg.norm, rows[far_from_first[c]],
+                                              rows[t], dim));
   });
   double lo = 0.0;
   for (const double d : diam) lo = std::max(lo, d / 2.0);
@@ -301,16 +344,16 @@ PlantedInstance make_drifting(const PlantedConfig& cfg) {
   // Spread outliers (same shape as make_planted's), drawn after every
   // emission.
   for (std::size_t i = 0; i < z; ++i) {
-    Point o(cfg.dim, 0.0);
+    double* o = rows[outlier_pos(i)];
     o[0] = -spacing * (2.0 + static_cast<double>(i));
-    for (int dcoord = 1; dcoord < cfg.dim; ++dcoord)
-      o[dcoord] = rng.uniform_real(0.0, R);
-    inst.points[outlier_pos(i)] = {o, 1};
+    for (int j = 1; j < dim; ++j) o[j] = rng.uniform_real(0.0, R);
     inst.outlier_indices.push_back(outlier_pos(i));
   }
-  inst.buffer = kernels::PointBuffer(cfg.dim);
+  inst.buffer = kernels::PointBuffer(dim);
   inst.buffer.reserve(cfg.n);
-  for (const auto& wp : inst.points) inst.buffer.append(wp.p);
+  for (std::size_t t = 0; t < cfg.n; ++t) inst.buffer.append(rows[t]);
+  rows.release();
+  fill_points(inst);
 
   inst.opt_hi = hi;
   inst.opt_lo = lo;
@@ -321,17 +364,25 @@ PlantedInstance make_drifting(const PlantedConfig& cfg) {
 
 std::vector<GridPoint> discretize(const WeightedSet& pts, std::int64_t delta) {
   KC_EXPECTS(!pts.empty());
-  Box box = Box::empty(pts.front().p.dim());
+  KC_EXPECTS(delta >= 2);
+  const int dim = pts.front().p.dim();
+  Box box = Box::empty(dim);
   for (const auto& wp : pts) box.extend(wp.p);
   const double span = std::max(box.max_side(), 1e-12);
   const double scale = static_cast<double>(delta - 1) / span;
+  // snap_to_grid's rounding, one coordinate at a time: scale, round to the
+  // nearest integer, clamp into [0, Δ).
   std::vector<GridPoint> out;
   out.reserve(pts.size());
   for (const auto& wp : pts) {
-    Point scaled(wp.p.dim());
-    for (int i = 0; i < wp.p.dim(); ++i)
-      scaled[i] = (wp.p[i] - box.lo()[i]) * scale;
-    out.push_back(snap_to_grid(scaled, delta));
+    GridPoint& g = out.emplace_back();
+    g.dim = dim;
+    for (int j = 0; j < dim; ++j) {
+      const auto v = static_cast<std::int64_t>(
+          std::llround((wp.p[j] - box.lo()[j]) * scale));
+      g.c[static_cast<std::size_t>(j)] =
+          std::clamp<std::int64_t>(v, 0, delta - 1);
+    }
   }
   return out;
 }

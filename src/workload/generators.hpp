@@ -18,6 +18,42 @@
 // fully covered by a single ball of radius ≥ diam/2.
 //
 // Tests and benches assert algorithm guarantees against these brackets.
+//
+// How a point is drawn.  Both generators draw every point into one flat
+// row-major staging array of n·d doubles (row i is coordinates
+// [i·d, (i+1)·d)); no `Point` is built in the draw, the certificates or
+// the shuffle.  A cluster point is center[j] + u[j]·R, with u drawn from
+// the unit ball of the norm by rejection from the cube [−1, 1]^d.  The
+// output is then built SoA first: `buffer` is filled in final order, the
+// staging is freed, and `points` is filled from `buffer`.
+//
+// The RNG order is part of the output and must not change, or every golden
+// moves (tests/test_workload.cpp pins it to the bit):
+//  * make_planted: cluster by cluster, all of a cluster's distinct bases
+//    before its duplicate jitter; then the outliers; then the Fisher–Yates
+//    shuffle, which permutes a 4-byte row-index array (so n ≤ 2^32 − 1) —
+//    position i holds row perm[i], an outlier iff perm[i] is past the
+//    cluster rows.
+//  * make_drifting: the emissions in stream order, then the outliers.
+//
+// Peak memory of make_planted at d = 2: staging rows (16 B per point), the
+// permutation (4 B) and the buffer (16 B), then, with the staging freed,
+// the AoS points (80 B) and the buffer: 96 B per point, 104 B with the
+// engine's arrival order — the figure `engine::make_workload` sizes
+// against.
+//
+// Acceptance rate of the rejection draw (the cube draws per point are its
+// inverse), from the volume of the unit ball over 2^d:
+//
+//    d   |  1  |   2   |   3   |   4    |    5    |    6    |    7    |    8
+//   -----+-----+-------+-------+--------+---------+---------+---------+--------
+//   L∞   |  1  |   1   |   1   |   1    |    1    |    1    |    1    |    1
+//   L2   |  1  | 0.785 | 0.524 | 0.308  |  0.164  | 0.0807  | 0.0369  | 0.0159
+//   L1   |  1  |  0.5  | 0.167 | 0.0417 | 0.00833 | 0.00139 | 1.98e-4 | 2.48e-5
+//
+// L1 accepts with probability 1/d!, so L1 at d ≥ 5 stays slow by design
+// (40320 cube draws per point at d = 8); a direct sampler would change the
+// generated points and every golden with them.
 
 #pragma once
 

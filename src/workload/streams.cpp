@@ -1,5 +1,8 @@
 #include "workload/streams.hpp"
 
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <utility>
 
 #include "util/check.hpp"
@@ -24,31 +27,39 @@ DynamicScript make_dynamic_script(const std::vector<GridPoint>& final_set,
 
   // Operations: insert(final) ∪ insert(chaff) ∪ delete(chaff).  Emit by
   // simulation so a delete can only follow its matching insert (strict
-  // turnstile validity, even with duplicate chaff coordinates).
-  std::vector<std::pair<GridPoint, bool>> inserts;  // (point, is_chaff)
-  inserts.reserve(final_set.size() + chaff);
-  for (const auto& g : final_set) inserts.emplace_back(g, false);
-  for (const auto& g : extra) inserts.emplace_back(g, true);
-  for (std::size_t i = inserts.size(); i > 1; --i)
+  // turnstile validity, even with duplicate chaff coordinates).  The
+  // inserts are shuffled as 4-byte indices — i < |final_set| is
+  // final_set[i], the rest index the chaff — and the live chaff is kept as
+  // indices into `extra`, so no point is copied before it is emitted.
+  const std::size_t finals = final_set.size();
+  const std::size_t total = finals + chaff;
+  KC_EXPECTS(total <= std::numeric_limits<std::uint32_t>::max());
+  std::vector<std::uint32_t> inserts(total);
+  std::iota(inserts.begin(), inserts.end(), std::uint32_t{0});
+  for (std::size_t i = total; i > 1; --i)
     std::swap(inserts[i - 1], inserts[rng.uniform(i)]);
 
   DynamicScript script;
-  script.reserve(final_set.size() + 2 * chaff);
-  std::vector<GridPoint> alive_chaff;  // inserted but not yet deleted
+  script.reserve(finals + 2 * chaff);
+  std::vector<std::uint32_t> alive_chaff;  // inserted but not yet deleted
   std::size_t next_insert = 0;
-  while (next_insert < inserts.size() || !alive_chaff.empty()) {
-    const bool can_insert = next_insert < inserts.size();
+  while (next_insert < total || !alive_chaff.empty()) {
+    const bool can_insert = next_insert < total;
     const bool can_delete = !alive_chaff.empty();
     if (can_delete && (!can_insert || rng.bernoulli(0.4))) {
       const std::size_t pick = rng.uniform(alive_chaff.size());
-      script.push_back({alive_chaff[pick], -1});
+      script.push_back({extra[alive_chaff[pick]], -1});
       std::swap(alive_chaff[pick], alive_chaff.back());
       alive_chaff.pop_back();
     } else {
       KC_DCHECK(can_insert);
-      const auto& [g, is_chaff] = inserts[next_insert++];
-      script.push_back({g, +1});
-      if (is_chaff) alive_chaff.push_back(g);
+      const std::uint32_t i = inserts[next_insert++];
+      if (i < finals) {
+        script.push_back({final_set[i], +1});
+      } else {
+        script.push_back({extra[i - finals], +1});
+        alive_chaff.push_back(static_cast<std::uint32_t>(i - finals));
+      }
     }
   }
   return script;

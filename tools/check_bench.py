@@ -7,7 +7,11 @@ Compares a candidate JSONL file of ``engine_pipeline`` records (what
 * the two files must cover the same set of configurations, one per
   (pipeline, n, k, z, eps, dim, norm) key — so one file can hold several
   configurations of a pipeline; a record without dim/norm reads as d = 2,
-  l2 (the kcenter_cli defaults), and the first record per key is kept;
+  l2 (the kcenter_cli defaults).  The candidate must hold one record per
+  key: ``kcenter_cli --json`` appends, so two records with one key mean a
+  run was appended to an old file, and comparing either would be stale
+  (an error naming both lines).  The baseline keeps its first record per
+  key, so committed files can carry historical rows after the live ones;
 * the *result* columns must match the baseline — the engine layer is
   deterministic, so any drift in radius/quality/storage is a real
   behavioral change, not noise.  Integer columns (coreset, words, rounds,
@@ -98,8 +102,12 @@ def record_key(rec):
             rec.get("eps"), rec.get("dim", 2), rec.get("norm", "l2"))
 
 
-def load_records(path):
+def load_records(path, unique=False):
+    """engine_pipeline records keyed by ``record_key``.  With ``unique`` (the
+    candidate), a second record with one key is an error; otherwise the
+    first record per key is kept."""
     records = {}
+    lines = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -113,9 +121,17 @@ def load_records(path):
                 continue
             if rec.get("pipeline") is None:
                 raise SystemExit(f"{path}:{line_no}: record without 'pipeline'")
-            # Keep the first record per key: the smoke run emits one per
-            # pipeline, and thread-sweep files list threads=1 first.
-            records.setdefault(record_key(rec), rec)
+            key = record_key(rec)
+            if key in records:
+                if unique:
+                    raise SystemExit(
+                        f"error: {path}: lines {lines[key]} and {line_no} "
+                        f"hold two records for {' '.join(map(str, key))} "
+                        f"(a run appended to an old file?  write the "
+                        f"candidate to a fresh file)")
+                continue
+            records[key] = rec
+            lines[key] = line_no
     if not records:
         raise SystemExit(f"{path}: no engine_pipeline records found")
     return records
@@ -349,7 +365,7 @@ def main():
         return check_scale(args.candidate, args.baseline,
                            args.min_ingest_ratio, args.rss_slack_mb)
 
-    candidate = load_records(args.candidate)
+    candidate = load_records(args.candidate, unique=True)
     baseline = load_records(args.baseline)
     failures = []
 
