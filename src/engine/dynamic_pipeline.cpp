@@ -83,20 +83,12 @@ class DynamicPipeline final : public Pipeline {
 
     res.coreset = q.coreset;
     // Ground truth in grid coordinates: the live multiset after the script
-    // (make_dynamic_script guarantees it equals the discretized instance).
-    // Built as AoS + SoA side by side so the evaluation tail runs on the
-    // buffer directly.
-    WeightedSet live;
+    // (make_dynamic_script guarantees it equals the discretized instance),
+    // held as the SoA buffer the evaluation runs on.
+    kernels::PointBuffer live(cfg.dim);
     live.reserve(grid.size());
-    kernels::PointBuffer live_buf(cfg.dim);
-    live_buf.reserve(grid.size());
-    for (const auto& g : grid) {
-      live.push_back({g.to_point(), 1});
-      live_buf.append(live.back().p);
-    }
-    ExecContext tail;
-    tail.buffer = &live_buf;
-    extract_and_evaluate(res, live, cfg, w, tail);
+    for (const auto& g : grid) live.append(g.to_point());
+    extract_and_evaluate(res, live, cfg, w);
     return res;
   }
 
@@ -156,10 +148,12 @@ class DynamicPipeline final : public Pipeline {
     const auto snap_row = [&box, scale, &cfg](
                               const kernels::BufferView& v,
                               std::size_t i) {
-      Point scaled(cfg.dim);
+      GridPoint g;
+      g.dim = cfg.dim;
       for (int j = 0; j < cfg.dim; ++j)
-        scaled[j] = (v.col(j)[i] - box.lo()[j]) * scale;
-      return snap_to_grid(scaled, cfg.delta);
+        g.c[static_cast<std::size_t>(j)] =
+            snap_coord(v.col(j)[i], box.lo()[j], scale, cfg.delta);
+      return g;
     };
 
     PipelineResult res;

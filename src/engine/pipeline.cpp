@@ -269,47 +269,83 @@ double direct_radius(const WeightedSet& ground_truth,
   return direct.radius;
 }
 
+/// Charikar's greedy on the summary; its time is added to solve_ms.
+Solution solve_summary(PipelineResult& res, const PipelineConfig& cfg,
+                       ThreadPool* pool) {
+  Timer timer;
+  OracleOptions oracle;
+  oracle.exec.pool = pool;
+  Solution via =
+      solve_kcenter_outliers(res.coreset, cfg.k, cfg.z, cfg.metric(), oracle);
+  res.report.solve_ms += timer.millis();
+  return via;
+}
+
+/// Fills solution, radius, eval_ms and quality for `centers` at radius
+/// `on_full`; `direct()` runs the direct solve when the config asks for it.
+template <class DirectSolve>
+void record_evaluation(PipelineResult& res, PointSet centers, double on_full,
+                       double eval_ms, const PipelineConfig& cfg,
+                       DirectSolve&& direct) {
+  res.report.set("eval_ms", eval_ms);
+  res.solution = Solution{std::move(centers), on_full};
+  res.report.radius = on_full;
+  if (cfg.with_direct_solve) {
+    const double d = direct();
+    res.report.radius_direct = d;
+    // Same guard as the QUALITY benches: degenerate direct radius → 1.0.
+    res.report.quality = d > 0 ? on_full / d : 1.0;
+  } else {
+    res.report.quality = 1.0;
+  }
+}
+
 }  // namespace
 
 void extract_and_evaluate(PipelineResult& res, const WeightedSet& ground_truth,
                           const PipelineConfig& cfg, const Workload& w,
                           const ExecContext& ctx) {
   if (!cfg.with_extraction || res.coreset.empty()) return;
-  const Metric metric = cfg.metric();
+  Solution via = solve_summary(res, cfg, ctx.pool);
+  evaluate_centers(res, std::move(via.centers), ground_truth, cfg, w, ctx);
+}
+
+void extract_and_evaluate(PipelineResult& res,
+                          const kernels::PointBuffer& ground_truth,
+                          const PipelineConfig& cfg, const Workload& w) {
+  if (!cfg.with_extraction || res.coreset.empty()) return;
+  Solution via = solve_summary(res, cfg, nullptr);
   Timer timer;
-  OracleOptions oracle;
-  oracle.exec.pool = ctx.pool;
-  const Solution via =
-      solve_kcenter_outliers(res.coreset, cfg.k, cfg.z, metric, oracle);
-  const double small_ms = timer.millis();
-  evaluate_centers(res, via.centers, ground_truth, cfg, w, ctx);
-  res.report.solve_ms += small_ms;
+  OutlierTail tail(cfg.z, cfg.metric());
+  tail.add(ground_truth.view(), via.centers);
+  const double on_full = tail.radius();
+  record_evaluation(res, std::move(via.centers), on_full, timer.millis(), cfg,
+                    [&] {
+                      // The direct solve takes the AoS set: built for it
+                      // alone.
+                      WeightedSet pts;
+                      pts.reserve(ground_truth.size());
+                      for (std::size_t i = 0; i < ground_truth.size(); ++i)
+                        pts.push_back({ground_truth.point(i), 1});
+                      return direct_radius(pts, cfg, w, res.report, nullptr,
+                                           &ground_truth);
+                    });
 }
 
 void evaluate_centers(PipelineResult& res, PointSet centers,
                       const WeightedSet& ground_truth,
                       const PipelineConfig& cfg, const Workload& w,
                       const ExecContext& ctx) {
-  ThreadPool* pool = ctx.pool;
-  const kernels::PointBuffer* gt_buffer = ctx.buffer;
-  const Metric metric = cfg.metric();
   const kernels::PointBuffer* buf =
-      ground_truth_buffer(ground_truth, w, gt_buffer);
+      ground_truth_buffer(ground_truth, w, ctx.buffer);
   Timer timer;
   const double on_full =
-      radius_with_outliers(ground_truth, centers, cfg.z, metric, buf);
-  res.report.set("eval_ms", timer.millis());
-  res.solution = Solution{std::move(centers), on_full};
-  res.report.radius = on_full;
-  if (cfg.with_direct_solve) {
-    const double direct =
-        direct_radius(ground_truth, cfg, w, res.report, pool, gt_buffer);
-    res.report.radius_direct = direct;
-    // Same guard as the QUALITY benches: degenerate direct radius → 1.0.
-    res.report.quality = direct > 0 ? on_full / direct : 1.0;
-  } else {
-    res.report.quality = 1.0;
-  }
+      radius_with_outliers(ground_truth, centers, cfg.z, cfg.metric(), buf);
+  record_evaluation(res, std::move(centers), on_full, timer.millis(), cfg,
+                    [&] {
+                      return direct_radius(ground_truth, cfg, w, res.report,
+                                           ctx.pool, ctx.buffer);
+                    });
 }
 
 void extract_and_evaluate_source(

@@ -354,6 +354,14 @@ void extract_and_evaluate(PipelineResult& res, const WeightedSet& ground_truth,
                           const PipelineConfig& cfg, const Workload& w,
                           const ExecContext& ctx = {});
 
+/// Variant for a unit-weight ground truth held only as a SoA buffer (the
+/// dynamic pipeline's discretized live set): the centers are evaluated on
+/// the buffer, and the AoS copy a direct solve needs is built only when
+/// `cfg.with_direct_solve` is on.
+void extract_and_evaluate(PipelineResult& res,
+                          const kernels::PointBuffer& ground_truth,
+                          const PipelineConfig& cfg, const Workload& w);
+
 /// Variant for solution-only pipelines that already hold centers: evaluate
 /// them on `ground_truth` and fill radius/radius_direct/quality.
 void evaluate_centers(PipelineResult& res, PointSet centers,

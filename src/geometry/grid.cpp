@@ -1,8 +1,6 @@
 #include "geometry/grid.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 
 namespace kc {
 
@@ -10,11 +8,8 @@ GridPoint snap_to_grid(const Point& p, std::int64_t delta) {
   KC_EXPECTS(delta >= 2);
   GridPoint g;
   g.dim = p.dim();
-  for (int i = 0; i < p.dim(); ++i) {
-    auto v = static_cast<std::int64_t>(std::llround(p[i]));
-    v = std::clamp<std::int64_t>(v, 0, delta - 1);
-    g.c[static_cast<std::size_t>(i)] = v;
-  }
+  for (int i = 0; i < p.dim(); ++i)
+    g.c[static_cast<std::size_t>(i)] = snap_coord(p[i], 0.0, 1.0, delta);
   return g;
 }
 

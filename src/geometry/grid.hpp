@@ -12,6 +12,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -45,6 +47,16 @@ struct GridUpdate {
   GridPoint p;
   int sign = +1;  ///< +1 insert, −1 delete
 };
+
+/// Grid coordinate of the real coordinate x on a grid with origin `lo` and
+/// `scale` grid units per unit: (x − lo)·scale rounded to the nearest
+/// integer, clamped to [0, Δ).  Every discretization rounds through it, so
+/// in-memory and out-of-core runs snap alike.
+[[nodiscard]] inline std::int64_t snap_coord(double x, double lo, double scale,
+                                             std::int64_t delta) noexcept {
+  const auto v = static_cast<std::int64_t>(std::llround((x - lo) * scale));
+  return std::clamp<std::int64_t>(v, 0, delta - 1);
+}
 
 /// Rounds a real point onto the grid (coordinates clamped to [0, Δ)).
 [[nodiscard]] GridPoint snap_to_grid(const Point& p, std::int64_t delta);

@@ -98,13 +98,6 @@ double diameter_lb(const Rows& rows, std::size_t first, std::size_t count,
   return diam;
 }
 
-// The AoS boundary view, filled in order from the finished buffer.
-void fill_points(PlantedInstance& inst) {
-  inst.points.reserve(inst.buffer.size());
-  for (std::size_t i = 0; i < inst.buffer.size(); ++i)
-    inst.points.push_back({inst.buffer.point(i), 1});
-}
-
 }  // namespace
 
 PlantedInstance make_planted(const PlantedConfig& cfg) {
@@ -241,7 +234,9 @@ PlantedInstance make_planted(const PlantedConfig& cfg) {
   }
   rows.release();
   perm = std::vector<std::uint32_t>();
-  fill_points(inst);
+  inst.points.reserve(cfg.n);
+  for (std::size_t i = 0; i < cfg.n; ++i)
+    inst.points.push_back({inst.buffer.point(i), 1});
   inst.opt_hi = hi;
   inst.opt_lo = lo;
   KC_ENSURES(inst.opt_lo <= inst.opt_hi * (1.0 + 1e-12));
@@ -300,7 +295,7 @@ PlantedInstance make_drifting(const PlantedConfig& cfg) {
     }
   };
 
-  // Cluster emissions, drawn straight into the rows of their stream
+  // Cluster emissions, drawn straight into the points of their stream
   // positions.  At stream progress λ ∈ [0, 1] cluster c emits around
   // anchor + (2λ − 1)·2R along its drift axis: the emission center sweeps
   // 4R end to end, so every member is within 2R + R = 3R of the anchor and
@@ -310,7 +305,8 @@ PlantedInstance make_drifting(const PlantedConfig& cfg) {
   // — the first probe (from the cluster's first member, first maximum
   // kept) runs while the points are drawn, the second in one more pass
   // over the schedule.
-  Rows rows(cfg.n, dim);
+  inst.points.assign(cfg.n, {Point(dim), 1});
+  const auto row = [&](std::size_t t) { return &inst.points[t].p[0]; };
   std::vector<std::size_t> first(k, cfg.n);  // position of the first member
   std::vector<std::size_t> far_from_first(k, 0);
   std::vector<double> diam(k, -1.0);
@@ -322,21 +318,21 @@ PlantedInstance make_drifting(const PlantedConfig& cfg) {
             ? static_cast<double>(u) / static_cast<double>(cluster_total - 1)
             : 0.5;
     ++u;
-    double* p = rows[t];
+    double* p = row(t);
     draw_in_ball(rng, dim, cfg.norm, center(c), R, p);
     p[static_cast<int>(c) % dim] += (2.0 * lambda - 1.0) * 2.0 * R;
     hi = std::max(hi, kernels::dist(cfg.norm, p, center(c), dim));
     if (first[c] == cfg.n) {
       first[c] = far_from_first[c] = t;
-    } else if (const double d = kernels::dist(cfg.norm, rows[first[c]], p, dim);
+    } else if (const double d = kernels::dist(cfg.norm, row(first[c]), p, dim);
                d > diam[c]) {
       diam[c] = d;
       far_from_first[c] = t;
     }
   });
   for_each_emission([&](std::size_t c, std::size_t t) {
-    diam[c] = std::max(diam[c], kernels::dist(cfg.norm, rows[far_from_first[c]],
-                                              rows[t], dim));
+    diam[c] = std::max(diam[c], kernels::dist(cfg.norm, row(far_from_first[c]),
+                                              row(t), dim));
   });
   double lo = 0.0;
   for (const double d : diam) lo = std::max(lo, d / 2.0);
@@ -344,16 +340,14 @@ PlantedInstance make_drifting(const PlantedConfig& cfg) {
   // Spread outliers (same shape as make_planted's), drawn after every
   // emission.
   for (std::size_t i = 0; i < z; ++i) {
-    double* o = rows[outlier_pos(i)];
+    double* o = row(outlier_pos(i));
     o[0] = -spacing * (2.0 + static_cast<double>(i));
     for (int j = 1; j < dim; ++j) o[j] = rng.uniform_real(0.0, R);
     inst.outlier_indices.push_back(outlier_pos(i));
   }
   inst.buffer = kernels::PointBuffer(dim);
   inst.buffer.reserve(cfg.n);
-  for (std::size_t t = 0; t < cfg.n; ++t) inst.buffer.append(rows[t]);
-  rows.release();
-  fill_points(inst);
+  for (const auto& wp : inst.points) inst.buffer.append(wp.p);
 
   inst.opt_hi = hi;
   inst.opt_lo = lo;
@@ -370,19 +364,14 @@ std::vector<GridPoint> discretize(const WeightedSet& pts, std::int64_t delta) {
   for (const auto& wp : pts) box.extend(wp.p);
   const double span = std::max(box.max_side(), 1e-12);
   const double scale = static_cast<double>(delta - 1) / span;
-  // snap_to_grid's rounding, one coordinate at a time: scale, round to the
-  // nearest integer, clamp into [0, Δ).
   std::vector<GridPoint> out;
   out.reserve(pts.size());
   for (const auto& wp : pts) {
     GridPoint& g = out.emplace_back();
     g.dim = dim;
-    for (int j = 0; j < dim; ++j) {
-      const auto v = static_cast<std::int64_t>(
-          std::llround((wp.p[j] - box.lo()[j]) * scale));
+    for (int j = 0; j < dim; ++j)
       g.c[static_cast<std::size_t>(j)] =
-          std::clamp<std::int64_t>(v, 0, delta - 1);
-    }
+          snap_coord(wp.p[j], box.lo()[j], scale, delta);
   }
   return out;
 }

@@ -19,13 +19,16 @@
 //
 // Tests and benches assert algorithm guarantees against these brackets.
 //
-// How a point is drawn.  Both generators draw every point into one flat
-// row-major staging array of n·d doubles (row i is coordinates
-// [i·d, (i+1)·d)); no `Point` is built in the draw, the certificates or
-// the shuffle.  A cluster point is center[j] + u[j]·R, with u drawn from
-// the unit ball of the norm by rejection from the cube [−1, 1]^d.  The
-// output is then built SoA first: `buffer` is filled in final order, the
-// staging is freed, and `points` is filled from `buffer`.
+// How a point is drawn.  A cluster point is center[j] + u[j]·R, with u
+// drawn straight into its destination coordinates from the unit ball of
+// the norm by rejection from the cube [−1, 1]^d; no `Point` temporary is
+// built.  make_planted draws every point into one flat row-major staging
+// array of n·d doubles (row i is coordinates [i·d, (i+1)·d)), certifies
+// and shuffles there, then builds the output SoA first: `buffer` is
+// gathered in final order, the staging is freed, and `points` is filled
+// from `buffer`.  make_drifting does not shuffle, so it draws each
+// emission straight into `points` at its stream position and copies
+// `buffer` from them.
 //
 // The RNG order is part of the output and must not change, or every golden
 // moves (tests/test_workload.cpp pins it to the bit):
@@ -36,10 +39,11 @@
 //    cluster rows.
 //  * make_drifting: the emissions in stream order, then the outliers.
 //
-// Peak memory of make_planted at d = 2: staging rows (16 B per point), the
-// permutation (4 B) and the buffer (16 B), then, with the staging freed,
-// the AoS points (80 B) and the buffer: 96 B per point, 104 B with the
-// engine's arrival order — the figure `engine::make_workload` sizes
+// Peak memory at d = 2: make_planted holds the staging rows (16 B per
+// point), the permutation (4 B) and the buffer (16 B), then, with the
+// staging freed, the AoS points (80 B) and the buffer; make_drifting holds
+// the points and the buffer.  Either peaks at 96 B per point, 104 B with
+// the engine's arrival order — the figure `engine::make_workload` sizes
 // against.
 //
 // Acceptance rate of the rejection draw (the cube draws per point are its

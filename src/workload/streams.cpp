@@ -1,5 +1,6 @@
 #include "workload/streams.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -13,17 +14,19 @@ DynamicScript make_dynamic_script(const std::vector<GridPoint>& final_set,
                                   std::size_t chaff, std::int64_t delta,
                                   int dim, std::uint64_t seed) {
   Rng rng(seed);
-  // Chaff points, drawn uniformly from the universe.
-  std::vector<GridPoint> extra;
-  extra.reserve(chaff);
-  for (std::size_t i = 0; i < chaff; ++i) {
+  // Chaff points, drawn uniformly from the universe; chaff point j is
+  // coordinates [j·dim, (j+1)·dim) of one flat array.
+  const auto d = static_cast<std::size_t>(dim);
+  std::vector<std::int64_t> extra(chaff * d);
+  for (auto& x : extra)
+    x = static_cast<std::int64_t>(rng.uniform(static_cast<std::uint64_t>(delta)));
+  const auto chaff_point = [&](std::size_t j) {
     GridPoint g;
     g.dim = dim;
-    for (int d = 0; d < dim; ++d)
-      g.c[static_cast<std::size_t>(d)] =
-          static_cast<std::int64_t>(rng.uniform(static_cast<std::uint64_t>(delta)));
-    extra.push_back(g);
-  }
+    std::copy_n(extra.begin() + static_cast<std::ptrdiff_t>(j * d), d,
+                g.c.begin());
+    return g;
+  };
 
   // Operations: insert(final) ∪ insert(chaff) ∪ delete(chaff).  Emit by
   // simulation so a delete can only follow its matching insert (strict
@@ -48,7 +51,7 @@ DynamicScript make_dynamic_script(const std::vector<GridPoint>& final_set,
     const bool can_delete = !alive_chaff.empty();
     if (can_delete && (!can_insert || rng.bernoulli(0.4))) {
       const std::size_t pick = rng.uniform(alive_chaff.size());
-      script.push_back({extra[alive_chaff[pick]], -1});
+      script.push_back({chaff_point(alive_chaff[pick]), -1});
       std::swap(alive_chaff[pick], alive_chaff.back());
       alive_chaff.pop_back();
     } else {
@@ -57,7 +60,7 @@ DynamicScript make_dynamic_script(const std::vector<GridPoint>& final_set,
       if (i < finals) {
         script.push_back({final_set[i], +1});
       } else {
-        script.push_back({extra[i - finals], +1});
+        script.push_back({chaff_point(i - finals), +1});
         alive_chaff.push_back(static_cast<std::uint32_t>(i - finals));
       }
     }

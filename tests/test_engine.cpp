@@ -253,6 +253,32 @@ TEST(EngineConfig, ExtractionCanBeDisabled) {
   EXPECT_GT(res.report.words, 0u);
 }
 
+TEST(EngineEvaluation, BufferGroundTruthMatchesTheAosOne) {
+  // The buffer overload (the dynamic pipeline's live set) reports what the
+  // AoS tail reports on the same unit-weight points, with and without the
+  // direct solve.
+  for (const bool direct : {false, true}) {
+    PipelineConfig cfg = small_config();
+    cfg.with_direct_solve = direct;
+    const Workload w = make_workload(300, cfg);
+    const PipelineResult base = run("offline", w, cfg);
+    WeightedSet truth;
+    for (std::size_t i = 0; i < w.planted.points.size(); i += 2)
+      truth.push_back({w.planted.points[i].p, 1});
+    const kernels::PointBuffer buf(truth);
+    PipelineResult aos, soa;
+    aos.coreset = soa.coreset = base.coreset;
+    extract_and_evaluate(aos, truth, cfg, w);
+    extract_and_evaluate(soa, buf, cfg, w);
+    EXPECT_GT(soa.report.radius, 0.0);
+    EXPECT_EQ(soa.report.radius, aos.report.radius);
+    EXPECT_EQ(soa.report.radius_direct, aos.report.radius_direct);
+    EXPECT_EQ(soa.report.quality, aos.report.quality);
+    EXPECT_EQ(soa.solution.centers, aos.solution.centers);
+    EXPECT_EQ(soa.report.get("direct_ms", -1.0) >= 0.0, direct);
+  }
+}
+
 TEST(EngineWorkload, DirectSolveIsMemoizedAcrossRuns) {
   // Two pipelines on one workload share the direct solve on the planted
   // points (the CLI's --pipeline all path pays for it once).
