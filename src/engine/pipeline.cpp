@@ -281,23 +281,15 @@ Solution solve_summary(PipelineResult& res, const PipelineConfig& cfg,
   return via;
 }
 
-/// Fills solution, radius, eval_ms and quality for `centers` at radius
-/// `on_full`; `direct()` runs the direct solve when the config asks for it.
-template <class DirectSolve>
+/// Fills solution, radius, radius_direct and quality for `centers` at
+/// radius `on_full`; `direct` is the direct solve's radius, 0 when none ran.
 void record_evaluation(PipelineResult& res, PointSet centers, double on_full,
-                       double eval_ms, const PipelineConfig& cfg,
-                       DirectSolve&& direct) {
-  res.report.set("eval_ms", eval_ms);
+                       double direct) {
   res.solution = Solution{std::move(centers), on_full};
   res.report.radius = on_full;
-  if (cfg.with_direct_solve) {
-    const double d = direct();
-    res.report.radius_direct = d;
-    // Same guard as the QUALITY benches: degenerate direct radius → 1.0.
-    res.report.quality = d > 0 ? on_full / d : 1.0;
-  } else {
-    res.report.quality = 1.0;
-  }
+  res.report.radius_direct = direct;
+  // Same guard as the QUALITY benches: degenerate direct radius → 1.0.
+  res.report.quality = direct > 0 ? on_full / direct : 1.0;
 }
 
 }  // namespace
@@ -319,17 +311,17 @@ void extract_and_evaluate(PipelineResult& res,
   OutlierTail tail(cfg.z, cfg.metric());
   tail.add(ground_truth.view(), via.centers);
   const double on_full = tail.radius();
-  record_evaluation(res, std::move(via.centers), on_full, timer.millis(), cfg,
-                    [&] {
-                      // The direct solve takes the AoS set: built for it
-                      // alone.
-                      WeightedSet pts;
-                      pts.reserve(ground_truth.size());
-                      for (std::size_t i = 0; i < ground_truth.size(); ++i)
-                        pts.push_back({ground_truth.point(i), 1});
-                      return direct_radius(pts, cfg, w, res.report, nullptr,
-                                           &ground_truth);
-                    });
+  res.report.set("eval_ms", timer.millis());
+  double direct = 0.0;
+  if (cfg.with_direct_solve) {
+    // The direct solve takes the AoS set: built for it alone.
+    WeightedSet pts;
+    pts.reserve(ground_truth.size());
+    for (std::size_t i = 0; i < ground_truth.size(); ++i)
+      pts.push_back({ground_truth.point(i), 1});
+    direct = direct_radius(pts, cfg, w, res.report, nullptr, &ground_truth);
+  }
+  record_evaluation(res, std::move(via.centers), on_full, direct);
 }
 
 void evaluate_centers(PipelineResult& res, PointSet centers,
@@ -341,11 +333,12 @@ void evaluate_centers(PipelineResult& res, PointSet centers,
   Timer timer;
   const double on_full =
       radius_with_outliers(ground_truth, centers, cfg.z, cfg.metric(), buf);
-  record_evaluation(res, std::move(centers), on_full, timer.millis(), cfg,
-                    [&] {
-                      return direct_radius(ground_truth, cfg, w, res.report,
-                                           ctx.pool, ctx.buffer);
-                    });
+  res.report.set("eval_ms", timer.millis());
+  double direct = 0.0;
+  if (cfg.with_direct_solve)
+    direct = direct_radius(ground_truth, cfg, w, res.report, ctx.pool,
+                           ctx.buffer);
+  record_evaluation(res, std::move(centers), on_full, direct);
 }
 
 void extract_and_evaluate_source(

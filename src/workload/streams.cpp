@@ -19,7 +19,8 @@ DynamicScript make_dynamic_script(const std::vector<GridPoint>& final_set,
   const auto d = static_cast<std::size_t>(dim);
   std::vector<std::int64_t> extra(chaff * d);
   for (auto& x : extra)
-    x = static_cast<std::int64_t>(rng.uniform(static_cast<std::uint64_t>(delta)));
+    x = static_cast<std::int64_t>(
+        rng.uniform(static_cast<std::uint64_t>(delta)));
   const auto chaff_point = [&](std::size_t j) {
     GridPoint g;
     g.dim = dim;

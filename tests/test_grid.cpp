@@ -122,10 +122,10 @@ TEST(SnapToGrid, RoundsAndClamps) {
 TEST(SnapCoord, IsSnapToGridOfTheScaledCoordinate) {
   // discretize and the out-of-core dynamic run snap through snap_coord;
   // it must round exactly as snap_to_grid does on the scaled point.
-  EXPECT_EQ(snap_coord(2.5, 1.0, 2.0, 8), 3);    // (2.5−1)·2 = 3
-  EXPECT_EQ(snap_coord(1.25, 1.0, 2.0, 8), 1);   // 0.5 rounds away from 0
-  EXPECT_EQ(snap_coord(0.0, 1.0, 2.0, 8), 0);    // −2 clamps to 0
-  EXPECT_EQ(snap_coord(9.0, 1.0, 2.0, 8), 7);    // 16 clamps to Δ−1
+  EXPECT_EQ(snap_coord(2.5, 1.0, 2.0, 8), 3);   // (2.5−1)·2 = 3
+  EXPECT_EQ(snap_coord(1.25, 1.0, 2.0, 8), 1);  // 0.5 rounds away from 0
+  EXPECT_EQ(snap_coord(0.0, 1.0, 2.0, 8), 0);   // −2 clamps to 0
+  EXPECT_EQ(snap_coord(9.0, 1.0, 2.0, 8), 7);   // 16 clamps to Δ−1
   const double lo = -3.7, scale = 255.0 / 11.3;
   for (double x = -3.7; x <= 7.6; x += 0.0137) {
     const GridPoint g = snap_to_grid(Point{(x - lo) * scale}, 256);
