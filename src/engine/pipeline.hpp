@@ -347,7 +347,7 @@ class Pipeline {
 /// `ctx.pool` runs the solver's batch kernels chunk-parallel — results
 /// are bit-identical with or without it — and `ctx.buffer` is a SoA
 /// buffer of `ground_truth` in the same order, for pipelines whose ground
-/// truth is NOT the planted set (window contents, discretized live set);
+/// truth is NOT the planted set (the sliding window's contents);
 /// when null and `ground_truth` is the planted set, the workload's
 /// canonical buffer is used automatically.
 void extract_and_evaluate(PipelineResult& res, const WeightedSet& ground_truth,
